@@ -75,47 +75,106 @@ pub(super) enum Expansion {
     },
 }
 
-/// A worker's private scratch: two materialized states, a register
-/// file and an effect tracker, allocated once and reused for every
-/// state the worker expands.
+/// The pooled components of the state being expanded: what a run's
+/// writes are diffed against and rolled back from.
+struct Src<'p> {
+    pools: &'p Pools,
+    sigs: &'p [Value],
+    /// Group-valuation ids.
+    groups: &'p [u32],
+    /// Process-control ids.
+    procs: &'p [u32],
+    env: &'p EnvComp,
+}
+
+impl<'p> Src<'p> {
+    fn new(pools: &'p Pools, cs: CompactState) -> Self {
+        Self {
+            pools,
+            sigs: pools.sigs.get(cs.sig),
+            groups: pools.varvecs.get(cs.var),
+            procs: pools.ctls.get(cs.ctl),
+            env: pools.envs.get(cs.env),
+        }
+    }
+
+    fn proc(&self, p: usize) -> &'p CkProc {
+        self.pools.procs.get(self.procs[p])
+    }
+
+    fn group(&self, g: u32) -> &'p [Value] {
+        self.pools.groups.get(self.groups[g as usize])
+    }
+}
+
+/// A worker's private scratch: one materialized state, a register file
+/// and an effect tracker, allocated once and reused for every state the
+/// worker expands. Transitions run in place on `cur`;
+/// [`WorkerCtx::rollback`] then restores what each one touched.
 pub(super) struct WorkerCtx {
     cur: CkState,
-    next: CkState,
     regs: RegFile,
     fx: RunFx,
 }
 
 impl WorkerCtx {
     fn new(checker: &Checker<'_>) -> Self {
-        let cur = checker.initial_state();
-        let next = cur.clone();
         Self {
-            cur,
-            next,
+            cur: checker.initial_state(),
             regs: RegFile::with_capacity(checker.max_regs as usize),
             fx: RunFx::default(),
         }
     }
 
-    /// Rebuilds `cur` from a compact state, reusing every buffer.
-    fn materialize(&mut self, pools: &Pools, layout: &Layout, cs: CompactState) {
+    /// Rebuilds `cur` from the source state, reusing every buffer: the
+    /// one full copy per expanded state. Every expansion starts here, so
+    /// an exit that skips the rollback (the ample early return, an
+    /// error) cannot leak into the next expansion.
+    fn materialize(&mut self, src: &Src<'_>, layout: &Layout) {
         let s = &mut self.cur;
-        s.signals.clear();
-        s.signals.extend_from_slice(pools.sigs.get(cs.sig));
-        for (g, &gid) in pools.varvecs.get(cs.var).iter().enumerate() {
-            let vals = pools.groups.get(gid);
-            for (off, &v) in layout.group_members[g].iter().enumerate() {
-                s.vars[v as usize].clone_from(&vals[off]);
-            }
+        s.signals.clone_from_slice(src.sigs);
+        for g in 0..layout.groups() {
+            restore_group(s, src, layout, g as u32);
         }
-        for (p, &pid_id) in pools.ctls.get(cs.ctl).iter().enumerate() {
-            s.procs[p].clone_from(pools.procs.get(pid_id));
+        for p in 0..s.procs.len() {
+            s.procs[p].clone_from(src.proc(p));
         }
-        let env = pools.envs.get(cs.env);
-        s.fault_budget.clear();
-        s.fault_budget.extend_from_slice(&env.fault_budget);
-        s.frozen.clear();
-        s.frozen.extend_from_slice(&env.frozen);
+        s.fault_budget.copy_from_slice(&src.env.fault_budget);
+        s.frozen.copy_from_slice(&src.env.frozen);
+    }
+
+    /// Undoes the last run of process `pid` on `cur` (`None`: the last
+    /// fault strike), restoring from the source exactly what it touched:
+    /// that process and every one `fx` says was released, the signals
+    /// when one was stored or a fault struck, each dirty variable group
+    /// and, after a strike, the fault environment.
+    fn rollback(&mut self, src: &Src<'_>, layout: &Layout, pid: Option<usize>) {
+        let Self { cur: s, fx, .. } = self;
+        let strike = pid.is_none();
+        if let Some(p) = pid {
+            s.procs[p].clone_from(src.proc(p));
+        }
+        for &p in &fx.released {
+            s.procs[p as usize].clone_from(src.proc(p as usize));
+        }
+        if fx.wrote_sig || strike {
+            s.signals.clone_from_slice(src.sigs);
+        }
+        for &g in &fx.dirty_groups {
+            restore_group(s, src, layout, g);
+        }
+        if strike {
+            s.fault_budget.copy_from_slice(&src.env.fault_budget);
+            s.frozen.copy_from_slice(&src.env.frozen);
+        }
+    }
+}
+
+/// Copies variable group `g`'s source valuation back into `s`.
+fn restore_group(s: &mut CkState, src: &Src<'_>, layout: &Layout, g: u32) {
+    let vals = src.group(g);
+    for (&v, val) in layout.group_members[g as usize].iter().zip(vals.iter()) {
+        s.vars[v as usize].clone_from(val);
     }
 }
 
@@ -140,33 +199,36 @@ impl<'a> Checker<'a> {
 
     /// Exact progress test replacing the seed's whole-state `state !=
     /// *src` comparison: the tracked effects bound what can differ, so
-    /// only the touched components are compared (and usually none are —
-    /// an advanced pc or a released waiter decides immediately).
-    fn progress(&self, cur: &CkState, next: &CkState, fx: &RunFx, pid: Option<usize>) -> bool {
+    /// only the touched components of the run's result `s` are compared
+    /// with the source (and usually none are — an advanced pc or a
+    /// released waiter decides immediately).
+    fn progress(&self, src: &Src<'_>, s: &CkState, fx: &RunFx, pid: Option<usize>) -> bool {
         if let Some(p) = pid {
-            if next.procs[p] != cur.procs[p] {
+            if s.procs[p] != *src.proc(p) {
                 return true;
             }
         }
         if !fx.released.is_empty() {
             return true;
         }
-        if fx.wrote_sig && next.signals != cur.signals {
+        if fx.wrote_sig && s.signals[..] != *src.sigs {
             return true;
         }
         fx.dirty_groups.iter().any(|&g| {
             self.layout.group_members[g as usize]
                 .iter()
-                .any(|&v| next.vars[v as usize] != cur.vars[v as usize])
+                .zip(src.group(g).iter())
+                .any(|(&v, old)| s.vars[v as usize] != *old)
         })
     }
 
-    /// Packages the changed components of `next` relative to `cur`.
+    /// Packages the changed components of the run's result `s` relative
+    /// to the source.
     #[allow(clippy::too_many_arguments)]
     fn extract(
         &self,
-        cur: &CkState,
-        next: &CkState,
+        src: &Src<'_>,
+        s: &CkState,
         fx: &RunFx,
         pid: Option<u32>,
         env_changed: bool,
@@ -175,10 +237,8 @@ impl<'a> Checker<'a> {
     ) -> SuccData {
         let mut procs = Vec::new();
         let mut note = |p: u32| {
-            if next.procs[p as usize] != cur.procs[p as usize]
-                && !procs.iter().any(|(q, _)| *q == p)
-            {
-                procs.push((p, next.procs[p as usize].clone()));
+            if s.procs[p as usize] != *src.proc(p as usize) && !procs.iter().any(|(q, _)| *q == p) {
+                procs.push((p, s.procs[p as usize].clone()));
             }
         };
         if let Some(p) = pid {
@@ -190,16 +250,16 @@ impl<'a> Checker<'a> {
         SuccData {
             label,
             cost,
-            sig: (fx.wrote_sig || env_changed).then(|| next.signals.iter().cloned().collect()),
+            sig: (fx.wrote_sig || env_changed).then(|| s.signals.iter().cloned().collect()),
             groups: fx
                 .dirty_groups
                 .iter()
-                .map(|&g| (g, self.layout.extract_group(g, &next.vars)))
+                .map(|&g| (g, self.layout.extract_group(g, &s.vars)))
                 .collect(),
             procs,
             env: env_changed.then(|| EnvComp {
-                fault_budget: next.fault_budget.clone().into_boxed_slice(),
-                frozen: next.frozen.clone().into_boxed_slice(),
+                fault_budget: s.fault_budget.clone().into_boxed_slice(),
+                frozen: s.frozen.clone().into_boxed_slice(),
             }),
         }
     }
@@ -217,27 +277,21 @@ impl<'a> Checker<'a> {
         cs: CompactState,
         por: bool,
     ) -> Result<Expansion, SimError> {
-        ctx.materialize(pools, &self.layout, cs);
+        let src = Src::new(pools, cs);
+        ctx.materialize(&src, &self.layout);
         let mut succs = Vec::new();
         let mut crashes = Vec::new();
         let mut live = false;
         for pid in 0..ctx.cur.procs.len() {
             ctx.fx.reset(por);
-            match self.run_one(
-                &ctx.cur,
-                &mut ctx.next,
-                &mut ctx.regs,
-                pid,
-                false,
-                &mut ctx.fx,
-            ) {
+            match self.run_one(&mut ctx.cur, &mut ctx.regs, pid, false, &mut ctx.fx) {
                 Ok(Some(cost)) => {
-                    self.release_waiters(&mut ctx.next, &mut ctx.regs, &mut ctx.fx)?;
-                    if self.progress(&ctx.cur, &ctx.next, &ctx.fx, Some(pid)) {
+                    self.release_waiters(&mut ctx.cur, &mut ctx.regs, &mut ctx.fx)?;
+                    if self.progress(&src, &ctx.cur, &ctx.fx, Some(pid)) {
                         live = true;
                         let sd = self.extract(
+                            &src,
                             &ctx.cur,
-                            &ctx.next,
                             &ctx.fx,
                             Some(pid as u32),
                             false,
@@ -249,8 +303,10 @@ impl<'a> Checker<'a> {
                             && ctx.fx.pure_run
                             && !ctx.fx.wrote_sig
                             && ctx.fx.released.is_empty()
-                            && ctx.next.procs[pid].done == ctx.cur.procs[pid].done
+                            && ctx.cur.procs[pid].done == src.proc(pid).done
                         {
+                            // No rollback: the next expansion starts
+                            // from a full materialization.
                             return Ok(Expansion::Ample(sd));
                         }
                         succs.push(sd);
@@ -265,25 +321,19 @@ impl<'a> Checker<'a> {
                     ));
                 }
             }
+            ctx.rollback(&src, &self.layout, Some(pid));
         }
         if !live {
             for pid in 0..ctx.cur.procs.len() {
                 ctx.fx.reset(por);
-                match self.run_one(
-                    &ctx.cur,
-                    &mut ctx.next,
-                    &mut ctx.regs,
-                    pid,
-                    true,
-                    &mut ctx.fx,
-                ) {
+                match self.run_one(&mut ctx.cur, &mut ctx.regs, pid, true, &mut ctx.fx) {
                     Ok(Some(cost)) => {
-                        self.release_waiters(&mut ctx.next, &mut ctx.regs, &mut ctx.fx)?;
-                        if self.progress(&ctx.cur, &ctx.next, &ctx.fx, Some(pid)) {
+                        self.release_waiters(&mut ctx.cur, &mut ctx.regs, &mut ctx.fx)?;
+                        if self.progress(&src, &ctx.cur, &ctx.fx, Some(pid)) {
                             live = true;
                             succs.push(self.extract(
+                                &src,
                                 &ctx.cur,
-                                &ctx.next,
                                 &ctx.fx,
                                 Some(pid as u32),
                                 false,
@@ -301,59 +351,49 @@ impl<'a> Checker<'a> {
                         ));
                     }
                 }
+                ctx.rollback(&src, &self.layout, Some(pid));
             }
         }
         let terminal = !live;
         for (fi, (idx, fault)) in self.faults.iter().enumerate() {
-            if ctx.cur.fault_budget[fi] == 0 {
+            if src.env.fault_budget[fi] == 0 {
                 continue;
             }
-            match fault {
+            let (value, freeze) = match fault {
                 EnvFault::FlipBit { bit, .. } => {
-                    if ctx.cur.frozen[*idx] {
+                    if src.env.frozen[*idx] {
                         continue;
                     }
-                    let mut bits = ctx.cur.signals[*idx].to_bits();
+                    let mut bits = src.sigs[*idx].to_bits();
                     if *bit >= bits.width() {
                         continue;
                     }
-                    let ty = ctx.cur.signals[*idx].ty();
                     let inverted = BitVec::from_u64(u64::from(!bits.bit(*bit)), 1);
                     bits.write_slice(*bit, *bit, &inverted);
-                    ctx.fx.reset(false);
-                    ctx.next.clone_from(&ctx.cur);
-                    ctx.next.signals[*idx] = Value::from_bits(&ty, &bits);
-                    ctx.next.fault_budget[fi] -= 1;
-                    self.release_waiters(&mut ctx.next, &mut ctx.regs, &mut ctx.fx)?;
-                    succs.push(self.extract(
-                        &ctx.cur,
-                        &ctx.next,
-                        &ctx.fx,
-                        None,
-                        true,
-                        StepLabel::Fault(fi as u32),
-                        0,
-                    ));
+                    (Value::from_bits(&src.sigs[*idx].ty(), &bits), false)
                 }
-                EnvFault::StuckLow { .. } => {
-                    let ty = &self.system.signals[*idx].ty;
-                    ctx.fx.reset(false);
-                    ctx.next.clone_from(&ctx.cur);
-                    ctx.next.signals[*idx] = coerce(Value::Bit(false), ty);
-                    ctx.next.frozen[*idx] = true;
-                    ctx.next.fault_budget[fi] -= 1;
-                    self.release_waiters(&mut ctx.next, &mut ctx.regs, &mut ctx.fx)?;
-                    succs.push(self.extract(
-                        &ctx.cur,
-                        &ctx.next,
-                        &ctx.fx,
-                        None,
-                        true,
-                        StepLabel::Fault(fi as u32),
-                        0,
-                    ));
-                }
+                EnvFault::StuckLow { .. } => (
+                    coerce(Value::Bit(false), &self.system.signals[*idx].ty),
+                    true,
+                ),
+            };
+            ctx.fx.reset(false);
+            ctx.cur.signals[*idx] = value;
+            if freeze {
+                ctx.cur.frozen[*idx] = true;
             }
+            ctx.cur.fault_budget[fi] -= 1;
+            self.release_waiters(&mut ctx.cur, &mut ctx.regs, &mut ctx.fx)?;
+            succs.push(self.extract(
+                &src,
+                &ctx.cur,
+                &ctx.fx,
+                None,
+                true,
+                StepLabel::Fault(fi as u32),
+                0,
+            ));
+            ctx.rollback(&src, &self.layout, None);
         }
         Ok(Expansion::Full {
             succs,
@@ -385,9 +425,10 @@ pub struct CheckStats {
     pub peak_frontier: usize,
     /// Worker threads used for frontier expansion.
     pub threads: usize,
-    /// Full `CkState` materializations allocated over the exploration
-    /// (scratch states are reused, so this stays O(threads), not
-    /// O(states) — asserted by the perf smoke test).
+    /// Full `CkState`s allocated over the exploration: the root plus
+    /// one in-place scratch state per worker, reused for every expansion
+    /// — `threads + 1`, never O(states) (asserted by the unit and
+    /// differential tests).
     pub state_allocs: u64,
 }
 
@@ -564,7 +605,7 @@ impl<'a> Checker<'a> {
         let threads = self.config.threads.max(1);
         let por = self.por_on();
         let mut ctxs: Vec<WorkerCtx> = (0..threads).map(|_| WorkerCtx::new(self)).collect();
-        let mut state_allocs = 2 * threads as u64;
+        let mut state_allocs = threads as u64;
 
         let mut g = Graph {
             pools: Pools::new(),

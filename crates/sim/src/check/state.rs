@@ -1,5 +1,6 @@
-//! State representations: the mutable scratch states the transition
-//! executor runs on, and the compact interned form the explorer stores.
+//! State representations: the mutable scratch state the transition
+//! executor runs on in place, and the compact interned form the
+//! explorer stores.
 //!
 //! The seed explorer kept every reachable state as a full [`CkState`]
 //! clone inside a `HashMap<CkState, usize>` — two deep copies per stored
@@ -61,9 +62,10 @@ impl Clone for CkFrame {
         }
     }
 
-    /// Buffer-reusing copy: scratch states are rebuilt once per explored
-    /// state, so keeping the `Vec` spines alive is the difference between
-    /// an allocation-free hot loop and three allocations per transition.
+    /// Buffer-reusing copy: a scratch state's processes are rebuilt once
+    /// per explored state and rolled back after every run, so keeping
+    /// the `Vec` spines alive is the difference between an
+    /// allocation-free hot loop and three allocations per transition.
     fn clone_from(&mut self, src: &Self) {
         self.code = src.code;
         self.pc = src.pc;
@@ -96,9 +98,10 @@ impl Clone for CkProc {
 
 /// One materialized system state: storage, every process's control
 /// point, and the remaining environment-fault budgets. This is the
-/// executable *scratch* form the transition executor mutates; the
-/// explorer stores only [`CompactState`]s.
-#[derive(Debug, PartialEq, Eq)]
+/// executable *scratch* form the transition executor mutates in place;
+/// the explorer stores only [`CompactState`]s and restores a scratch
+/// state from their pooled components, so it is never cloned whole.
+#[derive(Debug)]
 pub(super) struct CkState {
     pub signals: Vec<Value>,
     pub vars: Vec<Value>,
@@ -107,26 +110,6 @@ pub(super) struct CkState {
     pub fault_budget: Vec<u32>,
     /// Signals forced by a stuck fault: later writes are swallowed.
     pub frozen: Vec<bool>,
-}
-
-impl Clone for CkState {
-    fn clone(&self) -> Self {
-        Self {
-            signals: self.signals.clone(),
-            vars: self.vars.clone(),
-            procs: self.procs.clone(),
-            fault_budget: self.fault_budget.clone(),
-            frozen: self.frozen.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        self.signals.clone_from(&src.signals);
-        self.vars.clone_from(&src.vars);
-        self.procs.clone_from(&src.procs);
-        self.fault_budget.clone_from(&src.fault_budget);
-        self.frozen.clone_from(&src.frozen);
-    }
 }
 
 /// Static storage layout: variables grouped by owning behavior so one

@@ -6,16 +6,21 @@
 //! now-satisfied level-sensitive wait — with two mechanical changes for
 //! the scaled explorer:
 //!
-//! * **scratch discipline** — instead of cloning the source state on
-//!   every call, `run_one` copies into a caller-owned scratch state with
-//!   buffer-reusing [`Clone::clone_from`], and the register file is
-//!   reused across all runs of a worker (the seed allocated one per
-//!   call, including for every waiter-release sweep);
-//! * **effect tracking** — every write is recorded in a [`RunFx`]: which
-//!   variable groups went dirty, whether any signal was stored, which
-//!   processes a release sweep advanced, and whether every executed
-//!   instruction was statically pure. The explorer uses the effects to
-//!   re-intern only dirty components and to validate ample candidates.
+//! * **in-place execution** — instead of cloning the source state on
+//!   every call, `run_one` writes directly into the worker's one
+//!   materialized scratch state, and the explorer afterwards restores,
+//!   from the source state's pooled components, exactly the components
+//!   the run's [`RunFx`] says it touched. The register file is reused
+//!   across all runs of a worker (the seed allocated one per call,
+//!   including for every waiter-release sweep);
+//! * **effect tracking** — every write is recorded in a [`RunFx`] before
+//!   it lands (so a run that crashes midway is still fully covered):
+//!   which variable groups went dirty, whether any signal was stored,
+//!   which processes a release sweep advanced, and whether every
+//!   executed instruction was statically pure. The running process's
+//!   own control state is always treated as touched. The explorer uses
+//!   the effects to diff, re-intern and roll back only dirty components
+//!   and to validate ample candidates.
 
 use ifsyn_spec::{ParamMode, Ty, Value};
 
@@ -30,9 +35,9 @@ use super::state::{CkFrame, CkProc, CkState, Layout};
 use super::Checker;
 
 /// Effects of one atomic run (plus its waiter-release sweep), recorded
-/// by the write paths so the explorer can re-intern only what changed
-/// and validate partial-order-reduction candidates without comparing
-/// whole states.
+/// by the write paths so the explorer can re-intern and roll back only
+/// what changed and validate partial-order-reduction candidates without
+/// comparing whole states.
 #[derive(Debug, Default)]
 pub(super) struct RunFx {
     /// A signal value was actually stored (frozen-swallowed writes do
@@ -410,8 +415,8 @@ impl<'a> Checker<'a> {
     /// fault semantics of [`crate::FaultKind::StuckAt`].
     pub(super) fn write_signal(&self, s: &mut CkState, idx: usize, value: Value, fx: &mut RunFx) {
         if !s.frozen[idx] {
-            s.signals[idx] = coerce(value, &self.system.signals[idx].ty);
             fx.wrote_sig = true;
+            s.signals[idx] = coerce(value, &self.system.signals[idx].ty);
         }
     }
 
@@ -565,35 +570,34 @@ impl<'a> Checker<'a> {
 
     // ---- the atomic-run transition executor ----
 
-    /// Runs process `pid` from its current control point in `cur` up to
-    /// its next scheduling point, building the successor in the `next`
-    /// scratch state and returning the cycle cost.
+    /// Runs process `pid` in place, from its current control point in `s`
+    /// up to its next scheduling point, turning `s` into the successor
+    /// and returning the cycle cost. Every write lands in `s` and is
+    /// recorded in `fx` first, so the caller can diff and roll back the
+    /// touched components on every exit, a crash (`Err`) included.
     ///
     /// Scheduling points: after any cycle-consuming instruction, at an
     /// unsatisfied wait (pc stays at the wait), and after a repeating
     /// root restarts. Returns `Ok(None)` when the process cannot take a
-    /// step of the requested kind at all; a returned successor equal to
-    /// the source means "blocked with no progress" and is dropped by the
-    /// caller (see [`RunFx`] — the explorer detects this without a whole
-    /// state comparison).
+    /// step of the requested kind at all (nothing is written then); a
+    /// successor equal to the source means "blocked with no progress"
+    /// and is dropped by the caller (see [`RunFx`] — the explorer
+    /// detects this without a whole state comparison).
     ///
     /// With `force_timeout`, the current instruction must be a watchdog
     /// wait whose condition is unsatisfied: the wait is expired (costing
     /// its bound) and execution continues into the re-test/abort code.
     pub(super) fn run_one(
         &self,
-        cur: &CkState,
-        next: &mut CkState,
+        s: &mut CkState,
         regs: &mut RegFile,
         pid: usize,
         force_timeout: bool,
         fx: &mut RunFx,
     ) -> Result<Option<u64>, SimError> {
-        if cur.procs[pid].done {
+        if s.procs[pid].done {
             return Ok(None);
         }
-        next.clone_from(cur);
-        let s = next;
         let mut cost: u64 = 0;
 
         if force_timeout {
@@ -853,7 +857,9 @@ impl<'a> Checker<'a> {
     /// Watchdog-bounded waits release along their success path; the
     /// timeout branch remains reachable only via `force_timeout`.
     ///
-    /// Every advanced process is recorded in `fx.released`.
+    /// Every advanced process is recorded in `fx.released` at its first
+    /// advance, so the record stays complete even if a later condition in
+    /// its chain fails to evaluate.
     pub(super) fn release_waiters(
         &self,
         s: &mut CkState,
@@ -884,10 +890,10 @@ impl<'a> Checker<'a> {
                     break;
                 }
                 s.procs[pid].frames.last_mut().expect("frame").pc = pc + 1;
-                advanced = true;
-            }
-            if advanced {
-                fx.released.push(pid as u32);
+                if !advanced {
+                    advanced = true;
+                    fx.released.push(pid as u32);
+                }
             }
         }
         Ok(())

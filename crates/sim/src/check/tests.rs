@@ -534,9 +534,135 @@ fn exploration_reuses_scratch_states() {
     let ck = Checker::with_config(&sys, CheckConfig::new().with_check_threads(4)).unwrap();
     let ss = ck.explore().unwrap();
     assert!(ss.state_count() > 100, "need a non-trivial space");
-    let allocs = ss.stats().state_allocs;
-    assert!(
-        allocs < 64,
-        "full-state allocations must stay O(threads), got {allocs}"
-    );
+    // One in-place scratch state per worker, plus the root.
+    assert_eq!(ss.stats().state_allocs, 4 + 1);
+}
+
+// ---- in-place execution: rollback ----
+
+/// A run that writes a shared variable and drives a signal, then crashes
+/// on an out-of-range index, commits no successor — but its writes have
+/// already landed in the worker's scratch state. They must be rolled
+/// back before the later-pid `Q` runs on that state, so `Q`'s copies of
+/// the variable and the signal keep their initial values on every
+/// schedule, while the crash still fails the terminal property.
+#[test]
+fn crashed_run_writes_never_reach_later_pids() {
+    let mut sys = System::new("crash_rollback");
+    let m = sys.add_module("chip");
+    let p = sys.add_behavior("P", m);
+    let q = sys.add_behavior("Q", m);
+    let s = sys.add_signal("S", Ty::Bit);
+    let sh = sys.add_variable("sh", Ty::Int(8), p);
+    let mem = sys.add_variable("mem", Ty::array(Ty::Int(8), 2), p);
+    let k = sys.add_variable_init("k", Ty::Int(8), p, Value::int(5, 8));
+    let sh_copy = sys.add_variable("sh_copy", Ty::Int(8), q);
+    let s_copy = sys.add_variable("s_copy", Ty::Bit, q);
+    // Zero-cost statements: the two writes and the crash are one run.
+    sys.behavior_mut(p).body = vec![
+        assign_cost(var(sh), int_const(7, 8), 0),
+        drive_cost(s, bit_const(true), 0),
+        assign_cost(index(var(mem), load(var(k))), int_const(1, 8), 0),
+    ];
+    sys.behavior_mut(q).body = vec![
+        assign(var(sh_copy), load(var(sh))),
+        assign(var(s_copy), signal(s)),
+    ];
+    for config in [CheckConfig::new(), CheckConfig::new().without_por()] {
+        let ck = Checker::with_config(&sys, config).unwrap();
+        let ss = ck.explore().unwrap();
+        let report = ss.check_invariant("copies keep their initial values", |v| {
+            v.variable("sh_copy").unwrap().as_i64().unwrap() == 0
+                && matches!(v.variable("s_copy"), Some(Value::Bit(false)))
+        });
+        assert!(report.holds, "{report}");
+        let report = ss.check_terminal("completes", |v| v.all_done());
+        assert_eq!(report.verdict, Verdict::Fail);
+        let trace = report.counterexample.expect("crash trace").trace;
+        assert!(
+            trace.last().is_some_and(|l| l.starts_with("`P` crashes")),
+            "{trace:?}"
+        );
+    }
+}
+
+/// Fault strikes also run in place: the first strike's signal, budget
+/// and frozen mask must not leak into its sibling strike's successor.
+/// `P` drives `A` high, waits for `B` (which only the environment's flip
+/// raises) and copies `A` into `x`; `StuckLow(A)` strikes before
+/// `FlipBit(B)` in every expansion where both can. Writing a state as
+/// `A B P x budgets frozen(A)` with `P` at its start (`s`), waiting on
+/// `B` (`w`), released (`r`) or done (`d`):
+///
+/// ```text
+/// S0  00 s 0 11 -  --P--> S1, --stuck--> S2, --flip--> S3
+/// S1  10 w 0 11 -  --stuck--> S4, --flip--> S5
+/// S2  00 s 0 01 F  --P (swallowed)--> S4, --flip--> S6
+/// S3  01 s 0 10 -  --P--> S5, --stuck--> S6
+/// S4  00 w 0 01 F  --flip--> S7
+/// S5  11 r 0 10 -  --P--> S8, --stuck--> S7
+/// S6  01 s 0 00 F  --P (swallowed)--> S7
+/// S7  01 r 0 00 F  --P--> S9
+/// S8  11 d 1 10 -  --stuck--> S10
+/// S9  01 d 0 00 F
+/// S10 01 d 1 00 F
+/// ```
+///
+/// 11 states, 15 transitions, and 5 terminals (S1, S4, S8, S9, S10:
+/// faults do not count against quiescence). A leaked stuck signal (S1's flip
+/// successor with `A` low), budget or frozen mask (S0's and S1's flip
+/// successors) each reaches a different set.
+#[test]
+fn fault_strikes_do_not_leak_into_sibling_strikes() {
+    let mut sys = System::new("strike_rollback");
+    let m = sys.add_module("chip");
+    let p = sys.add_behavior("P", m);
+    let a = sys.add_signal("A", Ty::Bit);
+    let b = sys.add_signal("B", Ty::Bit);
+    let x = sys.add_variable("x", Ty::Bit, p);
+    sys.behavior_mut(p).body = vec![
+        drive(a, bit_const(true)),
+        wait_until(eq(signal(b), bit_const(true))),
+        assign_cost(var(x), signal(a), 0),
+    ];
+    let faults = CheckConfig::new()
+        .with_fault(EnvFault::StuckLow {
+            signal: "A".to_string(),
+        })
+        .with_fault(EnvFault::FlipBit {
+            signal: "B".to_string(),
+            bit: 0,
+            budget: 1,
+        });
+    for config in [faults.clone(), faults.without_por()] {
+        let ck = Checker::with_config(&sys, config).unwrap();
+        let ss = ck.explore().unwrap();
+        assert_eq!(ss.state_count(), 11);
+        assert_eq!(ss.transition_count(), 15);
+        assert_eq!(ss.terminal_count(), 5);
+    }
+}
+
+/// A run's eager waiter release advances another process in the scratch
+/// state. Unless that is rolled back too, the released process's own run
+/// starts past a wait that never held in the source state. By hand, with
+/// states written `REQ ACK P-pc C-pc` (`d` = done):
+///
+/// ```text
+/// S0 00 0 0 --P--> S1      S4 11 2 d --P--> S6
+/// S1 10 1 1 --C--> S2      S5 01 d 2 --C--> S7
+/// S2 11 2 2 --P--> S3, --C--> S4
+/// S3 01 3 2 --P--> S5, --C--> S6
+/// S6 01 3 d --P--> S7      S7 01 d d
+/// ```
+#[test]
+fn released_waiters_are_rolled_back() {
+    let sys = handshake();
+    for config in [CheckConfig::new(), CheckConfig::new().without_por()] {
+        let ck = Checker::with_config(&sys, config).unwrap();
+        let ss = ck.explore().unwrap();
+        assert_eq!(ss.state_count(), 8);
+        assert_eq!(ss.transition_count(), 9);
+        assert_eq!(ss.terminal_count(), 1);
+    }
 }

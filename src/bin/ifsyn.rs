@@ -725,7 +725,13 @@ fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Options, Box<dy
                         .collect(),
                 )
             }
-            "--width" => o.width = Some(value_of("--width")?.parse()?),
+            "--width" => {
+                let w = value_of("--width")?.parse()?;
+                if w == 0 {
+                    return Err("--width must be at least 1".into());
+                }
+                o.width = Some(w);
+            }
             "--protocol" => {
                 let v = value_of("--protocol")?;
                 o.protocol = match v.as_str() {
@@ -982,6 +988,18 @@ mod tests {
                 parse_args(["s.ifs", "--sweep-sim", bad].map(String::from).into_iter()).is_err(),
                 "{bad}"
             );
+        }
+    }
+
+    #[test]
+    fn rejects_zero_width() {
+        for args in [
+            &["s.ifs", "--width", "0"][..],
+            &["analyze", "s.ifs", "--width", "0"][..],
+        ] {
+            let err = parse_args(args.iter().map(|s| s.to_string()))
+                .expect_err("a zero width must be rejected");
+            assert!(err.to_string().contains("--width"), "{err}");
         }
     }
 

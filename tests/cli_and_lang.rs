@@ -2,6 +2,7 @@
 //! and the `ifsyn` binary drives the whole pipeline from a spec file.
 
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use interface_synthesis::core::{BusDesign, ProtocolGenerator, ProtocolKind};
 use interface_synthesis::sim::Simulator;
@@ -93,10 +94,15 @@ fn ifsyn_binary() -> &'static str {
     env!("CARGO_BIN_EXE_ifsyn")
 }
 
+/// Writes the FLC spec to a file of its own: tests run on parallel
+/// threads, and rewriting one shared file truncates it under a
+/// concurrently spawned `ifsyn`.
 fn spec_file() -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join("ifsyn-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("flc.ifs");
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let path = dir.join(format!("flc-{}-{n}.ifs", std::process::id()));
     std::fs::write(&path, FLC_SRC).unwrap();
     path
 }
