@@ -22,7 +22,7 @@
 //! ```
 
 use ifsyn_analyze::{analyze_report, BusAnalysis, BusMeta};
-use ifsyn_sim::{CodeCache, LockstepSim, LockstepStats, SimConfig, SimError, SimReport, Simulator};
+use ifsyn_sim::{CodeCache, SimConfig, SimError, SimReport, Simulator};
 use ifsyn_spec::System;
 
 use crate::sweep::{parallel_sweep_with, sweep_threads};
@@ -33,7 +33,6 @@ pub struct BatchRunner {
     jobs: usize,
     config: SimConfig,
     cache: CodeCache,
-    lockstep: bool,
 }
 
 impl BatchRunner {
@@ -46,7 +45,6 @@ impl BatchRunner {
             jobs: 0,
             config: SimConfig::new(),
             cache: CodeCache::new(),
-            lockstep: false,
         }
     }
 
@@ -64,55 +62,16 @@ impl BatchRunner {
         self
     }
 
-    /// Sets the per-simulation thread count ([`SimConfig::sim_threads`])
-    /// used for every run. Composes with the batch fan-out through a
-    /// shared thread budget: unless [`BatchRunner::with_jobs`] pins an
-    /// explicit worker count, the automatic job count shrinks so that
-    /// `jobs × sim_threads` stays within the sweep driver's budget —
-    /// batch parallelism across systems and shard parallelism within
-    /// each simulation never oversubscribe the machine together.
-    #[must_use]
-    pub fn with_sim_threads(mut self, threads: usize) -> Self {
-        self.config.sim_threads = threads.max(1);
-        self
-    }
-
-    /// Enables lockstep convoy execution: each worker's share of the
-    /// batch goes through [`LockstepSim`], which runs groups of systems
-    /// with identical compiled programs through one dispatch stream.
-    /// Composes with the thread fan-out — threads split the batch into
-    /// contiguous chunks, lockstep convoys form within each chunk.
-    #[must_use]
-    pub fn with_lockstep(mut self, lockstep: bool) -> Self {
-        self.lockstep = lockstep;
-        self
-    }
-
-    /// The worker count the next [`BatchRunner::run`] call will use.
-    ///
-    /// An explicit [`BatchRunner::with_jobs`] setting is honored as-is;
-    /// the automatic count divides the sweep driver's thread budget by
-    /// [`BatchRunner::sim_threads`] so the total stays bounded.
+    /// The worker count the next [`BatchRunner::run`] call will use: an
+    /// explicit [`BatchRunner::with_jobs`] setting as-is, otherwise the
+    /// sweep driver's resolution.
     #[must_use]
     pub fn jobs(&self) -> usize {
         if self.jobs > 0 {
             self.jobs
         } else {
-            (sweep_threads() / self.sim_threads()).max(1)
+            sweep_threads()
         }
-    }
-
-    /// Threads each individual simulation runs on.
-    #[must_use]
-    pub fn sim_threads(&self) -> usize {
-        self.config.sim_threads.max(1)
-    }
-
-    /// Total threads a batch may keep busy: `jobs() × sim_threads()`.
-    /// This is the number throughput reports should quote.
-    #[must_use]
-    pub fn total_threads(&self) -> usize {
-        self.jobs() * self.sim_threads()
     }
 
     /// Distinct code blocks compiled so far (shared across all runs).
@@ -128,9 +87,6 @@ impl BatchRunner {
     /// one deadlocked configuration in a width sweep must not cost the
     /// other 29 results.
     pub fn run(&self, systems: &[System]) -> Vec<Result<SimReport, SimError>> {
-        if self.lockstep {
-            return self.run_lockstep(systems).0;
-        }
         parallel_sweep_with(self.jobs(), systems, |sys| {
             Simulator::with_config_cached(sys, self.config.clone(), Some(&self.cache))?
                 .run_to_quiescence()
@@ -157,34 +113,6 @@ impl BatchRunner {
                 .map_err(|e| e.to_string())?;
             analyze_report(sys, &report, meta).map_err(|e| e.to_string())
         })
-    }
-
-    /// The lockstep path of [`BatchRunner::run`], also returning the
-    /// merged convoy statistics across all worker chunks.
-    pub fn run_lockstep(
-        &self,
-        systems: &[System],
-    ) -> (Vec<Result<SimReport, SimError>>, LockstepStats) {
-        if systems.is_empty() {
-            return (Vec::new(), LockstepStats::default());
-        }
-        let jobs = self.jobs().max(1);
-        let chunk = systems.len().div_ceil(jobs);
-        let chunks: Vec<&[System]> = systems.chunks(chunk).collect();
-        let per_chunk = parallel_sweep_with(jobs, &chunks, |c| {
-            LockstepSim::run_with_stats(c, &self.config, Some(&self.cache))
-        });
-        let mut out = Vec::with_capacity(systems.len());
-        let mut stats = LockstepStats::default();
-        for (reports, s) in per_chunk {
-            out.extend(reports);
-            stats.convoys += s.convoys;
-            stats.max_lanes = stats.max_lanes.max(s.max_lanes);
-            stats.lockstep_lanes += s.lockstep_lanes;
-            stats.peeled_lanes += s.peeled_lanes;
-            stats.scalar_lanes += s.scalar_lanes;
-        }
-        (out, stats)
     }
 }
 
@@ -254,75 +182,6 @@ mod tests {
     fn jobs_zero_resolves_to_at_least_one() {
         assert!(BatchRunner::new().jobs() >= 1);
         assert_eq!(BatchRunner::new().with_jobs(3).jobs(), 3);
-    }
-
-    #[test]
-    fn jobs_and_sim_threads_share_one_budget() {
-        // Explicit jobs are honored verbatim and the total multiplies.
-        let pinned = BatchRunner::new().with_jobs(2).with_sim_threads(3);
-        assert_eq!(pinned.jobs(), 2);
-        assert_eq!(pinned.sim_threads(), 3);
-        assert_eq!(pinned.total_threads(), 6);
-        // Automatic jobs divide the sweep budget: a per-sim thread count
-        // at least the whole budget leaves exactly one batch worker.
-        let budget = crate::sweep::sweep_threads();
-        let auto = BatchRunner::new().with_sim_threads(budget * 2);
-        assert_eq!(auto.jobs(), 1);
-        assert_eq!(auto.total_threads(), budget * 2);
-    }
-
-    #[test]
-    fn batch_with_sim_threads_matches_scalar_batch() {
-        let systems: Vec<System> = [4u32, 8, 16].iter().map(|&w| refined_flc(w)).collect();
-        let scalar = BatchRunner::new().with_jobs(1).run(&systems);
-        let parallel = BatchRunner::new()
-            .with_jobs(1)
-            .with_sim_threads(4)
-            .run(&systems);
-        for (a, b) in scalar.iter().zip(&parallel) {
-            assert_eq!(
-                a.as_ref().expect("scalar"),
-                b.as_ref().expect("parallel"),
-                "sharded simulation diverged inside the batch runner"
-            );
-        }
-    }
-
-    #[test]
-    fn lockstep_batch_matches_scalar_batch() {
-        let mut systems: Vec<System> = Vec::new();
-        for &w in &[4u32, 8] {
-            for _ in 0..4 {
-                systems.push(refined_flc(w));
-            }
-        }
-        let scalar = BatchRunner::new().with_jobs(1).run(&systems);
-        let (lockstep, stats) = BatchRunner::new()
-            .with_jobs(1)
-            .with_lockstep(true)
-            .run_lockstep(&systems);
-        // Repeated widths of the refined FLC system compile to identical
-        // programs, so they must actually convoy — this is the workload
-        // the lockstep engine exists for.
-        assert_eq!(stats.convoys, 2, "per-width convoys: {stats:?}");
-        assert_eq!(stats.lockstep_lanes, 8, "no peels expected: {stats:?}");
-        for (a, b) in scalar.iter().zip(&lockstep) {
-            assert_eq!(a.as_ref().expect("scalar"), b.as_ref().expect("lockstep"));
-        }
-    }
-
-    #[test]
-    fn lockstep_run_respects_flag_and_order() {
-        let systems: Vec<System> = vec![refined_flc(4), refined_flc(8), refined_flc(4)];
-        let runner = BatchRunner::new().with_jobs(1).with_lockstep(true);
-        let via_run = runner.run(&systems);
-        for (sys, got) in systems.iter().zip(&via_run) {
-            let alone = Simulator::new(sys)
-                .expect("setup")
-                .run_to_quiescence()
-                .expect("sim");
-            assert_eq!(got.as_ref().expect("lockstep run"), &alone);
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p ifsyn-bench --bin experiments -- all
-//! cargo run -p ifsyn-bench --bin experiments -- fig7 [--lockstep]
+//! cargo run -p ifsyn-bench --bin experiments -- fig7
 //! cargo run -p ifsyn-bench --bin experiments -- bench   # writes BENCH_sim.json
 //! cargo run -p ifsyn-bench --bin experiments -- faults  # writes BENCH_faults.json
 //! cargo run -p ifsyn-bench --bin experiments -- calibrate
@@ -41,7 +41,7 @@ fn main() -> ExitCode {
     let what = args.first().map(String::as_str).unwrap_or("all");
     match what {
         "fig2" => print_fig2(),
-        "fig7" => print_fig7_args(&args[1..]),
+        "fig7" => print_fig7(),
         "fig8" => print_fig8(),
         "extra" => print_extra(),
         "ablation" => print_ablation(),
@@ -295,19 +295,8 @@ fn print_fig2() {
 }
 
 fn print_fig7() {
-    print_fig7_args(&[]);
-}
-
-/// `fig7 [--lockstep]`: the lockstep flag routes every simulation
-/// through the convoy engine; the rendered output is byte-identical.
-fn print_fig7_args(args: &[String]) {
     rule();
-    let data = if args.iter().any(|a| a == "--lockstep") {
-        ifsyn_bench::fig7::run_lockstep()
-    } else {
-        ifsyn_bench::fig7::run()
-    };
-    print!("{}", ifsyn_bench::fig7::render(&data));
+    print!("{}", ifsyn_bench::fig7::render(&ifsyn_bench::fig7::run()));
 }
 
 fn print_fig8() {

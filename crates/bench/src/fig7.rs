@@ -142,72 +142,6 @@ pub fn run() -> Fig7Data {
     run_to(30)
 }
 
-/// [`run_to`], but with every simulation routed through the lockstep
-/// convoy engine ([`ifsyn_sim::LockstepSim`]).
-///
-/// The three configurations per width all compile to distinct programs
-/// (the types carry the width), so the engine groups what it can and
-/// runs the rest scalar — either way the reports, and therefore the
-/// rendered figure, are identical to [`run_to`]'s byte for byte.
-pub fn run_to_lockstep(max_width: u32) -> Fig7Data {
-    use ifsyn_sim::{LockstepSim, SimConfig};
-
-    let f = flc::flc();
-    let mut systems = Vec::with_capacity(3 * max_width as usize);
-    for width in 1..=max_width {
-        // Same order as the scalar path: shared, eval alone, conv alone.
-        let shared = BusDesign::with_width(f.bus_channels(), width, ProtocolKind::FullHandshake);
-        systems.push(
-            ProtocolGenerator::new()
-                .refine(&f.system, &shared)
-                .expect("fig7 shared refinement")
-                .system,
-        );
-        for &ch in &[f.ch1, f.ch2] {
-            let alone = BusDesign::with_width(vec![ch], width, ProtocolKind::FullHandshake);
-            systems.push(
-                ProtocolGenerator::new()
-                    .refine(&f.system, &alone)
-                    .expect("fig7 refinement")
-                    .system,
-            );
-        }
-    }
-    let reports = LockstepSim::run(&systems, &SimConfig::new());
-    let mut rows = Vec::with_capacity(max_width as usize);
-    let mut total_instrs = 0u64;
-    for (i, width) in (1..=max_width).enumerate() {
-        let shared = reports[3 * i].as_ref().expect("fig7 shared sim");
-        let eval = reports[3 * i + 1].as_ref().expect("fig7 eval sim");
-        let conv = reports[3 * i + 2].as_ref().expect("fig7 conv sim");
-        total_instrs += shared.total_instrs() + eval.total_instrs() + conv.total_instrs();
-        rows.push(Fig7Row {
-            width,
-            eval_analytic: analytic(width, EVAL_COMPUTE_CYCLES),
-            conv_analytic: analytic(width, CONV_COMPUTE_CYCLES),
-            eval_alone: eval.finish_time(f.eval_r3).expect("eval finished"),
-            conv_alone: conv.finish_time(f.conv_r2).expect("conv finished"),
-            eval_shared: shared.finish_time(f.eval_r3).expect("eval finished"),
-            conv_shared: shared.finish_time(f.conv_r2).expect("conv finished"),
-        });
-    }
-    let min_width_for_2000_clocks = rows
-        .iter()
-        .find(|r| r.conv_analytic <= 2000)
-        .map(|r| r.width)
-        .unwrap_or(max_width);
-    Fig7Data {
-        rows,
-        min_width_for_2000_clocks,
-        total_instrs,
-    }
-}
-
-/// [`run`] through the lockstep engine (widths 1..=30).
-pub fn run_lockstep() -> Fig7Data {
-    run_to_lockstep(30)
-}
-
 /// Renders the sweep as text.
 pub fn render(data: &Fig7Data) -> String {
     let mut out = String::new();
@@ -276,14 +210,6 @@ mod tests {
         assert_eq!(data.min_width_for_2000_clocks, 5);
         let w4 = &data.rows[3];
         assert!(w4.conv_analytic > 2000);
-    }
-
-    #[test]
-    fn lockstep_route_is_output_identical() {
-        let scalar = run_to(6);
-        let lockstep = run_to_lockstep(6);
-        assert_eq!(scalar, lockstep);
-        assert_eq!(render(&scalar), render(&lockstep));
     }
 
     #[test]

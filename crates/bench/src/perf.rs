@@ -40,20 +40,8 @@ pub struct Scenario {
     /// Number of individual simulator runs.
     pub runs: u64,
     /// Worker threads this scenario actually ran on: 1 for the serial
-    /// scenarios, `jobs × sim_threads` for the batch sweeps, and the
-    /// per-simulation thread count for the sharded-kernel scenarios.
+    /// scenarios, the worker count for the batch sweeps.
     pub threads: usize,
-    /// Threads *inside* each simulation ([`SimConfig::sim_threads`]);
-    /// 1 everywhere except the sharded-kernel scenarios.
-    pub sim_threads: usize,
-    /// Shards the partition planner produced (1 for scalar runs).
-    pub shards: usize,
-    /// Instructions executed per shard during parallel rounds, summed
-    /// over all runs; empty for scalar scenarios.
-    pub shard_instrs: Vec<u64>,
-    /// Instructions of barrier imbalance: per round, how far each shard
-    /// trailed the slowest shard, summed over all rounds and runs.
-    pub barrier_stall_instrs: u64,
 }
 
 /// The full benchmark result set.
@@ -83,10 +71,6 @@ fn scenario(
         },
         runs,
         threads,
-        sim_threads: 1,
-        shards: 1,
-        shard_instrs: Vec::new(),
-        barrier_stall_instrs: 0,
     }
 }
 
@@ -150,46 +134,7 @@ fn flc_batch_sweep() -> Scenario {
         runs,
         instrs,
         start.elapsed().as_secs_f64(),
-        runner.total_threads(),
-    )
-}
-
-/// The FLC sweep through the lockstep convoy engine: the same 30 widths
-/// as `flc_batch_sweep`, but with [`LANES`](flc_lockstep_sweep) variant
-/// lanes per width so every width forms one convoy that fetches and
-/// schedules its instruction stream once for all lanes. Runs at the same
-/// thread count as `flc_batch_sweep`; the acceptance bar is aggregate
-/// throughput >3x the scalar batch path.
-fn flc_lockstep_sweep() -> Scenario {
-    const WIDTHS: std::ops::RangeInclusive<u32> = 1..=30;
-    const LANES: usize = 32;
-    let mut systems: Vec<System> = Vec::with_capacity(30 * LANES);
-    for w in WIDTHS {
-        let sys = refined_flc_shared(w);
-        for _ in 0..LANES {
-            systems.push(sys.clone());
-        }
-    }
-    let runner = crate::batch::BatchRunner::new().with_lockstep(true);
-    let mut instrs = 0u64;
-    let mut runs = 0u64;
-    let start = Instant::now();
-    let (reports, stats) = runner.run_lockstep(&systems);
-    for report in reports {
-        instrs += report.expect("lockstep sim").total_instrs();
-        runs += 1;
-    }
-    let wall = start.elapsed().as_secs_f64();
-    assert_eq!(
-        stats.peeled_lanes, 0,
-        "identical FLC lanes must stay in lockstep: {stats:?}"
-    );
-    scenario(
-        "flc_lockstep_sweep",
-        runs,
-        instrs,
-        wall,
-        runner.total_threads(),
+        runner.jobs(),
     )
 }
 
@@ -253,9 +198,8 @@ fn quickstart_pipeline() -> Scenario {
     )
 }
 
-/// The synthetic field both `big_system_*` scenarios simulate: large
-/// enough that the process count dwarfs any paper example, deterministic
-/// so the scalar and sharded kernels chew the exact same workload.
+/// The synthetic field `big_system_scalar` simulates: large enough that
+/// the process count dwarfs any paper example, and deterministic.
 fn big_system() -> System {
     ifsyn_systems::synth_system(
         &ifsyn_systems::SynthConfig::new()
@@ -268,12 +212,8 @@ fn big_system() -> System {
     .system
 }
 
-/// Thread count the sharded-kernel scenario runs at.
-pub const BIG_SYSTEM_SIM_THREADS: usize = 4;
-
-/// Baseline for the sharded kernel: the synthetic field on the scalar
-/// kernel. Kept as its own scenario so `check` can pin the
-/// scalar-vs-parallel instruction-count equality and speedup.
+/// The synthetic field on the kernel: the one scenario with many
+/// processes per simulation.
 fn big_system_scalar() -> Scenario {
     const REPS: u64 = 3;
     let sys = big_system();
@@ -295,57 +235,15 @@ fn big_system_scalar() -> Scenario {
     )
 }
 
-/// The same field on the parallel delta-cycle kernel, with the shard
-/// instruction counters and barrier-stall totals the JSON records.
-fn big_system_parallel() -> Scenario {
-    const REPS: u64 = 3;
-    let sys = big_system();
-    let config = SimConfig::new().with_sim_threads(BIG_SYSTEM_SIM_THREADS);
-    let mut instrs = 0u64;
-    let mut shard_instrs: Vec<u64> = Vec::new();
-    let mut stalls = 0u64;
-    let mut shards = 1usize;
-    let start = Instant::now();
-    for _ in 0..REPS {
-        let (report, stats) = Simulator::with_config(&sys, config.clone())
-            .expect("sim setup")
-            .run_to_quiescence_with_stats()
-            .expect("sim");
-        instrs += report.total_instrs();
-        shards = stats.shards;
-        if shard_instrs.len() < stats.shard_instrs.len() {
-            shard_instrs.resize(stats.shard_instrs.len(), 0);
-        }
-        for (acc, n) in shard_instrs.iter_mut().zip(&stats.shard_instrs) {
-            *acc += n;
-        }
-        stalls += stats.barrier_stall_instrs;
-    }
-    let mut s = scenario(
-        "big_system_parallel",
-        REPS,
-        instrs,
-        start.elapsed().as_secs_f64(),
-        BIG_SYSTEM_SIM_THREADS,
-    );
-    s.sim_threads = BIG_SYSTEM_SIM_THREADS;
-    s.shards = shards;
-    s.shard_instrs = shard_instrs;
-    s.barrier_stall_instrs = stalls;
-    s
-}
-
 /// Runs all throughput scenarios.
 pub fn run() -> PerfData {
     PerfData {
         scenarios: vec![
             flc_kernel_sweep(),
             flc_batch_sweep(),
-            flc_lockstep_sweep(),
             fig7_full_sweep(),
             quickstart_pipeline(),
             big_system_scalar(),
-            big_system_parallel(),
         ],
         sweep_threads: crate::fig7::sweep_threads(),
     }
@@ -359,7 +257,6 @@ pub fn render(data: &PerfData) -> String {
         "scenario",
         "runs",
         "threads",
-        "shards",
         "instrs",
         "wall (s)",
         "instrs/sec",
@@ -369,22 +266,12 @@ pub fn render(data: &PerfData) -> String {
             s.name.clone(),
             s.runs.to_string(),
             s.threads.to_string(),
-            s.shards.to_string(),
             s.total_instrs.to_string(),
             format!("{:.4}", s.wall_seconds),
             format!("{:.0}", s.instrs_per_sec),
         ]);
     }
     out.push_str(&t.render());
-    for s in &data.scenarios {
-        if s.sim_threads > 1 {
-            out.push_str(&format!(
-                "\n{}: {} sim-threads, {} shard(s), per-shard instrs {:?}, \
-                 barrier-stall instrs {}\n",
-                s.name, s.sim_threads, s.shards, s.shard_instrs, s.barrier_stall_instrs
-            ));
-        }
-    }
     out.push_str(&format!("\nsweep driver threads: {}\n", data.sweep_threads));
     out
 }
@@ -392,32 +279,15 @@ pub fn render(data: &PerfData) -> String {
 /// Serializes the results as the `BENCH_sim.json` document.
 pub fn to_json(data: &PerfData) -> String {
     let mut out = String::new();
-    // v2 keeps every v1 key and adds the sharded-kernel counters
-    // (sim_threads / shards / shard_instrs / barrier_stall_instrs).
-    out.push_str("{\n  \"schema\": \"ifsyn-bench-sim-v2\",\n");
+    // v3 writes exactly the v1 keys, so v1 readers parse it unchanged.
+    out.push_str("{\n  \"schema\": \"ifsyn-bench-sim-v3\",\n");
     out.push_str(&format!("  \"sweep_threads\": {},\n", data.sweep_threads));
     out.push_str("  \"scenarios\": [\n");
     crate::emit::array_rows(&mut out, &data.scenarios, |s| {
-        let shard_instrs = s
-            .shard_instrs
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
         format!(
             "    {{\"name\": \"{}\", \"runs\": {}, \"threads\": {}, \"total_instrs\": {}, \
-             \"wall_seconds\": {:.6}, \"instrs_per_sec\": {:.1}, \"sim_threads\": {}, \
-             \"shards\": {}, \"shard_instrs\": [{}], \"barrier_stall_instrs\": {}}}",
-            s.name,
-            s.runs,
-            s.threads,
-            s.total_instrs,
-            s.wall_seconds,
-            s.instrs_per_sec,
-            s.sim_threads,
-            s.shards,
-            shard_instrs,
-            s.barrier_stall_instrs,
+             \"wall_seconds\": {:.6}, \"instrs_per_sec\": {:.1}}}",
+            s.name, s.runs, s.threads, s.total_instrs, s.wall_seconds, s.instrs_per_sec,
         )
     });
     out.push_str("  ]\n}\n");
@@ -503,108 +373,10 @@ pub fn check(
             report.push_str(&format!("  {name:<22} (baseline only; skipped)\n"));
         }
     }
-    match check_parallel(fresh) {
-        Ok(lines) => report.push_str(&lines),
-        Err(lines) => {
-            report.push_str(&lines);
-            regressions += 1;
-        }
-    }
     if regressions == 0 {
         Ok(report)
     } else {
         Err(report)
-    }
-}
-
-/// Minimum speedup the sharded kernel must deliver over the scalar one
-/// on the synthetic field, when the machine has the cores for it.
-pub const PARALLEL_SPEEDUP_FLOOR: f64 = 2.5;
-
-/// Pins the sharded-kernel invariants on a fresh measurement:
-///
-/// * `big_system_scalar` and `big_system_parallel` executed *exactly*
-///   the same instruction count — the parallel kernel's determinism
-///   contract, measured rather than assumed;
-/// * the per-shard counters of the parallel run account for a nonzero
-///   share of the work (the fork/join path actually engaged);
-/// * on machines with at least [`BIG_SYSTEM_SIM_THREADS`] cores, the
-///   parallel run is at least [`PARALLEL_SPEEDUP_FLOOR`]× faster. On
-///   smaller machines the speedup line is reported as skipped — a
-///   1-core CI runner cannot observe a parallel speedup.
-///
-/// # Errors
-///
-/// Returns `Err` with the rendered lines when a pinned invariant fails.
-pub fn check_parallel(fresh: &PerfData) -> Result<String, String> {
-    let scalar = fresh
-        .scenarios
-        .iter()
-        .find(|s| s.name == "big_system_scalar");
-    let par = fresh
-        .scenarios
-        .iter()
-        .find(|s| s.name == "big_system_parallel");
-    let (Some(scalar), Some(par)) = (scalar, par) else {
-        return Ok("  parallel kernel        (scenarios absent; skipped)\n".to_string());
-    };
-    let mut lines = String::new();
-    let mut failed = false;
-    if par.total_instrs == scalar.total_instrs {
-        lines.push_str(&format!(
-            "  parallel instr parity  {} == {} instrs  ok\n",
-            par.total_instrs, scalar.total_instrs
-        ));
-    } else {
-        failed = true;
-        lines.push_str(&format!(
-            "  parallel instr parity  {} != {} instrs  FAILED (nondeterminism)\n",
-            par.total_instrs, scalar.total_instrs
-        ));
-    }
-    let sharded: u64 = par.shard_instrs.iter().sum();
-    if par.shards > 1 && sharded > 0 {
-        lines.push_str(&format!(
-            "  parallel rounds        {} shards, {} instrs sharded, {} stalled  ok\n",
-            par.shards, sharded, par.barrier_stall_instrs
-        ));
-    } else {
-        failed = true;
-        lines.push_str(&format!(
-            "  parallel rounds        {} shards, {sharded} instrs sharded  FAILED (fork/join never ran)\n",
-            par.shards
-        ));
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if cores >= BIG_SYSTEM_SIM_THREADS {
-        let speedup = if scalar.instrs_per_sec > 0.0 {
-            par.instrs_per_sec / scalar.instrs_per_sec
-        } else {
-            0.0
-        };
-        if speedup >= PARALLEL_SPEEDUP_FLOOR {
-            lines.push_str(&format!(
-                "  parallel speedup       {speedup:.2}x at {} threads (floor {PARALLEL_SPEEDUP_FLOOR}x)  ok\n",
-                par.sim_threads
-            ));
-        } else {
-            failed = true;
-            lines.push_str(&format!(
-                "  parallel speedup       {speedup:.2}x at {} threads (floor {PARALLEL_SPEEDUP_FLOOR}x)  FAILED\n",
-                par.sim_threads
-            ));
-        }
-    } else {
-        lines.push_str(&format!(
-            "  parallel speedup       skipped ({cores} core(s) available, need {BIG_SYSTEM_SIM_THREADS})\n"
-        ));
-    }
-    if failed {
-        Err(lines)
-    } else {
-        Ok(lines)
     }
 }
 
@@ -667,77 +439,17 @@ mod tests {
         assert_eq!(s.instrs_per_sec, 0.0);
     }
 
-    /// The CI perf-smoke leg targets this test by name: the exact
-    /// `big_system` field the perf scenarios benchmark, simulated once
-    /// on the scalar kernel and once at 2 sim-threads, with the full
-    /// reports compared for equality. Two threads (not
-    /// [`BIG_SYSTEM_SIM_THREADS`]) so the fork/join path engages even
-    /// on small CI runners without oversubscribing them.
     #[test]
-    fn big_system_matches_scalar_at_two_sim_threads() {
-        let sys = big_system();
-        let scalar = Simulator::new(&sys)
-            .expect("sim setup")
-            .run_to_quiescence()
-            .expect("scalar run");
-        let (par, stats) = Simulator::with_config(&sys, SimConfig::new().with_sim_threads(2))
-            .expect("sim setup")
-            .run_to_quiescence_with_stats()
-            .expect("parallel run");
-        assert_eq!(scalar, par, "2-thread report diverged from scalar");
-        assert!(stats.shards > 1, "partitioner produced a single shard");
-        assert!(
-            stats.parallel_rounds > 0,
-            "fork/join never engaged on the big system"
-        );
-    }
-
-    /// A scalar/parallel scenario pair with the given instruction counts
-    /// and a healthy-looking parallel run.
-    fn parallel_pair(scalar_instrs: u64, par_instrs: u64) -> PerfData {
-        let scalar = scenario("big_system_scalar", 3, scalar_instrs, 1.0, 1);
-        let mut par = scenario("big_system_parallel", 3, par_instrs, 0.1, 4);
-        par.sim_threads = 4;
-        par.shards = 4;
-        par.shard_instrs = vec![par_instrs / 4; 4];
-        par.barrier_stall_instrs = 7;
-        PerfData {
-            scenarios: vec![scalar, par],
-            sweep_threads: 1,
-        }
-    }
-
-    #[test]
-    fn parallel_check_pins_instruction_parity() {
-        let ok = check_parallel(&parallel_pair(1000, 1000)).expect("parity holds");
-        assert!(ok.contains("instr parity"));
-        let err = check_parallel(&parallel_pair(1000, 999)).expect_err("parity broken");
-        assert!(err.contains("nondeterminism"));
-    }
-
-    #[test]
-    fn parallel_check_requires_engaged_fork_join() {
-        let mut data = parallel_pair(1000, 1000);
-        data.scenarios[1].shards = 1;
-        data.scenarios[1].shard_instrs.clear();
-        let err = check_parallel(&data).expect_err("no parallel rounds");
-        assert!(err.contains("fork/join never ran"));
-    }
-
-    #[test]
-    fn parallel_check_skips_cleanly_without_the_scenarios() {
+    fn json_v3_keeps_v1_fields_and_drops_shard_counters() {
         let data = PerfData {
-            scenarios: vec![scenario("a", 1, 1, 1.0, 1)],
-            sweep_threads: 1,
+            scenarios: vec![
+                scenario("flc_kernel_sweep", 150, 1000, 0.5, 1),
+                scenario("big_system_scalar", 3, 1000, 0.1, 1),
+            ],
+            sweep_threads: 2,
         };
-        let ok = check_parallel(&data).expect("absent scenarios skip");
-        assert!(ok.contains("skipped"));
-    }
-
-    #[test]
-    fn json_v2_keeps_v1_fields_and_adds_shard_counters() {
-        let json = to_json(&parallel_pair(1000, 1000));
-        assert!(json.contains("\"schema\": \"ifsyn-bench-sim-v2\""));
+        let json = to_json(&data);
+        assert!(json.contains("\"schema\": \"ifsyn-bench-sim-v3\""));
         // Every v1 key survives...
         for key in [
             "\"name\":",
@@ -750,14 +462,18 @@ mod tests {
         ] {
             assert!(json.contains(key), "v1 key {key} missing");
         }
-        // ...and the v2 counters appear.
-        assert!(json.contains("\"sim_threads\": 4"));
-        assert!(json.contains("\"shards\": 4"));
-        assert!(json.contains("\"shard_instrs\": [250, 250, 250, 250]"));
-        assert!(json.contains("\"barrier_stall_instrs\": 7"));
-        // The v1 parser still reads a v2 document.
+        // ...and the v2 sharded-kernel counters are gone.
+        for key in [
+            "\"sim_threads\":",
+            "\"shards\":",
+            "\"shard_instrs\":",
+            "\"barrier_stall_instrs\":",
+        ] {
+            assert!(!json.contains(key), "v2 key {key} still written");
+        }
+        // The v1 parser still reads a v3 document.
         let parsed = parse_baseline(&json);
         assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].0, "big_system_scalar");
+        assert_eq!(parsed[1].0, "big_system_scalar");
     }
 }

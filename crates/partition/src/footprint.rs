@@ -1,98 +1,44 @@
-//! Static per-behavior read/write footprints over the specification IR.
+//! Static per-behavior footprints over the specification IR.
 //!
-//! The shard planner ([`crate::plan_shards`]) and the model checker's
-//! partial-order reduction both need the same question answered: *which
-//! storage can this behavior touch?* A behavior's footprint is computed
-//! by walking its statement tree — including every procedure it can call,
-//! transitively — and recording the variables it accesses, the variables
-//! it writes, the signals its expressions and wait conditions read, the
-//! signals it drives, and the signals its waits are sensitive to, plus a
-//! loop-scaled instruction-weight estimate for load balancing.
+//! The model checker's partial-order reduction asks, per behavior,
+//! *which storage can this behavior touch?* It needs two answers: the
+//! variables a behavior can access (a variable no other behavior can
+//! reach is private) and the signals it can drive (a signal no other
+//! behavior can drive reads as a constant). A behavior's footprint is
+//! computed by walking its statement tree — including every procedure
+//! it can call, transitively — and recording both sets.
 //!
 //! The footprint is deliberately conservative (a superset of the dynamic
 //! access set): any storage named anywhere in a reachable statement is
 //! included, whether or not the branch executes. That direction is the
-//! safe one for both clients — the shard planner may only co-locate too
-//! much, and the checker's independence analysis may only reduce too
+//! safe one: the checker's independence analysis may only reduce too
 //! little.
 
 use ifsyn_spec::{Arg, Expr, Place, Stmt, System, WaitCond};
 
-/// Loop bounds above this stop scaling the weight estimate — balance
-/// needs relative magnitudes, not exact trip counts.
-const MAX_LOOP_SCALE: u64 = 4096;
-
-/// One behavior's static access footprint, all sets indexed by
-/// declaration order (`vars`/`var_writes` by variable index, the signal
-/// sets by signal index).
+/// One behavior's static access footprint, both sets indexed by
+/// declaration order (`vars` by variable index, `sig_writes` by signal
+/// index).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcessFootprint {
     /// Variables accessed at all (read or write), including channel
     /// backing variables and procedure `out`/`inout` targets.
     pub vars: Vec<bool>,
-    /// Variables the behavior can write (assignment targets, loop
-    /// counters, channel-send backing stores, receive targets,
-    /// `out`/`inout` arguments).
-    pub var_writes: Vec<bool>,
-    /// Signals read by any expression, wait condition or index
-    /// computation.
-    pub sig_reads: Vec<bool>,
     /// Signals the behavior can drive.
     pub sig_writes: Vec<bool>,
-    /// Signals some wait statement is sensitive to — a subset of
-    /// [`ProcessFootprint::sig_reads`], kept separately because the
-    /// shard planner's affinity metric scores wake chains, not reads.
-    pub waits: Vec<bool>,
-    /// Estimated instruction weight: statement count scaled by constant
-    /// loop bounds (capped at 4096 per loop level).
-    pub weight: u64,
-}
-
-impl ProcessFootprint {
-    fn empty(system: &System) -> Self {
-        Self {
-            vars: vec![false; system.variables.len()],
-            var_writes: vec![false; system.variables.len()],
-            sig_reads: vec![false; system.signals.len()],
-            sig_writes: vec![false; system.signals.len()],
-            waits: vec![false; system.signals.len()],
-            weight: 0,
-        }
-    }
-
-    /// `true` when the two footprints name a common variable (either
-    /// side, any access kind) — the shard planner's hard constraint and
-    /// one half of the checker's dependence relation.
-    pub fn shares_variable(&self, other: &Self) -> bool {
-        self.vars.iter().zip(&other.vars).any(|(a, b)| *a && *b)
-    }
-
-    /// `true` when one side writes a signal the other reads, waits on or
-    /// also writes — the signal half of the dependence relation (two
-    /// pure readers of the same signal stay independent).
-    pub fn signal_coupled(&self, other: &Self) -> bool {
-        let touches = |reads: &[bool], writes: &[bool], i: usize| reads[i] || writes[i];
-        self.sig_writes
-            .iter()
-            .enumerate()
-            .any(|(i, &w)| w && touches(&other.sig_reads, &other.sig_writes, i))
-            || other
-                .sig_writes
-                .iter()
-                .enumerate()
-                .any(|(i, &w)| w && touches(&self.sig_reads, &self.sig_writes, i))
-    }
 }
 
 /// Computes the footprint of one behavior, walking called procedures
 /// transitively (each at most once).
 pub fn footprint(system: &System, behavior: usize) -> ProcessFootprint {
-    let mut f = ProcessFootprint::empty(system);
+    let mut f = ProcessFootprint {
+        vars: vec![false; system.variables.len()],
+        sig_writes: vec![false; system.signals.len()],
+    };
     let mut visited = vec![false; system.procedures.len()];
     walk(
         system,
         &system.behaviors[behavior].body,
-        1,
         &mut f,
         &mut visited,
     );
@@ -112,28 +58,13 @@ fn note_expr(e: &Expr, f: &mut ProcessFootprint) {
     for v in vs {
         f.vars[v.index()] = true;
     }
-    let mut ss = Vec::new();
-    e.collect_signals(&mut ss);
-    for s in ss {
-        f.sig_reads[s.index()] = true;
-    }
 }
 
-/// Records a place in *read* position (its root and every index
-/// expression).
-fn note_place_read(p: &Place, f: &mut ProcessFootprint) {
+/// Records a place's root variable and every variable its index and
+/// dynamic-slice offset expressions read.
+fn note_place(p: &Place, f: &mut ProcessFootprint) {
     if let Some(v) = p.root_var() {
         f.vars[v.index()] = true;
-    }
-    note_place_indices(p, f);
-}
-
-/// Records a place in *write* position: the root is written; index and
-/// dynamic-slice offsets are still reads.
-fn note_place_write(p: &Place, f: &mut ProcessFootprint) {
-    if let Some(v) = p.root_var() {
-        f.vars[v.index()] = true;
-        f.var_writes[v.index()] = true;
     }
     note_place_indices(p, f);
 }
@@ -153,18 +84,11 @@ fn note_place_indices(p: &Place, f: &mut ProcessFootprint) {
     }
 }
 
-fn walk(
-    system: &System,
-    body: &[Stmt],
-    mult: u64,
-    f: &mut ProcessFootprint,
-    visited: &mut Vec<bool>,
-) {
+fn walk(system: &System, body: &[Stmt], f: &mut ProcessFootprint, visited: &mut Vec<bool>) {
     for stmt in body {
-        f.weight = f.weight.saturating_add(mult);
         match stmt {
             Stmt::Assign { place, value, .. } => {
-                note_place_write(place, f);
+                note_place(place, f);
                 note_expr(value, f);
             }
             Stmt::SignalAssign { signal, value, .. } => {
@@ -174,37 +98,25 @@ fn walk(
             Stmt::If { cond, .. } => note_expr(cond, f),
             Stmt::While { cond, .. } => note_expr(cond, f),
             Stmt::For { var, from, to, .. } => {
-                note_place_write(var, f);
+                note_place(var, f);
                 note_expr(from, f);
                 note_expr(to, f);
             }
-            Stmt::Wait(cond) => {
-                for s in cond.sensitivity() {
-                    f.waits[s.index()] = true;
-                    f.sig_reads[s.index()] = true;
-                }
-                match cond {
-                    WaitCond::Until(e) | WaitCond::UntilTimeout { cond: e, .. } => {
-                        note_expr(e, f);
-                    }
-                    _ => {}
-                }
-            }
+            Stmt::Wait(cond) => match cond {
+                WaitCond::Until(e) | WaitCond::UntilTimeout { cond: e, .. } => note_expr(e, f),
+                WaitCond::OnSignals(_) | WaitCond::ForCycles(_) => {}
+            },
             Stmt::Call { procedure, args } => {
                 for arg in args {
                     match arg {
                         Arg::In(e) => note_expr(e, f),
-                        Arg::Out(p) => note_place_write(p, f),
-                        Arg::InOut(p) => {
-                            note_place_read(p, f);
-                            note_place_write(p, f);
-                        }
+                        Arg::Out(p) | Arg::InOut(p) => note_place(p, f),
                     }
                 }
                 let pi = procedure.index();
                 if !visited[pi] {
                     visited[pi] = true;
-                    walk(system, &system.procedures[pi].body, mult, f, visited);
+                    walk(system, &system.procedures[pi].body, f, visited);
                 }
             }
             Stmt::ChannelSend {
@@ -212,9 +124,7 @@ fn walk(
                 addr,
                 data,
             } => {
-                let backing = system.channel(*channel).variable.index();
-                f.vars[backing] = true;
-                f.var_writes[backing] = true;
+                f.vars[system.channel(*channel).variable.index()] = true;
                 if let Some(a) = addr {
                     note_expr(a, f);
                 }
@@ -229,32 +139,14 @@ fn walk(
                 if let Some(a) = addr {
                     note_expr(a, f);
                 }
-                note_place_write(target, f);
+                note_place(target, f);
             }
             Stmt::Assert { cond, .. } => note_expr(cond, f),
             Stmt::Compute { .. } | Stmt::Return => {}
         }
-        // Scale nested work by constant loop bounds, like the closeness
-        // metric, capped so one wide loop cannot dwarf every signal.
-        let inner_mult = match stmt {
-            Stmt::For { from, to, .. } => match (const_int(from), const_int(to)) {
-                (Some(a), Some(b)) if b >= a => {
-                    mult.saturating_mul(((b - a + 1) as u64).min(MAX_LOOP_SCALE))
-                }
-                _ => mult,
-            },
-            _ => mult,
-        };
         for inner in stmt.bodies() {
-            walk(system, inner, inner_mult, f, visited);
+            walk(system, inner, f, visited);
         }
-    }
-}
-
-fn const_int(e: &Expr) -> Option<i64> {
-    match e {
-        Expr::Const(v) => v.as_i64().ok(),
-        _ => None,
     }
 }
 
@@ -280,10 +172,7 @@ mod tests {
         ];
         let f = footprint(&sys, b.index());
         assert!(f.vars[x.index()] && f.vars[y.index()]);
-        assert!(f.var_writes[x.index()] && !f.var_writes[y.index()]);
         assert!(f.sig_writes[req.index()] && !f.sig_writes[ack.index()]);
-        assert!(f.sig_reads[ack.index()] && !f.sig_reads[req.index()]);
-        assert!(f.waits[ack.index()]);
     }
 
     #[test]
@@ -300,11 +189,13 @@ mod tests {
         let c = sys.add_behavior("C", m);
         sys.behavior_mut(c).body = vec![drive(s, bit_const(true))];
         let feet = footprints(&sys);
-        // Two readers of S are independent; the writer couples to both.
-        assert!(!feet[0].signal_coupled(&feet[1]));
-        assert!(feet[2].signal_coupled(&feet[0]));
-        assert!(feet[2].signal_coupled(&feet[1]));
-        assert!(!feet[0].shares_variable(&feet[1]));
+        // Reading S makes no behavior a writer of it; only C drives S.
+        assert!(!feet[0].sig_writes[s.index()]);
+        assert!(!feet[1].sig_writes[s.index()]);
+        assert!(feet[2].sig_writes[s.index()]);
+        // The two readers share no variable.
+        assert!(feet[0].vars[va.index()] && !feet[0].vars[vb.index()]);
+        assert!(feet[1].vars[vb.index()] && !feet[1].vars[va.index()]);
     }
 
     #[test]
@@ -323,6 +214,6 @@ mod tests {
         sys.behavior_mut(b).body = vec![call(p, vec![])];
         let f = footprint(&sys, b.index());
         assert!(f.sig_writes[gnt.index()]);
-        assert!(f.var_writes[x.index()]);
+        assert!(f.vars[x.index()]);
     }
 }

@@ -30,10 +30,8 @@ mod derive;
 mod error;
 pub mod footprint;
 mod partitioner;
-pub mod shard;
 
 pub use cluster::Closeness;
 pub use error::PartitionError;
 pub use footprint::{footprint, footprints, ProcessFootprint};
 pub use partitioner::{PartitionResult, Partitioner};
-pub use shard::{plan_shards, ShardPlan};

@@ -18,7 +18,7 @@
 //!   *other* behavior drives and no fault targets. Signal writes are
 //!   never pure (they are the inter-process synchronization fabric and
 //!   feed eager waiter release). The per-variable privacy and
-//!   per-signal writer sets come from the shared
+//!   per-signal writer sets come from the static
 //!   [`ifsyn_partition::footprint`] analysis.
 //! * **dynamically** (the explorer): a run is an ample candidate only if
 //!   every instruction it executed was statically pure *and* the run
@@ -246,7 +246,7 @@ impl Purity<'_> {
 }
 
 impl PorTables {
-    /// Builds the purity tables from the shared footprint analysis, the
+    /// Builds the purity tables from the static footprint analysis, the
     /// compiled code, the resolved fault targets and the observed-state
     /// declaration.
     pub fn build(

@@ -35,12 +35,6 @@ pub struct SimConfig {
     /// a process parked forever. Fault campaigns and the CLI turn this on
     /// to convert silent hangs into diagnosable failures.
     pub fail_on_deadlock: bool,
-    /// Worker threads for the parallel delta-cycle kernel. `1` (the
-    /// default) runs the scalar kernel. With `N > 1` the processes are
-    /// partitioned across at most `N` variable-disjoint shards and every
-    /// multi-process delta round runs as a fork/join phase; results are
-    /// byte-identical to the scalar kernel at any thread count.
-    pub sim_threads: usize,
 }
 
 impl SimConfig {
@@ -55,7 +49,6 @@ impl SimConfig {
             max_trace_events: 100_000,
             fault_plan: FaultPlan::new(),
             fail_on_deadlock: false,
-            sim_threads: 1,
         }
     }
 
@@ -96,13 +89,6 @@ impl SimConfig {
         self.fail_on_deadlock = true;
         self
     }
-
-    /// Builder-style setter for [`SimConfig::sim_threads`]. Values below 1
-    /// are clamped to 1 (the scalar kernel).
-    pub fn with_sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = threads.max(1);
-        self
-    }
 }
 
 impl Default for SimConfig {
@@ -125,12 +111,5 @@ mod tests {
         let c = SimConfig::new().with_max_time(10).with_trace();
         assert_eq!(c.max_time, 10);
         assert!(c.trace);
-    }
-
-    #[test]
-    fn sim_threads_clamps_to_scalar() {
-        assert_eq!(SimConfig::new().sim_threads, 1);
-        assert_eq!(SimConfig::new().with_sim_threads(0).sim_threads, 1);
-        assert_eq!(SimConfig::new().with_sim_threads(4).sim_threads, 4);
     }
 }

@@ -2,9 +2,8 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
-use ifsyn_partition::{plan_shards, ShardPlan};
 use ifsyn_spec::{BitVec, Expr, ParamMode, SignalId, System, Ty, Value};
 
 use crate::config::SimConfig;
@@ -16,7 +15,6 @@ use crate::fault::{FaultKind, InjectedFault};
 use crate::process::{CodeRef, Frame, Process, ResolvedPlace, Root, Status, Step, WaitKind};
 use crate::program::{Code, CodeCache, Instr, Program, WaitSpec};
 use crate::report::{BehaviorOutcome, SimReport, TraceEvent};
-use crate::shard::{self, Job, JobResult, Outcome, ParallelStats, Staged};
 
 /// Upper bound on recorded [`InjectedFault`] entries, so a stuck line on
 /// a long run cannot grow the report without bound.
@@ -70,55 +68,6 @@ enum Disposition {
     Keep,
     Drop(&'static str),
     Delay(u64),
-}
-
-/// One process's contribution to a parallel round, re-ordered into
-/// scalar pop order for the barrier replay (its `Process` state has
-/// already been moved home by then).
-struct Replay {
-    pid: usize,
-    ops: Vec<Staged>,
-    steps: u64,
-    asserts: u64,
-    error: Option<SimError>,
-}
-
-/// Round-persistent state of the parallel delta-cycle engine: the shard
-/// plan, the worker channels, the shared signal snapshot and reusable
-/// scratch. Lives on `run_events_parallel`'s stack inside the worker
-/// thread scope, never in the `Simulator` itself.
-struct ParEngine<'e> {
-    plan: ShardPlan,
-    /// Variable indices owned by each shard.
-    shard_vars: Vec<Vec<usize>>,
-    /// Parked full-length variable buffers per shard: placeholders while
-    /// the shard is idle, swapped against the master copy for a round so
-    /// the master's `vars` stays authoritative between rounds.
-    var_bufs: Vec<Option<Vec<Value>>>,
-    /// Signal state shared read-only with the workers; refreshed in
-    /// place (`Arc::make_mut` plus the master's dirty list) each round,
-    /// because the workers drop their handles at the barrier.
-    snapshot: Arc<Vec<Value>>,
-    behavior_code: &'e [Arc<Code>],
-    procedure_code: &'e [Arc<Code>],
-    max_steps: u64,
-    /// Register file for the job the main thread runs inline.
-    inline_regs: RegFile,
-    /// Job channels per shard; index 0 is `None` (shard 0, when active,
-    /// always runs inline on the main thread).
-    job_txs: Vec<Option<mpsc::Sender<Job>>>,
-    res_rx: mpsc::Receiver<JobResult>,
-    /// Scratch: the current round in scalar pop order.
-    round: Vec<usize>,
-    /// Scratch: pid → position in `round` (stale outside the round).
-    round_pos: Vec<usize>,
-    /// Scratch: round pids grouped by shard, pop order within a shard.
-    shard_pids: Vec<Vec<usize>>,
-    /// Scratch: per-shard instruction count of the current round.
-    shard_round_instrs: Vec<u64>,
-    /// Scratch: outcomes re-ordered into round order for replay.
-    ordered: Vec<Option<Replay>>,
-    stats: ParallelStats,
 }
 
 /// Evaluates compiled expression code for one process, splitting the
@@ -254,12 +203,6 @@ pub struct Simulator<'a> {
     changed: Vec<usize>,
     /// Scratch: waiter snapshot while waking (reused across deltas).
     signal_events: Vec<u64>,
-    /// Signals changed since the parallel engine last refreshed its
-    /// shared snapshot; only tracked while `snap_track` is on.
-    snap_dirty: Vec<usize>,
-    /// Dirty tracking switch — on only inside a parallel run, so scalar
-    /// runs pay one dead branch per signal change and no memory.
-    snap_track: bool,
     trace: Vec<TraceEvent>,
     total_deltas: u64,
     total_instrs: u64,
@@ -387,8 +330,6 @@ impl<'a> Simulator<'a> {
             last_write: vec![usize::MAX; n_signals],
             changed: Vec::new(),
             signal_events: vec![0; n_signals],
-            snap_dirty: Vec::new(),
-            snap_track: false,
             trace: Vec::new(),
             total_deltas: 0,
             total_instrs: 0,
@@ -410,22 +351,8 @@ impl<'a> Simulator<'a> {
     /// * [`SimError::DeltaOverflow`] / [`SimError::ZeroDelayLoop`] —
     ///   zero-time oscillation.
     /// * [`SimError::Eval`] — a runtime type or bounds violation.
-    pub fn run_to_quiescence(self) -> Result<SimReport, SimError> {
-        self.run_to_quiescence_with_stats().map(|(r, _)| r)
-    }
-
-    /// Like [`Simulator::run_to_quiescence`], additionally returning the
-    /// parallel engine's counters ([`ParallelStats`]).
-    ///
-    /// The stats are a side channel on purpose: the report itself is
-    /// byte-identical at any [`SimConfig::sim_threads`] value, while the
-    /// stats describe how the work was actually spread.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Simulator::run_to_quiescence`].
-    pub fn run_to_quiescence_with_stats(mut self) -> Result<(SimReport, ParallelStats), SimError> {
-        let stats = self.run_all(None)?;
+    pub fn run_to_quiescence(mut self) -> Result<SimReport, SimError> {
+        self.run_events(None)?;
         if self.config.fail_on_deadlock {
             let stuck = self.processes.iter().any(|p| {
                 matches!(p.status, Status::Waiting(_)) && !self.system.behaviors[p.behavior].repeats
@@ -437,7 +364,7 @@ impl<'a> Simulator<'a> {
                 });
             }
         }
-        Ok((self.into_report(), stats))
+        Ok(self.into_report())
     }
 
     /// Runs until time `deadline` (inclusive) or quiescence, whichever
@@ -451,40 +378,9 @@ impl<'a> Simulator<'a> {
     ///
     /// Same failure modes as [`Simulator::run_to_quiescence`], except
     /// that reaching the deadline is success, not a timeout.
-    pub fn run_until(self, deadline: u64) -> Result<SimReport, SimError> {
-        self.run_until_with_stats(deadline).map(|(r, _)| r)
-    }
-
-    /// Like [`Simulator::run_until`], additionally returning the
-    /// parallel engine's counters ([`ParallelStats`]).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Simulator::run_until`].
-    pub fn run_until_with_stats(
-        mut self,
-        deadline: u64,
-    ) -> Result<(SimReport, ParallelStats), SimError> {
-        let stats = self.run_all(Some(deadline))?;
-        Ok((self.into_report(), stats))
-    }
-
-    /// Dispatches to the scalar or parallel event loop according to
-    /// [`SimConfig::sim_threads`] and the shard plan.
-    fn run_all(&mut self, deadline: Option<u64>) -> Result<ParallelStats, SimError> {
-        let threads = self.config.sim_threads.max(1);
-        if threads <= 1 {
-            self.run_events(deadline)?;
-            return Ok(ParallelStats::scalar(threads, 1.min(self.processes.len())));
-        }
-        let plan = plan_shards(self.system, threads);
-        if plan.shards <= 1 {
-            // One atomic group: the partitioner proved a fork can never
-            // have two shards to feed, so skip the pool entirely.
-            self.run_events(deadline)?;
-            return Ok(ParallelStats::scalar(threads, plan.shards));
-        }
-        self.run_events_parallel(deadline, plan, threads)
+    pub fn run_until(mut self, deadline: u64) -> Result<SimReport, SimError> {
+        self.run_events(Some(deadline))?;
+        Ok(self.into_report())
     }
 
     /// The main event loop; stops at quiescence, or past `deadline`.
@@ -671,389 +567,6 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Spawns the worker pool and runs the event loop with fork/join
-    /// delta rounds. `threads - 1` workers are spawned (the main thread
-    /// executes one shard of every round itself), bounding the run to
-    /// `threads` busy threads as [`SimConfig::sim_threads`] promises.
-    fn run_events_parallel(
-        &mut self,
-        deadline: Option<u64>,
-        plan: ShardPlan,
-        threads: usize,
-    ) -> Result<ParallelStats, SimError> {
-        let shards = plan.shards;
-        let mut shard_vars: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for (v, owner) in plan.var_shard.iter().enumerate() {
-            if let Some(s) = *owner {
-                shard_vars[s].push(v);
-            }
-        }
-        // The workers get their own code handles: the slots in `self`
-        // keep the take/put discipline for the inline scalar rounds.
-        let behavior_code: Vec<Arc<Code>> = self
-            .behavior_code
-            .iter()
-            .map(|c| Arc::clone(c.as_ref().expect("no block executing between rounds")))
-            .collect();
-        let procedure_code: Vec<Arc<Code>> = self
-            .procedure_code
-            .iter()
-            .map(|c| Arc::clone(c.as_ref().expect("no block executing between rounds")))
-            .collect();
-        let max_regs = behavior_code
-            .iter()
-            .chain(&procedure_code)
-            .map(|c| c.max_regs)
-            .max()
-            .unwrap_or(0) as usize;
-        let system = self.system;
-        let max_steps = self.config.max_steps_per_activation;
-        let n_vars = self.vars.len();
-        self.snap_dirty.clear();
-        self.snap_track = true;
-        let result = std::thread::scope(|scope| -> Result<ParallelStats, SimError> {
-            let (res_tx, res_rx) = mpsc::channel::<JobResult>();
-            let mut job_txs: Vec<Option<mpsc::Sender<Job>>> = Vec::with_capacity(shards);
-            job_txs.push(None);
-            for _ in 1..shards {
-                let (tx, rx) = mpsc::channel::<Job>();
-                job_txs.push(Some(tx));
-                let res_tx = res_tx.clone();
-                let bc = behavior_code.clone();
-                let prc = procedure_code.clone();
-                scope.spawn(move || {
-                    let mut regs = RegFile::with_capacity(max_regs);
-                    while let Ok(job) = rx.recv() {
-                        let out = shard::run_job(system, &bc, &prc, max_steps, &mut regs, job);
-                        if res_tx.send(out).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(res_tx);
-            let mut eng = ParEngine {
-                plan,
-                shard_vars,
-                var_bufs: (0..shards)
-                    .map(|_| Some(vec![Value::Bit(false); n_vars]))
-                    .collect(),
-                snapshot: Arc::new(self.signals.clone()),
-                behavior_code: &behavior_code,
-                procedure_code: &procedure_code,
-                max_steps,
-                inline_regs: RegFile::with_capacity(max_regs),
-                job_txs,
-                res_rx,
-                round: Vec::new(),
-                round_pos: vec![usize::MAX; self.processes.len()],
-                shard_pids: vec![Vec::new(); shards],
-                shard_round_instrs: vec![0; shards],
-                ordered: Vec::new(),
-                stats: ParallelStats::scalar(threads, shards),
-            };
-            self.run_events_par(deadline, &mut eng)?;
-            Ok(eng.stats)
-            // `eng` (and with it every job sender) drops here, so the
-            // workers' `recv` fails and the scope joins them — on the
-            // error path too.
-        });
-        self.snap_track = false;
-        self.snap_dirty.clear();
-        result
-    }
-
-    /// The parallel twin of [`Simulator::run_events`].
-    fn run_events_par(
-        &mut self,
-        deadline: Option<u64>,
-        eng: &mut ParEngine<'_>,
-    ) -> Result<(), SimError> {
-        self.run_deadline = deadline;
-        loop {
-            self.settle_instant_par(eng)?;
-            if !self.advance_time(deadline)? {
-                return Ok(());
-            }
-        }
-    }
-
-    /// The parallel twin of [`Simulator::settle_instant`]: drains the
-    /// ready queue round by round. A round whose runnable processes span
-    /// multiple shards forks across the pool; anything else (one
-    /// runnable process, or all on one shard) runs the unmodified scalar
-    /// path, keeping the fast-forward time jumps.
-    fn settle_instant_par(&mut self, eng: &mut ParEngine<'_>) -> Result<(), SimError> {
-        let mut deltas = 0u32;
-        loop {
-            if !self.pending.is_empty() {
-                self.apply_pending();
-                self.wake_on()?;
-                deltas += 1;
-                self.total_deltas += 1;
-                if deltas > self.config.max_deltas_per_instant {
-                    return Err(SimError::DeltaOverflow { time: self.time });
-                }
-            }
-            if self.ready.is_empty() {
-                if self.pending.is_empty() {
-                    return Ok(());
-                }
-                continue;
-            }
-            // Like the scalar drain, processes woken mid-drain (by a
-            // fast-forwarded write) join before the next pending batch
-            // applies — each pass re-inspects what is left.
-            while !self.ready.is_empty() {
-                let mut runnable = 0usize;
-                let mut first_shard = usize::MAX;
-                let mut multi = false;
-                for &pid in &self.ready {
-                    if matches!(self.processes[pid].status, Status::Ready) {
-                        runnable += 1;
-                        let s = eng.plan.shard_of[pid];
-                        if first_shard == usize::MAX {
-                            first_shard = s;
-                        } else if s != first_shard {
-                            multi = true;
-                        }
-                    }
-                }
-                if !multi {
-                    if runnable > 0 {
-                        eng.stats.scalar_rounds += 1;
-                    }
-                    while let Some(pid) = self.ready.pop_front() {
-                        if matches!(self.processes[pid].status, Status::Ready) {
-                            self.run_process(pid)?;
-                        }
-                    }
-                } else {
-                    self.run_round_parallel(eng)?;
-                }
-            }
-        }
-    }
-
-    /// One fork/join round: dispatch the runnable processes to their
-    /// shards, run one shard inline, then replay every staged effect in
-    /// scalar pop order at the barrier (see `shard.rs` for why the
-    /// replay reconstructs the scalar execution exactly).
-    fn run_round_parallel(&mut self, eng: &mut ParEngine<'_>) -> Result<(), SimError> {
-        // Capture the round in scalar pop order.
-        eng.round.clear();
-        while let Some(pid) = self.ready.pop_front() {
-            if matches!(self.processes[pid].status, Status::Ready) {
-                eng.round.push(pid);
-            }
-        }
-        for (i, &pid) in eng.round.iter().enumerate() {
-            eng.round_pos[pid] = i;
-        }
-        // Refresh the shared snapshot in place: the workers dropped
-        // their handles at the previous barrier, so the Arc is unique
-        // and only signals that actually changed are cloned.
-        {
-            let snap = Arc::make_mut(&mut eng.snapshot);
-            for &sig in &self.snap_dirty {
-                snap[sig] = self.signals[sig].clone();
-            }
-            self.snap_dirty.clear();
-        }
-        // Build one job per active shard: move the shard's variable
-        // values and processes out of the master (placeholders stay
-        // behind), pop order preserved within each shard.
-        for pids in &mut eng.shard_pids {
-            pids.clear();
-        }
-        for &pid in &eng.round {
-            eng.shard_pids[eng.plan.shard_of[pid]].push(pid);
-        }
-        let mut inline_job: Option<Job> = None;
-        let mut dispatched = 0usize;
-        for s in 0..eng.shard_pids.len() {
-            if eng.shard_pids[s].is_empty() {
-                continue;
-            }
-            let mut vars = eng.var_bufs[s].take().expect("buffer parked at barrier");
-            for &v in &eng.shard_vars[s] {
-                std::mem::swap(&mut self.vars[v], &mut vars[v]);
-            }
-            let procs = eng.shard_pids[s]
-                .iter()
-                .map(|&pid| {
-                    let placeholder = Process {
-                        behavior: self.processes[pid].behavior,
-                        frames: Vec::new(),
-                        status: Status::Finished,
-                        registered: Vec::new(),
-                        wait_gen: 0,
-                        finish_time: None,
-                        iterations: 0,
-                        active_cycles: 0,
-                        instrs_executed: 0,
-                    };
-                    (
-                        pid,
-                        std::mem::replace(&mut self.processes[pid], placeholder),
-                    )
-                })
-                .collect();
-            let job = Job {
-                shard: s,
-                time: self.time,
-                snapshot: Arc::clone(&eng.snapshot),
-                vars,
-                procs,
-            };
-            match &eng.job_txs[s] {
-                // The first active shard (shard 0 when present — it has
-                // no worker) runs inline so the main thread pulls its
-                // weight instead of idling at the barrier.
-                Some(tx) if inline_job.is_some() => {
-                    tx.send(job).expect("worker alive inside the scope");
-                    dispatched += 1;
-                }
-                _ => inline_job = Some(job),
-            }
-        }
-        for n in &mut eng.shard_round_instrs {
-            *n = 0;
-        }
-        eng.ordered.clear();
-        eng.ordered.resize_with(eng.round.len(), || None);
-        let inline_job = inline_job.expect("a multi-shard round has at least two active shards");
-        let inline_res = shard::run_job(
-            self.system,
-            eng.behavior_code,
-            eng.procedure_code,
-            eng.max_steps,
-            &mut eng.inline_regs,
-            inline_job,
-        );
-        self.integrate_result(eng, inline_res);
-        for _ in 0..dispatched {
-            let res = eng
-                .res_rx
-                .recv()
-                .expect("a worker disappeared mid-round (panic in shard executor)");
-            self.integrate_result(eng, res);
-        }
-        let round_max = eng.shard_round_instrs.iter().copied().max().unwrap_or(0);
-        for (s, &n) in eng.shard_round_instrs.iter().enumerate() {
-            eng.stats.shard_instrs[s] += n;
-            eng.stats.barrier_stall_instrs += round_max - n;
-        }
-        eng.stats.parallel_rounds += 1;
-        // Barrier replay in scalar pop order. Only the round's last
-        // process may fast-forward time — exactly the scalar condition
-        // (the ready queue is empty when it suspends) — and on success
-        // it simply keeps running on the scalar path.
-        let last = eng.round.len() - 1;
-        for i in 0..eng.round.len() {
-            let rep = eng.ordered[i].take().expect("every round member reported");
-            let pid = rep.pid;
-            self.total_instrs += rep.steps;
-            self.assertions_checked += rep.asserts;
-            for op in rep.ops {
-                match op {
-                    Staged::Pending { signal, value } => {
-                        self.pending.push((signal, value, false));
-                    }
-                    Staged::Sleep { wake } => {
-                        if i == last && self.try_fast_advance(wake)? {
-                            self.run_process(pid)?;
-                        } else {
-                            self.sleep_until(pid, wake);
-                        }
-                    }
-                    Staged::TimedWrite {
-                        wake,
-                        signal,
-                        value,
-                    } => {
-                        if i == last {
-                            match self.try_fast_advance_write(wake, signal, value)? {
-                                None => self.run_process(pid)?,
-                                Some(v) => {
-                                    self.schedule_write(wake, signal, v, false);
-                                    self.sleep_until(pid, wake);
-                                }
-                            }
-                        } else {
-                            self.schedule_write(wake, signal, value, false);
-                            self.sleep_until(pid, wake);
-                        }
-                    }
-                    Staged::WaitOn { signals } => {
-                        self.register_wait(pid, WaitKind::Signals, &signals);
-                    }
-                    Staged::WaitUntil { cond, deadline } => {
-                        self.register_wait(
-                            pid,
-                            WaitKind::Until(Arc::clone(&cond)),
-                            &cond.sensitivity,
-                        );
-                        if let Some(d) = deadline {
-                            self.arm_watchdog(pid, d);
-                        }
-                    }
-                    Staged::WaitIs {
-                        signal,
-                        value,
-                        deadline,
-                    } => {
-                        self.register_wait_one(pid, WaitKind::SignalIs(signal, value), signal);
-                        if let Some(d) = deadline {
-                            self.arm_watchdog(pid, d);
-                        }
-                    }
-                }
-            }
-            // First error in pop order wins; the staged effects of every
-            // later process are discarded, exactly as the scalar kernel
-            // would never have run them.
-            if let Some(e) = rep.error {
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
-    /// Integrates one shard's result at the barrier: variables swap back
-    /// (master copy authoritative again), processes move home, outcomes
-    /// line up in scalar pop order for the replay.
-    fn integrate_result(&mut self, eng: &mut ParEngine<'_>, res: JobResult) {
-        let JobResult {
-            shard,
-            mut vars,
-            outcomes,
-        } = res;
-        for &v in &eng.shard_vars[shard] {
-            std::mem::swap(&mut self.vars[v], &mut vars[v]);
-        }
-        eng.var_bufs[shard] = Some(vars);
-        for out in outcomes {
-            let Outcome {
-                pid,
-                process,
-                ops,
-                steps,
-                asserts,
-                error,
-            } = out;
-            eng.shard_round_instrs[shard] += steps;
-            self.processes[pid] = process;
-            eng.ordered[eng.round_pos[pid]] = Some(Replay {
-                pid,
-                ops,
-                steps,
-                asserts,
-                error,
-            });
-        }
-    }
-
     /// Applies zero-delay writes, recording changed signals in the
     /// `changed` scratch buffer.
     ///
@@ -1113,9 +626,6 @@ impl<'a> Simulator<'a> {
             self.signals[sig] = value;
             self.signal_events[sig] += 1;
             self.changed.push(sig);
-            if self.snap_track {
-                self.snap_dirty.push(sig);
-            }
             if self.config.trace && self.trace.len() < self.config.max_trace_events {
                 self.trace.push(TraceEvent {
                     time: self.time,

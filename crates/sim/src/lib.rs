@@ -53,11 +53,9 @@ mod eval;
 mod exec;
 mod fault;
 mod kernel;
-mod lockstep;
 mod process;
 mod program;
 mod report;
-mod shard;
 
 pub mod analysis;
 pub mod trace;
@@ -73,10 +71,8 @@ pub use error::SimError;
 pub use exec::{ExprCode, MicroOp, Src};
 pub use fault::{Fault, FaultKind, FaultPlan, InjectedFault};
 pub use kernel::Simulator;
-pub use lockstep::{LockstepSim, LockstepStats};
 pub use program::{Code, CodeCache, CompiledCond, Instr, Program, WaitSpec};
 pub use report::{SimReport, TraceEvent};
-pub use shard::ParallelStats;
 
 /// Test-support surface: evaluate one expression through each engine.
 ///

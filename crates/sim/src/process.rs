@@ -50,7 +50,7 @@ pub(crate) struct ResolvedPlace {
 }
 
 /// A call frame.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Frame {
     /// The code block being executed.
     pub code: CodeRef,
@@ -95,7 +95,7 @@ pub(crate) enum WaitKind {
 }
 
 /// Scheduler status of a process.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub(crate) enum Status {
     /// Runnable now.
     Ready,
@@ -108,7 +108,7 @@ pub(crate) enum Status {
 }
 
 /// Runtime state of one behavior instance.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Process {
     /// Index of the behavior in the system.
     pub behavior: usize,

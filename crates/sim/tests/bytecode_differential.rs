@@ -9,10 +9,9 @@
 //! error from the other is always a bug.
 
 use ifsyn_sim::testing::{eval_bytecode, eval_tree};
-use ifsyn_sim::{LockstepSim, SimConfig, Simulator};
 use ifsyn_spec::dsl::*;
 use ifsyn_spec::rng::SplitMix64;
-use ifsyn_spec::{BinOp, BitVec, Expr, SignalId, Stmt, System, Ty, UnaryOp, Value, VarId};
+use ifsyn_spec::{BinOp, BitVec, Expr, SignalId, System, Ty, UnaryOp, Value, VarId};
 
 /// Bit widths the variable palette covers.
 const WIDTHS: [u32; 5] = [1, 4, 8, 16, 32];
@@ -389,183 +388,5 @@ fn bytecode_matches_tree_walk_on_place_reads() {
     ];
     for (i, expr) in cases.iter().enumerate() {
         check(&env, expr, 0, i);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lockstep vs scalar: whole-simulation differential suite.
-//
-// `LockstepSim` runs N parameter variants of one compiled program through a
-// single dispatch stream; lanes whose control flow diverges peel back to the
-// scalar kernel. The contract is total: for every input system the lockstep
-// result must be *field-for-field equal* to what the scalar `Simulator`
-// produces for that system alone — same finish times, same delta/instruction
-// counters, same final storage. These tests generate randomized behaviors
-// (branches, loops, waits, handshakes, procedure-free and data-dependent
-// control) and assert that equality lane by lane, including on lanes that
-// are forced to diverge mid-run.
-// ---------------------------------------------------------------------------
-
-/// A randomized two-process system parameterized by `payload`, the initial
-/// value of the producer's seed variable. The statement mix is driven by
-/// `rng`, so equal seeds build structurally identical programs (one convoy)
-/// while payloads vary per lane.
-fn gen_system(rng: &mut SplitMix64, payload: i64) -> System {
-    let mut sys = System::new("lockdiff");
-    let m = sys.add_module("chip");
-    let req = sys.add_signal("REQ", Ty::Bit);
-    let ack = sys.add_signal("ACK", Ty::Bit);
-    let data = sys.add_signal("DATA", Ty::Int(16));
-
-    let p = sys.add_behavior("producer", m);
-    let seed = sys.add_variable_init("seed", Ty::Int(16), p, Value::int(payload, 16));
-    let acc = sys.add_variable("acc", Ty::Int(16), p);
-    let idx = sys.add_variable("idx", Ty::Int(8), p);
-
-    let mut body = Vec::new();
-    let stmts = 3 + rng.below(5);
-    for _ in 0..stmts {
-        body.push(gen_stmt(rng, seed, acc, idx, data, 2));
-    }
-    // A fixed handshake tail so the run always exercises signal waits,
-    // wake-on and the projected-write machinery.
-    body.extend([
-        drive_cost(data, load(var(acc)), 1),
-        drive_cost(req, bit_const(true), 1),
-        wait_until(eq(signal(ack), bit_const(true))),
-        drive_cost(req, bit_const(false), 1),
-    ]);
-    sys.behavior_mut(p).body = body;
-
-    let c = sys.add_behavior("consumer", m);
-    let seen = sys.add_variable("seen", Ty::Int(16), c);
-    sys.behavior_mut(c).body = vec![
-        wait_until(eq(signal(req), bit_const(true))),
-        assign(var(seen), signal(data)),
-        Stmt::compute(2, "latch"),
-        drive_cost(ack, bit_const(true), 1),
-    ];
-    sys
-}
-
-/// One random producer statement. Branch conditions compare the seed
-/// variable against thresholds inside the payload range, so a spread of
-/// payloads exercises both uniform and divergent control flow.
-fn gen_stmt(
-    rng: &mut SplitMix64,
-    seed: VarId,
-    acc: VarId,
-    idx: VarId,
-    data: SignalId,
-    depth: u32,
-) -> Stmt {
-    let pick = if depth == 0 {
-        rng.below(5)
-    } else {
-        rng.below(8)
-    };
-    match pick {
-        0 => assign(
-            var(acc),
-            add(load(var(acc)), int_const(rng.range_i64(1, 9), 16)),
-        ),
-        1 => assign_cost(
-            var(acc),
-            add(load(var(acc)), mul(load(var(seed)), int_const(2, 16))),
-            rng.range_u32(1, 3),
-        ),
-        2 => Stmt::compute(rng.range_u64(1, 5), "work"),
-        3 => wait_cycles(rng.range_u64(1, 4)),
-        4 => drive_cost(data, load(var(acc)), 1),
-        5 => if_else(
-            lt(load(var(seed)), int_const(rng.range_i64(10, 90), 16)),
-            vec![gen_stmt(rng, seed, acc, idx, data, depth - 1)],
-            vec![gen_stmt(rng, seed, acc, idx, data, depth - 1)],
-        ),
-        // Loop bodies stay leaf-only (depth 0): all loops share the one
-        // `idx` counter, and a nested loop resetting it would never let
-        // the outer loop terminate.
-        6 => for_loop(
-            var(idx),
-            int_const(0, 8),
-            int_const(rng.range_i64(1, 4), 8),
-            vec![gen_stmt(rng, seed, acc, idx, data, 0)],
-        ),
-        _ => if_then(
-            eq(load(var(seed)), int_const(rng.range_i64(0, 99), 16)),
-            vec![gen_stmt(rng, seed, acc, idx, data, depth - 1)],
-        ),
-    }
-}
-
-/// Runs `systems` through the lockstep engine and asserts every lane's
-/// report equals its own scalar run. Returns the stats for shape checks.
-fn check_lockstep(systems: &[System], seed: u64) -> ifsyn_sim::LockstepStats {
-    let config = SimConfig::new();
-    let (results, stats) = LockstepSim::run_with_stats(systems, &config, None);
-    assert_eq!(results.len(), systems.len());
-    for (i, (sys, got)) in systems.iter().zip(results).enumerate() {
-        let want = Simulator::with_config(sys, config.clone()).and_then(|s| s.run_to_quiescence());
-        assert_eq!(got, want, "lane {i} diverged from scalar (seed {seed})");
-    }
-    stats
-}
-
-#[test]
-fn lockstep_matches_scalar_on_random_programs() {
-    for seed in 0..24u64 {
-        let mut rng = SplitMix64::new(0x10c5_7e90 + seed);
-        let lanes = 2 + rng.below(15) as usize; // 2..=16 variants
-        let payloads: Vec<i64> = (0..lanes).map(|_| rng.range_i64(0, 99)).collect();
-        // Rebuild from an identical statement stream per lane: clone the
-        // rng state so every lane gets the same program shape.
-        let systems: Vec<System> = payloads
-            .iter()
-            .map(|&p| {
-                let mut lane_rng = SplitMix64::new(0xbead_0000 + seed);
-                gen_system(&mut lane_rng, p)
-            })
-            .collect();
-        let stats = check_lockstep(&systems, seed);
-        assert_eq!(
-            stats.convoys, 1,
-            "identical programs must form one convoy (seed {seed})"
-        );
-    }
-}
-
-#[test]
-fn lockstep_matches_scalar_with_forced_divergence() {
-    // Payloads straddling every generated threshold guarantee some lanes
-    // take different branches and peel; peeled lanes must still match
-    // their scalar runs exactly.
-    for seed in 0..12u64 {
-        let payloads = [0i64, 5, 42, 57, 88, 99];
-        let systems: Vec<System> = payloads
-            .iter()
-            .map(|&p| {
-                let mut lane_rng = SplitMix64::new(0xd1ff_0000 + seed);
-                gen_system(&mut lane_rng, p)
-            })
-            .collect();
-        check_lockstep(&systems, seed);
-    }
-}
-
-#[test]
-fn lockstep_identical_lanes_never_peel() {
-    for seed in 0..6u64 {
-        let systems: Vec<System> = (0..16)
-            .map(|_| {
-                let mut lane_rng = SplitMix64::new(0x5a5a_0000 + seed);
-                gen_system(&mut lane_rng, 37)
-            })
-            .collect();
-        let stats = check_lockstep(&systems, seed);
-        assert_eq!(
-            stats.peeled_lanes, 0,
-            "identical lanes peeled (seed {seed})"
-        );
-        assert_eq!(stats.lockstep_lanes, 16);
     }
 }

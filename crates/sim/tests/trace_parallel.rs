@@ -1,19 +1,19 @@
-//! Trace ordering under the parallel delta-cycle kernel.
+//! Trace replay and truncation on a field of many parallel processes.
 //!
 //! [`TraceSink`] documents that `change` hooks arrive "in non-decreasing
-//! time order, exactly as the kernel recorded them". The parallel kernel
-//! must preserve that guarantee bit-for-bit: the recorded event stream —
-//! and therefore any rendering of it, VCD text included — is identical
-//! at every thread count, and the [`SimConfig::with_max_trace_events`]
-//! bound truncates at exactly the same event.
+//! time order, exactly as the kernel recorded them", and every sink rides
+//! the same [`emit_trace`] replay. A synthetic field whose processes
+//! interleave over a few thousand events checks both promises, and that
+//! the [`SimConfig::with_max_trace_events`] bound cuts the recorded stream
+//! without reordering it.
 
-use ifsyn_sim::trace::{emit_trace, MemorySink};
-use ifsyn_sim::vcd::to_vcd_string;
+use ifsyn_sim::trace::{emit_trace, MemorySink, TraceSink};
+use ifsyn_sim::vcd::{to_vcd_string, VcdSink};
 use ifsyn_sim::{SimConfig, SimReport, Simulator};
-use ifsyn_spec::System;
+use ifsyn_spec::{SignalId, System};
 use ifsyn_systems::{synth_system, SynthConfig};
 
-/// A synthetic field busy enough to produce multi-shard rounds and a
+/// A synthetic field busy enough to interleave many processes over a
 /// few thousand trace events.
 fn field() -> ifsyn_systems::SynthSystem {
     synth_system(
@@ -33,47 +33,38 @@ fn run(sys: &System, config: SimConfig) -> SimReport {
 }
 
 #[test]
-fn vcd_text_is_identical_at_any_thread_count() {
-    let f = field();
-    let config = SimConfig::new().with_trace();
-    let scalar = run(&f.system, config.clone());
-    let scalar_vcd = to_vcd_string(&f.system, &scalar);
-    assert!(
-        scalar_vcd.contains("$enddefinitions"),
-        "VCD header rendered"
-    );
-    for threads in [2, 4, 8] {
-        let par = run(&f.system, config.clone().with_sim_threads(threads));
-        assert_eq!(
-            to_vcd_string(&f.system, &par),
-            scalar_vcd,
-            "VCD text diverged at {threads} threads"
-        );
-    }
-}
-
-#[test]
 fn memory_sink_sees_the_same_replay_as_the_vcd_renderer() {
-    // Both sinks ride the same `emit_trace` replay; under the parallel
-    // kernel the MemorySink stream must equal the scalar one event for
-    // event, and stay consistent with the report it came from.
+    // Both sinks ride the same `emit_trace` replay: the MemorySink stream
+    // mirrors the report, and feeding it back into a VcdSink renders the
+    // VCD text drawn straight from the report.
     let f = field();
-    let config = SimConfig::new().with_trace();
-    let scalar = run(&f.system, config.clone());
-    let mut scalar_sink = MemorySink::new();
-    emit_trace(&f.system, &scalar, &mut scalar_sink);
-    for threads in [2, 4, 8] {
-        let par = run(&f.system, config.clone().with_sim_threads(threads));
-        let mut par_sink = MemorySink::new();
-        emit_trace(&f.system, &par, &mut par_sink);
-        assert_eq!(par_sink, scalar_sink, "sink diverged at {threads} threads");
-        assert_eq!(par_sink.events, par.trace(), "sink mirrors its report");
-        // The documented ordering guarantee: non-decreasing time.
-        assert!(
-            par_sink.events.windows(2).all(|w| w[0].time <= w[1].time),
-            "events out of time order at {threads} threads"
-        );
+    let report = run(&f.system, SimConfig::new().with_trace());
+    let mut sink = MemorySink::new();
+    emit_trace(&f.system, &report, &mut sink);
+    assert_eq!(sink.events, report.trace(), "sink mirrors its report");
+    // The documented ordering guarantee: non-decreasing time.
+    assert!(
+        sink.events.windows(2).all(|w| w[0].time <= w[1].time),
+        "events out of time order"
+    );
+
+    let mut vcd = VcdSink::new();
+    vcd.begin(&f.system);
+    for (i, value) in sink.initials.iter().enumerate() {
+        vcd.initial(SignalId::new(i as u32), value);
     }
+    vcd.start_changes();
+    for event in &sink.events {
+        vcd.change(event.time, event.signal, &event.value);
+    }
+    vcd.finish(sink.end_time);
+    let vcd = vcd.into_string();
+    assert!(vcd.contains("$enddefinitions"), "VCD header rendered");
+    assert_eq!(
+        vcd,
+        to_vcd_string(&f.system, &report),
+        "VCD renderer saw a different replay"
+    );
 }
 
 #[test]
@@ -82,20 +73,14 @@ fn trace_truncation_cuts_at_the_same_event() {
     let full = run(&f.system, SimConfig::new().with_trace());
     let cap = full.trace().len() / 2;
     assert!(cap > 0, "field produces enough events to truncate");
-    let capped = SimConfig::new().with_trace().with_max_trace_events(cap);
-    let scalar = run(&f.system, capped.clone());
-    assert_eq!(scalar.trace().len(), cap, "scalar run filled the bound");
+    let capped = run(
+        &f.system,
+        SimConfig::new().with_trace().with_max_trace_events(cap),
+    );
+    assert_eq!(capped.trace().len(), cap, "capped run filled the bound");
     assert_eq!(
-        scalar.trace(),
+        capped.trace(),
         &full.trace()[..cap],
         "truncation is a prefix of the full trace"
     );
-    for threads in [2, 4, 8] {
-        let par = run(&f.system, capped.clone().with_sim_threads(threads));
-        assert_eq!(
-            par.trace(),
-            scalar.trace(),
-            "truncated trace diverged at {threads} threads"
-        );
-    }
 }

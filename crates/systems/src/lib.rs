@@ -11,7 +11,7 @@
 //! * [`ethernet`] — the Ethernet network coprocessor mentioned in §5;
 //! * [`mod@synth`] — a deterministic synthetic-system generator for
 //!   scale testing (not from the paper: the examples above are too small
-//!   to exercise the parallel simulation kernel or large sweeps).
+//!   to stress the model checker or the simulator's scheduler).
 //!
 //! The FLC and Fig. 3 models are built already-partitioned (hand-derived
 //! channels with the exact message sizes the paper reports); the

@@ -1,16 +1,15 @@
 //! Deterministic synthetic-system generator.
 //!
 //! The paper's examples top out at a handful of behaviors, which is the
-//! wrong scale for exercising the parallel delta-cycle kernel or the
-//! clustering heuristics: every process fits one shard and every sweep
-//! finishes before the thread pool warms up. This module generates
+//! wrong scale for stressing the model checker, the simulator's
+//! scheduler or the clustering heuristics. This module generates
 //! arbitrarily large, *deterministic* systems — seeded by an in-tree
 //! [`SplitMix64`] stream, so equal configurations always produce
 //! structurally identical specifications.
 //!
 //! The generated shape is a field of producer/consumer **couples**. Each
-//! couple is a pair of behaviors that share no variables (so the shard
-//! planner may split them freely) and talk through two private signals:
+//! couple is a pair of behaviors that share no variables and talk
+//! through two private signals:
 //!
 //! ```text
 //! producer i:  loop rounds {            consumer i:  loop rounds {
@@ -23,10 +22,9 @@
 //!
 //! Every producer additionally drives one shared `clash` signal each
 //! round (when [`SynthConfig::conflicts`] is on), forcing same-delta
-//! write conflicts whose resolution order must match the scalar kernel
-//! exactly. The per-couple compute depth is jittered by the seed, so
-//! shards finish rounds at different instruction counts — which is what
-//! makes the barrier-stall counters of the parallel kernel non-trivial.
+//! write conflicts that the kernel resolves last-write-wins. The
+//! per-couple compute depth is jittered by the seed, so couples finish
+//! rounds at different instruction counts.
 
 use ifsyn_spec::dsl::*;
 use ifsyn_spec::rng::SplitMix64;
@@ -47,7 +45,7 @@ pub struct SynthConfig {
     /// actual per-couple depth is jittered ±25% by the seed.
     pub compute: u64,
     /// Drive a shared `clash` signal from every producer every round,
-    /// forcing cross-shard same-delta write conflicts.
+    /// forcing same-delta write conflicts between couples.
     pub conflicts: bool,
     /// Cycle cost of each compute-loop iteration. The default 0 keeps
     /// the generated system byte-identical to earlier revisions (the
@@ -173,7 +171,7 @@ pub fn synth_system(cfg: &SynthConfig) -> SynthSystem {
         let ack = sys.add_signal_init(format!("ack{i}"), Ty::Int(32), Value::int(0, 32));
 
         // Producer: compute, publish, handshake. All couple state is
-        // private, so the shard planner owes it nothing.
+        // private to the couple.
         let p = sys.add_behavior(format!("prod{i}"), modules[(2 * i) % modules.len()]);
         let acc = sys.add_variable_init(
             format!("p{i}_acc"),

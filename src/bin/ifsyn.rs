@@ -65,16 +65,8 @@
 //!                          LO..=HI and batch-simulate all of them,
 //!                          printing a finish-time table
 //!   --jobs N               worker threads for --sweep-sim (0 or unset:
-//!                          one per core, or $IFSYN_SWEEP_THREADS)
-//!   --sim-threads N        threads *inside* each simulation: shard the
-//!                          processes of one system across N workers
-//!                          (results are byte-identical to N=1). With
-//!                          --sweep-sim the automatic --jobs count
-//!                          shrinks so jobs x sim-threads stays within
-//!                          the machine's budget
-//!   --lockstep             with --sweep-sim: run width variants whose
-//!                          compiled programs match through the lockstep
-//!                          convoy engine (one dispatch stream, N lanes)
+//!                          one per core, or $IFSYN_SWEEP_THREADS); each
+//!                          simulation runs on one thread
 //!
 //! `ifsyn analyze` runs the post-simulation bus analyzer: the spec is
 //! synthesized (honoring --width/--protocol/--channels/--min-width/...),
@@ -128,8 +120,6 @@ struct Options {
     lint: bool,
     sweep_sim: Option<(u32, u32)>,
     jobs: usize,
-    sim_threads: usize,
-    lockstep: bool,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -297,10 +287,6 @@ fn run() -> Result<(), Box<dyn Error>> {
     } else {
         SimConfig::new()
     };
-    if options.sim_threads > 1 {
-        config = config.with_sim_threads(options.sim_threads);
-        println!("parallel kernel: {} sim-threads", options.sim_threads);
-    }
     if !options.faults.is_empty() {
         let mut plan = FaultPlan::new();
         for spec in &options.faults {
@@ -398,8 +384,7 @@ fn analyze_spec(
     }
     let config = SimConfig::new()
         .with_trace()
-        .with_max_trace_events(ANALYZE_TRACE_CAP)
-        .with_sim_threads(options.sim_threads.max(1));
+        .with_max_trace_events(ANALYZE_TRACE_CAP);
     let report = Simulator::with_config(&refined.system, config)?.run_to_quiescence()?;
     let meta = BusMeta::from_refined(&refined);
     let analysis = analyze_report(&refined.system, &report, &meta)?;
@@ -669,30 +654,12 @@ fn sweep_sim(
         let design = BusDesign::with_width(channels.to_vec(), width, protocol);
         systems.push(pg.refine(system, &design)?.system);
     }
-    let runner = BatchRunner::new()
-        .with_jobs(options.jobs)
-        .with_sim_threads(options.sim_threads.max(1))
-        .with_lockstep(options.lockstep);
+    let runner = BatchRunner::new().with_jobs(options.jobs);
     println!(
-        "\nbatch-simulating widths {lo}..={hi} over {} worker(s) x {} sim-thread(s){}",
+        "\nbatch-simulating widths {lo}..={hi} over {} worker(s) x 1 sim-thread(s)",
         runner.jobs().min(systems.len().max(1)),
-        runner.sim_threads(),
-        if options.lockstep { " in lockstep" } else { "" }
     );
-    let reports = if options.lockstep {
-        let (reports, stats) = runner.run_lockstep(&systems);
-        println!(
-            "lockstep: {} convoy(s), widest {} lane(s); {} lockstep / {} peeled / {} scalar",
-            stats.convoys,
-            stats.max_lanes,
-            stats.lockstep_lanes,
-            stats.peeled_lanes,
-            stats.scalar_lanes
-        );
-        reports
-    } else {
-        runner.run(&systems)
-    };
+    let reports = runner.run(&systems);
     println!("\nwidth  quiescent at  instrs executed");
     for (width, report) in (lo..=hi).zip(&reports) {
         match report {
@@ -802,8 +769,6 @@ fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Options, Box<dy
                 o.sweep_sim = Some((lo, hi));
             }
             "--jobs" => o.jobs = value_of("--jobs")?.parse()?,
-            "--sim-threads" => o.sim_threads = value_of("--sim-threads")?.parse()?,
-            "--lockstep" => o.lockstep = true,
             other if !other.starts_with('-') && o.spec_path.is_none() => {
                 o.spec_path = Some(other.to_string())
             }
@@ -957,32 +922,11 @@ mod tests {
 
     #[test]
     fn parses_sweep_sim_and_jobs() {
-        let o = parse(&["s.ifs", "--sweep-sim", "1-30", "--jobs", "4", "--lockstep"]);
+        let o = parse(&["s.ifs", "--sweep-sim", "1-30", "--jobs", "4"]);
         assert_eq!(o.sweep_sim, Some((1, 30)));
         assert_eq!(o.jobs, 4);
-        assert!(o.lockstep);
-        // Unset jobs means automatic; lockstep defaults off.
+        // Unset jobs means automatic.
         assert_eq!(parse(&["s.ifs"]).jobs, 0);
-        assert!(!parse(&["s.ifs"]).lockstep);
-    }
-
-    #[test]
-    fn parses_sim_threads() {
-        let o = parse(&["s.ifs", "--sim-threads", "4"]);
-        assert_eq!(o.sim_threads, 4);
-        // Unset means the scalar kernel; composes with --jobs.
-        assert_eq!(parse(&["s.ifs"]).sim_threads, 0);
-        let o = parse(&[
-            "s.ifs",
-            "--sweep-sim",
-            "1-8",
-            "--jobs",
-            "2",
-            "--sim-threads",
-            "3",
-        ]);
-        assert_eq!(o.jobs, 2);
-        assert_eq!(o.sim_threads, 3);
         for bad in ["30", "0-4", "9-3"] {
             assert!(
                 parse_args(["s.ifs", "--sweep-sim", bad].map(String::from).into_iter()).is_err(),
@@ -1030,7 +974,16 @@ mod tests {
 
     #[test]
     fn rejects_unknown_flags() {
-        assert!(parse_args(["--frob".to_string()].into_iter()).is_err());
+        for args in [
+            &["--frob"][..],
+            &["s.ifs", "--lockstep"][..],
+            &["s.ifs", "--sim-threads", "2"][..],
+        ] {
+            assert!(
+                parse_args(args.iter().map(|s| s.to_string())).is_err(),
+                "{args:?}"
+            );
+        }
     }
 
     #[test]
