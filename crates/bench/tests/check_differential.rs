@@ -350,12 +350,12 @@ fn randomized_synth_fields_agree_across_engines() {
                     "seed {seed}: graph not thread-invariant"
                 ),
             }
-            // Allocation discipline: persistent per-worker scratch states
-            // only, never a fresh state per transition.
-            assert!(
-                ss.stats().state_allocs < 64,
-                "seed {seed}: {} scratch-state allocations",
-                ss.stats().state_allocs
+            // Allocation discipline: one persistent scratch state per
+            // worker plus the root, never a fresh state per transition.
+            assert_eq!(
+                ss.stats().state_allocs,
+                threads as u64 + 1,
+                "seed {seed}: scratch-state allocations at {threads} thread(s)"
             );
         }
     }

@@ -26,13 +26,15 @@
 //! re-expanded in full, so every cycle in the reduced graph contains a
 //! fully expanded state and no transition is deferred forever.
 
+use std::hash::Hash;
+
 use ifsyn_spec::{BitVec, Value};
 
 use crate::error::SimError;
 use crate::eval::coerce;
 use crate::exec::RegFile;
 
-use super::state::{CkProc, CkState, CompactState, Dedup, EnvComp, Layout, Pools};
+use super::state::{CkProc, CkState, CompactState, Dedup, EnvComp, Interner, Layout, Pools};
 use super::step::RunFx;
 use super::{Checker, EnvFault};
 
@@ -54,13 +56,32 @@ pub(super) struct SuccData {
     pub label: StepLabel,
     pub cost: u64,
     /// Full signal valuation, when any signal was stored.
-    sig: Option<Box<[Value]>>,
+    sig: Option<Found<Box<[Value]>>>,
     /// Dirty variable groups with their new valuations.
     groups: Vec<(u32, Box<[Value]>)>,
     /// Changed process control states.
-    procs: Vec<(u32, CkProc)>,
+    procs: Vec<(u32, Found<CkProc>)>,
     /// New fault environment, when a fault struck.
     env: Option<EnvComp>,
+}
+
+/// A successor component as a worker resolved it against the read-only
+/// pools: the id of an equal pooled component, or — on a miss — an
+/// owned copy for the serial commit to intern.
+enum Found<T> {
+    Id(u32),
+    New(T),
+}
+
+impl<T: Hash + Eq> Found<T> {
+    /// The component's id, interning a miss (ids are assigned only
+    /// here, at the serial commit).
+    fn intern(self, pool: &mut Interner<T>) -> u32 {
+        match self {
+            Found::Id(id) => id,
+            Found::New(value) => pool.intern(value),
+        }
+    }
 }
 
 /// Result of expanding one state.
@@ -79,6 +100,7 @@ pub(super) enum Expansion {
 /// writes are diffed against and rolled back from.
 struct Src<'p> {
     pools: &'p Pools,
+    cs: CompactState,
     sigs: &'p [Value],
     /// Group-valuation ids.
     groups: &'p [u32],
@@ -91,6 +113,7 @@ impl<'p> Src<'p> {
     fn new(pools: &'p Pools, cs: CompactState) -> Self {
         Self {
             pools,
+            cs,
             sigs: pools.sigs.get(cs.sig),
             groups: pools.varvecs.get(cs.var),
             procs: pools.ctls.get(cs.ctl),
@@ -115,32 +138,77 @@ pub(super) struct WorkerCtx {
     cur: CkState,
     regs: RegFile,
     fx: RunFx,
+    held: Held,
+}
+
+/// The pool ids of the components a worker's `cur` holds, so the next
+/// [`WorkerCtx::materialize`] copies only the components whose ids
+/// differ. Pool ids are canonical and never reassigned, so equal ids
+/// mean equal contents.
+struct Held {
+    /// The state `cur` holds, or `None` when unknown: taken when an
+    /// expansion starts and put back only when one ends fully rolled
+    /// back. An error exit leaves it `None`, so the next expansion
+    /// copies everything.
+    cs: Option<CompactState>,
+    /// Per-group valuation ids: the entries of `cs.var`.
+    groups: Vec<u32>,
+    /// Per-process control ids: the entries of `cs.ctl`.
+    procs: Vec<u32>,
 }
 
 impl WorkerCtx {
     fn new(checker: &Checker<'_>) -> Self {
+        let cur = checker.initial_state();
+        let held = Held {
+            cs: None,
+            groups: vec![0; checker.layout.groups()],
+            procs: vec![0; cur.procs.len()],
+        };
         Self {
-            cur: checker.initial_state(),
+            cur,
             regs: RegFile::with_capacity(checker.max_regs as usize),
             fx: RunFx::default(),
+            held,
         }
     }
 
-    /// Rebuilds `cur` from the source state, reusing every buffer: the
-    /// one full copy per expanded state. Every expansion starts here, so
-    /// an exit that skips the rollback (the ample early return, an
-    /// error) cannot leak into the next expansion.
+    /// Turns `cur` into the source state, reusing every buffer. Only the
+    /// signal vector, variable groups, process controls and fault
+    /// environment whose pool ids differ from the ones `cur` holds are
+    /// copied; after an error exit, everything is. Every expansion
+    /// starts here, and the id record is trusted only when the previous
+    /// expansion ended fully rolled back, so no exit path leaks into the
+    /// next expansion.
     fn materialize(&mut self, src: &Src<'_>, layout: &Layout) {
-        let s = &mut self.cur;
-        s.signals.clone_from_slice(src.sigs);
-        for g in 0..layout.groups() {
-            restore_group(s, src, layout, g as u32);
+        let Self { cur: s, held, .. } = self;
+        let prev = held.cs.take();
+        let all = prev.is_none();
+        if prev.is_none_or(|p| p.sig != src.cs.sig) {
+            s.signals.clone_from_slice(src.sigs);
         }
-        for p in 0..s.procs.len() {
-            s.procs[p].clone_from(src.proc(p));
+        if prev.is_none_or(|p| p.var != src.cs.var) {
+            for (g, (h, &id)) in held.groups.iter_mut().zip(src.groups).enumerate() {
+                if all || *h != id {
+                    restore_group(s, src, layout, g as u32);
+                    *h = id;
+                }
+            }
         }
-        s.fault_budget.copy_from_slice(&src.env.fault_budget);
-        s.frozen.copy_from_slice(&src.env.frozen);
+        if prev.is_none_or(|p| p.ctl != src.cs.ctl) {
+            for (p, (h, &id)) in held.procs.iter_mut().zip(src.procs).enumerate() {
+                if all || *h != id {
+                    s.procs[p].clone_from(src.pools.procs.get(id));
+                    *h = id;
+                }
+            }
+        }
+        if prev.is_none_or(|p| p.env != src.cs.env) {
+            s.fault_budget.copy_from_slice(&src.env.fault_budget);
+            s.frozen.copy_from_slice(&src.env.frozen);
+        }
+        #[cfg(debug_assertions)]
+        assert_holds(s, src, layout);
     }
 
     /// Undoes the last run of process `pid` on `cur` (`None`: the last
@@ -176,6 +244,26 @@ fn restore_group(s: &mut CkState, src: &Src<'_>, layout: &Layout, g: u32) {
     for (&v, val) in layout.group_members[g as usize].iter().zip(vals.iter()) {
         s.vars[v as usize].clone_from(val);
     }
+}
+
+/// The id-keyed materialization's invariant: the scratch state equals
+/// the source state component by component.
+#[cfg(debug_assertions)]
+fn assert_holds(s: &CkState, src: &Src<'_>, layout: &Layout) {
+    assert_eq!(s.signals[..], *src.sigs, "scratch signals");
+    for (g, members) in layout.group_members.iter().enumerate() {
+        for (&v, val) in members.iter().zip(src.group(g as u32)) {
+            assert_eq!(s.vars[v as usize], *val, "scratch variable v{v}");
+        }
+    }
+    for (p, proc) in s.procs.iter().enumerate() {
+        assert_eq!(*proc, *src.proc(p), "scratch control of process {p}");
+    }
+    assert_eq!(
+        *s.fault_budget, *src.env.fault_budget,
+        "scratch fault budget"
+    );
+    assert_eq!(*s.frozen, *src.env.frozen, "scratch frozen mask");
 }
 
 impl<'a> Checker<'a> {
@@ -223,7 +311,9 @@ impl<'a> Checker<'a> {
     }
 
     /// Packages the changed components of the run's result `s` relative
-    /// to the source.
+    /// to the source. The signal vector and each touched process control
+    /// are looked up in the (read-only) pools first, so only components
+    /// no state has held before are copied.
     #[allow(clippy::too_many_arguments)]
     fn extract(
         &self,
@@ -235,11 +325,19 @@ impl<'a> Checker<'a> {
         label: StepLabel,
         cost: u64,
     ) -> SuccData {
+        let pools = src.pools;
         let mut procs = Vec::new();
         let mut note = |p: u32| {
-            if s.procs[p as usize] != *src.proc(p as usize) && !procs.iter().any(|(q, _)| *q == p) {
-                procs.push((p, s.procs[p as usize].clone()));
+            if procs.iter().any(|(q, _)| *q == p) {
+                return;
             }
+            let proc = &s.procs[p as usize];
+            let found = match pools.procs.find(proc) {
+                Some(id) if id == src.procs[p as usize] => return,
+                Some(id) => Found::Id(id),
+                None => Found::New(proc.clone()),
+            };
+            procs.push((p, found));
         };
         if let Some(p) = pid {
             note(p);
@@ -250,7 +348,10 @@ impl<'a> Checker<'a> {
         SuccData {
             label,
             cost,
-            sig: (fx.wrote_sig || env_changed).then(|| s.signals.iter().cloned().collect()),
+            sig: (fx.wrote_sig || env_changed).then(|| match pools.sigs.find(&s.signals[..]) {
+                Some(id) => Found::Id(id),
+                None => Found::New(s.signals[..].into()),
+            }),
             groups: fx
                 .dirty_groups
                 .iter()
@@ -285,6 +386,8 @@ impl<'a> Checker<'a> {
         for pid in 0..ctx.cur.procs.len() {
             ctx.fx.reset(por);
             match self.run_one(&mut ctx.cur, &mut ctx.regs, pid, false, &mut ctx.fx) {
+                // Nothing was written: no release sweep, diff or rollback.
+                Ok(None) => continue,
                 Ok(Some(cost)) => {
                     self.release_waiters(&mut ctx.cur, &mut ctx.regs, &mut ctx.fx)?;
                     if self.progress(&src, &ctx.cur, &ctx.fx, Some(pid)) {
@@ -305,14 +408,13 @@ impl<'a> Checker<'a> {
                             && ctx.fx.released.is_empty()
                             && ctx.cur.procs[pid].done == src.proc(pid).done
                         {
-                            // No rollback: the next expansion starts
-                            // from a full materialization.
+                            ctx.rollback(&src, &self.layout, Some(pid));
+                            ctx.held.cs = Some(cs);
                             return Ok(Expansion::Ample(sd));
                         }
                         succs.push(sd);
                     }
                 }
-                Ok(None) => {}
                 Err(e) => {
                     live = true;
                     crashes.push(format!(
@@ -327,6 +429,7 @@ impl<'a> Checker<'a> {
             for pid in 0..ctx.cur.procs.len() {
                 ctx.fx.reset(por);
                 match self.run_one(&mut ctx.cur, &mut ctx.regs, pid, true, &mut ctx.fx) {
+                    Ok(None) => continue,
                     Ok(Some(cost)) => {
                         self.release_waiters(&mut ctx.cur, &mut ctx.regs, &mut ctx.fx)?;
                         if self.progress(&src, &ctx.cur, &ctx.fx, Some(pid)) {
@@ -342,7 +445,6 @@ impl<'a> Checker<'a> {
                             ));
                         }
                     }
-                    Ok(None) => {}
                     Err(e) => {
                         live = true;
                         crashes.push(format!(
@@ -395,6 +497,7 @@ impl<'a> Checker<'a> {
             ));
             ctx.rollback(&src, &self.layout, None);
         }
+        ctx.held.cs = Some(cs);
         Ok(Expansion::Full {
             succs,
             terminal,
@@ -473,12 +576,14 @@ pub(super) struct Graph {
     pub bounded: Option<BoundedInfo>,
 }
 
-/// Serial commit of one full expansion's results.
+/// Serial commit of one full expansion's results; `ids` is scratch for
+/// [`intern_succ`].
 #[allow(clippy::too_many_arguments)]
 fn commit_full(
     checker: &Checker<'_>,
     g: &mut Graph,
     dedup: &mut Dedup,
+    ids: &mut Vec<u32>,
     si: usize,
     succs: Vec<SuccData>,
     terminal: bool,
@@ -491,7 +596,7 @@ fn commit_full(
         g.errors.push((si as u32, label));
     }
     for sd in succs {
-        let (cs, label, cost) = intern_succ(&mut g.pools, g.states[si], sd);
+        let (cs, label, cost) = intern_succ(&mut g.pools, ids, g.states[si], sd);
         let fp = cs.fingerprint();
         let ni = match dedup.probe(cs, fp) {
             Some(i) => {
@@ -523,8 +628,12 @@ fn commit_full(
 }
 
 /// Re-interns a successor's changed components over its source state.
+/// The patched variable-id and control-id vectors are built in the
+/// reusable `ids` buffer and interned by slice, so a vector some state
+/// already holds costs no allocation.
 fn intern_succ(
     pools: &mut Pools,
+    ids: &mut Vec<u32>,
     src: CompactState,
     sd: SuccData,
 ) -> (CompactState, StepLabel, u64) {
@@ -537,26 +646,28 @@ fn intern_succ(
         env,
     } = sd;
     let sig_id = match sig {
-        Some(v) => pools.sigs.intern(v),
+        Some(found) => found.intern(&mut pools.sigs),
         None => src.sig,
     };
     let var_id = if groups.is_empty() {
         src.var
     } else {
-        let mut vv = pools.varvecs.get(src.var).to_vec();
+        ids.clear();
+        ids.extend_from_slice(pools.varvecs.get(src.var));
         for (grp, vals) in groups {
-            vv[grp as usize] = pools.groups.intern(vals);
+            ids[grp as usize] = pools.groups.intern(vals);
         }
-        pools.varvecs.intern(vv.into_boxed_slice())
+        pools.varvecs.intern_with(&ids[..], || ids[..].into())
     };
     let ctl_id = if procs.is_empty() {
         src.ctl
     } else {
-        let mut cv = pools.ctls.get(src.ctl).to_vec();
-        for (p, proc) in procs {
-            cv[p as usize] = pools.procs.intern(proc);
+        ids.clear();
+        ids.extend_from_slice(pools.ctls.get(src.ctl));
+        for (p, found) in procs {
+            ids[p as usize] = found.intern(&mut pools.procs);
         }
-        pools.ctls.intern(cv.into_boxed_slice())
+        pools.ctls.intern_with(&ids[..], || ids[..].into())
     };
     let env_id = match env {
         Some(e) => pools.envs.intern(e),
@@ -606,6 +717,7 @@ impl<'a> Checker<'a> {
         let por = self.por_on();
         let mut ctxs: Vec<WorkerCtx> = (0..threads).map(|_| WorkerCtx::new(self)).collect();
         let mut state_allocs = threads as u64;
+        let mut ids = Vec::new();
 
         let mut g = Graph {
             pools: Pools::new(),
@@ -682,7 +794,8 @@ impl<'a> Checker<'a> {
                 let si = l0 + k;
                 match res? {
                     Expansion::Ample(sd) => {
-                        let (cs, label, cost) = intern_succ(&mut g.pools, g.states[si], sd);
+                        let (cs, label, cost) =
+                            intern_succ(&mut g.pools, &mut ids, g.states[si], sd);
                         let fp = cs.fingerprint();
                         if dedup.probe(cs, fp).is_some() {
                             // Cycle proviso: the deferred transitions
@@ -701,7 +814,9 @@ impl<'a> Checker<'a> {
                             else {
                                 unreachable!("POR disabled for proviso re-expansion")
                             };
-                            commit_full(self, &mut g, &mut dedup, si, succs, terminal, crashes)?;
+                            commit_full(
+                                self, &mut g, &mut dedup, &mut ids, si, succs, terminal, crashes,
+                            )?;
                             g.stats.full_states += 1;
                         } else {
                             let i = g.states.len();
@@ -728,7 +843,9 @@ impl<'a> Checker<'a> {
                         terminal,
                         crashes,
                     } => {
-                        commit_full(self, &mut g, &mut dedup, si, succs, terminal, crashes)?;
+                        commit_full(
+                            self, &mut g, &mut dedup, &mut ids, si, succs, terminal, crashes,
+                        )?;
                         g.stats.full_states += 1;
                     }
                 }

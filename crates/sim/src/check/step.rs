@@ -3,8 +3,8 @@
 //! A verbatim port of the seed checker's semantics — `run_one` runs one
 //! process from its control point to its next scheduling point,
 //! `release_waiters` eagerly advances every process parked at a
-//! now-satisfied level-sensitive wait — with two mechanical changes for
-//! the scaled explorer:
+//! now-satisfied level-sensitive wait — with three mechanical changes
+//! for the scaled explorer:
 //!
 //! * **in-place execution** — instead of cloning the source state on
 //!   every call, `run_one` writes directly into the worker's one
@@ -20,7 +20,12 @@
 //!   executed instruction was statically pure. The running process's
 //!   own control state is always treated as touched. The explorer uses
 //!   the effects to diff, re-intern and roll back only dirty components
-//!   and to validate ample candidates.
+//!   and to validate ample candidates;
+//! * **no-op runs end at the wait** — a run blocked on its very first
+//!   instruction writes nothing and returns no step (`Ok(None)`), so the
+//!   explorer skips its release sweep, diff and rollback. The graph is
+//!   the same: every stored state is closed under eager release, so the
+//!   skipped successor would equal its source and be dropped.
 
 use ifsyn_spec::{ParamMode, Ty, Value};
 
@@ -579,10 +584,17 @@ impl<'a> Checker<'a> {
     /// Scheduling points: after any cycle-consuming instruction, at an
     /// unsatisfied wait (pc stays at the wait), and after a repeating
     /// root restarts. Returns `Ok(None)` when the process cannot take a
-    /// step of the requested kind at all (nothing is written then); a
-    /// successor equal to the source means "blocked with no progress"
-    /// and is dropped by the caller (see [`RunFx`] — the explorer
-    /// detects this without a whole state comparison).
+    /// step of the requested kind at all, and nothing is written then:
+    /// it has finished, it is blocked on its very first instruction (an
+    /// unsatisfied level-sensitive wait), or under `force_timeout` it
+    /// has no expirable watchdog. A blocked first instruction needs no
+    /// release sweep or diff, because every stored state is already
+    /// closed under [`Checker::release_waiters`]: the successor would
+    /// equal the source. Any other run that leaves the state as it found
+    /// it (a zero-cost repeating body that restarts where it began, say)
+    /// still returns a successor equal to the source, and the caller
+    /// drops it (see [`RunFx`] — the explorer detects this without a
+    /// whole state comparison).
     ///
     /// With `force_timeout`, the current instruction must be a watchdog
     /// wait whose condition is unsatisfied: the wait is expired (costing
@@ -764,7 +776,9 @@ impl<'a> Checker<'a> {
                         } else {
                             // Blocked: pc stays at the wait. The watchdog
                             // variant expires only via `force_timeout`.
-                            return Ok(Some(cost));
+                            // Blocked on the first instruction, the run
+                            // wrote nothing: no step at all.
+                            return Ok((steps > 1 || force_timeout).then_some(cost));
                         }
                     }
                     WaitSpec::UntilSignalIs { signal, value }
@@ -772,7 +786,7 @@ impl<'a> Checker<'a> {
                         if s.signals[signal.index()] == *value {
                             set_pc(s, pc + 1);
                         } else {
-                            return Ok(Some(cost));
+                            return Ok((steps > 1 || force_timeout).then_some(cost));
                         }
                     }
                 },

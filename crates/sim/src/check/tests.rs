@@ -402,10 +402,7 @@ fn por_never_hides_procedure_copyback_writes() {
         call(give, vec![Arg::Out(var(sh))]),
         wait_cycles(1),
     ];
-    sys.behavior_mut(q).body = vec![
-        assign(var(r1), signal(a)),
-        assign(var(r2), load(var(sh))),
-    ];
+    sys.behavior_mut(q).body = vec![assign(var(r1), signal(a)), assign(var(r2), load(var(sh)))];
     // Seeing `A` high with `sh` still 0 requires scheduling Q entirely
     // between P's call and P's copy-back — i.e. from the mid-procedure
     // state, exactly the state a copy-back-blind ample set would commit
@@ -438,7 +435,9 @@ fn state_limit_supersedes_the_hard_state_cap() {
         CheckConfig::new().with_max_states(20).with_state_limit(50),
     )
     .unwrap();
-    let ss = ck.explore().expect("budgeted run must not hit the hard cap");
+    let ss = ck
+        .explore()
+        .expect("budgeted run must not hit the hard cap");
     let b = ss.bounded().expect("budget must bound the run");
     assert_eq!(b.limit, 50);
     assert!(ss.state_count() >= 50);
@@ -450,7 +449,9 @@ fn state_limit_supersedes_the_hard_state_cap() {
             .with_state_limit(1_000_000),
     )
     .unwrap();
-    let ss = ck.explore().expect("budgeted run must not hit the hard cap");
+    let ss = ck
+        .explore()
+        .expect("budgeted run must not hit the hard cap");
     assert!(ss.bounded().is_none(), "the space fits the budget");
     assert!(ss.state_count() > 20);
     // Without a budget the hard cap still aborts.
@@ -536,6 +537,28 @@ fn exploration_reuses_scratch_states() {
     assert!(ss.state_count() > 100, "need a non-trivial space");
     // One in-place scratch state per worker, plus the root.
     assert_eq!(ss.stats().state_allocs, 4 + 1);
+}
+
+/// A borrowed slice finds the boxed component it equals, and
+/// `intern_with` builds an owned copy only on a miss, handing out ids in
+/// the same order `intern` does.
+#[test]
+fn interner_resolves_borrowed_keys_and_copies_only_misses() {
+    let mut pool: state::Interner<Box<[u32]>> = state::Interner::new();
+    let a = pool.intern(vec![1, 2].into_boxed_slice());
+    assert_eq!(pool.find(&[1, 2][..]), Some(a));
+    assert_eq!(pool.find(&[2, 1][..]), None);
+    let mut copies = 0;
+    let mut make = |v: &[u32]| {
+        copies += 1;
+        Box::<[u32]>::from(v)
+    };
+    assert_eq!(pool.intern_with(&[1, 2][..], || make(&[1, 2])), a);
+    let b = pool.intern_with(&[3][..], || make(&[3]));
+    assert_eq!((a, b), (0, 1));
+    assert_eq!(copies, 1, "a hit must not build a copy");
+    assert_eq!(pool.intern(vec![3].into_boxed_slice()), b);
+    assert_eq!(&**pool.get(b), &[3]);
 }
 
 // ---- in-place execution: rollback ----
