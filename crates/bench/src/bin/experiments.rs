@@ -19,8 +19,6 @@
 //!     # the big-system scale run; writes BENCH_check.json and exits
 //!     # nonzero on any verdict deviation or scale loss. Options:
 //!     #   --out PATH        output file (default BENCH_check.json)
-//!     #   --threads N       checker worker threads (reports are
-//!     #                     byte-identical at any count; default 1)
 //!     #   --min-rate R      fail when the measured exploration rate
 //!     #                     drops below R states/second
 //!     #   --no-big          skip the big-system scale run
@@ -227,20 +225,12 @@ fn run_calibrate(args: &[String]) -> Result<(), String> {
 /// measured exploration throughput drops below it.
 fn run_check(args: &[String]) -> Result<(), String> {
     let mut out_path = "BENCH_check.json".to_string();
-    let mut threads = 1usize;
     let mut min_rate: Option<f64> = None;
     let mut big = true;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--out" => out_path = it.next().ok_or("--out requires a value")?.clone(),
-            "--threads" => {
-                threads = it
-                    .next()
-                    .ok_or("--threads requires a value")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad --threads: {e}"))?;
-            }
             "--min-rate" => {
                 let r = it
                     .next()
@@ -259,7 +249,7 @@ fn run_check(args: &[String]) -> Result<(), String> {
         }
     }
     rule();
-    let data = ifsyn_bench::check::run_with(&ifsyn_bench::check::CheckOptions { threads, big });
+    let data = ifsyn_bench::check::run_with(&ifsyn_bench::check::CheckOptions { big });
     print!("{}", ifsyn_bench::check::render(&data));
     std::fs::write(&out_path, ifsyn_bench::check::to_json(&data)).map_err(|e| e.to_string())?;
     println!("\nwrote {out_path}");

@@ -113,8 +113,6 @@ pub struct SpaceRow {
     pub full_states: u64,
     /// Largest BFS level encountered.
     pub peak_frontier: usize,
-    /// Worker threads the exploration ran with.
-    pub threads: usize,
 }
 
 /// The big-system scale demonstration: one exploration of the synthetic
@@ -129,8 +127,8 @@ pub struct BigRow {
     pub elapsed_ms: f64,
     /// Throughput in distinct states per second.
     pub states_per_sec: f64,
-    /// Dedup hits, ample/full split, peak frontier, threads — the same
-    /// counters as [`SpaceRow`].
+    /// Dedup hits, ample/full split, peak frontier — the same counters
+    /// as [`SpaceRow`].
     pub dedup_hits: u64,
     /// States expanded through a singleton ample set.
     pub ample_states: u64,
@@ -138,8 +136,6 @@ pub struct BigRow {
     pub full_states: u64,
     /// Largest BFS level.
     pub peak_frontier: usize,
-    /// Worker threads.
-    pub threads: usize,
     /// Whether the terminal delivery property held (every quiescent
     /// state has all processes done with consumer sums matching the
     /// simulator's reference run).
@@ -149,22 +145,10 @@ pub struct BigRow {
 }
 
 /// Options of one campaign run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CheckOptions {
-    /// Worker threads for every exploration (reports are byte-identical
-    /// at any count).
-    pub threads: usize,
     /// Run the big-system scale demonstration after the catalog.
     pub big: bool,
-}
-
-impl Default for CheckOptions {
-    fn default() -> Self {
-        Self {
-            threads: 1,
-            big: false,
-        }
-    }
 }
 
 /// The whole campaign.
@@ -305,11 +289,10 @@ fn check_one(
     variant: Variant,
     refined: &RefinedSystem,
     data_ok: &dyn Fn(&StateView<'_>) -> bool,
-    threads: usize,
     rows: &mut Vec<CheckRow>,
     spaces: &mut Vec<SpaceRow>,
 ) {
-    let mut config = CheckConfig::new().with_check_threads(threads.max(1));
+    let mut config = CheckConfig::new();
     for f in faults {
         config = config.with_fault(f.clone());
     }
@@ -362,7 +345,6 @@ fn check_one(
         ample_states: st.ample_states,
         full_states: st.full_states,
         peak_frontier: st.peak_frontier,
-        threads: st.threads,
     });
     let mut push = |property: &str, holds: bool, detail: Option<String>| {
         rows.push(CheckRow {
@@ -449,8 +431,7 @@ fn check_one(
     }
 }
 
-/// Runs the catalog campaign with default options (one thread, no
-/// big-system run).
+/// Runs the catalog campaign with default options (no big-system run).
 pub fn run() -> CheckData {
     run_with(&CheckOptions::default())
 }
@@ -459,7 +440,6 @@ pub fn run() -> CheckData {
 /// FLC at width 16, plus (with [`CheckOptions::big`]) the big-system
 /// scale demonstration.
 pub fn run_with(opts: &CheckOptions) -> CheckData {
-    let threads = opts.threads.max(1);
     let mut rows = Vec::new();
     let mut spaces = Vec::new();
     for (scenario, faults) in scenarios() {
@@ -491,7 +471,6 @@ pub fn run_with(opts: &CheckOptions) -> CheckData {
                 variant,
                 &refined,
                 &data_ok,
-                threads,
                 &mut rows,
                 &mut spaces,
             );
@@ -527,13 +506,12 @@ pub fn run_with(opts: &CheckOptions) -> CheckData {
                 variant,
                 &refined,
                 &data_ok,
-                threads,
                 &mut rows,
                 &mut spaces,
             );
         }
     }
-    let big = opts.big.then(|| big_system(threads));
+    let big = opts.big.then(big_system);
     CheckData { rows, spaces, big }
 }
 
@@ -554,7 +532,7 @@ fn big_config() -> SynthConfig {
 
 /// Explores the big synthetic system and checks terminal delivery
 /// against sums computed by the reference simulator.
-fn big_system(threads: usize) -> BigRow {
+fn big_system() -> BigRow {
     let failed = |e: String| BigRow {
         states: 0,
         transitions: 0,
@@ -564,7 +542,6 @@ fn big_system(threads: usize) -> BigRow {
         ample_states: 0,
         full_states: 0,
         peak_frontier: 0,
-        threads,
         holds: false,
         error: Some(e),
     };
@@ -586,7 +563,6 @@ fn big_system(threads: usize) -> BigRow {
         })
         .collect();
     let config = CheckConfig::new()
-        .with_check_threads(threads.max(1))
         .with_max_states(1 << 21)
         .with_observed_variables(vec![]);
     let ck = match Checker::with_config(&s.system, config) {
@@ -619,7 +595,6 @@ fn big_system(threads: usize) -> BigRow {
         ample_states: st.ample_states,
         full_states: st.full_states,
         peak_frontier: st.peak_frontier,
-        threads: st.threads,
         holds: rep.holds,
         error: None,
     }
@@ -669,7 +644,6 @@ pub fn render(data: &CheckData) -> String {
         "worst cost",
         "states/s",
         "ample%",
-        "threads",
     ]);
     for r in &data.spaces {
         s.row([
@@ -683,7 +657,6 @@ pub fn render(data: &CheckData) -> String {
                 .map_or("unbounded".to_string(), |c| c.to_string()),
             format!("{:.0}", r.states_per_sec),
             format!("{:.1}", ample_pct(r.ample_states, r.full_states)),
-            r.threads.to_string(),
         ]);
     }
     out.push_str(&s.render());
@@ -695,10 +668,9 @@ pub fn render(data: &CheckData) -> String {
         match &b.error {
             Some(e) => out.push_str(&format!("\nbig-system exploration FAILED: {e}\n")),
             None => out.push_str(&format!(
-                "\nbig-system exploration ({} thread(s)): {} states, {} transitions \
+                "\nbig-system exploration: {} states, {} transitions \
                  in {:.1}s — {:.0} states/s, {:.1}% ample, {} dedup hit(s), \
                  peak frontier {}; delivery property {}\n",
-                b.threads,
                 b.states,
                 b.transitions,
                 b.elapsed_ms / 1000.0,
@@ -783,6 +755,8 @@ pub fn to_json(data: &CheckData) -> String {
         )
     });
     out.push_str("  ],\n");
+    // Exploration runs on one thread; `"threads": 1` stays because the
+    // v2 schema, and the pinned `BENCH_check.json`, carry the key.
     out.push_str("  \"explorations\": [\n");
     crate::emit::array_rows(&mut out, &data.spaces, |r| {
         format!(
@@ -791,7 +765,7 @@ pub fn to_json(data: &CheckData) -> String {
              \"worst_cost\": {}, \"elapsed_ms\": {:.3}, \
              \"states_per_sec\": {:.1}, \"dedup_hits\": {}, \
              \"ample_states\": {}, \"full_states\": {}, \
-             \"ample_ratio\": {:.4}, \"peak_frontier\": {}, \"threads\": {}}}",
+             \"ample_ratio\": {:.4}, \"peak_frontier\": {}, \"threads\": 1}}",
             json_str(&r.system),
             json_str(&r.scenario),
             json_str(r.variant.as_str()),
@@ -806,7 +780,6 @@ pub fn to_json(data: &CheckData) -> String {
             r.full_states,
             ample_pct(r.ample_states, r.full_states) / 100.0,
             r.peak_frontier,
-            r.threads,
         )
     });
     out.push_str("  ],\n");
@@ -820,7 +793,7 @@ pub fn to_json(data: &CheckData) -> String {
             "  \"big_system\": {{\"states\": {}, \"transitions\": {}, \
              \"elapsed_ms\": {:.3}, \"states_per_sec\": {:.1}, \
              \"dedup_hits\": {}, \"ample_states\": {}, \"full_states\": {}, \
-             \"ample_ratio\": {:.4}, \"peak_frontier\": {}, \"threads\": {}, \
+             \"ample_ratio\": {:.4}, \"peak_frontier\": {}, \"threads\": 1, \
              \"holds\": {}, \"error\": {}}}\n",
             b.states,
             b.transitions,
@@ -831,7 +804,6 @@ pub fn to_json(data: &CheckData) -> String {
             b.full_states,
             ample_pct(b.ample_states, b.full_states) / 100.0,
             b.peak_frontier,
-            b.threads,
             b.holds,
             crate::emit::json_opt_str(b.error.as_deref()),
         )),
@@ -902,7 +874,6 @@ mod tests {
             ample_states: 119_920,
             full_states: 1_136_482,
             peak_frontier: 822,
-            threads: 1,
             holds: true,
             error: None,
         }
@@ -960,7 +931,6 @@ mod tests {
                 ample_states: 0,
                 full_states: 1000,
                 peak_frontier: 10,
-                threads: 1,
             }],
             big: None,
         };
@@ -995,7 +965,6 @@ mod tests {
                 ample_states: 400,
                 full_states: 834,
                 peak_frontier: 17,
-                threads: 2,
             }],
             big: Some(big_row()),
         };

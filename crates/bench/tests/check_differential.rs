@@ -1,17 +1,17 @@
 //! Differential suite for the scaled model checker.
 //!
-//! The exploration core has three fast paths whose soundness this suite
+//! The exploration core has two fast paths whose soundness this suite
 //! pins against the plain scalar engine:
 //!
 //! * **partial-order reduction** — singleton ample sets must preserve
 //!   every verdict, the set of reachable crash labels, the worst-case
 //!   completion bound, and (via replay delegation) the byte-exact
 //!   counterexample reports of the unreduced explorer;
-//! * **parallel frontier exploration** — 1/2/4/8 worker threads must
-//!   produce the identical state graph and identical report strings;
 //! * **bitstate dedup** — lossy fingerprint dedup may merge states, but
 //!   on the pinned catalog it must never flip a known FAIL into a PASS
-//!   (a lost counterexample would gut the campaign's regression value).
+//!   (a lost counterexample would gut the campaign's regression value),
+//!   and where reduction discards successors it must still merge
+//!   exactly the states it always did.
 //!
 //! The cells are the five pinned known-counterexample scenarios of the
 //! `experiments check` campaign (plain/hardened baselines under a stuck
@@ -23,9 +23,6 @@ use ifsyn_core::{BusDesign, ProtocolKind, RefinedSystem};
 use ifsyn_sim::{CheckConfig, Checker, EnvFault, StateSpace, StateView, Verdict};
 use ifsyn_systems::synth::{synth_system, SynthConfig};
 use ifsyn_systems::{fig3, flc};
-
-/// Thread counts the parallel frontier is exercised at.
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// One catalog cell: a refined system, its fault environment, and the
 /// delivery predicate (`data_ok`) its terminal property checks.
@@ -201,11 +198,11 @@ fn report(cell: &Cell, ss: &StateSpace<'_>) -> CellReport {
     }
 }
 
-/// POR on (at every thread count) versus the plain scalar engine: same
-/// verdicts, same crash-label sets, same completion bound, byte-equal
-/// property reports — and the pinned counterexamples still found.
+/// POR on versus the plain scalar engine: same verdicts, same
+/// crash-label sets, same completion bound, byte-equal failing property
+/// reports — and the pinned counterexamples still found.
 #[test]
-fn por_and_threads_match_the_scalar_engine_on_the_pinned_catalog() {
+fn por_matches_the_scalar_engine_on_the_pinned_catalog() {
     for cell in catalog() {
         let full = {
             let ck = checker(&cell, CheckConfig::new().without_por());
@@ -220,68 +217,44 @@ fn por_and_threads_match_the_scalar_engine_on_the_pinned_catalog() {
             "{}: unexpected scalar verdict",
             cell.name
         );
-        let mut first: Option<CellReport> = None;
-        for threads in THREADS {
-            let ck = checker(&cell, CheckConfig::new().with_check_threads(threads));
-            let ss = ck.explore().expect("explore");
-            let por = report(&cell, &ss);
-            assert_eq!(
-                por.holds, full.holds,
-                "{} at {threads} thread(s): verdicts deviate from the scalar engine",
-                cell.name
-            );
-            // Failing reports carry the counterexample trace; replay
-            // delegation promises them byte-identical to the scalar
-            // engine. (Passing reports embed the explored state count,
-            // which reduction may legitimately shrink.)
-            for (held, (p, f)) in full.holds.iter().zip(por.reports.iter().zip(&full.reports)) {
-                if !held {
-                    assert_eq!(
-                        p, f,
-                        "{} at {threads} thread(s): counterexample deviates",
-                        cell.name
-                    );
-                }
-            }
-            assert_eq!(
-                por.error_labels, full.error_labels,
-                "{} at {threads} thread(s): crash label sets deviate",
-                cell.name
-            );
-            assert_eq!(
-                por.worst_cost, full.worst_cost,
-                "{} at {threads} thread(s): completion bound deviates",
-                cell.name
-            );
-            assert!(
-                por.states <= full.states,
-                "{}: reduction must never grow the space",
-                cell.name
-            );
-            // The reduced graph and every report string are
-            // thread-count-invariant.
-            match &first {
-                None => first = Some(por),
-                Some(one) => {
-                    assert_eq!(
-                        one.states, por.states,
-                        "{}: thread count changed the graph",
-                        cell.name
-                    );
-                    assert_eq!(
-                        one.reports, por.reports,
-                        "{}: thread count changed a report",
-                        cell.name
-                    );
-                }
+        let ck = checker(&cell, CheckConfig::new());
+        let ss = ck.explore().expect("explore");
+        let por = report(&cell, &ss);
+        assert_eq!(
+            por.holds, full.holds,
+            "{}: verdicts deviate from the scalar engine",
+            cell.name
+        );
+        // Failing reports carry the counterexample trace; replay
+        // delegation promises them byte-identical to the scalar engine.
+        // (Passing reports embed the explored state count, which
+        // reduction may legitimately shrink.)
+        for (held, (p, f)) in full.holds.iter().zip(por.reports.iter().zip(&full.reports)) {
+            if !held {
+                assert_eq!(p, f, "{}: counterexample deviates", cell.name);
             }
         }
+        assert_eq!(
+            por.error_labels, full.error_labels,
+            "{}: crash label sets deviate",
+            cell.name
+        );
+        assert_eq!(
+            por.worst_cost, full.worst_cost,
+            "{}: completion bound deviates",
+            cell.name
+        );
+        assert!(
+            por.states <= full.states,
+            "{}: reduction must never grow the space",
+            cell.name
+        );
     }
 }
 
 /// Randomized synthetic fields: POR with private (unobserved) compute
-/// variables versus the full engine, across thread counts. The terminal
-/// delivery sums are schedule-independent, so both engines must agree.
+/// variables versus the full engine. The terminal delivery sums are
+/// schedule-independent, so both engines must agree.
 #[test]
 fn randomized_synth_fields_agree_across_engines() {
     for seed in [1u64, 7, 42] {
@@ -323,41 +296,22 @@ fn randomized_synth_fields_agree_across_engines() {
         let full_ss = full_ck.explore().expect("explore");
         let full = check(&full_ss);
         assert!(full.0, "seed {seed}: synth delivery must hold\n{}", full.1);
-        let mut reduced_states = None;
-        for threads in THREADS {
-            let ck = Checker::with_config(&s.system, base.clone().with_check_threads(threads))
-                .expect("checker");
-            let ss = ck.explore().expect("explore");
-            let por = check(&ss);
-            // Verdict and completion bound must match the full engine; a
-            // passing report's state count legitimately shrinks under
-            // reduction, so the rendered line is only compared on FAIL
-            // (where replay delegation promises byte-identity).
-            assert_eq!(por.0, full.0, "seed {seed} at {threads} thread(s): verdict");
-            assert_eq!(por.2, full.2, "seed {seed} at {threads} thread(s): bound");
-            if !full.0 {
-                assert_eq!(por.1, full.1, "seed {seed} at {threads} thread(s): report");
-            }
-            assert!(
-                ss.state_count() < full_ss.state_count(),
-                "seed {seed}: no reduction"
-            );
-            match reduced_states {
-                None => reduced_states = Some(ss.state_count()),
-                Some(n) => assert_eq!(
-                    n,
-                    ss.state_count(),
-                    "seed {seed}: graph not thread-invariant"
-                ),
-            }
-            // Allocation discipline: one persistent scratch state per
-            // worker plus the root, never a fresh state per transition.
-            assert_eq!(
-                ss.stats().state_allocs,
-                threads as u64 + 1,
-                "seed {seed}: scratch-state allocations at {threads} thread(s)"
-            );
+        let ck = Checker::with_config(&s.system, base).expect("checker");
+        let ss = ck.explore().expect("explore");
+        let por = check(&ss);
+        // Verdict and completion bound must match the full engine; a
+        // passing report's state count legitimately shrinks under
+        // reduction, so the rendered line is only compared on FAIL
+        // (where replay delegation promises byte-identity).
+        assert_eq!(por.0, full.0, "seed {seed}: verdict");
+        assert_eq!(por.2, full.2, "seed {seed}: bound");
+        if !full.0 {
+            assert_eq!(por.1, full.1, "seed {seed}: report");
         }
+        assert!(
+            ss.state_count() < full_ss.state_count(),
+            "seed {seed}: no reduction"
+        );
     }
 }
 
@@ -387,6 +341,31 @@ fn bitstate_never_flips_a_pinned_fail_into_a_pass() {
             }
         }
     }
+}
+
+/// Where reduction picks an ample run after earlier successors were
+/// interned, those successors must leave no trace in the pools: a
+/// leftover component shifts later pool ids, hence fingerprints, hence
+/// which states a bitstate table merges. Fig3@8 hardened under a stuck
+/// DONE at 12 fingerprint bits is small enough to collide often and
+/// engages reduction; the pinned counts are those of an explorer whose
+/// discarded successors never reach the pools.
+#[test]
+fn por_discards_leave_bitstate_collisions_unchanged() {
+    let cell = fig3_cell("done_stuck_low", done_stuck_low(), Variant::Hardened, true);
+    let ck = checker(&cell, CheckConfig::new().with_bitstate(12));
+    let ss = ck.explore().expect("explore");
+    let st = ss.stats();
+    assert_eq!(
+        (
+            ss.state_count(),
+            ss.transition_count(),
+            st.dedup_hits,
+            st.ample_states,
+            st.full_states
+        ),
+        (7_496, 20_034, 12_539, 140, 7_356)
+    );
 }
 
 /// A state budget turns exhaustion into a structured `Bounded` verdict

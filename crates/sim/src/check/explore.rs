@@ -1,32 +1,33 @@
-//! The exploration engine: level-synchronized breadth-first search with
-//! partial-order reduction, interned compact states, optional parallel
-//! frontier expansion and a structured state budget.
+//! The exploration engine: level-by-level breadth-first search with
+//! partial-order reduction, interned compact states and a structured
+//! state budget.
 //!
 //! # Determinism
 //!
-//! The engine expands one BFS level at a time. Expansion of the level's
-//! states is side-effect-free (workers own their scratch state and only
-//! read the pools), so it can run on any number of threads; all shared
-//! mutation — interning, dedup, state numbering, edge/parent recording —
-//! happens in a serial *commit* pass that walks the level in state
-//! order. Discovery order is therefore exactly the seed's FIFO order,
-//! and state numbering, pool-id assignment (hence fingerprints and
-//! bitstate collisions), error propagation order and the max-states
-//! abort point are all byte-identical at every thread count.
+//! One thread expands the states in the order they were discovered.
+//! Each successor is interned straight from the scratch state right
+//! after its run, before the rollback; once the expansion is decided
+//! (ample or full), its successors are deduplicated and numbered in the
+//! order they were found. State numbering, pool-id assignment (hence
+//! fingerprints and bitstate collisions), error order and the
+//! max-states abort point therefore follow from discovery order alone.
 //!
 //! # Partial-order reduction
 //!
-//! During expansion each worker scans processes in pid order; the first
-//! run that dynamically qualifies as *ample* (every executed instruction
+//! An expansion scans processes in pid order; the first run that
+//! dynamically qualifies as *ample* (every executed instruction
 //! statically pure, no signal written, no waiter released, `done`
-//! unchanged, no crash among earlier pids) is returned alone and the
+//! unchanged, no crash among earlier pids) stands alone and the
 //! remaining transitions — including environment faults — are deferred
-//! to the successor. The commit pass enforces the cycle proviso: if an
-//! ample successor is already in the dedup table, the source is
-//! re-expanded in full, so every cycle in the reduced graph contains a
-//! fully expanded state and no transition is deferred forever.
-
-use std::hash::Hash;
+//! to the successor. The successors of earlier pids are discarded, but
+//! they were already interned: the pools are truncated back to the mark
+//! taken when the expansion started before the ample successor is
+//! interned, so every pool id — and with it every fingerprint and
+//! bitstate collision — is the one an expansion that never produced them
+//! would assign. The cycle proviso: if the ample successor is already in
+//! the dedup table, the source is re-expanded in full, so every cycle in
+//! the reduced graph contains a fully expanded state and no transition
+//! is deferred forever.
 
 use ifsyn_spec::{BitVec, Value};
 
@@ -34,7 +35,7 @@ use crate::error::SimError;
 use crate::eval::coerce;
 use crate::exec::RegFile;
 
-use super::state::{CkProc, CkState, CompactState, Dedup, EnvComp, Interner, Layout, Pools};
+use super::state::{CkProc, CkState, CompactState, Dedup, EnvComp, Layout, Pools};
 use super::step::RunFx;
 use super::{Checker, EnvFault};
 
@@ -50,101 +51,71 @@ pub(super) enum StepLabel {
     Fault(u32),
 }
 
-/// One successor, described by its changed components only — the commit
-/// pass re-interns exactly these and inherits the rest from the source.
-pub(super) struct SuccData {
-    pub label: StepLabel,
-    pub cost: u64,
-    /// Full signal valuation, when any signal was stored.
-    sig: Option<Found<Box<[Value]>>>,
-    /// Dirty variable groups with their new valuations.
-    groups: Vec<(u32, Box<[Value]>)>,
-    /// Changed process control states.
-    procs: Vec<(u32, Found<CkProc>)>,
-    /// New fault environment, when a fault struck.
-    env: Option<EnvComp>,
-}
-
-/// A successor component as a worker resolved it against the read-only
-/// pools: the id of an equal pooled component, or — on a miss — an
-/// owned copy for the serial commit to intern.
-enum Found<T> {
-    Id(u32),
-    New(T),
-}
-
-impl<T: Hash + Eq> Found<T> {
-    /// The component's id, interning a miss (ids are assigned only
-    /// here, at the serial commit).
-    fn intern(self, pool: &mut Interner<T>) -> u32 {
-        match self {
-            Found::Id(id) => id,
-            Found::New(value) => pool.intern(value),
-        }
-    }
-}
-
-/// Result of expanding one state.
-pub(super) enum Expansion {
-    /// A single ample transition stands in for the whole successor set.
-    Ample(SuccData),
-    /// The full successor set, as in the seed.
-    Full {
-        succs: Vec<SuccData>,
-        terminal: bool,
-        crashes: Vec<String>,
-    },
-}
-
 /// The pooled components of the state being expanded: what a run's
-/// writes are diffed against and rolled back from.
+/// writes are diffed against and rolled back from. The pools grow while
+/// the state is expanded, so this is rebuilt after each interning and
+/// reads every component by id instead of holding slices into them.
+#[derive(Clone, Copy)]
 struct Src<'p> {
     pools: &'p Pools,
     cs: CompactState,
-    sigs: &'p [Value],
-    /// Group-valuation ids.
-    groups: &'p [u32],
-    /// Process-control ids.
-    procs: &'p [u32],
-    env: &'p EnvComp,
 }
 
 impl<'p> Src<'p> {
     fn new(pools: &'p Pools, cs: CompactState) -> Self {
-        Self {
-            pools,
-            cs,
-            sigs: pools.sigs.get(cs.sig),
-            groups: pools.varvecs.get(cs.var),
-            procs: pools.ctls.get(cs.ctl),
-            env: pools.envs.get(cs.env),
-        }
+        Self { pools, cs }
     }
 
-    fn proc(&self, p: usize) -> &'p CkProc {
-        self.pools.procs.get(self.procs[p])
+    fn sigs(self) -> &'p [Value] {
+        self.pools.sigs.get(self.cs.sig)
     }
 
-    fn group(&self, g: u32) -> &'p [Value] {
-        self.pools.groups.get(self.groups[g as usize])
+    /// Group-valuation ids.
+    fn group_ids(self) -> &'p [u32] {
+        self.pools.varvecs.get(self.cs.var)
+    }
+
+    /// Process-control ids.
+    fn proc_ids(self) -> &'p [u32] {
+        self.pools.ctls.get(self.cs.ctl)
+    }
+
+    fn env(self) -> &'p EnvComp {
+        self.pools.envs.get(self.cs.env)
+    }
+
+    fn proc(self, p: usize) -> &'p CkProc {
+        self.pools.procs.get(self.proc_ids()[p])
+    }
+
+    fn group(self, g: u32) -> &'p [Value] {
+        self.pools.groups.get(self.group_ids()[g as usize])
     }
 }
 
-/// A worker's private scratch: one materialized state, a register file
-/// and an effect tracker, allocated once and reused for every state the
-/// worker expands. Transitions run in place on `cur`;
-/// [`WorkerCtx::rollback`] then restores what each one touched.
-pub(super) struct WorkerCtx {
+/// The explorer's scratch: one materialized state, a register file, an
+/// effect tracker and the current expansion's successors, allocated once
+/// and reused for every state expanded. Transitions run in place on
+/// `cur`; [`Scratch::rollback`] then restores what each one touched.
+struct Scratch {
     cur: CkState,
     regs: RegFile,
     fx: RunFx,
     held: Held,
+    /// The successors found so far in the current expansion, in
+    /// discovery order.
+    succs: Vec<(CompactState, StepLabel, u64)>,
+    /// Id vector a successor's group or control ids are patched in.
+    ids: Vec<u32>,
+    /// A dirty group's valuation, gathered for lookup.
+    vals: Vec<Value>,
 }
 
-/// The pool ids of the components a worker's `cur` holds, so the next
-/// [`WorkerCtx::materialize`] copies only the components whose ids
-/// differ. Pool ids are canonical and never reassigned, so equal ids
-/// mean equal contents.
+/// The pool ids of the components `cur` holds, so the next
+/// [`Scratch::materialize`] copies only the components whose ids differ.
+/// Every id recorded here belongs to a stored state, and a stored
+/// state's components are never truncated away, so equal ids mean equal
+/// contents.
 struct Held {
     /// The state `cur` holds, or `None` when unknown: taken when an
     /// expansion starts and put back only when one ends fully rolled
@@ -157,7 +128,7 @@ struct Held {
     procs: Vec<u32>,
 }
 
-impl WorkerCtx {
+impl Scratch {
     fn new(checker: &Checker<'_>) -> Self {
         let cur = checker.initial_state();
         let held = Held {
@@ -170,6 +141,9 @@ impl WorkerCtx {
             regs: RegFile::with_capacity(checker.max_regs as usize),
             fx: RunFx::default(),
             held,
+            succs: Vec::new(),
+            ids: Vec::new(),
+            vals: Vec::new(),
         }
     }
 
@@ -180,15 +154,15 @@ impl WorkerCtx {
     /// starts here, and the id record is trusted only when the previous
     /// expansion ended fully rolled back, so no exit path leaks into the
     /// next expansion.
-    fn materialize(&mut self, src: &Src<'_>, layout: &Layout) {
+    fn materialize(&mut self, src: Src<'_>, layout: &Layout) {
         let Self { cur: s, held, .. } = self;
         let prev = held.cs.take();
         let all = prev.is_none();
         if prev.is_none_or(|p| p.sig != src.cs.sig) {
-            s.signals.clone_from_slice(src.sigs);
+            s.signals.clone_from_slice(src.sigs());
         }
         if prev.is_none_or(|p| p.var != src.cs.var) {
-            for (g, (h, &id)) in held.groups.iter_mut().zip(src.groups).enumerate() {
+            for (g, (h, &id)) in held.groups.iter_mut().zip(src.group_ids()).enumerate() {
                 if all || *h != id {
                     restore_group(s, src, layout, g as u32);
                     *h = id;
@@ -196,7 +170,7 @@ impl WorkerCtx {
             }
         }
         if prev.is_none_or(|p| p.ctl != src.cs.ctl) {
-            for (p, (h, &id)) in held.procs.iter_mut().zip(src.procs).enumerate() {
+            for (p, (h, &id)) in held.procs.iter_mut().zip(src.proc_ids()).enumerate() {
                 if all || *h != id {
                     s.procs[p].clone_from(src.pools.procs.get(id));
                     *h = id;
@@ -204,8 +178,8 @@ impl WorkerCtx {
             }
         }
         if prev.is_none_or(|p| p.env != src.cs.env) {
-            s.fault_budget.copy_from_slice(&src.env.fault_budget);
-            s.frozen.copy_from_slice(&src.env.frozen);
+            s.fault_budget.copy_from_slice(&src.env().fault_budget);
+            s.frozen.copy_from_slice(&src.env().frozen);
         }
         #[cfg(debug_assertions)]
         assert_holds(s, src, layout);
@@ -216,7 +190,7 @@ impl WorkerCtx {
     /// that process and every one `fx` says was released, the signals
     /// when one was stored or a fault struck, each dirty variable group
     /// and, after a strike, the fault environment.
-    fn rollback(&mut self, src: &Src<'_>, layout: &Layout, pid: Option<usize>) {
+    fn rollback(&mut self, src: Src<'_>, layout: &Layout, pid: Option<usize>) {
         let Self { cur: s, fx, .. } = self;
         let strike = pid.is_none();
         if let Some(p) = pid {
@@ -226,20 +200,91 @@ impl WorkerCtx {
             s.procs[p as usize].clone_from(src.proc(p as usize));
         }
         if fx.wrote_sig || strike {
-            s.signals.clone_from_slice(src.sigs);
+            s.signals.clone_from_slice(src.sigs());
         }
         for &g in &fx.dirty_groups {
             restore_group(s, src, layout, g);
         }
         if strike {
-            s.fault_budget.copy_from_slice(&src.env.fault_budget);
-            s.frozen.copy_from_slice(&src.env.frozen);
+            s.fault_budget.copy_from_slice(&src.env().fault_budget);
+            s.frozen.copy_from_slice(&src.env().frozen);
         }
+    }
+
+    /// Interns the last run's result `cur` as a successor of `src` (run
+    /// by process `pid`; `None`: a fault strike). Only the components
+    /// `fx` says were touched are looked up — plus, after a strike, the
+    /// signals and fault environment — and the rest keep the source's
+    /// ids. Components are met in a fixed order (signals, dirty groups
+    /// in first-write order, the group-id vector, the running process
+    /// and then each released one, the control-id vector, the
+    /// environment), so ids are handed out in that order, and a
+    /// component some state already holds costs no allocation.
+    fn intern(
+        &mut self,
+        pools: &mut Pools,
+        layout: &Layout,
+        src: CompactState,
+        pid: Option<usize>,
+    ) -> CompactState {
+        let Self {
+            cur: s,
+            fx,
+            ids,
+            vals,
+            ..
+        } = self;
+        let strike = pid.is_none();
+        let sig = if fx.wrote_sig || strike {
+            pools
+                .sigs
+                .intern_with(&s.signals[..], || s.signals[..].into())
+        } else {
+            src.sig
+        };
+        let var = if fx.dirty_groups.is_empty() {
+            src.var
+        } else {
+            ids.clear();
+            ids.extend_from_slice(pools.varvecs.get(src.var));
+            for &g in &fx.dirty_groups {
+                vals.clear();
+                vals.extend(
+                    layout.group_members[g as usize]
+                        .iter()
+                        .map(|&v| s.vars[v as usize].clone()),
+                );
+                ids[g as usize] = pools.groups.intern_with(&vals[..], || vals[..].into());
+            }
+            pools.varvecs.intern_with(&ids[..], || ids[..].into())
+        };
+        let ctl = if pid.is_none() && fx.released.is_empty() {
+            src.ctl
+        } else {
+            ids.clear();
+            ids.extend_from_slice(pools.ctls.get(src.ctl));
+            for p in pid
+                .into_iter()
+                .chain(fx.released.iter().map(|&p| p as usize))
+            {
+                ids[p] = pools.procs.intern_with(&s.procs[p], || s.procs[p].clone());
+            }
+            pools.ctls.intern_with(&ids[..], || ids[..].into())
+        };
+        let env = if strike {
+            pools.envs.intern(EnvComp {
+                fault_budget: s.fault_budget[..].into(),
+                frozen: s.frozen[..].into(),
+            })
+        } else {
+            src.env
+        };
+        CompactState { sig, var, ctl, env }
     }
 }
 
 /// Copies variable group `g`'s source valuation back into `s`.
-fn restore_group(s: &mut CkState, src: &Src<'_>, layout: &Layout, g: u32) {
+fn restore_group(s: &mut CkState, src: Src<'_>, layout: &Layout, g: u32) {
     let vals = src.group(g);
     for (&v, val) in layout.group_members[g as usize].iter().zip(vals.iter()) {
         s.vars[v as usize].clone_from(val);
@@ -249,8 +294,8 @@ fn restore_group(s: &mut CkState, src: &Src<'_>, layout: &Layout, g: u32) {
 /// The id-keyed materialization's invariant: the scratch state equals
 /// the source state component by component.
 #[cfg(debug_assertions)]
-fn assert_holds(s: &CkState, src: &Src<'_>, layout: &Layout) {
-    assert_eq!(s.signals[..], *src.sigs, "scratch signals");
+fn assert_holds(s: &CkState, src: Src<'_>, layout: &Layout) {
+    assert_eq!(s.signals[..], *src.sigs(), "scratch signals");
     for (g, members) in layout.group_members.iter().enumerate() {
         for (&v, val) in members.iter().zip(src.group(g as u32)) {
             assert_eq!(s.vars[v as usize], *val, "scratch variable v{v}");
@@ -260,250 +305,11 @@ fn assert_holds(s: &CkState, src: &Src<'_>, layout: &Layout) {
         assert_eq!(*proc, *src.proc(p), "scratch control of process {p}");
     }
     assert_eq!(
-        *s.fault_budget, *src.env.fault_budget,
+        *s.fault_budget,
+        *src.env().fault_budget,
         "scratch fault budget"
     );
-    assert_eq!(*s.frozen, *src.env.frozen, "scratch frozen mask");
-}
-
-impl<'a> Checker<'a> {
-    fn por_on(&self) -> bool {
-        self.por.as_ref().is_some_and(|t| t.enabled)
-    }
-
-    /// The hard abort cap on stored states. A graceful state budget
-    /// ([`super::CheckConfig::with_state_limit`]) supersedes it: a
-    /// budgeted run's contract is a structured `Bounded` verdict, never
-    /// an exhaustion error, regardless of where the budget sits relative
-    /// to `max_states` (the budget is enforced at level boundaries, so a
-    /// lower `max_states` could otherwise abort mid-level first).
-    pub(super) fn hard_max_states(&self) -> usize {
-        if self.config.state_limit.is_some() {
-            usize::MAX
-        } else {
-            self.config.max_states
-        }
-    }
-
-    /// Exact progress test replacing the seed's whole-state `state !=
-    /// *src` comparison: the tracked effects bound what can differ, so
-    /// only the touched components of the run's result `s` are compared
-    /// with the source (and usually none are — an advanced pc or a
-    /// released waiter decides immediately).
-    fn progress(&self, src: &Src<'_>, s: &CkState, fx: &RunFx, pid: Option<usize>) -> bool {
-        if let Some(p) = pid {
-            if s.procs[p] != *src.proc(p) {
-                return true;
-            }
-        }
-        if !fx.released.is_empty() {
-            return true;
-        }
-        if fx.wrote_sig && s.signals[..] != *src.sigs {
-            return true;
-        }
-        fx.dirty_groups.iter().any(|&g| {
-            self.layout.group_members[g as usize]
-                .iter()
-                .zip(src.group(g).iter())
-                .any(|(&v, old)| s.vars[v as usize] != *old)
-        })
-    }
-
-    /// Packages the changed components of the run's result `s` relative
-    /// to the source. The signal vector and each touched process control
-    /// are looked up in the (read-only) pools first, so only components
-    /// no state has held before are copied.
-    #[allow(clippy::too_many_arguments)]
-    fn extract(
-        &self,
-        src: &Src<'_>,
-        s: &CkState,
-        fx: &RunFx,
-        pid: Option<u32>,
-        env_changed: bool,
-        label: StepLabel,
-        cost: u64,
-    ) -> SuccData {
-        let pools = src.pools;
-        let mut procs = Vec::new();
-        let mut note = |p: u32| {
-            if procs.iter().any(|(q, _)| *q == p) {
-                return;
-            }
-            let proc = &s.procs[p as usize];
-            let found = match pools.procs.find(proc) {
-                Some(id) if id == src.procs[p as usize] => return,
-                Some(id) => Found::Id(id),
-                None => Found::New(proc.clone()),
-            };
-            procs.push((p, found));
-        };
-        if let Some(p) = pid {
-            note(p);
-        }
-        for &p in &fx.released {
-            note(p);
-        }
-        SuccData {
-            label,
-            cost,
-            sig: (fx.wrote_sig || env_changed).then(|| match pools.sigs.find(&s.signals[..]) {
-                Some(id) => Found::Id(id),
-                None => Found::New(s.signals[..].into()),
-            }),
-            groups: fx
-                .dirty_groups
-                .iter()
-                .map(|&g| (g, self.layout.extract_group(g, &s.vars)))
-                .collect(),
-            procs,
-            env: env_changed.then(|| EnvComp {
-                fault_budget: s.fault_budget.clone().into_boxed_slice(),
-                frozen: s.frozen.clone().into_boxed_slice(),
-            }),
-        }
-    }
-
-    /// Expands one state: the seed's `successors` with the ample-set
-    /// shortcut. With `por` set, the first qualifying pure run is
-    /// returned alone (later pids unscanned — sound, see the module
-    /// docs); otherwise the full successor set is produced in the seed's
-    /// order: process runs in pid order, watchdog expiries when nothing
-    /// else moves, then budgeted fault strikes in config order.
-    fn expand_one(
-        &self,
-        ctx: &mut WorkerCtx,
-        pools: &Pools,
-        cs: CompactState,
-        por: bool,
-    ) -> Result<Expansion, SimError> {
-        let src = Src::new(pools, cs);
-        ctx.materialize(&src, &self.layout);
-        let mut succs = Vec::new();
-        let mut crashes = Vec::new();
-        let mut live = false;
-        for pid in 0..ctx.cur.procs.len() {
-            ctx.fx.reset(por);
-            match self.run_one(&mut ctx.cur, &mut ctx.regs, pid, false, &mut ctx.fx) {
-                // Nothing was written: no release sweep, diff or rollback.
-                Ok(None) => continue,
-                Ok(Some(cost)) => {
-                    self.release_waiters(&mut ctx.cur, &mut ctx.regs, &mut ctx.fx)?;
-                    if self.progress(&src, &ctx.cur, &ctx.fx, Some(pid)) {
-                        live = true;
-                        let sd = self.extract(
-                            &src,
-                            &ctx.cur,
-                            &ctx.fx,
-                            Some(pid as u32),
-                            false,
-                            StepLabel::Run(pid as u32),
-                            cost,
-                        );
-                        if por
-                            && crashes.is_empty()
-                            && ctx.fx.pure_run
-                            && !ctx.fx.wrote_sig
-                            && ctx.fx.released.is_empty()
-                            && ctx.cur.procs[pid].done == src.proc(pid).done
-                        {
-                            ctx.rollback(&src, &self.layout, Some(pid));
-                            ctx.held.cs = Some(cs);
-                            return Ok(Expansion::Ample(sd));
-                        }
-                        succs.push(sd);
-                    }
-                }
-                Err(e) => {
-                    live = true;
-                    crashes.push(format!(
-                        "`{}` crashes: {e}",
-                        self.system.behaviors[pid].name
-                    ));
-                }
-            }
-            ctx.rollback(&src, &self.layout, Some(pid));
-        }
-        if !live {
-            for pid in 0..ctx.cur.procs.len() {
-                ctx.fx.reset(por);
-                match self.run_one(&mut ctx.cur, &mut ctx.regs, pid, true, &mut ctx.fx) {
-                    Ok(None) => continue,
-                    Ok(Some(cost)) => {
-                        self.release_waiters(&mut ctx.cur, &mut ctx.regs, &mut ctx.fx)?;
-                        if self.progress(&src, &ctx.cur, &ctx.fx, Some(pid)) {
-                            live = true;
-                            succs.push(self.extract(
-                                &src,
-                                &ctx.cur,
-                                &ctx.fx,
-                                Some(pid as u32),
-                                false,
-                                StepLabel::Watchdog(pid as u32),
-                                cost,
-                            ));
-                        }
-                    }
-                    Err(e) => {
-                        live = true;
-                        crashes.push(format!(
-                            "watchdog expiry in `{}` crashes: {e}",
-                            self.system.behaviors[pid].name
-                        ));
-                    }
-                }
-                ctx.rollback(&src, &self.layout, Some(pid));
-            }
-        }
-        let terminal = !live;
-        for (fi, (idx, fault)) in self.faults.iter().enumerate() {
-            if src.env.fault_budget[fi] == 0 {
-                continue;
-            }
-            let (value, freeze) = match fault {
-                EnvFault::FlipBit { bit, .. } => {
-                    if src.env.frozen[*idx] {
-                        continue;
-                    }
-                    let mut bits = src.sigs[*idx].to_bits();
-                    if *bit >= bits.width() {
-                        continue;
-                    }
-                    let inverted = BitVec::from_u64(u64::from(!bits.bit(*bit)), 1);
-                    bits.write_slice(*bit, *bit, &inverted);
-                    (Value::from_bits(&src.sigs[*idx].ty(), &bits), false)
-                }
-                EnvFault::StuckLow { .. } => (
-                    coerce(Value::Bit(false), &self.system.signals[*idx].ty),
-                    true,
-                ),
-            };
-            ctx.fx.reset(false);
-            ctx.cur.signals[*idx] = value;
-            if freeze {
-                ctx.cur.frozen[*idx] = true;
-            }
-            ctx.cur.fault_budget[fi] -= 1;
-            self.release_waiters(&mut ctx.cur, &mut ctx.regs, &mut ctx.fx)?;
-            succs.push(self.extract(
-                &src,
-                &ctx.cur,
-                &ctx.fx,
-                None,
-                true,
-                StepLabel::Fault(fi as u32),
-                0,
-            ));
-            ctx.rollback(&src, &self.layout, None);
-        }
-        ctx.held.cs = Some(cs);
-        Ok(Expansion::Full {
-            succs,
-            terminal,
-            crashes,
-        })
-    }
+    assert_eq!(*s.frozen, *src.env().frozen, "scratch frozen mask");
 }
 
 /// Exploration statistics, reported on every [`super::StateSpace`].
@@ -523,16 +329,9 @@ pub struct CheckStats {
     pub ample_states: u64,
     /// States expanded in full.
     pub full_states: u64,
-    /// Largest number of discovered-but-unexpanded states after any
-    /// level commit.
+    /// Largest number of discovered-but-unexpanded states at the end of
+    /// any BFS level.
     pub peak_frontier: usize,
-    /// Worker threads used for frontier expansion.
-    pub threads: usize,
-    /// Full `CkState`s allocated over the exploration: the root plus
-    /// one in-place scratch state per worker, reused for every expansion
-    /// — `threads + 1`, never O(states) (asserted by the unit and
-    /// differential tests).
-    pub state_allocs: u64,
 }
 
 /// Exploration stopped at the configured state budget instead of
@@ -576,115 +375,6 @@ pub(super) struct Graph {
     pub bounded: Option<BoundedInfo>,
 }
 
-/// Serial commit of one full expansion's results; `ids` is scratch for
-/// [`intern_succ`].
-#[allow(clippy::too_many_arguments)]
-fn commit_full(
-    checker: &Checker<'_>,
-    g: &mut Graph,
-    dedup: &mut Dedup,
-    ids: &mut Vec<u32>,
-    si: usize,
-    succs: Vec<SuccData>,
-    terminal: bool,
-    crashes: Vec<String>,
-) -> Result<(), SimError> {
-    if terminal {
-        g.terminals.push(si as u32);
-    }
-    for label in crashes {
-        g.errors.push((si as u32, label));
-    }
-    for sd in succs {
-        let (cs, label, cost) = intern_succ(&mut g.pools, ids, g.states[si], sd);
-        let fp = cs.fingerprint();
-        let ni = match dedup.probe(cs, fp) {
-            Some(i) => {
-                g.stats.dedup_hits += 1;
-                i
-            }
-            None => {
-                let i = g.states.len();
-                if i >= checker.hard_max_states() {
-                    return Err(SimError::eval(format!(
-                        "reachable state space exceeds {} states; \
-                         reduce the system or raise CheckConfig::max_states",
-                        checker.config.max_states
-                    )));
-                }
-                g.states.push(cs);
-                dedup.insert(cs, fp, i as u32);
-                g.parents.push(Parent {
-                    pred: si as u32,
-                    label,
-                    cost,
-                });
-                i as u32
-            }
-        };
-        g.edges.push(Edge { to: ni, cost });
-    }
-    Ok(())
-}
-
-/// Re-interns a successor's changed components over its source state.
-/// The patched variable-id and control-id vectors are built in the
-/// reusable `ids` buffer and interned by slice, so a vector some state
-/// already holds costs no allocation.
-fn intern_succ(
-    pools: &mut Pools,
-    ids: &mut Vec<u32>,
-    src: CompactState,
-    sd: SuccData,
-) -> (CompactState, StepLabel, u64) {
-    let SuccData {
-        label,
-        cost,
-        sig,
-        groups,
-        procs,
-        env,
-    } = sd;
-    let sig_id = match sig {
-        Some(found) => found.intern(&mut pools.sigs),
-        None => src.sig,
-    };
-    let var_id = if groups.is_empty() {
-        src.var
-    } else {
-        ids.clear();
-        ids.extend_from_slice(pools.varvecs.get(src.var));
-        for (grp, vals) in groups {
-            ids[grp as usize] = pools.groups.intern(vals);
-        }
-        pools.varvecs.intern_with(&ids[..], || ids[..].into())
-    };
-    let ctl_id = if procs.is_empty() {
-        src.ctl
-    } else {
-        ids.clear();
-        ids.extend_from_slice(pools.ctls.get(src.ctl));
-        for (p, found) in procs {
-            ids[p as usize] = found.intern(&mut pools.procs);
-        }
-        pools.ctls.intern_with(&ids[..], || ids[..].into())
-    };
-    let env_id = match env {
-        Some(e) => pools.envs.intern(e),
-        None => src.env,
-    };
-    (
-        CompactState {
-            sig: sig_id,
-            var: var_id,
-            ctl: ctl_id,
-            env: env_id,
-        },
-        label,
-        cost,
-    )
-}
-
 /// Interns a fully materialized state (the root).
 fn intern_full(pools: &mut Pools, layout: &Layout, s: &CkState) -> CompactState {
     let sig = pools.sigs.intern(s.signals.iter().cloned().collect());
@@ -710,15 +400,233 @@ fn intern_full(pools: &mut Pools, layout: &Layout, s: &CkState) -> CompactState 
 }
 
 impl<'a> Checker<'a> {
+    fn por_on(&self) -> bool {
+        self.por.as_ref().is_some_and(|t| t.enabled)
+    }
+
+    /// The hard abort cap on stored states. A graceful state budget
+    /// ([`super::CheckConfig::with_state_limit`]) supersedes it: a
+    /// budgeted run's contract is a structured `Bounded` verdict, never
+    /// an exhaustion error, regardless of where the budget sits relative
+    /// to `max_states` (the budget is enforced at level boundaries, so a
+    /// lower `max_states` could otherwise abort mid-level first).
+    pub(super) fn hard_max_states(&self) -> usize {
+        if self.config.state_limit.is_some() {
+            usize::MAX
+        } else {
+            self.config.max_states
+        }
+    }
+
+    /// Exact progress test replacing the seed's whole-state `state !=
+    /// *src` comparison: the tracked effects bound what can differ, so
+    /// only the touched components of the run's result `s` are compared
+    /// with the source (and usually none are — an advanced pc or a
+    /// released waiter decides immediately).
+    fn progress(&self, src: Src<'_>, s: &CkState, fx: &RunFx, pid: usize) -> bool {
+        if s.procs[pid] != *src.proc(pid) {
+            return true;
+        }
+        if !fx.released.is_empty() {
+            return true;
+        }
+        if fx.wrote_sig && s.signals[..] != *src.sigs() {
+            return true;
+        }
+        fx.dirty_groups.iter().any(|&g| {
+            self.layout.group_members[g as usize]
+                .iter()
+                .zip(src.group(g).iter())
+                .any(|(&v, old)| s.vars[v as usize] != *old)
+        })
+    }
+
+    /// Records the edge from state `si` to `succ`, numbering `succ` as
+    /// the next state when the dedup table has not seen it.
+    fn add_edge(
+        &self,
+        g: &mut Graph,
+        dedup: &mut Dedup,
+        si: usize,
+        (succ, label, cost): (CompactState, StepLabel, u64),
+    ) -> Result<(), SimError> {
+        let fp = succ.fingerprint();
+        let to = match dedup.probe(succ, fp) {
+            Some(i) => {
+                g.stats.dedup_hits += 1;
+                i
+            }
+            None => {
+                let i = g.states.len();
+                if i >= self.hard_max_states() {
+                    return Err(SimError::eval(format!(
+                        "reachable state space exceeds {} states; \
+                         reduce the system or raise CheckConfig::max_states",
+                        self.config.max_states
+                    )));
+                }
+                g.states.push(succ);
+                dedup.insert(succ, fp, i as u32);
+                g.parents.push(Parent {
+                    pred: si as u32,
+                    label,
+                    cost,
+                });
+                i as u32
+            }
+        };
+        g.edges.push(Edge { to, cost });
+        Ok(())
+    }
+
+    /// Expands state `si` and records its edges: the seed's `successors`
+    /// with the ample-set shortcut. With `por` set, the first qualifying
+    /// pure run stands alone (later pids unscanned — sound, see the
+    /// module docs); otherwise the full successor set is recorded in the
+    /// seed's order: process runs in pid order, watchdog expiries when
+    /// nothing else moves, then budgeted fault strikes in config order.
+    fn expand(
+        &self,
+        ctx: &mut Scratch,
+        g: &mut Graph,
+        dedup: &mut Dedup,
+        si: usize,
+        por: bool,
+    ) -> Result<(), SimError> {
+        let cs = g.states[si];
+        let mark = g.pools.mark();
+        ctx.materialize(Src::new(&g.pools, cs), &self.layout);
+        ctx.succs.clear();
+        let mut crashes = Vec::new();
+        let mut live = false;
+        for pid in 0..ctx.cur.procs.len() {
+            ctx.fx.reset(por);
+            match self.run_one(&mut ctx.cur, &mut ctx.regs, pid, false, &mut ctx.fx) {
+                // Nothing was written: no release sweep, diff or rollback.
+                Ok(None) => continue,
+                Ok(Some(cost)) => {
+                    self.release_waiters(&mut ctx.cur, &mut ctx.regs, &mut ctx.fx)?;
+                    let src = Src::new(&g.pools, cs);
+                    if self.progress(src, &ctx.cur, &ctx.fx, pid) {
+                        live = true;
+                        let ample = por
+                            && crashes.is_empty()
+                            && ctx.fx.pure_run
+                            && !ctx.fx.wrote_sig
+                            && ctx.fx.released.is_empty()
+                            && ctx.cur.procs[pid].done == src.proc(pid).done;
+                        if ample {
+                            // Drop what the discarded earlier successors
+                            // added to the pools.
+                            g.pools.truncate(mark);
+                        }
+                        let succ = ctx.intern(&mut g.pools, &self.layout, cs, Some(pid));
+                        let edge = (succ, StepLabel::Run(pid as u32), cost);
+                        if ample {
+                            ctx.rollback(Src::new(&g.pools, cs), &self.layout, Some(pid));
+                            ctx.held.cs = Some(cs);
+                            if dedup.probe(succ, succ.fingerprint()).is_some() {
+                                // Cycle proviso: the deferred transitions
+                                // would never be explored along this
+                                // lasso — re-expand the source in full.
+                                return self.expand(ctx, g, dedup, si, false);
+                            }
+                            self.add_edge(g, dedup, si, edge)?;
+                            g.stats.ample_states += 1;
+                            return Ok(());
+                        }
+                        ctx.succs.push(edge);
+                    }
+                }
+                Err(e) => {
+                    live = true;
+                    crashes.push(format!(
+                        "`{}` crashes: {e}",
+                        self.system.behaviors[pid].name
+                    ));
+                }
+            }
+            ctx.rollback(Src::new(&g.pools, cs), &self.layout, Some(pid));
+        }
+        if !live {
+            for pid in 0..ctx.cur.procs.len() {
+                ctx.fx.reset(por);
+                match self.run_one(&mut ctx.cur, &mut ctx.regs, pid, true, &mut ctx.fx) {
+                    Ok(None) => continue,
+                    Ok(Some(cost)) => {
+                        self.release_waiters(&mut ctx.cur, &mut ctx.regs, &mut ctx.fx)?;
+                        if self.progress(Src::new(&g.pools, cs), &ctx.cur, &ctx.fx, pid) {
+                            live = true;
+                            let succ = ctx.intern(&mut g.pools, &self.layout, cs, Some(pid));
+                            ctx.succs
+                                .push((succ, StepLabel::Watchdog(pid as u32), cost));
+                        }
+                    }
+                    Err(e) => {
+                        live = true;
+                        crashes.push(format!(
+                            "watchdog expiry in `{}` crashes: {e}",
+                            self.system.behaviors[pid].name
+                        ));
+                    }
+                }
+                ctx.rollback(Src::new(&g.pools, cs), &self.layout, Some(pid));
+            }
+        }
+        for (fi, (idx, fault)) in self.faults.iter().enumerate() {
+            let src = Src::new(&g.pools, cs);
+            if src.env().fault_budget[fi] == 0 {
+                continue;
+            }
+            let (value, freeze) = match fault {
+                EnvFault::FlipBit { bit, .. } => {
+                    if src.env().frozen[*idx] {
+                        continue;
+                    }
+                    let old = &src.sigs()[*idx];
+                    let mut bits = old.to_bits();
+                    if *bit >= bits.width() {
+                        continue;
+                    }
+                    let inverted = BitVec::from_u64(u64::from(!bits.bit(*bit)), 1);
+                    bits.write_slice(*bit, *bit, &inverted);
+                    (Value::from_bits(&old.ty(), &bits), false)
+                }
+                EnvFault::StuckLow { .. } => (
+                    coerce(Value::Bit(false), &self.system.signals[*idx].ty),
+                    true,
+                ),
+            };
+            ctx.fx.reset(false);
+            ctx.cur.signals[*idx] = value;
+            if freeze {
+                ctx.cur.frozen[*idx] = true;
+            }
+            ctx.cur.fault_budget[fi] -= 1;
+            self.release_waiters(&mut ctx.cur, &mut ctx.regs, &mut ctx.fx)?;
+            let succ = ctx.intern(&mut g.pools, &self.layout, cs, None);
+            ctx.succs.push((succ, StepLabel::Fault(fi as u32), 0));
+            ctx.rollback(Src::new(&g.pools, cs), &self.layout, None);
+        }
+        ctx.held.cs = Some(cs);
+        if !live {
+            g.terminals.push(si as u32);
+        }
+        for label in crashes {
+            g.errors.push((si as u32, label));
+        }
+        for &edge in &ctx.succs {
+            self.add_edge(g, dedup, si, edge)?;
+        }
+        g.stats.full_states += 1;
+        Ok(())
+    }
+
     /// Explores the reachable graph; see [`Checker::explore`] for the
     /// error contract.
     pub(super) fn explore_graph(&self) -> Result<Graph, SimError> {
-        let threads = self.config.threads.max(1);
         let por = self.por_on();
-        let mut ctxs: Vec<WorkerCtx> = (0..threads).map(|_| WorkerCtx::new(self)).collect();
-        let mut state_allocs = threads as u64;
-        let mut ids = Vec::new();
-
+        let mut ctx = Scratch::new(self);
         let mut g = Graph {
             pools: Pools::new(),
             states: Vec::new(),
@@ -727,10 +635,7 @@ impl<'a> Checker<'a> {
             edge_off: vec![0],
             terminals: Vec::new(),
             errors: Vec::new(),
-            stats: CheckStats {
-                threads,
-                ..CheckStats::default()
-            },
+            stats: CheckStats::default(),
             bounded: None,
         };
         let mut dedup = match self.config.bitstate_bits {
@@ -738,14 +643,11 @@ impl<'a> Checker<'a> {
             None => Dedup::exact(),
         };
 
-        let mut init = self.initial_state();
-        state_allocs += 1;
-        {
-            let ctx = &mut ctxs[0];
-            ctx.fx.reset(false);
-            self.release_waiters(&mut init, &mut ctx.regs, &mut ctx.fx)?;
-        }
-        let init_cs = intern_full(&mut g.pools, &self.layout, &init);
+        // The scratch state starts as the root; `held` stays unknown, so
+        // the first expansion copies every component back in.
+        ctx.fx.reset(false);
+        self.release_waiters(&mut ctx.cur, &mut ctx.regs, &mut ctx.fx)?;
+        let init_cs = intern_full(&mut g.pools, &self.layout, &ctx.cur);
         dedup.insert(init_cs, init_cs.fingerprint(), 0);
         g.states.push(init_cs);
         g.parents.push(Parent {
@@ -755,103 +657,11 @@ impl<'a> Checker<'a> {
         });
 
         let (mut l0, mut l1) = (0usize, 1usize);
-        'levels: while l0 < l1 {
-            let level_len = l1 - l0;
-            let results: Vec<Result<Expansion, SimError>> =
-                if threads == 1 || level_len < threads * 8 {
-                    let ctx = &mut ctxs[0];
-                    let pools = &g.pools;
-                    g.states[l0..l1]
-                        .iter()
-                        .map(|&cs| self.expand_one(ctx, pools, cs, por))
-                        .collect()
-                } else {
-                    let chunk = level_len.div_ceil(threads);
-                    let level = &g.states[l0..l1];
-                    let pools = &g.pools;
-                    std::thread::scope(|sc| {
-                        let mut handles = Vec::with_capacity(threads);
-                        for (t, ctx) in ctxs.iter_mut().enumerate() {
-                            let start = t * chunk;
-                            if start >= level_len {
-                                break;
-                            }
-                            let span = &level[start..(start + chunk).min(level_len)];
-                            handles.push(sc.spawn(move || {
-                                span.iter()
-                                    .map(|&cs| self.expand_one(ctx, pools, cs, por))
-                                    .collect::<Vec<_>>()
-                            }));
-                        }
-                        handles
-                            .into_iter()
-                            .flat_map(|h| h.join().expect("checker worker panicked"))
-                            .collect()
-                    })
-                };
-
-            for (k, res) in results.into_iter().enumerate() {
-                let si = l0 + k;
-                match res? {
-                    Expansion::Ample(sd) => {
-                        let (cs, label, cost) =
-                            intern_succ(&mut g.pools, &mut ids, g.states[si], sd);
-                        let fp = cs.fingerprint();
-                        if dedup.probe(cs, fp).is_some() {
-                            // Cycle proviso: the deferred transitions
-                            // would never be explored along this lasso —
-                            // re-expand the source in full, serially.
-                            let exp = {
-                                let ctx = &mut ctxs[0];
-                                let pools = &g.pools;
-                                self.expand_one(ctx, pools, g.states[si], false)?
-                            };
-                            let Expansion::Full {
-                                succs,
-                                terminal,
-                                crashes,
-                            } = exp
-                            else {
-                                unreachable!("POR disabled for proviso re-expansion")
-                            };
-                            commit_full(
-                                self, &mut g, &mut dedup, &mut ids, si, succs, terminal, crashes,
-                            )?;
-                            g.stats.full_states += 1;
-                        } else {
-                            let i = g.states.len();
-                            if i >= self.hard_max_states() {
-                                return Err(SimError::eval(format!(
-                                    "reachable state space exceeds {} states; \
-                                     reduce the system or raise CheckConfig::max_states",
-                                    self.config.max_states
-                                )));
-                            }
-                            g.states.push(cs);
-                            dedup.insert(cs, fp, i as u32);
-                            g.parents.push(Parent {
-                                pred: si as u32,
-                                label,
-                                cost,
-                            });
-                            g.edges.push(Edge { to: i as u32, cost });
-                            g.stats.ample_states += 1;
-                        }
-                    }
-                    Expansion::Full {
-                        succs,
-                        terminal,
-                        crashes,
-                    } => {
-                        commit_full(
-                            self, &mut g, &mut dedup, &mut ids, si, succs, terminal, crashes,
-                        )?;
-                        g.stats.full_states += 1;
-                    }
-                }
+        while l0 < l1 {
+            for si in l0..l1 {
+                self.expand(&mut ctx, &mut g, &mut dedup, si, por)?;
                 g.edge_off.push(g.edges.len() as u32);
             }
-
             let frontier = g.states.len() - l1;
             g.stats.peak_frontier = g.stats.peak_frontier.max(frontier);
             l0 = l1;
@@ -862,7 +672,7 @@ impl<'a> Checker<'a> {
                         limit,
                         frontier: l1 - l0,
                     });
-                    break 'levels;
+                    break;
                 }
             }
         }
@@ -875,7 +685,6 @@ impl<'a> Checker<'a> {
         g.stats.transitions = g.edges.len();
         g.stats.terminals = g.terminals.len();
         g.stats.errors = g.errors.len();
-        g.stats.state_allocs = state_allocs;
         Ok(g)
     }
 }

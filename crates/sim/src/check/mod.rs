@@ -76,14 +76,20 @@
 //!   [`CheckConfig::with_observed_signals`] /
 //!   [`CheckConfig::with_observed_variables`] to unlock reduction over
 //!   the rest (by default everything is treated as observed);
-//! * **parallel frontier expansion** — [`CheckConfig::with_check_threads`]
-//!   expands each BFS level across threads with a serial in-order commit,
-//!   so state numbering, traces and verdicts are byte-identical at every
-//!   thread count;
 //! * **bounded exploration** — [`CheckConfig::with_state_limit`] stops at
 //!   a state budget with a structured [`Verdict::Bounded`] instead of an
 //!   error (or OOM), and [`CheckConfig::with_bitstate`] opts into lossy
 //!   fingerprint-only dedup for sweeps beyond exact-memory reach.
+//!
+//! Exploration runs on one thread and is deterministic by discovery
+//! order: states are expanded in the order they were found, and each
+//! successor is interned where its run found it, so state numbering,
+//! pool ids, fingerprints, traces and verdicts depend only on the system
+//! and the configuration. When reduction picks an ample run after
+//! earlier successors were interned, the pools are truncated back to
+//! where the expansion started before the ample successor is interned,
+//! so the discarded successors leave no trace in pool ids, fingerprints
+//! or bitstate collisions.
 
 mod explore;
 mod fx;
@@ -161,9 +167,6 @@ pub struct CheckConfig {
     /// Statement costs, identical to the simulator's default model so
     /// checked bounds are comparable to simulated finish times.
     pub cost_model: CostModel,
-    /// Worker threads for frontier expansion (1 = serial). Results are
-    /// byte-identical at every thread count.
-    pub threads: usize,
     /// Stop exploration gracefully after this many discovered states,
     /// reporting [`Verdict::Bounded`] — unlike
     /// [`CheckConfig::max_states`], which treats exhaustion as an error.
@@ -192,7 +195,6 @@ impl Default for CheckConfig {
             step_budget: 1 << 20,
             faults: Vec::new(),
             cost_model: CostModel::new(),
-            threads: 1,
             state_limit: None,
             bitstate_bits: None,
             por: true,
@@ -217,12 +219,6 @@ impl CheckConfig {
     /// Adds one environment fault.
     pub fn with_fault(mut self, fault: EnvFault) -> Self {
         self.faults.push(fault);
-        self
-    }
-
-    /// Sets the worker-thread count for frontier expansion.
-    pub fn with_check_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 

@@ -660,8 +660,8 @@ impl<'a> StateSpace<'a> {
         labels
     }
 
-    /// Exploration statistics: reduction and dedup counters, frontier
-    /// peak, thread count, allocation discipline.
+    /// Exploration statistics: reduction and dedup counters and the
+    /// frontier peak.
     pub fn stats(&self) -> &CheckStats {
         &self.g.stats
     }

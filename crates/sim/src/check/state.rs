@@ -21,6 +21,7 @@
 //! shards the dedup table and drives the opt-in lossy bitstate mode.
 
 use std::borrow::Borrow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -226,14 +227,9 @@ impl<T: Hash + Eq> Interner<T> {
         &self.items[id as usize]
     }
 
-    /// The id of the pooled component equal to `key`, if there is one.
-    #[inline]
-    pub fn find<Q>(&self, key: &Q) -> Option<u32>
-    where
-        T: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.lookup(fx_hash(key), key)
+    /// Number of pooled components: the id the next miss gets.
+    pub fn len(&self) -> usize {
+        self.items.len()
     }
 
     /// Interns an owned component, returning its canonical id (the
@@ -272,6 +268,27 @@ impl<T: Hash + Eq> Interner<T> {
         }
     }
 
+    /// Forgets every component pooled after the first `len`, so the
+    /// next misses get their ids again.
+    pub fn truncate(&mut self, len: usize) {
+        while self.items.len() > len {
+            let value = self.items.pop().expect("longer than len");
+            let Entry::Occupied(mut bucket) = self.map.entry(fx_hash(&value)) else {
+                unreachable!("every pooled component is indexed under its hash")
+            };
+            // Ids enter a bucket in increasing order: the dropped one is
+            // its last.
+            match bucket.get_mut() {
+                Bucket::Many(ids) if ids.len() > 1 => {
+                    ids.pop();
+                }
+                _ => {
+                    bucket.remove();
+                }
+            }
+        }
+    }
+
     /// Pools a value known to be absent under hash `h`.
     fn insert(&mut self, h: u64, value: T) -> u32 {
         let id = u32::try_from(self.items.len()).expect("component pool overflow");
@@ -303,6 +320,11 @@ pub(super) struct Pools {
     pub envs: Interner<EnvComp>,
 }
 
+/// The pool sizes at one point of an exploration, for
+/// [`Pools::truncate`] to go back to.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct PoolMark([usize; 6]);
+
 impl Pools {
     pub fn new() -> Self {
         Self {
@@ -313,6 +335,28 @@ impl Pools {
             ctls: Interner::new(),
             envs: Interner::new(),
         }
+    }
+
+    pub fn mark(&self) -> PoolMark {
+        PoolMark([
+            self.sigs.len(),
+            self.groups.len(),
+            self.varvecs.len(),
+            self.procs.len(),
+            self.ctls.len(),
+            self.envs.len(),
+        ])
+    }
+
+    /// Drops every component pooled since `mark` was taken.
+    pub fn truncate(&mut self, mark: PoolMark) {
+        let [sigs, groups, varvecs, procs, ctls, envs] = mark.0;
+        self.sigs.truncate(sigs);
+        self.groups.truncate(groups);
+        self.varvecs.truncate(varvecs);
+        self.procs.truncate(procs);
+        self.ctls.truncate(ctls);
+        self.envs.truncate(envs);
     }
 }
 

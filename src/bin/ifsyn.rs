@@ -46,8 +46,6 @@
 //!                            flip:SIG:BIT[:BUDGET]
 //!                          unlike --fault these carry no schedule times;
 //!                          the checker tries every legal strike point
-//!   --check-threads N      explore the frontier with N worker threads
-//!                          (reports are byte-identical to N=1)
 //!   --check-limit STATES   stop exploring after STATES states and report
 //!                          BOUND verdicts instead of running out of
 //!                          memory on huge systems
@@ -103,7 +101,6 @@ struct Options {
     faults: Vec<String>,
     check: bool,
     check_faults: Vec<String>,
-    check_threads: usize,
     check_limit: Option<usize>,
     check_bitstate: Option<u32>,
     check_no_por: bool,
@@ -474,9 +471,6 @@ fn check_refined(
     for spec in &options.check_faults {
         config = config.with_fault(parse_check_fault(spec)?);
     }
-    if options.check_threads > 1 {
-        config = config.with_check_threads(options.check_threads);
-    }
     if let Some(limit) = options.check_limit {
         config = config.with_state_limit(limit);
     }
@@ -505,9 +499,8 @@ fn check_refined(
     );
     let stats = space.stats();
     println!(
-        "  {} thread(s), peak frontier {}, {} dedup hit(s), \
-         {} ample / {} fully expanded state(s)",
-        stats.threads, stats.peak_frontier, stats.dedup_hits, stats.ample_states, stats.full_states
+        "  peak frontier {}, {} dedup hit(s), {} ample / {} fully expanded state(s)",
+        stats.peak_frontier, stats.dedup_hits, stats.ample_states, stats.full_states
     );
     if let Some(b) = space.bounded() {
         println!(
@@ -744,7 +737,6 @@ fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Options, Box<dy
             "--fault" => o.faults.push(value_of("--fault")?),
             "--check" => o.check = true,
             "--check-fault" => o.check_faults.push(value_of("--check-fault")?),
-            "--check-threads" => o.check_threads = value_of("--check-threads")?.parse()?,
             "--check-limit" => o.check_limit = Some(value_of("--check-limit")?.parse()?),
             "--check-bitstate" => o.check_bitstate = Some(value_of("--check-bitstate")?.parse()?),
             "--check-no-por" => o.check_no_por = true,
@@ -978,6 +970,7 @@ mod tests {
             &["--frob"][..],
             &["s.ifs", "--lockstep"][..],
             &["s.ifs", "--sim-threads", "2"][..],
+            &["s.ifs", "--check-threads", "2"][..],
         ] {
             assert!(
                 parse_args(args.iter().map(|s| s.to_string())).is_err(),
@@ -1010,21 +1003,17 @@ mod tests {
         let o = parse(&[
             "s.ifs",
             "--check",
-            "--check-threads",
-            "4",
             "--check-limit",
             "500000",
             "--check-bitstate",
             "28",
             "--check-no-por",
         ]);
-        assert_eq!(o.check_threads, 4);
         assert_eq!(o.check_limit, Some(500_000));
         assert_eq!(o.check_bitstate, Some(28));
         assert!(o.check_no_por);
-        // Defaults: scalar exact POR exploration, unbounded.
+        // Defaults: exact POR exploration, unbounded.
         let o = parse(&["s.ifs", "--check"]);
-        assert_eq!(o.check_threads, 0);
         assert_eq!(o.check_limit, None);
         assert_eq!(o.check_bitstate, None);
         assert!(!o.check_no_por);
