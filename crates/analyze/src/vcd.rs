@@ -8,8 +8,9 @@
 //!
 //! The result re-uses the simulator's [`TraceEvent`] with synthetic
 //! [`SignalId`]s indexing the parsed variable table — exactly the shape
-//! [`crate::analyzer`] and `ifsyn_sim::analysis::handshake_words`
-//! consume, making VCD-on-disk and in-memory traces interchangeable.
+//! the bus analyzer behind [`crate::analyze_report`] and
+//! `ifsyn_sim::analysis::handshake_words` consume, making VCD-on-disk
+//! and in-memory traces interchangeable.
 
 use std::collections::HashMap;
 

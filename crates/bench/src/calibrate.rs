@@ -19,7 +19,7 @@
 //!   the sweep must stay inside a pinned tolerance.
 //!
 //! The campaign then runs the fixed-point calibration loop
-//! ([`ifsyn_analyze::calibrate`]) on the shared FLC: measured rates
+//! ([`ifsyn_analyze::calibrate()`]) on the shared FLC: measured rates
 //! replace the static ones, width selection re-runs, and the loop must
 //! converge on a width that re-selects itself. `experiments calibrate`
 //! writes everything to `BENCH_analyze.json` and exits nonzero when any

@@ -1,10 +1,11 @@
 //! Explicit-state model checking of specification IR.
 //!
 //! The simulator executes *one* schedule; the checker executes *all* of
-//! them. It interprets the same compiled [`Program`] the kernel runs, but
-//! under a nondeterministic scheduler and an optional adversarial fault
-//! environment, enumerating every reachable system state by breadth-first
-//! exploration. Over the explored graph it decides:
+//! them. It runs the same compiled [`Program`] through the same
+//! instruction interpreter as the kernel, but under a nondeterministic
+//! scheduler and an optional adversarial fault environment, enumerating
+//! every reachable system state by breadth-first exploration. Over the
+//! explored graph it decides:
 //!
 //! * **invariants** — a predicate holds in every reachable state
 //!   (e.g. bus grant mutual exclusion);
@@ -100,13 +101,11 @@ mod step;
 #[cfg(test)]
 mod tests;
 
-use std::sync::Arc;
-
 use ifsyn_estimate::CostModel;
 use ifsyn_spec::System;
 
 use crate::error::SimError;
-use crate::program::{Code, Program};
+use crate::program::Program;
 
 use por::PorTables;
 use state::Layout;
@@ -265,8 +264,7 @@ impl CheckConfig {
 /// An explicit-state model checker over one compiled system.
 pub struct Checker<'a> {
     system: &'a System,
-    behaviors: Vec<Arc<Code>>,
-    procedures: Vec<Arc<Code>>,
+    program: Program,
     /// Configured faults with their signal names resolved to indices.
     faults: Vec<(usize, EnvFault)>,
     config: CheckConfig,
@@ -299,13 +297,7 @@ impl<'a> Checker<'a> {
             message: e.to_string(),
         })?;
         let program = Program::compile(system, &config.cost_model);
-        let max_regs = program
-            .behaviors
-            .iter()
-            .chain(&program.procedures)
-            .map(|c| c.max_regs)
-            .max()
-            .unwrap_or(0);
+        let max_regs = program.max_regs();
         let mut faults = Vec::with_capacity(config.faults.len());
         for f in &config.faults {
             let idx = system
@@ -356,8 +348,7 @@ impl<'a> Checker<'a> {
         };
         Ok(Self {
             system,
-            behaviors: program.behaviors,
-            procedures: program.procedures,
+            program,
             faults,
             config,
             max_regs,

@@ -19,15 +19,17 @@
 //!   never pure (they are the inter-process synchronization fabric and
 //!   feed eager waiter release). The per-variable privacy and
 //!   per-signal writer sets come from the static
-//!   [`ifsyn_partition::footprint`] analysis.
+//!   [`mod@ifsyn_partition::footprint`] analysis.
 //! * **dynamically** (the explorer): a run is an ample candidate only if
 //!   every instruction it executed was statically pure *and* the run
 //!   wrote no signal, released no waiter, left the process's `done`
-//!   flag unchanged, and every procedure copy-back it applied targeted a
-//!   `p`-private unobserved variable (copy-back places are resolved at
-//!   the call, possibly in an *earlier* run, so `Ret`'s static row
-//!   cannot see them). The static table makes the dynamic check a table
-//!   lookup per executed instruction.
+//!   flag unchanged, and every variable store it made targeted a
+//!   `p`-private unobserved variable. Statically pure instructions store
+//!   only into such variables, so the store check can newly fail only on
+//!   a procedure copy-back, whose place is resolved at the call, possibly
+//!   in an *earlier* run, where `Ret`'s static row cannot see it. The
+//!   static tables make the dynamic check a table lookup per executed
+//!   instruction and per variable store.
 //!
 //! Soundness notes live in `docs/ROBUSTNESS.md`: conditions C0–C2 follow
 //! from purity (commutation + invisibility), the cycle proviso C3 is
@@ -53,9 +55,10 @@ use crate::program::{Code, Instr, WaitSpec};
 pub(super) struct PorTables {
     tabs: Vec<PidTab>,
     /// Per process, per variable: writing the variable is pure (private
-    /// to the process and unobserved). Consulted dynamically for
-    /// procedure copy-back writes, whose target places are resolved at
-    /// call time and are therefore invisible to `Ret`'s static row.
+    /// to the process and unobserved). Consulted dynamically on every
+    /// variable store, which covers procedure copy-back writes: their
+    /// target places are resolved at call time and are therefore
+    /// invisible to `Ret`'s static row.
     var_write_pure: Vec<Box<[bool]>>,
     /// `true` when any instruction anywhere is pure — when `false` the
     /// explorer skips ample scanning entirely.
@@ -212,8 +215,8 @@ impl Purity<'_> {
             }),
             // A `done` flip on the final return is caught dynamically,
             // and so are out/inout copy-back writes: their targets are
-            // resolved at call time, not here, so `leave_frame` checks
-            // each one against `var_write_pure` instead.
+            // resolved at call time, not here, so every variable store is
+            // checked against `var_write_pure` as it executes.
             Instr::Ret => true,
             Instr::ChannelSend {
                 channel,
@@ -321,12 +324,11 @@ impl PorTables {
         }
     }
 
-    /// Whether a copy-back write to `var`, performed by process `pid` at
-    /// a procedure return, keeps the run pure: the variable must be
-    /// `pid`-private and unobserved, exactly the write-position rule for
-    /// statically visible places.
+    /// Whether a store into `var` by process `pid` keeps the run pure:
+    /// the variable must be `pid`-private and unobserved, exactly the
+    /// write-position rule for statically visible places.
     #[inline]
-    pub fn copyback_pure(&self, pid: usize, var: usize) -> bool {
+    pub fn write_pure(&self, pid: usize, var: usize) -> bool {
         self.var_write_pure[pid][var]
     }
 

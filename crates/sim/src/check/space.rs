@@ -25,10 +25,9 @@ use std::fmt;
 
 use ifsyn_spec::Value;
 
-use crate::diagnose::{find_cycles, BlockedWait, DeadlockDiagnosis};
+use crate::diagnose::{render_expr, DeadlockDiagnosis};
 use crate::exec::RegFile;
-use crate::kernel::render_expr;
-use crate::program::{Instr, WaitSpec};
+use crate::program::WaitSpec;
 
 use super::explore::{BoundedInfo, CheckStats, Edge, Graph, StepLabel};
 use super::state::{CkProc, CkState, CompactState};
@@ -456,26 +455,22 @@ impl<'x, 'a> SpaceRef<'x, 'a> {
         let st = self.materialize(state);
         let mut regs = RegFile::with_capacity(ck.max_regs as usize);
         // (pid, rendered wait, sensitivity signal indices)
-        let mut entries: Vec<(usize, String, Vec<usize>)> = Vec::new();
+        let mut waits: Vec<(usize, String, Vec<usize>)> = Vec::new();
         for (pid, p) in st.procs.iter().enumerate() {
             if p.done {
                 continue;
             }
-            let Some(f) = p.frames.last() else { continue };
-            let Some(Instr::Wait(spec)) = ck.block(f.code).instrs.get(f.pc) else {
+            let Some(spec) = ck.parked_wait(&st, pid) else {
                 continue;
             };
-            let (satisfied, wait, sens) = match spec {
+            let (wait, sens) = match spec {
                 WaitSpec::ForCycles(_) | WaitSpec::OnSignals(_) => continue,
                 WaitSpec::Until(cond) | WaitSpec::UntilTimeout { cond, .. } => (
-                    ck.eval_bool(&st, pid, &cond.code, &mut regs)
-                        .unwrap_or(false),
                     format!("wait until {}", render_expr(ck.system, &cond.display)),
                     cond.sensitivity.iter().map(|s| s.index()).collect(),
                 ),
                 WaitSpec::UntilSignalIs { signal, value }
                 | WaitSpec::UntilSignalIsTimeout { signal, value, .. } => (
-                    st.signals[signal.index()] == *value,
                     format!(
                         "wait until {} = {value}",
                         ck.system.signals[signal.index()].name
@@ -483,73 +478,11 @@ impl<'x, 'a> SpaceRef<'x, 'a> {
                     vec![signal.index()],
                 ),
             };
-            if !satisfied {
-                entries.push((pid, wait, sens));
+            if !matches!(ck.wait_holds(&st, &mut regs, pid, spec), Ok(Some(true))) {
+                waits.push((pid, wait, sens));
             }
         }
-        if entries.is_empty() {
-            return None;
-        }
-        let blocked = entries
-            .iter()
-            .map(|(pid, wait, sens)| BlockedWait {
-                behavior: ck.system.behaviors[*pid].name.clone(),
-                wait: wait.clone(),
-                observed: sens
-                    .iter()
-                    .map(|&s| (ck.system.signals[s].name.clone(), st.signals[s].to_string()))
-                    .collect(),
-            })
-            .collect();
-        let writes: Vec<Vec<bool>> = entries
-            .iter()
-            .map(|(pid, _, _)| self.written_signals(*pid))
-            .collect();
-        let edges: Vec<Vec<usize>> = entries
-            .iter()
-            .enumerate()
-            .map(|(i, (_, _, sens))| {
-                (0..entries.len())
-                    .filter(|&j| j != i && sens.iter().any(|&s| writes[j][s]))
-                    .collect()
-            })
-            .collect();
-        let cycles = find_cycles(entries.len(), &edges)
-            .into_iter()
-            .map(|cycle| {
-                cycle
-                    .into_iter()
-                    .map(|i| ck.system.behaviors[entries[i].0].name.clone())
-                    .collect()
-            })
-            .collect();
-        Some(DeadlockDiagnosis {
-            time,
-            blocked,
-            cycles,
-        })
-    }
-
-    /// Signals a behavior's code can drive, including through called
-    /// procedures (transitively); indexed by signal index.
-    fn written_signals(&self, behavior: usize) -> Vec<bool> {
-        let ck = self.ck;
-        let mut out = vec![false; ck.system.signals.len()];
-        let mut visited = vec![false; ck.procedures.len()];
-        let mut stack: Vec<&[Instr]> = vec![&ck.behaviors[behavior].instrs];
-        while let Some(instrs) = stack.pop() {
-            for instr in instrs {
-                match instr {
-                    Instr::SignalWrite { signal, .. } => out[signal.index()] = true,
-                    Instr::Call { procedure, .. } if !visited[*procedure] => {
-                        visited[*procedure] = true;
-                        stack.push(&ck.procedures[*procedure].instrs);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        out
+        DeadlockDiagnosis::assemble(ck.system, &ck.program, &st.signals, time, waits)
     }
 }
 

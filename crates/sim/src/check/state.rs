@@ -25,83 +25,15 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use ifsyn_spec::{System, Ty, Value};
+use ifsyn_spec::{System, Value};
 
 use super::fx::{fx_hash, splitmix, BuildFx};
-use crate::process::{CodeRef, ResolvedPlace};
-
-/// One call frame of a checker process: the kernel's frame shape with
-/// `Eq + Hash` so whole states can be interned.
-// The hand-written `PartialEq` below compares exactly the fields the
-// derived `Hash` hashes, so equal frames still hash equally.
-#[allow(clippy::derived_hash_with_manual_eq)]
-#[derive(Debug, Hash)]
-pub(super) struct CkFrame {
-    pub code: CodeRef,
-    pub pc: usize,
-    pub locals: Vec<Value>,
-    pub loop_bounds: Vec<i64>,
-    pub copyback: Vec<(usize, ResolvedPlace, Ty)>,
-}
-
-/// Written by hand for `loop_bounds`: slice `==` on `i64`s compiles to
-/// a libc `memcmp` call, and `loop_bounds` is empty and unallocated in
-/// almost every frame, so the call gets a dangling page-0 pointer with
-/// length 0. On a 2-vCPU Xeon VM that call measured ~137 ns against
-/// ~3 ns for an element-wise compare, and frame compares sit on every
-/// transition's diff and intern path.
-impl PartialEq for CkFrame {
-    fn eq(&self, other: &Self) -> bool {
-        self.code == other.code
-            && self.pc == other.pc
-            && self.locals == other.locals
-            && self.loop_bounds.iter().eq(&other.loop_bounds)
-            && self.copyback == other.copyback
-    }
-}
-
-impl Eq for CkFrame {}
-
-impl CkFrame {
-    pub fn new(code: CodeRef, locals: Vec<Value>) -> Self {
-        Self {
-            code,
-            pc: 0,
-            locals,
-            loop_bounds: Vec::new(),
-            copyback: Vec::new(),
-        }
-    }
-}
-
-impl Clone for CkFrame {
-    fn clone(&self) -> Self {
-        Self {
-            code: self.code,
-            pc: self.pc,
-            locals: self.locals.clone(),
-            loop_bounds: self.loop_bounds.clone(),
-            copyback: self.copyback.clone(),
-        }
-    }
-
-    /// Buffer-reusing copy: a scratch state's processes are rebuilt once
-    /// per explored state and rolled back after every run, so keeping
-    /// the `Vec` spines alive is the difference between an
-    /// allocation-free hot loop and three allocations per transition.
-    fn clone_from(&mut self, src: &Self) {
-        self.code = src.code;
-        self.pc = src.pc;
-        self.locals.clone_from(&src.locals);
-        self.loop_bounds.clone_from(&src.loop_bounds);
-        self.copyback.clone_from(&src.copyback);
-    }
-}
+use crate::process::Frame;
 
 /// Control state of one behavior instance.
 #[derive(Debug, PartialEq, Eq, Hash)]
 pub(super) struct CkProc {
-    pub frames: Vec<CkFrame>,
+    pub frames: Vec<Frame>,
     pub done: bool,
 }
 

@@ -9,6 +9,10 @@
 
 use std::fmt;
 
+use ifsyn_spec::{Expr, System, Value};
+
+use crate::program::Program;
+
 /// One blocked process and what it is waiting for.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockedWait {
@@ -55,6 +59,64 @@ impl DeadlockDiagnosis {
     pub fn blocked_behavior(&self, name: &str) -> Option<&BlockedWait> {
         self.blocked.iter().find(|b| b.behavior == name)
     }
+
+    /// Assembles the diagnosis taken at `time` from the blocked
+    /// processes, in pid order: each one's behavior index, its rendered
+    /// wait and the signals it is sensitive to, whose values in
+    /// `signals` are reported as observed. `None` when nothing is
+    /// blocked.
+    pub(crate) fn assemble(
+        system: &System,
+        program: &Program,
+        signals: &[Value],
+        time: u64,
+        waits: Vec<(usize, String, Vec<usize>)>,
+    ) -> Option<Self> {
+        if waits.is_empty() {
+            return None;
+        }
+        // Wait-for edges: blocked A -> blocked B when B's code can write a
+        // signal A is sensitive to. With every potential writer of A's
+        // wakeup signals itself blocked, the cycle is unbreakable.
+        let writes: Vec<Vec<bool>> = waits
+            .iter()
+            .map(|(b, _, _)| program.written_signals(*b, system.signals.len()))
+            .collect();
+        let edges: Vec<Vec<usize>> = waits
+            .iter()
+            .enumerate()
+            .map(|(i, (_, _, sens))| {
+                (0..waits.len())
+                    .filter(|&j| j != i && sens.iter().any(|&s| writes[j][s]))
+                    .collect()
+            })
+            .collect();
+        let cycles = find_cycles(waits.len(), &edges)
+            .into_iter()
+            .map(|cycle| {
+                cycle
+                    .into_iter()
+                    .map(|i| system.behaviors[waits[i].0].name.clone())
+                    .collect()
+            })
+            .collect();
+        let blocked = waits
+            .into_iter()
+            .map(|(b, wait, sens)| BlockedWait {
+                behavior: system.behaviors[b].name.clone(),
+                wait,
+                observed: sens
+                    .iter()
+                    .map(|&s| (system.signals[s].name.clone(), signals[s].to_string()))
+                    .collect(),
+            })
+            .collect();
+        Some(Self {
+            time,
+            blocked,
+            cycles,
+        })
+    }
 }
 
 impl fmt::Display for DeadlockDiagnosis {
@@ -70,13 +132,30 @@ impl fmt::Display for DeadlockDiagnosis {
     }
 }
 
+/// Renders a wait condition compactly for diagnosis messages: signal
+/// names, literal values and operators; structural forms fall back to a
+/// placeholder rather than a full printout.
+pub(crate) fn render_expr(system: &System, expr: &Expr) -> String {
+    match expr {
+        Expr::Signal(s) => system.signal(*s).name.clone(),
+        Expr::Const(v) => v.to_string(),
+        Expr::Unary { op, arg } => format!("{op} {}", render_expr(system, arg)),
+        Expr::Binary { op, lhs, rhs } => format!(
+            "{} {op} {}",
+            render_expr(system, lhs),
+            render_expr(system, rhs)
+        ),
+        _ => "<expr>".to_string(),
+    }
+}
+
 /// Finds elementary cycles in a wait-for graph given as adjacency lists
 /// (`edges[i]` = processes that `i` waits for). Returns each cycle once,
 /// as the list of node indices in cycle order.
 ///
 /// The graphs here are tiny (blocked processes of one simulation), so a
 /// simple DFS with a recursion stack suffices.
-pub(crate) fn find_cycles(n: usize, edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
+fn find_cycles(n: usize, edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
     let mut cycles: Vec<Vec<usize>> = Vec::new();
     let mut color = vec![0u8; n]; // 0 = white, 1 = on stack, 2 = done
     let mut stack: Vec<usize> = Vec::new();

@@ -1,19 +1,29 @@
 //! The discrete-event simulation kernel.
+//!
+//! The kernel owns time: the delta loop, the event heaps, waiter
+//! registration and wake-up, the fault filter and fast-forward.
+//! Instructions execute in the interpreter it shares with the model
+//! checker ([`crate::interp`]); an activation plugs the kernel's
+//! scheduling into it: zero-cost signal writes queue for the next
+//! delta, costed instructions sleep (or fast-forward when nothing else
+//! can observe the skipped interval), and an unsatisfied wait registers
+//! the process as a waiter and parks it past the wait.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-use ifsyn_spec::{BitVec, Expr, ParamMode, SignalId, System, Ty, Value};
+use ifsyn_spec::{BitVec, SignalId, System, Value};
 
 use crate::config::SimConfig;
-use crate::diagnose::{find_cycles, BlockedWait, DeadlockDiagnosis};
+use crate::diagnose::{render_expr, DeadlockDiagnosis};
 use crate::error::SimError;
 use crate::eval::{coerce, EvalCtx};
-use crate::exec::{self, CArg, CPath, CPathStep, CPlace, CRoot, ExprCode, RegFile};
+use crate::exec::{self, ExprCode, RegFile};
 use crate::fault::{FaultKind, InjectedFault};
-use crate::process::{CodeRef, Frame, Process, ResolvedPlace, Root, Status, Step, WaitKind};
-use crate::program::{Code, CodeCache, Instr, Program, WaitSpec};
+use crate::interp::{self, Engine, Store};
+use crate::process::{CodeRef, Process, Status, WaitKind};
+use crate::program::{CodeCache, Program, WaitSpec};
 use crate::report::{BehaviorOutcome, SimReport, TraceEvent};
 
 /// Upper bound on recorded [`InjectedFault`] entries, so a stuck line on
@@ -136,18 +146,16 @@ fn eval_split<'s>(
 pub struct Simulator<'a> {
     system: &'a System,
     config: SimConfig,
-    /// Shared handles to each compiled code block. `Arc` (not `Rc`) keeps
+    /// The compiled code blocks, behind `Arc`s: `Arc` (not `Rc`) keeps
     /// the simulator `Send` for the parallel sweep driver, and lets a
     /// [`CodeCache`] share identical blocks between simulator instances.
     ///
-    /// Each slot is an `Option` so the interpreter can *move* the running
-    /// block out (`take_block`) and hold it across `&mut self` calls,
-    /// then move it back at the next block switch or suspension — no
-    /// per-activation reference-count traffic. A slot is only ever `None`
-    /// while its block is executing (or after a terminal error, when the
-    /// simulator is dropped without further use).
-    behavior_code: Vec<Option<Arc<Code>>>,
-    procedure_code: Vec<Option<Arc<Code>>>,
+    /// Each activation *moves* the program out of this field and back
+    /// (see `run_process`), so the interpreter holds its blocks across
+    /// `&mut self` calls with no reference-count traffic. The field is
+    /// empty only while a process runs (or after a terminal error, when
+    /// the simulator is dropped without further use).
+    program: Program,
     /// The reusable micro-op register file, pre-sized at compile time to
     /// the widest expression in the program.
     regs: RegFile,
@@ -250,15 +258,7 @@ impl<'a> Simulator<'a> {
             message: e.to_string(),
         })?;
         let program = Program::compile_cached(system, &config.cost_model, cache);
-        let max_regs = program
-            .behaviors
-            .iter()
-            .chain(&program.procedures)
-            .map(|c| c.max_regs)
-            .max()
-            .unwrap_or(0);
-        let behavior_code = program.behaviors.into_iter().map(Some).collect();
-        let procedure_code = program.procedures.into_iter().map(Some).collect();
+        let max_regs = program.max_regs();
         let signals = system
             .signals
             .iter()
@@ -305,8 +305,7 @@ impl<'a> Simulator<'a> {
         Ok(Self {
             system,
             config,
-            behavior_code,
-            procedure_code,
+            program,
             regs: RegFile::with_capacity(max_regs as usize),
             time: 0,
             signals,
@@ -744,8 +743,8 @@ impl<'a> Simulator<'a> {
         self.processes[pid].status = Status::Waiting(kind);
     }
 
-    /// Single-signal fast path of [`register_wait`]: no epoch bump and no
-    /// dedup pass — a one-element sensitivity list cannot contain
+    /// Single-signal fast path of [`Self::register_wait`]: no epoch bump
+    /// and no dedup pass — a one-element sensitivity list cannot contain
     /// duplicates. This is the shape of every generated handshake wait.
     fn register_wait_one(&mut self, pid: usize, kind: WaitKind, idx: usize) {
         self.processes[pid].wait_gen += 1;
@@ -765,307 +764,6 @@ impl<'a> Simulator<'a> {
         self.event_seq += 1;
     }
 
-    /// Evaluates compiled code in a process's current scope, cloning the
-    /// result out of wherever it lives (register, pool, storage).
-    fn eval_in(&mut self, pid: usize, code: &ExprCode) -> Result<Value, SimError> {
-        Ok(eval_split(
-            &self.vars,
-            &self.signals,
-            &self.processes,
-            &mut self.regs,
-            pid,
-            code,
-        )?
-        .clone())
-    }
-
-    /// Evaluates compiled code to a boolean without materializing an
-    /// owned value — the wake/branch/assert hot path.
-    fn eval_bool_in(&mut self, pid: usize, code: &ExprCode) -> Result<bool, SimError> {
-        eval_split(
-            &self.vars,
-            &self.signals,
-            &self.processes,
-            &mut self.regs,
-            pid,
-            code,
-        )?
-        .as_bool()
-        .map_err(|e| SimError::eval(e.to_string()))
-    }
-
-    /// Evaluates compiled code to an integer without materializing an
-    /// owned value (loop bounds, addresses, slice offsets).
-    fn eval_i64_in(&mut self, pid: usize, code: &ExprCode) -> Result<i64, SimError> {
-        eval_split(
-            &self.vars,
-            &self.signals,
-            &self.processes,
-            &mut self.regs,
-            pid,
-            code,
-        )?
-        .as_i64()
-        .map_err(|e| SimError::eval(e.to_string()))
-    }
-
-    /// Resolves a compiled path to concrete storage steps; index and
-    /// offset code evaluates in the process's current (top) frame.
-    fn resolve_cpath(
-        &mut self,
-        pid: usize,
-        path: &CPath,
-        frame_abs: usize,
-    ) -> Result<ResolvedPlace, SimError> {
-        let root = match path.root {
-            CRoot::Var(i) => Root::Var(i as usize),
-            CRoot::Local(s) => Root::Local {
-                frame: frame_abs,
-                slot: s as usize,
-            },
-        };
-        let mut steps = Vec::with_capacity(path.steps.len());
-        for st in path.steps.iter() {
-            match st {
-                CPathStep::Elem(code) => {
-                    let i = self.eval_i64_in(pid, code)?;
-                    let i = usize::try_from(i)
-                        .map_err(|_| SimError::eval(format!("negative array index {i}")))?;
-                    steps.push(Step::Elem(i));
-                }
-                CPathStep::Slice(hi, lo) => steps.push(Step::Slice(*hi, *lo)),
-                CPathStep::DynSlice(code, width) => {
-                    // The offset evaluates once at resolution time, turning
-                    // the dynamic slice into a concrete one.
-                    let lo = self.eval_i64_in(pid, code)?;
-                    let lo = u32::try_from(lo)
-                        .map_err(|_| SimError::eval(format!("negative slice offset {lo}")))?;
-                    steps.push(Step::Slice(lo + width - 1, lo));
-                }
-            }
-        }
-        Ok(ResolvedPlace { root, steps })
-    }
-
-    /// Resolves a compiled place for copy-back, returning the concrete
-    /// destination and its type (captured at call time, VHDL-style).
-    fn resolve_cplace(
-        &mut self,
-        pid: usize,
-        place: &CPlace,
-        frame_abs: usize,
-    ) -> Result<(ResolvedPlace, Ty), SimError> {
-        let system: &'a System = self.system;
-        match place {
-            CPlace::Var(i) => {
-                let decl = system
-                    .variables
-                    .get(*i as usize)
-                    .ok_or_else(|| SimError::eval(format!("missing variable v{i}")))?;
-                Ok((
-                    ResolvedPlace {
-                        root: Root::Var(*i as usize),
-                        steps: Vec::new(),
-                    },
-                    decl.ty.clone(),
-                ))
-            }
-            CPlace::Local(slot) => {
-                let slot = *slot as usize;
-                let ty = self.local_ty(pid, frame_abs, slot)?;
-                Ok((
-                    ResolvedPlace {
-                        root: Root::Local {
-                            frame: frame_abs,
-                            slot,
-                        },
-                        steps: Vec::new(),
-                    },
-                    ty,
-                ))
-            }
-            CPlace::Path(path) => {
-                let ty = path
-                    .ty
-                    .clone()
-                    .ok_or_else(|| untyped_place_error(&path.root))?;
-                let rp = self.resolve_cpath(pid, path, frame_abs)?;
-                Ok((rp, ty))
-            }
-        }
-    }
-
-    /// The declared type of a frame's local slot.
-    fn local_ty(&self, pid: usize, frame_abs: usize, slot: usize) -> Result<Ty, SimError> {
-        match self.processes[pid].frames[frame_abs].code {
-            CodeRef::Procedure(p) => {
-                let proc = &self.system.procedures[p];
-                if slot < proc.slot_count() {
-                    Ok(proc.slot_ty(slot).clone())
-                } else {
-                    Err(SimError::eval(format!("missing local slot {slot}")))
-                }
-            }
-            CodeRef::Behavior(_) => Err(SimError::eval(
-                "local slot referenced outside a procedure".to_string(),
-            )),
-        }
-    }
-
-    /// Reads a compiled place's current value.
-    fn read_cplace(&mut self, pid: usize, place: &CPlace) -> Result<Value, SimError> {
-        match place {
-            CPlace::Var(i) => self
-                .vars
-                .get(*i as usize)
-                .cloned()
-                .ok_or_else(|| SimError::eval(format!("missing variable v{i}"))),
-            CPlace::Local(slot) => {
-                let frame = self.processes[pid]
-                    .frames
-                    .last()
-                    .ok_or_else(|| SimError::eval("process has no frame".to_string()))?;
-                frame
-                    .locals
-                    .get(*slot as usize)
-                    .cloned()
-                    .ok_or_else(|| SimError::eval(format!("missing local slot {slot}")))
-            }
-            CPlace::Path(path) => {
-                let frame_abs = self.processes[pid].frames.len() - 1;
-                let rp = self.resolve_cpath(pid, path, frame_abs)?;
-                self.read_resolved(pid, &rp)
-            }
-        }
-    }
-
-    /// Reads the value at a resolved path.
-    fn read_resolved(&self, pid: usize, rp: &ResolvedPlace) -> Result<Value, SimError> {
-        let mut cur: &Value = match rp.root {
-            Root::Var(i) => self
-                .vars
-                .get(i)
-                .ok_or_else(|| SimError::eval(format!("missing variable v{i}")))?,
-            Root::Local { frame, slot } => self.processes[pid]
-                .frames
-                .get(frame)
-                .and_then(|f| f.locals.get(slot))
-                .ok_or_else(|| SimError::eval(format!("missing local slot {slot}")))?,
-        };
-        for (i, step) in rp.steps.iter().enumerate() {
-            match step {
-                Step::Elem(idx) => match cur {
-                    Value::Array(items) => {
-                        cur = items.get(*idx).ok_or_else(|| {
-                            SimError::eval(format!("array index {idx} out of range"))
-                        })?;
-                    }
-                    other => {
-                        return Err(SimError::eval(format!("indexing non-array value {other}")))
-                    }
-                },
-                Step::Slice(hi, lo) => {
-                    if i + 1 != rp.steps.len() {
-                        return Err(SimError::eval(
-                            "slice must be the last projection of a write target".to_string(),
-                        ));
-                    }
-                    let bits = cur.to_bits();
-                    if *hi >= bits.width() {
-                        return Err(SimError::eval(format!(
-                            "slice {hi} downto {lo} out of range for width {}",
-                            bits.width()
-                        )));
-                    }
-                    return Ok(Value::Bits(bits.slice(*hi, *lo)));
-                }
-            }
-        }
-        Ok(cur.clone())
-    }
-
-    fn write_resolved(
-        &mut self,
-        pid: usize,
-        rp: &ResolvedPlace,
-        value: Value,
-    ) -> Result<(), SimError> {
-        let root: &mut Value = match rp.root {
-            Root::Var(i) => self
-                .vars
-                .get_mut(i)
-                .ok_or_else(|| SimError::eval(format!("missing variable v{i}")))?,
-            Root::Local { frame, slot } => self.processes[pid]
-                .frames
-                .get_mut(frame)
-                .and_then(|f| f.locals.get_mut(slot))
-                .ok_or_else(|| SimError::eval(format!("missing local slot {slot}")))?,
-        };
-        write_steps(root, &rp.steps, value)
-    }
-
-    /// Writes `value` (coerced to the target's type) into a place.
-    fn write_cplace(&mut self, pid: usize, place: &CPlace, value: Value) -> Result<(), SimError> {
-        // Whole-variable and whole-local writes (the overwhelmingly common
-        // case) skip place resolution entirely.
-        let system: &'a System = self.system;
-        match place {
-            CPlace::Var(i) => {
-                let decl = system
-                    .variables
-                    .get(*i as usize)
-                    .ok_or_else(|| SimError::eval(format!("missing variable v{i}")))?;
-                self.vars[*i as usize] = coerce(value, &decl.ty);
-                Ok(())
-            }
-            CPlace::Local(slot) => {
-                let slot = *slot as usize;
-                let frame_abs = self.processes[pid].frames.len() - 1;
-                let ty = self.local_ty(pid, frame_abs, slot)?;
-                let v = coerce(value, &ty);
-                self.processes[pid].frames[frame_abs].locals[slot] = v;
-                Ok(())
-            }
-            CPlace::Path(path) => {
-                let ty = path
-                    .ty
-                    .clone()
-                    .ok_or_else(|| untyped_place_error(&path.root))?;
-                let frame_abs = self.processes[pid].frames.len() - 1;
-                let rp = self.resolve_cpath(pid, path, frame_abs)?;
-                self.write_resolved(pid, &rp, coerce(value, &ty))
-            }
-        }
-    }
-
-    /// Moves a code block out of its slot for execution. No reference
-    /// count is touched; the block must be returned with [`Self::put_block`]
-    /// before anything else can execute or inspect it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block is already taken (cannot happen from the
-    /// interpreter, which always puts the running block back before
-    /// taking another).
-    fn take_block(&mut self, code: CodeRef) -> Arc<Code> {
-        let slot = match code {
-            CodeRef::Behavior(i) => &mut self.behavior_code[i],
-            CodeRef::Procedure(i) => &mut self.procedure_code[i],
-        };
-        slot.take().expect("code block already taken")
-    }
-
-    /// Returns a block taken with [`Self::take_block`] to its slot.
-    fn put_block(&mut self, code: CodeRef, block: Arc<Code>) {
-        let slot = match code {
-            CodeRef::Behavior(i) => &mut self.behavior_code[i],
-            CodeRef::Procedure(i) => &mut self.procedure_code[i],
-        };
-        *slot = Some(block);
-    }
-
-    /// Writes the cached program counter back into the process's top
-    /// frame (done only at suspension points, not per instruction).
     /// Attempts to jump simulated time straight to `wake` without
     /// suspending the running process.
     ///
@@ -1137,571 +835,32 @@ impl<'a> Simulator<'a> {
         Ok(None)
     }
 
-    fn store_pc(&mut self, pid: usize, pc: usize) {
-        self.processes[pid].frames.last_mut().expect("frame").pc = pc;
-    }
-
     /// Runs one process until it blocks, sleeps or finishes, then flushes
     /// the executed-instruction counters in one add each.
     fn run_process(&mut self, pid: usize) -> Result<(), SimError> {
-        let mut steps = 0u64;
-        let result = self.run_steps(pid, &mut steps);
+        let program = std::mem::take(&mut self.program);
+        let system: &'a System = self.system;
+        let mut act = Activation {
+            sim: self,
+            pid,
+            steps: 0,
+            instant_steps: 0,
+        };
+        let result = interp::run(system, &program, pid, &mut act);
+        let steps = act.steps;
+        self.program = program;
         self.total_instrs += steps;
         self.processes[pid].instrs_executed += steps;
         result
     }
 
-    /// The interpreter loop. The program counter and current code block
-    /// are locals — the frame's `pc` is only written back at suspension
-    /// points, keeping the per-instruction overhead at an index increment.
-    fn run_steps(&mut self, pid: usize, steps: &mut u64) -> Result<(), SimError> {
-        let (mut code_ref, mut pc) = {
-            let frame = self.processes[pid]
-                .frames
-                .last()
-                .ok_or_else(|| SimError::eval("process has no frame".to_string()))?;
-            (frame.code, frame.pc)
-        };
-        let mut block = self.take_block(code_ref);
-        // Zero-delay-loop budget: counts steps at the current instant and
-        // resets whenever the fast path advances time, so long runs that
-        // legitimately consume simulated time are never misdiagnosed.
-        let mut instant_steps = 0u64;
-        loop {
-            *steps += 1;
-            instant_steps += 1;
-            if instant_steps > self.config.max_steps_per_activation {
-                return Err(SimError::ZeroDelayLoop {
-                    behavior: self.system.behaviors[self.processes[pid].behavior]
-                        .name
-                        .clone(),
-                    time: self.time,
-                });
-            }
-            // Borrowing out of the local `block` (not `self`) lets the
-            // instruction reference live across `&mut self` calls.
-            let instr = &block.instrs[pc];
-            match instr {
-                Instr::Assign { place, value, cost } => {
-                    // Constant sources skip the evaluation context — no
-                    // frame lookup, no register file.
-                    let v = match value.const_value() {
-                        Some(c) => c.clone(),
-                        None => self.eval_in(pid, value)?,
-                    };
-                    self.write_cplace(pid, place, v)?;
-                    pc += 1;
-                    if *cost > 0 {
-                        self.processes[pid].active_cycles += u64::from(*cost);
-                        let wake = self.time + u64::from(*cost);
-                        if self.try_fast_advance(wake)? {
-                            instant_steps = 0;
-                        } else {
-                            self.store_pc(pid, pc);
-                            self.sleep_until(pid, wake);
-                            self.put_block(code_ref, block);
-                            return Ok(());
-                        }
-                    }
-                }
-                Instr::SignalWrite {
-                    signal,
-                    value,
-                    cost,
-                } => {
-                    // Constants were pre-coerced to the signal's type at
-                    // compile time, so the pool value drives verbatim.
-                    let v = match value.const_value() {
-                        Some(c) => c.clone(),
-                        None => {
-                            let raw = self.eval_in(pid, value)?;
-                            // `self.system` is a shared reference; copying
-                            // it out lets the type borrow coexist with
-                            // `&mut self`.
-                            let system: &'a System = self.system;
-                            coerce(raw, &system.signal(*signal).ty)
-                        }
-                    };
-                    pc += 1;
-                    if *cost == 0 {
-                        self.pending.push((signal.index(), v, false));
-                    } else {
-                        self.processes[pid].active_cycles += u64::from(*cost);
-                        let wake = self.time + u64::from(*cost);
-                        match self.try_fast_advance_write(wake, signal.index(), v)? {
-                            None => instant_steps = 0,
-                            Some(v) => {
-                                self.schedule_write(wake, signal.index(), v, false);
-                                self.store_pc(pid, pc);
-                                self.sleep_until(pid, wake);
-                                self.put_block(code_ref, block);
-                                return Ok(());
-                            }
-                        }
-                    }
-                }
-                Instr::Jump(t) => pc = *t,
-                Instr::JumpIfNot { cond, target } => {
-                    if self.eval_bool_in(pid, cond)? {
-                        pc += 1;
-                    } else {
-                        pc = *target;
-                    }
-                }
-                Instr::LoopInit { var, from, to } => {
-                    let bound = self.eval_i64_in(pid, to)?;
-                    let start = self.eval_in(pid, from)?;
-                    self.write_cplace(pid, var, start)?;
-                    self.processes[pid]
-                        .frames
-                        .last_mut()
-                        .expect("frame")
-                        .loop_bounds
-                        .push(bound);
-                    pc += 1;
-                }
-                Instr::LoopTest { var, exit } => {
-                    // Loop counters are whole int variables or locals in
-                    // practice; read them without an evaluation context.
-                    let fast = match var {
-                        CPlace::Var(v) => match self.vars.get(*v as usize) {
-                            Some(Value::Int { value, .. }) => Some(*value),
-                            _ => None,
-                        },
-                        CPlace::Local(slot) => {
-                            let frame = self.processes[pid].frames.last().expect("frame");
-                            match frame.locals.get(*slot as usize) {
-                                Some(Value::Int { value, .. }) => Some(*value),
-                                _ => None,
-                            }
-                        }
-                        CPlace::Path(_) => None,
-                    };
-                    let v = match fast {
-                        Some(v) => v,
-                        None => self
-                            .read_cplace(pid, var)?
-                            .as_i64()
-                            .map_err(|e| SimError::eval(e.to_string()))?,
-                    };
-                    let frame = self.processes[pid].frames.last_mut().expect("frame");
-                    let bound = *frame
-                        .loop_bounds
-                        .last()
-                        .ok_or_else(|| SimError::eval("loop bound stack empty".to_string()))?;
-                    if v > bound {
-                        frame.loop_bounds.pop();
-                        pc = *exit;
-                    } else {
-                        pc += 1;
-                    }
-                }
-                Instr::LoopIncr { var, body, exit } => {
-                    // Fused back-edge: in-place increment for whole int
-                    // counters (stored values are unmasked, so this matches
-                    // rebuild+write), then test the bound and branch — one
-                    // dispatch instead of increment + jump + guard.
-                    let fast = match var {
-                        CPlace::Var(v) => match self.vars.get_mut(*v as usize) {
-                            Some(Value::Int { value, width }) if *width > 0 => {
-                                *value += 1;
-                                Some(*value)
-                            }
-                            _ => None,
-                        },
-                        CPlace::Local(slot) => {
-                            let frame = self.processes[pid].frames.last_mut().expect("frame");
-                            match frame.locals.get_mut(*slot as usize) {
-                                Some(Value::Int { value, width }) if *width > 0 => {
-                                    *value += 1;
-                                    Some(*value)
-                                }
-                                _ => None,
-                            }
-                        }
-                        CPlace::Path(_) => None,
-                    };
-                    let v = match fast {
-                        Some(v) => v,
-                        None => {
-                            let (v, width) = {
-                                let cur = self.read_cplace(pid, var)?;
-                                let v = cur.as_i64().map_err(|e| SimError::eval(e.to_string()))?;
-                                let width = match &cur {
-                                    Value::Int { width, .. } => *width,
-                                    other => other.ty().bit_width(),
-                                };
-                                (v, width)
-                            };
-                            self.write_cplace(pid, var, Value::int(v + 1, width.max(1)))?;
-                            v + 1
-                        }
-                    };
-                    let frame = self.processes[pid].frames.last_mut().expect("frame");
-                    let bound = *frame
-                        .loop_bounds
-                        .last()
-                        .ok_or_else(|| SimError::eval("loop bound stack empty".to_string()))?;
-                    if v > bound {
-                        frame.loop_bounds.pop();
-                        pc = *exit;
-                    } else {
-                        pc = *body;
-                    }
-                }
-                Instr::Wait(cond) => {
-                    pc += 1;
-                    match cond {
-                        WaitSpec::ForCycles(n) => {
-                            if *n > 0 {
-                                let wake = self.time + n;
-                                if self.try_fast_advance(wake)? {
-                                    instant_steps = 0;
-                                } else {
-                                    self.store_pc(pid, pc);
-                                    self.sleep_until(pid, wake);
-                                    self.put_block(code_ref, block);
-                                    return Ok(());
-                                }
-                            }
-                        }
-                        WaitSpec::OnSignals(signals) => {
-                            self.store_pc(pid, pc);
-                            self.register_wait(pid, WaitKind::Signals, signals);
-                            self.put_block(code_ref, block);
-                            return Ok(());
-                        }
-                        WaitSpec::Until(cond) => {
-                            let sat = self.eval_bool_in(pid, &cond.code)?;
-                            if !sat {
-                                self.store_pc(pid, pc);
-                                self.register_wait(
-                                    pid,
-                                    WaitKind::Until(Arc::clone(cond)),
-                                    &cond.sensitivity,
-                                );
-                                self.put_block(code_ref, block);
-                                return Ok(());
-                            }
-                        }
-                        WaitSpec::UntilSignalIs { signal, value } => {
-                            if self.signals[signal.index()] != *value {
-                                self.store_pc(pid, pc);
-                                self.register_wait_one(
-                                    pid,
-                                    WaitKind::SignalIs(signal.index(), value.clone()),
-                                    signal.index(),
-                                );
-                                self.put_block(code_ref, block);
-                                return Ok(());
-                            }
-                        }
-                        WaitSpec::UntilTimeout { cond, cycles } => {
-                            let sat = self.eval_bool_in(pid, &cond.code)?;
-                            if !sat {
-                                let deadline = self.time + cycles;
-                                self.store_pc(pid, pc);
-                                self.register_wait(
-                                    pid,
-                                    WaitKind::Until(Arc::clone(cond)),
-                                    &cond.sensitivity,
-                                );
-                                self.arm_watchdog(pid, deadline);
-                                self.put_block(code_ref, block);
-                                return Ok(());
-                            }
-                        }
-                        WaitSpec::UntilSignalIsTimeout {
-                            signal,
-                            value,
-                            cycles,
-                        } => {
-                            if self.signals[signal.index()] != *value {
-                                let deadline = self.time + cycles;
-                                self.store_pc(pid, pc);
-                                self.register_wait_one(
-                                    pid,
-                                    WaitKind::SignalIs(signal.index(), value.clone()),
-                                    signal.index(),
-                                );
-                                self.arm_watchdog(pid, deadline);
-                                self.put_block(code_ref, block);
-                                return Ok(());
-                            }
-                        }
-                    }
-                }
-                Instr::Call { procedure, args } => {
-                    let procedure = *procedure;
-                    // The return address is stored before the callee frame
-                    // is pushed; argument evaluation still sees the caller
-                    // frame on top.
-                    self.store_pc(pid, pc + 1);
-                    self.enter_procedure(pid, procedure, args)?;
-                    // Put-then-take keeps the slot discipline sound even
-                    // for a direct self-call.
-                    self.put_block(code_ref, block);
-                    code_ref = CodeRef::Procedure(procedure);
-                    block = self.take_block(code_ref);
-                    pc = 0;
-                }
-                Instr::Ret => {
-                    if self.leave_frame(pid)? {
-                        self.put_block(code_ref, block);
-                        return Ok(());
-                    }
-                    let (new_code, new_pc) = {
-                        let frame = self.processes[pid].frames.last().expect("frame");
-                        (frame.code, frame.pc)
-                    };
-                    if new_code != code_ref {
-                        self.put_block(code_ref, block);
-                        block = self.take_block(new_code);
-                        code_ref = new_code;
-                    }
-                    pc = new_pc;
-                }
-                Instr::ChannelSend {
-                    channel,
-                    addr,
-                    data,
-                    cost,
-                } => {
-                    let data_v = self.eval_in(pid, data)?;
-                    let addr_v = match addr {
-                        Some(a) => Some(self.eval_i64_in(pid, a)?),
-                        None => None,
-                    };
-                    self.channel_write(*channel, addr_v, data_v)?;
-                    pc += 1;
-                    if *cost > 0 {
-                        self.processes[pid].active_cycles += u64::from(*cost);
-                        let wake = self.time + u64::from(*cost);
-                        if self.try_fast_advance(wake)? {
-                            instant_steps = 0;
-                        } else {
-                            self.store_pc(pid, pc);
-                            self.sleep_until(pid, wake);
-                            self.put_block(code_ref, block);
-                            return Ok(());
-                        }
-                    }
-                }
-                Instr::ChannelReceive {
-                    channel,
-                    addr,
-                    target,
-                    cost,
-                } => {
-                    let addr_v = match addr {
-                        Some(a) => Some(self.eval_i64_in(pid, a)?),
-                        None => None,
-                    };
-                    let v = self.channel_read(*channel, addr_v)?;
-                    self.write_cplace(pid, target, v)?;
-                    pc += 1;
-                    if *cost > 0 {
-                        self.processes[pid].active_cycles += u64::from(*cost);
-                        let wake = self.time + u64::from(*cost);
-                        if self.try_fast_advance(wake)? {
-                            instant_steps = 0;
-                        } else {
-                            self.store_pc(pid, pc);
-                            self.sleep_until(pid, wake);
-                            self.put_block(code_ref, block);
-                            return Ok(());
-                        }
-                    }
-                }
-                Instr::Assert { cond, note } => {
-                    let ok = self.eval_bool_in(pid, cond)?;
-                    if !ok {
-                        return Err(SimError::AssertionFailed {
-                            behavior: self.system.behaviors[self.processes[pid].behavior]
-                                .name
-                                .clone(),
-                            note: note.clone(),
-                            time: self.time,
-                        });
-                    }
-                    self.assertions_checked += 1;
-                    pc += 1;
-                }
-                Instr::Consume { cycles } => {
-                    pc += 1;
-                    if *cycles > 0 {
-                        self.processes[pid].active_cycles += *cycles;
-                        let wake = self.time + *cycles;
-                        if self.try_fast_advance(wake)? {
-                            instant_steps = 0;
-                        } else {
-                            self.store_pc(pid, pc);
-                            self.sleep_until(pid, wake);
-                            self.put_block(code_ref, block);
-                            return Ok(());
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn enter_procedure(
-        &mut self,
-        pid: usize,
-        procedure: usize,
-        args: &[CArg],
-    ) -> Result<(), SimError> {
-        let system: &'a System = self.system;
-        let proc = &system.procedures[procedure];
-        let caller_frame_abs = self.processes[pid].frames.len() - 1;
-        let mut locals = Vec::with_capacity(proc.slot_count());
-        let mut copyback = Vec::new();
-        for (i, (arg, param)) in args.iter().zip(&proc.params).enumerate() {
-            match (arg, param.mode) {
-                (CArg::In(e), ParamMode::In) => {
-                    locals.push(coerce(self.eval_in(pid, e)?, &param.ty));
-                }
-                (CArg::Out(place), ParamMode::Out) => {
-                    locals.push(Value::default_of(&param.ty));
-                    copyback.push({
-                        let (rp, ty) = self.resolve_cplace(pid, place, caller_frame_abs)?;
-                        (i, rp, ty)
-                    });
-                }
-                (CArg::InOut(place), ParamMode::InOut) => {
-                    locals.push(coerce(self.read_cplace(pid, place)?, &param.ty));
-                    copyback.push({
-                        let (rp, ty) = self.resolve_cplace(pid, place, caller_frame_abs)?;
-                        (i, rp, ty)
-                    });
-                }
-                _ => {
-                    return Err(SimError::eval(format!(
-                        "argument mode mismatch calling `{}`",
-                        proc.name
-                    )))
-                }
-            }
-        }
-        for l in &proc.locals {
-            locals.push(Value::default_of(&l.ty));
-        }
-        let mut frame = Frame::new(CodeRef::Procedure(procedure), locals);
-        frame.copyback = copyback;
-        self.processes[pid].frames.push(frame);
-        Ok(())
-    }
-
-    /// Pops the current frame. Returns `true` when the process stopped
-    /// running (finished) and the caller should stop stepping it.
-    fn leave_frame(&mut self, pid: usize) -> Result<bool, SimError> {
-        let frame = self.processes[pid].frames.pop().expect("frame");
-        for (slot, rp, ty) in &frame.copyback {
-            let v = coerce(frame.locals[*slot].clone(), ty);
-            self.write_resolved(pid, rp, v)?;
-        }
-        if self.processes[pid].frames.is_empty() {
-            let bidx = self.processes[pid].behavior;
-            if self.system.behaviors[bidx].repeats {
-                self.processes[pid].iterations += 1;
-                self.processes[pid]
-                    .frames
-                    .push(Frame::new(CodeRef::Behavior(bidx), Vec::new()));
-                Ok(false)
-            } else {
-                self.processes[pid].status = Status::Finished;
-                self.processes[pid].finish_time = Some(self.time);
-                Ok(true)
-            }
-        } else {
-            Ok(false)
-        }
-    }
-
-    /// Ideal-channel write: store directly into the remote variable.
-    fn channel_write(
-        &mut self,
-        channel: ifsyn_spec::ChannelId,
-        addr: Option<i64>,
-        data: Value,
-    ) -> Result<(), SimError> {
-        // Borrow the type through the `'a` system reference instead of
-        // cloning it (array types heap-allocate their element box).
-        let system: &'a System = self.system;
-        let ch = system.channel(channel);
-        let var_idx = ch.variable.index();
-        let ty = &system.variables[var_idx].ty;
-        match addr {
-            Some(i) => {
-                let i = usize::try_from(i)
-                    .map_err(|_| SimError::eval(format!("negative channel address {i}")))?;
-                let elem_ty = match ty {
-                    Ty::Array { elem, .. } => &**elem,
-                    other => other,
-                };
-                match &mut self.vars[var_idx] {
-                    Value::Array(items) => {
-                        let slot = items.get_mut(i).ok_or_else(|| {
-                            SimError::eval(format!("channel address {i} out of range"))
-                        })?;
-                        *slot = coerce(data, elem_ty);
-                    }
-                    _ => {
-                        return Err(SimError::eval(
-                            "addressed channel write to non-array variable".to_string(),
-                        ))
-                    }
-                }
-            }
-            None => self.vars[var_idx] = coerce(data, ty),
-        }
-        Ok(())
-    }
-
-    /// Ideal-channel read: fetch directly from the remote variable.
-    fn channel_read(
-        &self,
-        channel: ifsyn_spec::ChannelId,
-        addr: Option<i64>,
-    ) -> Result<Value, SimError> {
-        let ch = self.system.channel(channel);
-        let var_idx = ch.variable.index();
-        match addr {
-            Some(i) => {
-                let i = usize::try_from(i)
-                    .map_err(|_| SimError::eval(format!("negative channel address {i}")))?;
-                match &self.vars[var_idx] {
-                    Value::Array(items) => items
-                        .get(i)
-                        .cloned()
-                        .ok_or_else(|| SimError::eval(format!("channel address {i} out of range"))),
-                    _ => Err(SimError::eval(
-                        "addressed channel read from non-array variable".to_string(),
-                    )),
-                }
-            }
-            None => Ok(self.vars[var_idx].clone()),
-        }
-    }
-
     /// Builds the per-process wait diagnosis, or `None` when nothing is
     /// suspended on a wait.
     fn diagnosis(&self) -> Option<DeadlockDiagnosis> {
-        let blocked_pids: Vec<usize> = self
+        let waits = self
             .processes
             .iter()
-            .enumerate()
-            .filter(|(_, p)| matches!(p.status, Status::Waiting(_)))
-            .map(|(i, _)| i)
-            .collect();
-        if blocked_pids.is_empty() {
-            return None;
-        }
-        let blocked: Vec<BlockedWait> = blocked_pids
-            .iter()
-            .map(|&pid| {
-                let p = &self.processes[pid];
+            .filter_map(|p| {
                 let wait = match &p.status {
                     Status::Waiting(WaitKind::Signals) => {
                         let names: Vec<&str> = p
@@ -1717,87 +876,12 @@ impl<'a> Simulator<'a> {
                     Status::Waiting(WaitKind::SignalIs(sig, v)) => {
                         format!("wait until {} = {v}", self.system.signals[*sig].name)
                     }
-                    _ => unreachable!("filtered to waiting processes"),
+                    _ => return None,
                 };
-                let observed = p
-                    .registered
-                    .iter()
-                    .map(|&s| {
-                        (
-                            self.system.signals[s].name.clone(),
-                            self.signals[s].to_string(),
-                        )
-                    })
-                    .collect();
-                BlockedWait {
-                    behavior: self.system.behaviors[p.behavior].name.clone(),
-                    wait,
-                    observed,
-                }
+                Some((p.behavior, wait, p.registered.clone()))
             })
             .collect();
-        // Wait-for edges: blocked A -> blocked B when B's code can write a
-        // signal A is sensitive to. With every potential writer of A's
-        // wakeup signals itself blocked, the cycle is unbreakable.
-        let writes: Vec<Vec<bool>> = blocked_pids
-            .iter()
-            .map(|&pid| self.written_signals(self.processes[pid].behavior))
-            .collect();
-        let edges: Vec<Vec<usize>> = blocked_pids
-            .iter()
-            .enumerate()
-            .map(|(i, &pid)| {
-                let sens = &self.processes[pid].registered;
-                (0..blocked_pids.len())
-                    .filter(|&j| j != i && sens.iter().any(|&s| writes[j][s]))
-                    .collect()
-            })
-            .collect();
-        let cycles = find_cycles(blocked_pids.len(), &edges)
-            .into_iter()
-            .map(|cycle| {
-                cycle
-                    .into_iter()
-                    .map(|i| {
-                        self.system.behaviors[self.processes[blocked_pids[i]].behavior]
-                            .name
-                            .clone()
-                    })
-                    .collect()
-            })
-            .collect();
-        Some(DeadlockDiagnosis {
-            time: self.time,
-            blocked,
-            cycles,
-        })
-    }
-
-    /// Signals a behavior's code can drive, including through called
-    /// procedures (transitively). Indexed by signal index.
-    fn written_signals(&self, behavior: usize) -> Vec<bool> {
-        let mut out = vec![false; self.signals.len()];
-        let mut visited = vec![false; self.procedure_code.len()];
-        let block = self.behavior_code[behavior]
-            .as_ref()
-            .expect("code block taken");
-        let mut stack: Vec<&[Instr]> = vec![&block.instrs];
-        while let Some(instrs) = stack.pop() {
-            for instr in instrs {
-                match instr {
-                    Instr::SignalWrite { signal, .. } => out[signal.index()] = true,
-                    Instr::Call { procedure, .. } if !visited[*procedure] => {
-                        visited[*procedure] = true;
-                        let proc_block = self.procedure_code[*procedure]
-                            .as_ref()
-                            .expect("code block taken");
-                        stack.push(&proc_block.instrs);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        out
+        DeadlockDiagnosis::assemble(self.system, &self.program, &self.signals, self.time, waits)
     }
 
     fn into_report(self) -> SimReport {
@@ -1860,65 +944,134 @@ impl<'a> Simulator<'a> {
     }
 }
 
-/// The error for a compiled place whose type could not be resolved at
-/// compile time (today: a local referenced from a behavior body).
-pub(crate) fn untyped_place_error(root: &CRoot) -> SimError {
-    match root {
-        CRoot::Local(_) => SimError::eval("local slot referenced outside a procedure".to_string()),
-        CRoot::Var(_) => SimError::eval("place cannot be typed in this scope".to_string()),
-    }
+/// One activation of a kernel process: the simulator seen through the
+/// interpreter's scheduling hooks.
+struct Activation<'k, 'a> {
+    sim: &'k mut Simulator<'a>,
+    pid: usize,
+    /// Instructions executed in this activation.
+    steps: u64,
+    /// Zero-delay-loop budget: counts steps at the current instant and
+    /// resets whenever the fast path advances time, so long runs that
+    /// legitimately consume simulated time are never misdiagnosed.
+    instant_steps: u64,
 }
 
-/// Renders a wait condition compactly for diagnosis messages: signal
-/// names, literal values and operators; structural forms fall back to a
-/// placeholder rather than a full printout.
-pub(crate) fn render_expr(system: &System, expr: &Expr) -> String {
-    match expr {
-        Expr::Signal(s) => system.signal(*s).name.clone(),
-        Expr::Const(v) => v.to_string(),
-        Expr::Unary { op, arg } => format!("{op} {}", render_expr(system, arg)),
-        Expr::Binary { op, lhs, rhs } => format!(
-            "{} {op} {}",
-            render_expr(system, lhs),
-            render_expr(system, rhs)
-        ),
-        _ => "<expr>".to_string(),
+impl Engine for Activation<'_, '_> {
+    fn store(&mut self) -> Store<'_> {
+        let sim = &mut *self.sim;
+        Store {
+            vars: &mut sim.vars,
+            signals: &sim.signals,
+            frames: &mut sim.processes[self.pid].frames,
+            regs: &mut sim.regs,
+        }
     }
-}
 
-/// Writes `value` through a resolved navigation path.
-pub(crate) fn write_steps(root: &mut Value, steps: &[Step], value: Value) -> Result<(), SimError> {
-    match steps.split_first() {
-        None => {
-            *root = value;
-            Ok(())
+    fn tick(&mut self, _code: CodeRef, _pc: usize) -> Result<(), SimError> {
+        self.steps += 1;
+        self.instant_steps += 1;
+        if self.instant_steps > self.sim.config.max_steps_per_activation {
+            return Err(SimError::ZeroDelayLoop {
+                behavior: self.sim.system.behaviors[self.pid].name.clone(),
+                time: self.sim.time,
+            });
         }
-        Some((Step::Elem(i), rest)) => match root {
-            Value::Array(items) => {
-                let slot = items
-                    .get_mut(*i)
-                    .ok_or_else(|| SimError::eval(format!("array index {i} out of range")))?;
-                write_steps(slot, rest, value)
-            }
-            other => Err(SimError::eval(format!("indexing non-array value {other}"))),
-        },
-        Some((Step::Slice(hi, lo), rest)) => {
-            if !rest.is_empty() {
-                return Err(SimError::eval(
-                    "slice must be the last projection of a write target".to_string(),
-                ));
-            }
-            let ty = root.ty();
-            let mut bits = root.to_bits();
-            if *hi >= bits.width() {
-                return Err(SimError::eval(format!(
-                    "slice {hi} downto {lo} out of range for width {}",
-                    bits.width()
-                )));
-            }
-            bits.write_slice(*hi, *lo, &value.to_bits().resized(hi - lo + 1));
-            *root = Value::from_bits(&ty, &bits);
-            Ok(())
+        Ok(())
+    }
+
+    fn before_store(&mut self, _var: usize) {}
+
+    fn elapse(&mut self, cycles: u64, active: bool) -> Result<bool, SimError> {
+        if active {
+            self.sim.processes[self.pid].active_cycles += cycles;
         }
+        let wake = self.sim.time + cycles;
+        if self.sim.try_fast_advance(wake)? {
+            self.instant_steps = 0;
+            return Ok(true);
+        }
+        self.sim.sleep_until(self.pid, wake);
+        Ok(false)
+    }
+
+    fn drive(&mut self, signal: usize, value: Value, cost: u32) -> Result<bool, SimError> {
+        if cost == 0 {
+            self.sim.pending.push((signal, value, false));
+            return Ok(true);
+        }
+        self.sim.processes[self.pid].active_cycles += u64::from(cost);
+        let wake = self.sim.time + u64::from(cost);
+        match self.sim.try_fast_advance_write(wake, signal, value)? {
+            None => {
+                self.instant_steps = 0;
+                Ok(true)
+            }
+            Some(value) => {
+                self.sim.schedule_write(wake, signal, value, false);
+                self.sim.sleep_until(self.pid, wake);
+                Ok(false)
+            }
+        }
+    }
+
+    /// Registers the process as a waiter (and arms the watchdog of a
+    /// bounded wait); it resumes past the wait, where the code after a
+    /// bounded wait re-tests the condition.
+    fn suspend(&mut self, wait: &WaitSpec) -> bool {
+        let (sim, pid) = (&mut *self.sim, self.pid);
+        let deadline = match wait {
+            WaitSpec::OnSignals(signals) => {
+                sim.register_wait(pid, WaitKind::Signals, signals);
+                None
+            }
+            WaitSpec::Until(cond) => {
+                sim.register_wait(pid, WaitKind::Until(Arc::clone(cond)), &cond.sensitivity);
+                None
+            }
+            WaitSpec::UntilTimeout { cond, cycles } => {
+                sim.register_wait(pid, WaitKind::Until(Arc::clone(cond)), &cond.sensitivity);
+                Some(*cycles)
+            }
+            WaitSpec::UntilSignalIs { signal, value } => {
+                let kind = WaitKind::SignalIs(signal.index(), value.clone());
+                sim.register_wait_one(pid, kind, signal.index());
+                None
+            }
+            WaitSpec::UntilSignalIsTimeout {
+                signal,
+                value,
+                cycles,
+            } => {
+                let kind = WaitKind::SignalIs(signal.index(), value.clone());
+                sim.register_wait_one(pid, kind, signal.index());
+                Some(*cycles)
+            }
+            WaitSpec::ForCycles(_) => unreachable!("`wait for` elapses, it never suspends"),
+        };
+        if let Some(cycles) = deadline {
+            sim.arm_watchdog(pid, sim.time + cycles);
+        }
+        true
+    }
+
+    /// A repeating behavior counts the iteration and keeps running; a
+    /// finished one records its finish time.
+    fn root_exit(&mut self, restarted: bool) -> bool {
+        let p = &mut self.sim.processes[self.pid];
+        if restarted {
+            p.iterations += 1;
+        } else {
+            p.status = Status::Finished;
+            p.finish_time = Some(self.sim.time);
+        }
+        restarted
+    }
+
+    fn assert(&mut self, held: bool) -> u64 {
+        if held {
+            self.sim.assertions_checked += 1;
+        }
+        self.sim.time
     }
 }

@@ -52,6 +52,7 @@ mod error;
 mod eval;
 mod exec;
 mod fault;
+mod interp;
 mod kernel;
 mod process;
 mod program;

@@ -50,7 +50,10 @@ pub(crate) struct ResolvedPlace {
 }
 
 /// A call frame.
-#[derive(Debug)]
+// The hand-written `PartialEq` below compares exactly the fields the
+// derived `Hash` hashes, so equal frames still hash equally.
+#[allow(clippy::derived_hash_with_manual_eq)]
+#[derive(Debug, Hash)]
 pub(crate) struct Frame {
     /// The code block being executed.
     pub code: CodeRef,
@@ -76,6 +79,49 @@ impl Frame {
             loop_bounds: Vec::new(),
             copyback: Vec::new(),
         }
+    }
+}
+
+/// Written by hand for `loop_bounds`: slice `==` on `i64`s compiles to
+/// a libc `memcmp` call, and `loop_bounds` is empty and unallocated in
+/// almost every frame, so the call gets a dangling page-0 pointer with
+/// length 0. On a 2-vCPU Xeon VM that call measured ~137 ns against
+/// ~3 ns for an element-wise compare, and frame compares sit on every
+/// model-checker transition's diff and intern path.
+impl PartialEq for Frame {
+    fn eq(&self, other: &Self) -> bool {
+        self.code == other.code
+            && self.pc == other.pc
+            && self.locals == other.locals
+            && self.loop_bounds.iter().eq(&other.loop_bounds)
+            && self.copyback == other.copyback
+    }
+}
+
+impl Eq for Frame {}
+
+impl Clone for Frame {
+    fn clone(&self) -> Self {
+        Self {
+            code: self.code,
+            pc: self.pc,
+            locals: self.locals.clone(),
+            loop_bounds: self.loop_bounds.clone(),
+            copyback: self.copyback.clone(),
+        }
+    }
+
+    /// Buffer-reusing copy: the model checker's scratch state rebuilds
+    /// its processes once per explored state and rolls them back after
+    /// every run, so keeping the `Vec` spines alive is the difference
+    /// between an allocation-free hot loop and three allocations per
+    /// transition.
+    fn clone_from(&mut self, src: &Self) {
+        self.code = src.code;
+        self.pc = src.pc;
+        self.locals.clone_from(&src.locals);
+        self.loop_bounds.clone_from(&src.loop_bounds);
+        self.copyback.clone_from(&src.copyback);
     }
 }
 

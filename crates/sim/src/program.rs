@@ -44,8 +44,11 @@ use ifsyn_spec::{
     WaitCond,
 };
 
-use crate::eval::{coerce, eval_binary, eval_unary, place_ty};
-use crate::exec::{CArg, CPath, CPathStep, CPlace, CRoot, ExprCode, MicroOp, Src};
+use crate::error::SimError;
+use crate::eval::{coerce, eval_binary, eval_unary, place_ty, EvalCtx};
+use crate::exec::{
+    eval_code, CArg, CPath, CPathStep, CPlace, CRoot, ExprCode, MicroOp, RegFile, Src,
+};
 use crate::process::CodeRef;
 
 /// A compiled `wait until` condition: the bytecode to test it, the folded
@@ -107,6 +110,30 @@ pub enum WaitSpec {
         /// Watchdog bound in cycles.
         cycles: u64,
     },
+}
+
+impl WaitSpec {
+    /// Whether a level-sensitive wait's condition holds, evaluated in the
+    /// waiting process's scope; `None` for `wait for` and `wait on`,
+    /// which have no condition.
+    pub(crate) fn holds(
+        &self,
+        ctx: &EvalCtx<'_>,
+        regs: &mut RegFile,
+    ) -> Result<Option<bool>, SimError> {
+        Ok(Some(match self {
+            WaitSpec::ForCycles(_) | WaitSpec::OnSignals(_) => return Ok(None),
+            WaitSpec::Until(cond) | WaitSpec::UntilTimeout { cond, .. } => {
+                eval_code(ctx, &cond.code, regs)?
+                    .as_bool()
+                    .map_err(|e| SimError::eval(e.to_string()))?
+            }
+            WaitSpec::UntilSignalIs { signal, value }
+            | WaitSpec::UntilSignalIsTimeout { signal, value, .. } => {
+                ctx.signals[signal.index()] == *value
+            }
+        }))
+    }
 }
 
 /// One lowered instruction.
@@ -236,7 +263,7 @@ pub struct Code {
 ///
 /// Blocks are behind `Arc`s so a [`CodeCache`] can share identical
 /// compilations between simulator instances.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
     /// Code per behavior, indexed like `System::behaviors`.
     pub behaviors: Vec<Arc<Code>>,
@@ -479,7 +506,7 @@ impl Program {
     /// Lowers `system`, sharing identical blocks through `cache`.
     ///
     /// The cache key is per block and covers only what lowering reads for
-    /// that block (see [`block_env_hash`]), so systems that differ only
+    /// that block (see `block_env_hash`), so systems that differ only
     /// in declarations a block never references still share it.
     pub fn compile_cached(system: &System, costs: &CostModel, cache: Option<&CodeCache>) -> Self {
         let build = |kind: u8, idx: usize, name: &str, body: &[Stmt]| -> Arc<Code> {
@@ -513,6 +540,47 @@ impl Program {
             behaviors,
             procedures,
         }
+    }
+
+    /// The code block a frame executes.
+    pub(crate) fn block(&self, code: CodeRef) -> &Code {
+        match code {
+            CodeRef::Behavior(i) => &self.behaviors[i],
+            CodeRef::Procedure(i) => &self.procedures[i],
+        }
+    }
+
+    /// Registers needed by the widest block: the size of an engine's
+    /// shared register file.
+    pub(crate) fn max_regs(&self) -> u16 {
+        self.behaviors
+            .iter()
+            .chain(&self.procedures)
+            .map(|c| c.max_regs)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Signals a behavior's code can drive, including through called
+    /// procedures (transitively), indexed by signal index over
+    /// `n_signals` signals.
+    pub(crate) fn written_signals(&self, behavior: usize, n_signals: usize) -> Vec<bool> {
+        let mut out = vec![false; n_signals];
+        let mut visited = vec![false; self.procedures.len()];
+        let mut stack: Vec<&[Instr]> = vec![&self.behaviors[behavior].instrs];
+        while let Some(instrs) = stack.pop() {
+            for instr in instrs {
+                match instr {
+                    Instr::SignalWrite { signal, .. } => out[signal.index()] = true,
+                    Instr::Call { procedure, .. } if !visited[*procedure] => {
+                        visited[*procedure] = true;
+                        stack.push(&self.procedures[*procedure].instrs);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        out
     }
 }
 

@@ -1,6 +1,6 @@
 //! End-to-end scenario tests for the discrete-event kernel.
 
-use ifsyn_sim::{SimConfig, SimError, Simulator};
+use ifsyn_sim::{Checker, SimConfig, SimError, SimReport, Simulator};
 use ifsyn_spec::dsl::*;
 use ifsyn_spec::{
     Arg, BitVec, Channel, ChannelDirection, ParamMode, Procedure, Stmt, System, Ty, Value,
@@ -11,6 +11,37 @@ fn shell() -> (System, ifsyn_spec::ModuleId) {
     let mut sys = System::new("test");
     let m = sys.add_module("chip");
     (sys, m)
+}
+
+/// Explores `sys` with the model checker and asserts that it agrees with
+/// the kernel's run of the same deterministic system: a clean run must
+/// be the checker's one terminal state, with the kernel report's final
+/// variables; a run the kernel stops with an evaluation error must be
+/// the checker's one crash, labelled with that error.
+fn assert_checker_agrees(sys: &System, kernel: Result<&SimReport, &SimError>) {
+    let checker = Checker::new(sys).unwrap();
+    let space = checker.explore().unwrap();
+    match kernel {
+        Ok(report) => {
+            assert_eq!(space.error_labels(), Vec::<String>::new());
+            assert_eq!(space.terminal_count(), 1);
+            let rep = space.check_terminal("kernel final variables", |v| {
+                sys.variables
+                    .iter()
+                    .all(|d| v.variable(&d.name) == report.final_variable_by_name(&d.name))
+            });
+            assert!(rep.holds, "{rep}");
+        }
+        Err(err) => {
+            assert!(matches!(err, SimError::Eval { .. }), "{err}");
+            let labels = space.error_labels();
+            assert_eq!(labels.len(), 1, "{labels:?}");
+            assert!(
+                labels[0].ends_with(&format!("crashes: {err}")),
+                "{labels:?}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -42,6 +73,7 @@ fn for_loop_runs_exact_iterations() {
         vec![assign(var(acc), add(load(var(acc)), load(var(i))))],
     )];
     let report = Simulator::new(&sys).unwrap().run_to_quiescence().unwrap();
+    assert_checker_agrees(&sys, Ok(&report));
     // sum 1..=10 = 55; 10 assignments at 1 cycle each.
     assert_eq!(report.final_variable(acc).as_i64().unwrap(), 55);
     assert_eq!(report.finish_time(b), Some(10));
@@ -66,6 +98,7 @@ fn nested_loops_multiply() {
         )],
     )];
     let report = Simulator::new(&sys).unwrap().run_to_quiescence().unwrap();
+    assert_checker_agrees(&sys, Ok(&report));
     assert_eq!(report.final_variable(acc).as_i64().unwrap(), 20);
 }
 
@@ -83,6 +116,7 @@ fn while_loop_with_variable_condition() {
         ],
     )];
     let report = Simulator::new(&sys).unwrap().run_to_quiescence().unwrap();
+    assert_checker_agrees(&sys, Ok(&report));
     assert_eq!(report.final_variable(acc).as_i64().unwrap(), 10);
     assert_eq!(report.final_variable(n).as_i64().unwrap(), 0);
 }
@@ -98,6 +132,7 @@ fn procedure_out_param_copies_back() {
     let pid = sys.add_procedure(p);
     sys.behavior_mut(b).body = vec![call(pid, vec![Arg::Out(var(y))])];
     let report = Simulator::new(&sys).unwrap().run_to_quiescence().unwrap();
+    assert_checker_agrees(&sys, Ok(&report));
     assert_eq!(report.final_variable(y).as_i64().unwrap(), 7);
 }
 
@@ -115,6 +150,7 @@ fn procedure_inout_reads_and_writes() {
         call(pid, vec![Arg::InOut(var(y))]),
     ];
     let report = Simulator::new(&sys).unwrap().run_to_quiescence().unwrap();
+    assert_checker_agrees(&sys, Ok(&report));
     assert_eq!(report.final_variable(y).as_i64().unwrap(), 80);
 }
 
@@ -135,6 +171,7 @@ fn out_param_array_index_captured_at_call_time() {
     let pid = sys.add_procedure(p);
     sys.behavior_mut(b).body = vec![call(pid, vec![Arg::Out(index(var(arr), load(var(idx))))])];
     let report = Simulator::new(&sys).unwrap().run_to_quiescence().unwrap();
+    assert_checker_agrees(&sys, Ok(&report));
     let arr_final = report.final_variable(arr);
     match arr_final {
         Value::Array(items) => {
@@ -155,6 +192,7 @@ fn slice_writes_update_only_their_bits() {
         assign(slice(var(x), 3, 0), bits_const(0b0101, 4)),
     ];
     let report = Simulator::new(&sys).unwrap().run_to_quiescence().unwrap();
+    assert_checker_agrees(&sys, Ok(&report));
     assert_eq!(
         report.final_variable(x),
         &Value::Bits(BitVec::from_u64(0b1010_0101, 8))
@@ -315,6 +353,7 @@ fn abstract_channels_move_data_with_addresses() {
         receive_at(ch_r, int_const(21, 16), var(readback)),
     ];
     let report = Simulator::new(&sys).unwrap().run_to_quiescence().unwrap();
+    assert_checker_agrees(&sys, Ok(&report));
     assert_eq!(report.final_variable(readback).as_i64().unwrap(), 63);
     match report.final_variable(mem) {
         Value::Array(items) => assert_eq!(items[10].as_i64().unwrap(), 30),
@@ -437,6 +476,7 @@ fn coercion_through_channel_respects_target_type() {
     });
     sys.behavior_mut(p).body = vec![send(ch, int_const(300, 16))];
     let report = Simulator::new(&sys).unwrap().run_to_quiescence().unwrap();
+    assert_checker_agrees(&sys, Ok(&report));
     // 300 truncated to 8 bits = 44.
     assert_eq!(report.final_variable(x).as_u64().unwrap(), 300 % 256);
 }
@@ -561,6 +601,7 @@ fn out_param_copyback_coerces_to_target_type() {
     let pid = sys.add_procedure(p);
     sys.behavior_mut(b).body = vec![call(pid, vec![Arg::Out(var(y))])];
     let report = Simulator::new(&sys).unwrap().run_to_quiescence().unwrap();
+    assert_checker_agrees(&sys, Ok(&report));
     assert_eq!(report.final_variable(y).as_i64().unwrap(), -1);
 }
 
@@ -618,6 +659,7 @@ fn runtime_index_out_of_range_is_an_eval_error() {
         .unwrap()
         .run_to_quiescence()
         .unwrap_err();
+    assert_checker_agrees(&sys, Err(&err));
     assert!(matches!(err, SimError::Eval { .. }), "{err}");
     assert!(err.to_string().contains("out of range"), "{err}");
 }
@@ -683,6 +725,7 @@ fn dynamic_slices_read_and_write_at_runtime_offsets() {
         ),
     ];
     let report = Simulator::new(&sys).unwrap().run_to_quiescence().unwrap();
+    assert_checker_agrees(&sys, Ok(&report));
     assert_eq!(
         report.final_variable(x),
         &Value::Bits(BitVec::from_u64(0b1010 << 8, 16))
@@ -707,6 +750,7 @@ fn out_of_range_dynamic_slice_is_an_eval_error() {
         .unwrap()
         .run_to_quiescence()
         .unwrap_err();
+    assert_checker_agrees(&sys, Err(&err));
     assert!(matches!(err, SimError::Eval { .. }), "{err}");
 }
 
@@ -748,4 +792,43 @@ fn report_carries_scheduler_stats() {
         report.time_steps()
     );
     assert!(report.deltas_per_step() > 0.0);
+}
+
+#[test]
+fn channel_send_evaluates_its_address_before_its_data() {
+    // Address `A[k1]` and data `D[k2]` both index past their 4-element
+    // arrays. The address is the send's first operand, so both engines
+    // must stop on it.
+    let (mut sys, m) = shell();
+    let m2 = sys.add_module("mem_chip");
+    let p = sys.add_behavior("P", m);
+    let memproc = sys.add_behavior("MEMproc", m2);
+    let mem = sys.add_variable("MEM", Ty::array(Ty::Int(16), 64), memproc);
+    let a = sys.add_variable("A", Ty::array(Ty::Int(16), 4), p);
+    let d = sys.add_variable("D", Ty::array(Ty::Int(16), 4), p);
+    let k1 = sys.add_variable_init("k1", Ty::Int(16), p, Value::int(5, 16));
+    let k2 = sys.add_variable_init("k2", Ty::Int(16), p, Value::int(7, 16));
+    let ch = sys.add_channel(Channel {
+        name: "ch".into(),
+        accessor: p,
+        variable: mem,
+        direction: ChannelDirection::Write,
+        data_bits: 16,
+        addr_bits: 6,
+        accesses: 1,
+    });
+    sys.behavior_mut(p).body = vec![send_at(
+        ch,
+        load(index(var(a), load(var(k1)))),
+        load(index(var(d), load(var(k2)))),
+    )];
+    let err = Simulator::new(&sys)
+        .unwrap()
+        .run_to_quiescence()
+        .unwrap_err();
+    assert!(
+        err.to_string().contains("array index 5 out of range"),
+        "{err}"
+    );
+    assert_checker_agrees(&sys, Err(&err));
 }
