@@ -1,26 +1,23 @@
 //! Differential suite for the scaled model checker.
 //!
-//! The exploration core has two fast paths whose soundness this suite
-//! pins against the plain scalar engine:
-//!
-//! * **partial-order reduction** — singleton ample sets must preserve
-//!   every verdict, the set of reachable crash labels, the worst-case
-//!   completion bound, and (via replay delegation) the byte-exact
-//!   counterexample reports of the unreduced explorer;
-//! * **bitstate dedup** — lossy fingerprint dedup may merge states, but
-//!   on the pinned catalog it must never flip a known FAIL into a PASS
-//!   (a lost counterexample would gut the campaign's regression value),
-//!   and where reduction discards successors it must still merge
-//!   exactly the states it always did.
+//! Partial-order reduction is the exploration core's one fast path, and
+//! this suite pins its soundness against the plain scalar engine:
+//! singleton ample sets must preserve every verdict, the set of
+//! reachable crash labels, the worst-case completion bound, and (via
+//! replay delegation) the byte-exact counterexample reports of the
+//! unreduced explorer. Terminal predicates may read variables, which
+//! reduced steps change freely, so the suite also pins that reduction
+//! keeps every terminal state, on cuts of the paper's full FLC.
 //!
 //! The cells are the five pinned known-counterexample scenarios of the
 //! `experiments check` campaign (plain/hardened baselines under a stuck
-//! DONE or a flipped data bit) plus fault-free passing cells, and a set
-//! of randomized synthetic producer/consumer fields.
+//! DONE or a flipped data bit) plus fault-free passing cells, a set of
+//! randomized synthetic producer/consumer fields, and the FLC cuts.
 
 use ifsyn_bench::faults::{generator, Variant};
 use ifsyn_core::{BusDesign, ProtocolKind, RefinedSystem};
 use ifsyn_sim::{CheckConfig, Checker, EnvFault, StateSpace, StateView, Verdict};
+use ifsyn_spec::Value;
 use ifsyn_systems::synth::{synth_system, SynthConfig};
 use ifsyn_systems::{fig3, flc};
 
@@ -100,16 +97,16 @@ fn flcr2_cell(scenario: &str, faults: Vec<EnvFault>, variant: Variant, expect_fa
     }
 }
 
-fn array_elem(v: &ifsyn_spec::Value, i: usize) -> Option<i64> {
+fn array_elem(v: &Value, i: usize) -> Option<i64> {
     match v {
-        ifsyn_spec::Value::Array(items) => items.get(i)?.as_i64().ok(),
+        Value::Array(items) => items.get(i)?.as_i64().ok(),
         _ => None,
     }
 }
 
-fn array_sum(v: &ifsyn_spec::Value) -> i64 {
+fn array_sum(v: &Value) -> i64 {
     match v {
-        ifsyn_spec::Value::Array(items) => items.iter().filter_map(|x| x.as_i64().ok()).sum(),
+        Value::Array(items) => items.iter().filter_map(|x| x.as_i64().ok()).sum(),
         other => other.as_i64().unwrap_or(0),
     }
 }
@@ -252,8 +249,8 @@ fn por_matches_the_scalar_engine_on_the_pinned_catalog() {
     }
 }
 
-/// Randomized synthetic fields: POR with private (unobserved) compute
-/// variables versus the full engine. The terminal delivery sums are
+/// Randomized synthetic fields: POR over private compute variables
+/// versus the full engine. The terminal delivery sums are
 /// schedule-independent, so both engines must agree.
 #[test]
 fn randomized_synth_fields_agree_across_engines() {
@@ -289,9 +286,7 @@ fn randomized_synth_fields_agree_across_engines() {
             });
             (rep.holds, rep.to_string(), ss.worst_cost_to_quiescence())
         };
-        let base = CheckConfig::new()
-            .with_max_states(1 << 20)
-            .with_observed_variables(vec![]);
+        let base = CheckConfig::new().with_max_states(1 << 20);
         let full_ck = Checker::with_config(&s.system, base.clone().without_por()).expect("checker");
         let full_ss = full_ck.explore().expect("explore");
         let full = check(&full_ss);
@@ -315,57 +310,90 @@ fn randomized_synth_fields_agree_across_engines() {
     }
 }
 
-/// Bitstate mode is one-sided: it may merge distinct states, but on the
-/// pinned catalog every known FAIL must stay a FAIL — a collision that
-/// swallowed a counterexample would make the lossy mode useless.
-#[test]
-fn bitstate_never_flips_a_pinned_fail_into_a_pass() {
-    for cell in catalog() {
-        let exact = {
-            let ck = checker(&cell, CheckConfig::new());
-            let ss = ck.explore().expect("explore");
-            report(&cell, &ss)
-        };
-        let bits = {
-            let ck = checker(&cell, CheckConfig::new().with_bitstate(28));
-            let ss = ck.explore().expect("explore");
-            report(&cell, &ss)
-        };
-        for (i, (&e, &b)) in exact.holds.iter().zip(&bits.holds).enumerate() {
-            if !e {
-                assert!(
-                    !b,
-                    "{}: property #{i} flipped FAIL→PASS under bitstate dedup",
-                    cell.name
-                );
-            }
-        }
-    }
+/// The paper's FLC (`specs/flc.ifs`, Fig. 6) with both loops cut to `n`
+/// iterations, refined at width 16 by `variant`'s generator.
+fn flc_cut(n: u32, variant: Variant) -> RefinedSystem {
+    let full = include_str!("../../../specs/flc.ifs");
+    assert_eq!(full.matches("0 to 127").count(), 2, "both FLC loops");
+    let source = full.replace("0 to 127", &format!("0 to {}", n - 1));
+    let system = ifsyn_lang::parse_system(&source).expect("flc.ifs parses");
+    let design = BusDesign::with_width(
+        system.channel_ids().collect(),
+        16,
+        ProtocolKind::FullHandshake,
+    );
+    generator(variant)
+        .refine(&system, &design)
+        .expect("flc refinement")
 }
 
-/// Where reduction picks an ample run after earlier successors were
-/// interned, those successors must leave no trace in the pools: a
-/// leftover component shifts later pool ids, hence fingerprints, hence
-/// which states a bitstate table merges. Fig3@8 hardened under a stuck
-/// DONE at 12 fingerprint bits is small enough to collide often and
-/// engages reduction; the pinned counts are those of an explorer whose
-/// discarded successors never reach the pools.
+/// Terminal predicates read variables, which reduced steps change
+/// freely; they are sound only because ample sets meeting C0, C1 and C3
+/// keep every terminal state. On FLC cuts, fault-free, under a stuck
+/// DONE (hardened) and under a data flip (protected), reduction must
+/// engage and shrink the space while keeping the terminal count, the
+/// completion bound, the crash labels, the verdicts of terminal
+/// properties over `conv_acc` and `trru0`, and every failing report
+/// byte for byte.
 #[test]
-fn por_discards_leave_bitstate_collisions_unchanged() {
-    let cell = fig3_cell("done_stuck_low", done_stuck_low(), Variant::Hardened, true);
-    let ck = checker(&cell, CheckConfig::new().with_bitstate(12));
-    let ss = ck.explore().expect("explore");
-    let st = ss.stats();
-    assert_eq!(
-        (
-            ss.state_count(),
-            ss.transition_count(),
-            st.dedup_hits,
-            st.ample_states,
-            st.full_states
-        ),
-        (7_496, 20_034, 12_539, 140, 7_356)
-    );
+fn por_keeps_every_terminal_state_of_the_flc() {
+    let cases = [
+        ("none", vec![], Variant::Plain),
+        ("done_stuck_low", done_stuck_low(), Variant::Hardened),
+        ("data_flip", data_flip(), Variant::Protected),
+    ];
+    for n in [2u32, 4] {
+        for (scenario, faults, variant) in &cases {
+            let name = format!("flc n={n} {scenario}/{}", variant.as_str());
+            let refined = flc_cut(n, *variant);
+            let sys = &refined.system;
+            let flags: Vec<String> = refined
+                .bus
+                .status_flags
+                .iter()
+                .map(|&(_, s)| sys.signal(s).name.clone())
+                .collect();
+            let n = i64::from(n);
+            let delivered = move |v: &StateView<'_>| {
+                let acc = v.variable("conv_acc").and_then(|x| x.as_i64().ok());
+                let sum = v.variable("trru0").map(array_sum);
+                v.all_done()
+                    && acc == Some((0..n).map(|j| 2 * j + 5).sum())
+                    && sum == Some((0..n).map(|i| 3 * i + 1).sum())
+            };
+            let run = |config: CheckConfig| {
+                let config = faults.iter().cloned().fold(config, CheckConfig::with_fault);
+                let ck = Checker::with_config(sys, config).expect("checker");
+                let ss = ck.explore().expect("explore");
+                let reports = [
+                    ss.check_terminal("delivers", delivered),
+                    ss.check_terminal("delivers_or_flags", |v| {
+                        delivered(v) || flags.iter().any(|f| v.signal_high(f))
+                    }),
+                ];
+                let st = ss.stats();
+                (
+                    (
+                        ss.terminal_count(),
+                        ss.worst_cost_to_quiescence(),
+                        ss.error_labels(),
+                        reports.each_ref().map(|r| r.verdict),
+                        reports.map(|r| (r.verdict == Verdict::Fail).then(|| r.to_string())),
+                    ),
+                    ss.state_count(),
+                    st.ample_states,
+                )
+            };
+            let (full, full_states, _) = run(CheckConfig::new().without_por());
+            let (por, por_states, ample) = run(CheckConfig::new());
+            assert_eq!(por, full, "{name}: reduction changed a terminal result");
+            assert!(ample > 0, "{name}: reduction must engage");
+            assert!(
+                por_states < full_states,
+                "{name}: {por_states} states with reduction, {full_states} without"
+            );
+        }
+    }
 }
 
 /// A state budget turns exhaustion into a structured `Bounded` verdict

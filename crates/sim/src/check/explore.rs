@@ -8,8 +8,7 @@
 //! Each successor is interned straight from the scratch state right
 //! after its run, before the rollback; once the expansion is decided
 //! (ample or full), its successors are deduplicated and numbered in the
-//! order they were found. State numbering, pool-id assignment (hence
-//! fingerprints and bitstate collisions), error order and the
+//! order they were found. State numbering, error order and the
 //! max-states abort point therefore follow from discovery order alone.
 //!
 //! # Partial-order reduction
@@ -19,15 +18,13 @@
 //! statically pure, no signal written, no waiter released, `done`
 //! unchanged, no crash among earlier pids) stands alone and the
 //! remaining transitions — including environment faults — are deferred
-//! to the successor. The successors of earlier pids are discarded, but
-//! they were already interned: the pools are truncated back to the mark
-//! taken when the expansion started before the ample successor is
-//! interned, so every pool id — and with it every fingerprint and
-//! bitstate collision — is the one an expansion that never produced them
-//! would assign. The cycle proviso: if the ample successor is already in
-//! the dedup table, the source is re-expanded in full, so every cycle in
-//! the reduced graph contains a fully expanded state and no transition
-//! is deferred forever.
+//! to the successor. The successors of earlier pids are discarded; what
+//! they added to the component pools stays there unused, which changes
+//! no state's identity, because dedup compares canonical ids exactly.
+//! The cycle proviso: if the ample successor is already in the dedup
+//! table, the source is re-expanded in full, so every cycle in the
+//! reduced graph contains a fully expanded state and no transition is
+//! deferred forever.
 
 use ifsyn_spec::{BitVec, Value};
 
@@ -113,8 +110,7 @@ struct Scratch {
 
 /// The pool ids of the components `cur` holds, so the next
 /// [`Scratch::materialize`] copies only the components whose ids differ.
-/// Every id recorded here belongs to a stored state, and a stored
-/// state's components are never truncated away, so equal ids mean equal
+/// Pool ids are canonical and never reassigned, so equal ids mean equal
 /// contents.
 struct Held {
     /// The state `cur` holds, or `None` when unknown: taken when an
@@ -459,11 +455,9 @@ impl<'a> Checker<'a> {
             None => {
                 let i = g.states.len();
                 if i >= self.hard_max_states() {
-                    return Err(SimError::eval(format!(
-                        "reachable state space exceeds {} states; \
-                         reduce the system or raise CheckConfig::max_states",
-                        self.config.max_states
-                    )));
+                    return Err(SimError::StateCapExceeded {
+                        max_states: self.config.max_states,
+                    });
                 }
                 g.states.push(succ);
                 dedup.insert(succ, fp, i as u32);
@@ -494,7 +488,6 @@ impl<'a> Checker<'a> {
         por: bool,
     ) -> Result<(), SimError> {
         let cs = g.states[si];
-        let mark = g.pools.mark();
         ctx.materialize(Src::new(&g.pools, cs), &self.layout);
         ctx.succs.clear();
         let mut crashes = Vec::new();
@@ -515,11 +508,6 @@ impl<'a> Checker<'a> {
                             && !ctx.fx.wrote_sig
                             && ctx.fx.released.is_empty()
                             && ctx.cur.procs[pid].done == src.proc(pid).done;
-                        if ample {
-                            // Drop what the discarded earlier successors
-                            // added to the pools.
-                            g.pools.truncate(mark);
-                        }
                         let succ = ctx.intern(&mut g.pools, &self.layout, cs, Some(pid));
                         let edge = (succ, StepLabel::Run(pid as u32), cost);
                         if ample {
@@ -638,10 +626,7 @@ impl<'a> Checker<'a> {
             stats: CheckStats::default(),
             bounded: None,
         };
-        let mut dedup = match self.config.bitstate_bits {
-            Some(bits) => Dedup::bitstate(bits),
-            None => Dedup::exact(),
-        };
+        let mut dedup = Dedup::new();
 
         // The scratch state starts as the root; `held` stays unknown, so
         // the first expansion copies every component back in.

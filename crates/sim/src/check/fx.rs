@@ -78,7 +78,7 @@ pub(super) fn fx_hash<T: Hash + ?Sized>(v: &T) -> u64 {
 }
 
 /// SplitMix64 finalizer: diffuses component ids into a 64-bit state
-/// fingerprint for dedup sharding and bitstate hashing.
+/// fingerprint for dedup sharding.
 #[inline]
 pub(super) fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

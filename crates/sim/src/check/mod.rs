@@ -7,17 +7,18 @@
 //! every reachable system state by breadth-first exploration. Over the
 //! explored graph it decides:
 //!
-//! * **invariants** — a predicate holds in every reachable state
-//!   (e.g. bus grant mutual exclusion);
-//! * **terminal properties** — a predicate holds in every quiescent state
-//!   (e.g. no run ends with silently corrupted data). A path on which a
+//! * **invariants** — a predicate over signals holds in every reachable
+//!   state (e.g. bus grant mutual exclusion);
+//! * **terminal properties** — a predicate over signals and variables
+//!   holds in every quiescent state (e.g. no run ends with silently
+//!   corrupted data). A path on which a
 //!   process *crashes* — a runtime evaluation error such as a
 //!   fault-corrupted address indexing past an array — is recorded as an
 //!   error edge and fails every terminal property with the crashing trace
 //!   as counterexample, rather than aborting the exploration;
 //! * **leads-to properties** — from every reachable state satisfying a
-//!   premise, some continuation reaches the goal (`AG(premise → EF
-//!   goal)`). This is "eventually, under scheduler fairness": a violation
+//!   premise over signals, some continuation reaches the goal (`AG(premise
+//!   → EF goal)`). This is "eventually, under scheduler fairness": a violation
 //!   is a reachable state from which the goal is *unreachable on every
 //!   continuation* — precisely the unrecoverable-request shape, not a mere
 //!   unfortunate schedule;
@@ -67,30 +68,24 @@
 //!   component ids (16 bytes) instead of full deep clones, with dedup by
 //!   16-byte compare under a 64-bit fingerprint;
 //! * **partial-order reduction** (on by default, [`CheckConfig::without_por`]
-//!   to disable) — a process step that touches only its own unobserved
+//!   to disable) — a process step that touches only its own private
 //!   state stands in for the full successor set, with a cycle proviso
 //!   guaranteeing no transition is deferred forever. Reduction preserves
 //!   every verdict this module can produce; failing checks are replayed
 //!   through an unreduced exploration so failure reports stay
-//!   byte-identical to the seed explorer's. Property predicates read
-//!   state through [`StateView`] by name; declare what they read with
-//!   [`CheckConfig::with_observed_signals`] /
-//!   [`CheckConfig::with_observed_variables`] to unlock reduction over
-//!   the rest (by default everything is treated as observed);
+//!   byte-identical to the seed explorer's. What a property can read is
+//!   its predicate's parameter type: invariants and leads-to properties
+//!   see a [`SignalView`], which no reduced step can change, and
+//!   terminal properties see a [`StateView`], which adds variables —
+//!   reduction keeps every terminal state;
 //! * **bounded exploration** — [`CheckConfig::with_state_limit`] stops at
 //!   a state budget with a structured [`Verdict::Bounded`] instead of an
-//!   error (or OOM), and [`CheckConfig::with_bitstate`] opts into lossy
-//!   fingerprint-only dedup for sweeps beyond exact-memory reach.
+//!   error (or OOM).
 //!
 //! Exploration runs on one thread and is deterministic by discovery
 //! order: states are expanded in the order they were found, and each
 //! successor is interned where its run found it, so state numbering,
-//! pool ids, fingerprints, traces and verdicts depend only on the system
-//! and the configuration. When reduction picks an ample run after
-//! earlier successors were interned, the pools are truncated back to
-//! where the expansion started before the ample successor is interned,
-//! so the discarded successors leave no trace in pool ids, fingerprints
-//! or bitstate collisions.
+//! traces and verdicts depend only on the system and the configuration.
 
 mod explore;
 mod fx;
@@ -111,7 +106,7 @@ use por::PorTables;
 use state::Layout;
 
 pub use explore::{BoundedInfo, CheckStats};
-pub use space::{Counterexample, PropertyReport, StateSpace, StateView, Verdict};
+pub use space::{Counterexample, PropertyReport, SignalView, StateSpace, StateView, Verdict};
 
 /// A nondeterministic environment fault the checker may inject between
 /// any two process steps.
@@ -170,21 +165,8 @@ pub struct CheckConfig {
     /// reporting [`Verdict::Bounded`] — unlike
     /// [`CheckConfig::max_states`], which treats exhaustion as an error.
     pub state_limit: Option<usize>,
-    /// Lossy bitstate dedup over this many fingerprint bits (8..=63).
-    /// Invariant and terminal violations found are real (their witness
-    /// states were concretely reached); absence of violations proves
-    /// nothing. Leads-to failures are reported
-    /// [`Verdict::Inconclusive`] (a collision can forge unreachability)
-    /// and completion bounds are unavailable.
-    pub bitstate_bits: Option<u32>,
     /// Partial-order reduction (on by default; verdict-preserving).
     pub por: bool,
-    /// Signals property predicates may read, by name (`None` = all).
-    /// Currently advisory: signal-writing steps are never reduced.
-    pub observed_signals: Option<Vec<String>>,
-    /// Variables property predicates may read, by name (`None` = all).
-    /// Narrowing this is what unlocks reduction over private data paths.
-    pub observed_variables: Option<Vec<String>>,
 }
 
 impl Default for CheckConfig {
@@ -195,10 +177,7 @@ impl Default for CheckConfig {
             faults: Vec::new(),
             cost_model: CostModel::new(),
             state_limit: None,
-            bitstate_bits: None,
             por: true,
-            observed_signals: None,
-            observed_variables: None,
         }
     }
 }
@@ -230,33 +209,9 @@ impl CheckConfig {
         self
     }
 
-    /// Enables lossy bitstate dedup over `bits` fingerprint bits
-    /// (clamped to 8..=63). One-sided for invariant and terminal
-    /// checks only; leads-to failures become
-    /// [`Verdict::Inconclusive`] and
-    /// [`StateSpace::worst_cost_to_quiescence`] returns `None`.
-    pub fn with_bitstate(mut self, bits: u32) -> Self {
-        self.bitstate_bits = Some(bits);
-        self
-    }
-
     /// Disables partial-order reduction.
     pub fn without_por(mut self) -> Self {
         self.por = false;
-        self
-    }
-
-    /// Declares the signals property predicates may read (all others are
-    /// invisible to properties).
-    pub fn with_observed_signals(mut self, names: Vec<String>) -> Self {
-        self.observed_signals = Some(names);
-        self
-    }
-
-    /// Declares the variables property predicates may read (all others
-    /// are invisible to properties, unlocking reduction over them).
-    pub fn with_observed_variables(mut self, names: Vec<String>) -> Self {
-        self.observed_variables = Some(names);
         self
     }
 }
@@ -289,9 +244,8 @@ impl<'a> Checker<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidSystem`] if the system fails validation,
-    /// a configured fault names an unknown signal, or an observed-state
-    /// declaration names an unknown signal or variable.
+    /// Returns [`SimError::InvalidSystem`] if the system fails validation
+    /// or a configured fault names an unknown signal.
     pub fn with_config(system: &'a System, config: CheckConfig) -> Result<Self, SimError> {
         system.check().map_err(|e| SimError::InvalidSystem {
             message: e.to_string(),
@@ -309,28 +263,6 @@ impl<'a> Checker<'a> {
                 })?;
             faults.push((idx, f.clone()));
         }
-        if let Some(names) = &config.observed_signals {
-            for name in names {
-                if !system.signals.iter().any(|s| &s.name == name) {
-                    return Err(SimError::InvalidSystem {
-                        message: format!("check observes unknown signal `{name}`"),
-                    });
-                }
-            }
-        }
-        let mut observed_var = vec![config.observed_variables.is_none(); system.variables.len()];
-        if let Some(names) = &config.observed_variables {
-            for name in names {
-                let idx = system
-                    .variables
-                    .iter()
-                    .position(|v| &v.name == name)
-                    .ok_or_else(|| SimError::InvalidSystem {
-                        message: format!("check observes unknown variable `{name}`"),
-                    })?;
-                observed_var[idx] = true;
-            }
-        }
         let layout = Layout::new(system);
         let por = if config.por {
             let feet = ifsyn_partition::footprints(system);
@@ -341,7 +273,6 @@ impl<'a> Checker<'a> {
                 &program.behaviors,
                 &program.procedures,
                 &fault_signals,
-                &observed_var,
             ))
         } else {
             None
@@ -361,10 +292,11 @@ impl<'a> Checker<'a> {
     ///
     /// # Errors
     ///
-    /// Returns an error when the reachable set exceeds the configured
-    /// state cap (unless a state limit is set, which bounds exploration
-    /// gracefully instead), an atomic run exceeds the step budget, or
-    /// execution hits a runtime evaluation error or failed assertion.
+    /// Returns [`SimError::StateCapExceeded`] when the reachable set
+    /// exceeds [`CheckConfig::max_states`] (unless a state limit is set,
+    /// which bounds exploration gracefully instead). Returns another
+    /// error when an atomic run exceeds the step budget or execution
+    /// hits a runtime evaluation error or failed assertion.
     pub fn explore(&self) -> Result<StateSpace<'_>, SimError> {
         let g = self.explore_graph()?;
         Ok(StateSpace::new(self, g))

@@ -2,9 +2,16 @@
 //!
 //! [`StateSpace`] keeps the seed checker's API — invariants, terminal
 //! properties, leads-to properties, worst-cost bounds, counterexample
-//! traces with wait diagnoses — over the compact interned graph. Two
+//! traces with wait diagnoses — over the compact interned graph. Three
 //! additions:
 //!
+//! * **views** — a predicate's parameter type says what it can read.
+//!   Invariant and leads-to predicates see a [`SignalView`]: signals,
+//!   finished behaviors and fault budgets, exactly what an ample run
+//!   never changes, so partial-order reduction needs no list of
+//!   observed names. Terminal predicates see a [`StateView`], which adds
+//!   variables: ample sets that meet C0, C1 and C3 keep every terminal
+//!   state (see `docs/ROBUSTNESS.md`);
 //! * **verdicts** — every report carries a [`Verdict`]; a budgeted
 //!   exploration that found no violation reports [`Verdict::Bounded`]
 //!   (with the budget and unexplored frontier size) instead of
@@ -15,13 +22,14 @@
 //!   verdict-preserving, so the verdict cannot change; what replay buys
 //!   is byte-identical failure reports — the same first-failing state,
 //!   trace and state count the seed explorer printed. Passing reports
-//!   skip replay entirely (that is where the speed lives); bitstate and
-//!   bounded runs never replay (their graphs are intentionally partial,
-//!   and their caveats are documented in `docs/ROBUSTNESS.md`).
+//!   skip replay entirely (that is where the speed lives). A bounded
+//!   run replays under the same budget and keeps its own report when
+//!   the replay stops short of the failure.
 
 use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Deref;
 
 use ifsyn_spec::Value;
 
@@ -33,14 +41,17 @@ use super::explore::{BoundedInfo, CheckStats, Edge, Graph, StepLabel};
 use super::state::{CkProc, CkState, CompactState};
 use super::{Checker, EnvFault};
 
-/// Read-only view of one explored state, for property predicates.
-pub struct StateView<'a> {
+/// Read-only view of one explored state's signals, finished behaviors
+/// and fault budgets: what invariant and leads-to predicates can read.
+/// An ample run writes no signal, finishes no behavior and strikes no
+/// fault, so no reduced step can change anything seen through this view.
+pub struct SignalView<'a> {
     ck: &'a Checker<'a>,
     g: &'a Graph,
     cs: CompactState,
 }
 
-impl StateView<'_> {
+impl SignalView<'_> {
     /// Current value of a signal, by declared name.
     pub fn signal(&self, name: &str) -> Option<&Value> {
         self.ck
@@ -54,21 +65,6 @@ impl StateView<'_> {
     /// `true` when the named bit signal currently holds `'1'`.
     pub fn signal_high(&self, name: &str) -> bool {
         matches!(self.signal(name), Some(Value::Bit(true)))
-    }
-
-    /// Current value of a variable, by declared name.
-    pub fn variable(&self, name: &str) -> Option<&Value> {
-        self.ck
-            .system
-            .variables
-            .iter()
-            .position(|v| v.name == name)
-            .map(|i| {
-                let grp = self.ck.layout.group_of_var[i] as usize;
-                let off = self.ck.layout.offset_in_group[i] as usize;
-                let gid = self.g.pools.varvecs.get(self.cs.var)[grp];
-                &self.g.pools.groups.get(gid)[off]
-            })
     }
 
     fn proc(&self, i: usize) -> &CkProc {
@@ -110,6 +106,37 @@ impl StateView<'_> {
     }
 }
 
+/// Read-only view of one terminal state: a [`SignalView`] that can also
+/// read variables. Only terminal predicates get one, because reduction
+/// keeps every terminal state but may skip the intermediate states in
+/// which a variable held some other value.
+pub struct StateView<'a>(SignalView<'a>);
+
+impl<'a> Deref for StateView<'a> {
+    type Target = SignalView<'a>;
+
+    fn deref(&self) -> &SignalView<'a> {
+        &self.0
+    }
+}
+
+impl StateView<'_> {
+    /// Current value of a variable, by declared name.
+    pub fn variable(&self, name: &str) -> Option<&Value> {
+        let v = &self.0;
+        v.ck.system
+            .variables
+            .iter()
+            .position(|d| d.name == name)
+            .map(|i| {
+                let grp = v.ck.layout.group_of_var[i] as usize;
+                let off = v.ck.layout.offset_in_group[i] as usize;
+                let gid = v.g.pools.varvecs.get(v.cs.var)[grp];
+                &v.g.pools.groups.get(gid)[off]
+            })
+    }
+}
+
 /// How a property check concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
@@ -120,11 +147,6 @@ pub enum Verdict {
     /// No violation found, but exploration stopped at the configured
     /// state budget — the unexplored frontier may hide one.
     Bounded,
-    /// The check failed on a lossy bitstate graph whose fingerprint
-    /// collisions can forge exactly this kind of failure (a merged
-    /// successor makes a real goal path invisible): neither a proof nor
-    /// a trace-checkable violation. Re-run with exact dedup to confirm.
-    Inconclusive,
 }
 
 /// The result of checking one property over an explored state space.
@@ -158,12 +180,6 @@ impl fmt::Display for PropertyReport {
                     self.name, self.states, b.limit, b.frontier
                 )
             }
-            Verdict::Inconclusive => write!(
-                f,
-                "INCONC {} ({} states; a bitstate fingerprint collision \
-                 can forge this failure — rerun with exact dedup to confirm)",
-                self.name, self.states
-            ),
             Verdict::Fail => {
                 write!(f, "FAIL  {} ({} states)", self.name, self.states)?;
                 if let Some(cex) = &self.counterexample {
@@ -231,11 +247,11 @@ struct SpaceRef<'x, 'a> {
     g: &'x Graph,
 }
 
-type Pred<'p> = &'p dyn Fn(&StateView<'_>) -> bool;
+type Pred<'p> = &'p dyn Fn(&SignalView<'_>) -> bool;
 
 impl<'x, 'a> SpaceRef<'x, 'a> {
-    fn view_of(&self, i: usize) -> StateView<'x> {
-        StateView {
+    fn view_of(&self, i: usize) -> SignalView<'x> {
+        SignalView {
             ck: self.ck,
             g: self.g,
             cs: self.g.states[i],
@@ -264,7 +280,7 @@ impl<'x, 'a> SpaceRef<'x, 'a> {
         self.passed(name)
     }
 
-    fn check_terminal(&self, name: &str, pred: Pred<'_>) -> PropertyReport {
+    fn check_terminal(&self, name: &str, pred: &dyn Fn(&StateView<'_>) -> bool) -> PropertyReport {
         if let Some((src, label)) = self.g.errors.first() {
             let mut cex = self.counterexample(*src as usize);
             cex.trace.push(label.clone());
@@ -278,7 +294,7 @@ impl<'x, 'a> SpaceRef<'x, 'a> {
             };
         }
         for &i in &self.g.terminals {
-            if !pred(&self.view_of(i as usize)) {
+            if !pred(&StateView(self.view_of(i as usize))) {
                 return self.failed(name, i as usize);
             }
         }
@@ -502,23 +518,13 @@ impl<'a> StateSpace<'a> {
         }
     }
 
-    /// `true` when the explored graph is exactly the seed explorer's:
-    /// no reduction fired, exact dedup, exploration ran to completion.
-    fn faithful(&self) -> bool {
-        self.g.stats.ample_states == 0
-            && self.checker.config.bitstate_bits.is_none()
-            && self.g.bounded.is_none()
-    }
-
     /// The POR-off replay space for failure reporting, built on first
-    /// use. `None` when replay is unavailable (bitstate or bounded runs,
-    /// or the replay exploration itself erroring out — the reduced-space
-    /// counterexample, still a real trace, is used instead).
+    /// use under the same configuration (a bounded run replays under the
+    /// same budget). `None` when the replay exploration itself errors
+    /// out — the reduced-space counterexample, still a real trace, is
+    /// used instead.
     fn replay_ref(&self) -> Option<SpaceRef<'_, 'a>> {
         let replay = self.replay.get_or_init(|| {
-            if self.checker.config.bitstate_bits.is_some() || self.g.bounded.is_some() {
-                return None;
-            }
             let mut cfg = self.checker.config.clone();
             cfg.por = false;
             let checker = Checker::with_config(self.checker.system, cfg).ok()?;
@@ -533,7 +539,9 @@ impl<'a> StateSpace<'a> {
 
     /// Applies the bounded verdict to a no-violation report, and routes
     /// failures on a reduced graph through the POR-off replay so failure
-    /// reports are byte-identical to the seed explorer's.
+    /// reports are byte-identical to the seed explorer's. A bounded
+    /// replay can stop short of a failure the reduced run reached; the
+    /// reduced report, a real violation, stands then.
     fn resolve(
         &self,
         rep: PropertyReport,
@@ -547,12 +555,13 @@ impl<'a> StateSpace<'a> {
             }
             return rep;
         }
-        if self.faithful() {
+        if self.g.stats.ample_states == 0 {
+            // No reduction fired: this is the POR-off graph already.
             return rep;
         }
-        match self.replay_ref() {
-            Some(r) => recheck(&r),
-            None => rep,
+        match self.replay_ref().map(|r| recheck(&r)) {
+            Some(replayed) if !replayed.holds => replayed,
+            _ => rep,
         }
     }
 
@@ -609,7 +618,7 @@ impl<'a> StateSpace<'a> {
     pub fn check_invariant(
         &self,
         name: &str,
-        pred: impl Fn(&StateView<'_>) -> bool,
+        pred: impl Fn(&SignalView<'_>) -> bool,
     ) -> PropertyReport {
         let rep = self.main().check_invariant(name, &pred);
         self.resolve(rep, |r| r.check_invariant(name, &pred))
@@ -636,23 +645,11 @@ impl<'a> StateSpace<'a> {
     pub fn check_leads_to(
         &self,
         name: &str,
-        premise: impl Fn(&StateView<'_>) -> bool,
-        goal: impl Fn(&StateView<'_>) -> bool,
+        premise: impl Fn(&SignalView<'_>) -> bool,
+        goal: impl Fn(&SignalView<'_>) -> bool,
     ) -> PropertyReport {
         let rep = self.main().check_leads_to(name, &premise, &goal);
-        let mut rep = self.resolve(rep, |r| r.check_leads_to(name, &premise, &goal));
-        // Bitstate collisions merge distinct states, so "the goal is
-        // unreachable from this premise state" can be a collision
-        // artifact: the colliding successor's real continuations were
-        // never explored. Unlike invariant/terminal violations — whose
-        // witness states were concretely reached and whose traces
-        // replay — a bitstate leads-to failure is not trace-checkable,
-        // so it is downgraded to an explicit inconclusive verdict.
-        if rep.verdict == Verdict::Fail && self.checker.config.bitstate_bits.is_some() {
-            rep.verdict = Verdict::Inconclusive;
-            rep.counterexample = None;
-        }
-        rep
+        self.resolve(rep, |r| r.check_leads_to(name, &premise, &goal))
     }
 
     /// The maximum total cycle cost over all maximal paths from the
@@ -663,12 +660,9 @@ impl<'a> StateSpace<'a> {
     /// every in-budget fault pattern) reaches quiescence within the
     /// returned number of cycles. Partial-order reduction preserves the
     /// bound: reduced paths are permutations of full paths with the same
-    /// transition multiset, hence the same total cost. Bitstate runs
-    /// also return `None`: a fingerprint collision can both hide the
-    /// costliest path and forge a spurious cycle, so neither a number
-    /// nor an "unbounded" answer would be trustworthy.
+    /// transition multiset, hence the same total cost.
     pub fn worst_cost_to_quiescence(&self) -> Option<u64> {
-        if self.g.bounded.is_some() || self.checker.config.bitstate_bits.is_some() {
+        if self.g.bounded.is_some() {
             return None;
         }
         self.main().worst_cost_to_quiescence()

@@ -16,12 +16,11 @@
 //! * `env` — the interned fault environment (budgets + frozen mask).
 //!
 //! Interning is canonical (equal components share one id), so two states
-//! are equal iff their `CompactState`s are equal — exact dedup compares
-//! 16 bytes instead of whole states. A 64-bit fingerprint over the ids
-//! shards the dedup table and drives the opt-in lossy bitstate mode.
+//! are equal iff their `CompactState`s are equal — dedup compares 16
+//! bytes instead of whole states. A 64-bit fingerprint over the ids
+//! shards the dedup table.
 
 use std::borrow::Borrow;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -159,11 +158,6 @@ impl<T: Hash + Eq> Interner<T> {
         &self.items[id as usize]
     }
 
-    /// Number of pooled components: the id the next miss gets.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
     /// Interns an owned component, returning its canonical id (the
     /// value is dropped when an equal component is already pooled).
     pub fn intern(&mut self, value: T) -> u32 {
@@ -200,27 +194,6 @@ impl<T: Hash + Eq> Interner<T> {
         }
     }
 
-    /// Forgets every component pooled after the first `len`, so the
-    /// next misses get their ids again.
-    pub fn truncate(&mut self, len: usize) {
-        while self.items.len() > len {
-            let value = self.items.pop().expect("longer than len");
-            let Entry::Occupied(mut bucket) = self.map.entry(fx_hash(&value)) else {
-                unreachable!("every pooled component is indexed under its hash")
-            };
-            // Ids enter a bucket in increasing order: the dropped one is
-            // its last.
-            match bucket.get_mut() {
-                Bucket::Many(ids) if ids.len() > 1 => {
-                    ids.pop();
-                }
-                _ => {
-                    bucket.remove();
-                }
-            }
-        }
-    }
-
     /// Pools a value known to be absent under hash `h`.
     fn insert(&mut self, h: u64, value: T) -> u32 {
         let id = u32::try_from(self.items.len()).expect("component pool overflow");
@@ -252,11 +225,6 @@ pub(super) struct Pools {
     pub envs: Interner<EnvComp>,
 }
 
-/// The pool sizes at one point of an exploration, for
-/// [`Pools::truncate`] to go back to.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct PoolMark([usize; 6]);
-
 impl Pools {
     pub fn new() -> Self {
         Self {
@@ -267,28 +235,6 @@ impl Pools {
             ctls: Interner::new(),
             envs: Interner::new(),
         }
-    }
-
-    pub fn mark(&self) -> PoolMark {
-        PoolMark([
-            self.sigs.len(),
-            self.groups.len(),
-            self.varvecs.len(),
-            self.procs.len(),
-            self.ctls.len(),
-            self.envs.len(),
-        ])
-    }
-
-    /// Drops every component pooled since `mark` was taken.
-    pub fn truncate(&mut self, mark: PoolMark) {
-        let [sigs, groups, varvecs, procs, ctls, envs] = mark.0;
-        self.sigs.truncate(sigs);
-        self.groups.truncate(groups);
-        self.varvecs.truncate(varvecs);
-        self.procs.truncate(procs);
-        self.ctls.truncate(ctls);
-        self.envs.truncate(envs);
     }
 }
 
@@ -303,7 +249,7 @@ pub(super) struct CompactState {
 
 impl CompactState {
     /// 64-bit fingerprint over the component ids: shards the dedup
-    /// table, and is the whole identity in bitstate mode.
+    /// table.
     #[inline]
     pub fn fingerprint(self) -> u64 {
         let a = splitmix(u64::from(self.sig) | (u64::from(self.var) << 32));
@@ -319,53 +265,25 @@ fn shard_of(fp: u64) -> usize {
     (fp >> 48) as usize & (DEDUP_SHARDS - 1)
 }
 
-/// The visited-state index, sharded by fingerprint.
-///
-/// `Exact` maps the full 16-byte [`CompactState`] (collision-free, since
-/// interned ids are canonical). `Bitstate` keys only the masked 64-bit
-/// fingerprint: distinct states whose masked fingerprints collide are
-/// merged, so exploration becomes a lossy sweep — any violation found is
-/// real, but absence of one proves nothing (see the ROBUSTNESS docs).
-pub(super) enum Dedup {
-    Exact(Vec<HashMap<CompactState, u32, BuildFx>>),
-    Bitstate {
-        mask: u64,
-        shards: Vec<HashMap<u64, u32, BuildFx>>,
-    },
-}
+/// The visited-state index: the full 16-byte [`CompactState`]
+/// (collision-free, since interned ids are canonical), sharded by
+/// fingerprint.
+pub(super) struct Dedup(Vec<HashMap<CompactState, u32, BuildFx>>);
 
 impl Dedup {
-    pub fn exact() -> Self {
-        Dedup::Exact((0..DEDUP_SHARDS).map(|_| HashMap::default()).collect())
-    }
-
-    pub fn bitstate(bits: u32) -> Self {
-        let bits = bits.clamp(8, 63);
-        Dedup::Bitstate {
-            mask: (1u64 << bits) - 1,
-            shards: (0..DEDUP_SHARDS).map(|_| HashMap::default()).collect(),
-        }
+    pub fn new() -> Self {
+        Dedup((0..DEDUP_SHARDS).map(|_| HashMap::default()).collect())
     }
 
     /// Looks up a state without inserting.
     #[inline]
     pub fn probe(&self, cs: CompactState, fp: u64) -> Option<u32> {
-        match self {
-            Dedup::Exact(shards) => shards[shard_of(fp)].get(&cs).copied(),
-            Dedup::Bitstate { mask, shards } => shards[shard_of(fp)].get(&(fp & mask)).copied(),
-        }
+        self.0[shard_of(fp)].get(&cs).copied()
     }
 
     /// Records a newly discovered state's index.
     #[inline]
     pub fn insert(&mut self, cs: CompactState, fp: u64, id: u32) {
-        match self {
-            Dedup::Exact(shards) => {
-                shards[shard_of(fp)].insert(cs, id);
-            }
-            Dedup::Bitstate { mask, shards } => {
-                shards[shard_of(fp)].insert(fp & *mask, id);
-            }
-        }
+        self.0[shard_of(fp)].insert(cs, id);
     }
 }

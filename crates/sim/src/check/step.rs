@@ -17,7 +17,7 @@
 //!   which variable groups went dirty, whether any signal was stored,
 //!   which processes a release sweep advanced, and whether every
 //!   executed instruction was statically pure and every variable store
-//!   hit a variable private to the process and unobserved. The running
+//!   hit a variable private to the process. The running
 //!   process's own control state is always treated as touched. The
 //!   explorer uses the effects to diff, re-intern and roll back only
 //!   dirty components and to validate ample candidates;
@@ -124,13 +124,13 @@ impl Engine for Run<'_, '_> {
         Ok(())
     }
 
-    /// Marks the variable's group dirty. A store into a variable that is
-    /// shared or observed is a visible, cross-process-dependent write and
-    /// disqualifies the run from standing alone as an ample set. Every
-    /// statically pure instruction stores only into private unobserved
-    /// variables, so the check can newly fail only on a procedure
-    /// copy-back: its target was resolved at the call, possibly in an
-    /// earlier run, where `Ret`'s static purity row cannot see it.
+    /// Marks the variable's group dirty. A store into a shared variable
+    /// is a cross-process-dependent write and disqualifies the run from
+    /// standing alone as an ample set. Every statically pure instruction
+    /// stores only into private variables, so the check can newly fail
+    /// only on a procedure copy-back: its target was resolved at the
+    /// call, possibly in an earlier run, where `Ret`'s static purity row
+    /// cannot see it.
     fn before_store(&mut self, var: usize) {
         self.fx.mark_var(&self.ck.layout, var);
         if self.fx.track && self.fx.pure_run {

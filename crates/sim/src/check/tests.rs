@@ -70,19 +70,19 @@ fn interleavings_reach_joint_state_and_bound_is_exact() {
     let m = sys.add_module("chip");
     let p1 = sys.add_behavior("P1", m);
     let p2 = sys.add_behavior("P2", m);
-    let a = sys.add_variable("A", Ty::Int(8), p1);
-    let b = sys.add_variable("B", Ty::Int(8), p2);
-    sys.behavior_mut(p1).body = vec![assign(var(a), int_const(1, 8))];
-    sys.behavior_mut(p2).body = vec![assign(var(b), int_const(1, 8))];
+    let a = sys.add_signal("A", Ty::Int(8));
+    let b = sys.add_signal("B", Ty::Int(8));
+    sys.behavior_mut(p1).body = vec![drive(a, int_const(1, 8))];
+    sys.behavior_mut(p2).body = vec![drive(b, int_const(1, 8))];
     let ck = Checker::new(&sys).unwrap();
     let ss = ck.explore().unwrap();
-    let both_set = |v: &StateView<'_>| {
-        v.variable("A").unwrap().as_i64().unwrap() == 1
-            && v.variable("B").unwrap().as_i64().unwrap() == 1
+    let both_set = |v: &SignalView<'_>| {
+        v.signal("A").unwrap().as_i64().unwrap() == 1
+            && v.signal("B").unwrap().as_i64().unwrap() == 1
     };
     let report = ss.check_invariant("never both set", |v| !both_set(v));
     assert!(!report.holds, "the joint state must be reachable");
-    // Two unit-cost assigns on every maximal path.
+    // Two unit-cost drives on every maximal path.
     assert_eq!(ss.worst_cost_to_quiescence(), Some(2));
 }
 
@@ -153,17 +153,17 @@ fn flip_bit_fault_wakes_a_blocked_waiter() {
         let m = sys.add_module("chip");
         let p = sys.add_behavior("P", m);
         let ack = sys.add_signal("ACK", Ty::Bit);
-        let x = sys.add_variable("X", Ty::Int(8), p);
+        let x = sys.add_signal("X", Ty::Int(8));
         sys.behavior_mut(p).body = vec![
             wait_until(eq(signal(ack), bit_const(true))),
-            assign(var(x), int_const(1, 8)),
+            drive(x, int_const(1, 8)),
         ];
         sys
     };
     let sys = build();
     let ck = Checker::new(&sys).unwrap();
     let ss = ck.explore().unwrap();
-    let x_zero = |v: &StateView<'_>| v.variable("X").unwrap().as_i64().unwrap() == 0;
+    let x_zero = |v: &SignalView<'_>| v.signal("X").unwrap().as_i64().unwrap() == 0;
     assert!(ss.check_invariant("x stays 0", x_zero).holds);
 
     let sys = build();
@@ -229,8 +229,8 @@ fn unknown_fault_signal_is_rejected() {
 // ---- scaling features ----
 
 /// Two behaviors stepping private counters, plus a handshake pair: the
-/// counter steps are pure once the counters are declared unobserved.
-/// With `deadlock`, P waits before driving — a circular wait with C.
+/// counter steps are pure, so reduction fires on them. With `deadlock`,
+/// P waits before driving — a circular wait with C.
 fn mixed_private_with(deadlock: bool) -> System {
     let mut sys = System::new("mix");
     let m = sys.add_module("chip");
@@ -274,15 +274,8 @@ fn mixed_private() -> System {
 #[test]
 fn por_reduces_private_interleavings_and_preserves_verdicts() {
     let sys = mixed_private();
-    let reduced =
-        Checker::with_config(&sys, CheckConfig::new().with_observed_variables(Vec::new())).unwrap();
-    let full = Checker::with_config(
-        &sys,
-        CheckConfig::new()
-            .with_observed_variables(Vec::new())
-            .without_por(),
-    )
-    .unwrap();
+    let reduced = Checker::new(&sys).unwrap();
+    let full = Checker::with_config(&sys, CheckConfig::new().without_por()).unwrap();
     let rs = reduced.explore().unwrap();
     let fs = full.explore().unwrap();
     assert!(rs.stats().ample_states > 0, "reduction must fire");
@@ -315,9 +308,8 @@ fn reduced_failure_reports_match_the_unreduced_explorer() {
     // the terminal property fails, and the failure report must be
     // byte-identical to a POR-off exploration's (replay delegation).
     let sys = mixed_private_with(true);
-    let observed = CheckConfig::new().with_observed_variables(Vec::new());
-    let reduced = Checker::with_config(&sys, observed.clone()).unwrap();
-    let full = Checker::with_config(&sys, observed.without_por()).unwrap();
+    let reduced = Checker::new(&sys).unwrap();
+    let full = Checker::with_config(&sys, CheckConfig::new().without_por()).unwrap();
     let rs = reduced.explore().unwrap();
     let fs = full.explore().unwrap();
     assert!(rs.stats().ample_states > 0, "reduction must fire");
@@ -336,8 +328,9 @@ fn bounded_exploration_reports_a_bounded_verdict() {
     assert!(info.frontier > 0);
     assert_eq!(info.limit, 20);
     assert!(ss.state_count() >= 20);
-    let report = ss.check_invariant("x1 in range", |v| {
-        v.variable("X1").unwrap().as_i64().unwrap() <= 6
+    // ACK is never lowered, and C finishes right after raising it.
+    let report = ss.check_invariant("C finishes only after acknowledging", |v| {
+        !v.done("C") || v.signal_high("ACK")
     });
     assert!(report.holds);
     assert_eq!(report.verdict, Verdict::Bounded);
@@ -349,11 +342,12 @@ fn bounded_exploration_reports_a_bounded_verdict() {
 }
 
 /// A procedure with an `out` parameter aimed at a shared variable,
-/// returning past an internal scheduling point: the resumed run executes
+/// returning past internal scheduling points: the resumed run executes
 /// only statically pure instructions plus `Ret`, but its copy-back (a
 /// place resolved back at the call) writes the shared variable. Treating
 /// that run as an ample singleton would hide every interleaving where
-/// `Q` samples the pre-copy-back value from the mid-procedure state.
+/// `Q` samples the pre-copy-back value after the procedure raised `A`.
+/// `Q` drives what it samples onto signals, so an invariant can see it.
 #[test]
 fn por_never_hides_procedure_copyback_writes() {
     let mut sys = System::new("copyback");
@@ -361,37 +355,34 @@ fn por_never_hides_procedure_copyback_writes() {
     let p = sys.add_behavior("P", m);
     let q = sys.add_behavior("Q", m);
     let a = sys.add_signal("A", Ty::Bit);
+    let s1 = sys.add_signal("S1", Ty::Bit);
+    let s2 = sys.add_signal_init("S2", Ty::Int(8), Value::int(99, 8));
     let sh = sys.add_variable("sh", Ty::Int(8), p);
-    let r1 = sys.add_variable("r1", Ty::Bit, q);
-    let r2 = sys.add_variable_init("r2", Ty::Int(8), q, Value::int(99, 8));
     let mut give = Procedure::new("give_two");
     let out_slot = give.add_param("result", Ty::Int(8), ParamMode::Out);
     give.body = vec![
         assign(local(out_slot), int_const(1, 8)),
-        wait_cycles(1), // scheduling point between the call and the copy-back
+        drive(a, bit_const(true)),
+        // Pure steps between the drive and the copy-back.
+        wait_cycles(1),
         assign(local(out_slot), int_const(2, 8)),
     ];
     let give = sys.add_procedure(give);
-    sys.behavior_mut(p).body = vec![
-        drive(a, bit_const(true)),
-        call(give, vec![Arg::Out(var(sh))]),
-        wait_cycles(1),
-    ];
-    sys.behavior_mut(q).body = vec![assign(var(r1), signal(a)), assign(var(r2), load(var(sh)))];
+    sys.behavior_mut(p).body = vec![call(give, vec![Arg::Out(var(sh))]), wait_cycles(1)];
+    sys.behavior_mut(q).body = vec![drive(s1, signal(a)), drive(s2, load(var(sh)))];
     // Seeing `A` high with `sh` still 0 requires scheduling Q entirely
-    // between P's call and P's copy-back — i.e. from the mid-procedure
-    // state, exactly the state a copy-back-blind ample set would commit
+    // between P's drive and P's copy-back — i.e. from the mid-procedure
+    // states, the last of which a copy-back-blind ample set would commit
     // as a singleton.
-    let window = |v: &StateView<'_>| {
-        matches!(v.variable("r1"), Some(Value::Bit(true)))
-            && v.variable("r2").unwrap().as_i64().unwrap() == 0
-    };
+    let window =
+        |v: &SignalView<'_>| v.signal_high("S1") && v.signal("S2").unwrap().as_i64().unwrap() == 0;
     let full = Checker::with_config(&sys, CheckConfig::new().without_por()).unwrap();
     let fs = full.explore().unwrap();
     let fr = fs.check_invariant("window unreachable", |v| !window(v));
     assert!(!fr.holds, "the mid-procedure window must be reachable");
     let reduced = Checker::new(&sys).unwrap();
     let rs = reduced.explore().unwrap();
+    assert!(rs.stats().ample_states > 0, "reduction must fire");
     let rr = rs.check_invariant("window unreachable", |v| !window(v));
     assert!(!rr.holds, "reduction hid the copy-back write");
     assert_eq!(rr.to_string(), fr.to_string());
@@ -400,16 +391,14 @@ fn por_never_hides_procedure_copyback_writes() {
 /// A graceful state budget supersedes the hard `max_states` abort: a
 /// `--check-limit` above the cap must end in a `Bounded` verdict, never
 /// the exhaustion error (that error fires mid-level, before the budget
-/// is even consulted).
+/// is even consulted). Reduction is off so the space stays larger than
+/// the budget.
 #[test]
 fn state_limit_supersedes_the_hard_state_cap() {
     let sys = mixed_private();
+    let capped = CheckConfig::new().without_por().with_max_states(20);
     // Budget above the cap, space bigger than both: stops at the budget.
-    let ck = Checker::with_config(
-        &sys,
-        CheckConfig::new().with_max_states(20).with_state_limit(50),
-    )
-    .unwrap();
+    let ck = Checker::with_config(&sys, capped.clone().with_state_limit(50)).unwrap();
     let ss = ck
         .explore()
         .expect("budgeted run must not hit the hard cap");
@@ -417,97 +406,23 @@ fn state_limit_supersedes_the_hard_state_cap() {
     assert_eq!(b.limit, 50);
     assert!(ss.state_count() >= 50);
     // Budget above the cap, space smaller than the budget: completes.
-    let ck = Checker::with_config(
-        &sys,
-        CheckConfig::new()
-            .with_max_states(20)
-            .with_state_limit(1_000_000),
-    )
-    .unwrap();
+    let ck = Checker::with_config(&sys, capped.clone().with_state_limit(1_000_000)).unwrap();
     let ss = ck
         .explore()
         .expect("budgeted run must not hit the hard cap");
     assert!(ss.bounded().is_none(), "the space fits the budget");
     assert!(ss.state_count() > 20);
-    // Without a budget the hard cap still aborts.
-    let ck = Checker::with_config(&sys, CheckConfig::new().with_max_states(20)).unwrap();
+    // Without a budget the hard cap still aborts, with a capacity error
+    // that names no API.
+    let ck = Checker::with_config(&sys, capped).unwrap();
     let err = ck.explore().err().expect("hard cap must abort");
-    assert!(err.to_string().contains("exceeds 20 states"));
-}
-
-/// Bitstate one-sidedness covers invariant/terminal violations (their
-/// witness states were concretely reached). A leads-to failure is a
-/// *reachability* claim a fingerprint collision can forge, so under
-/// bitstate it must surface as INCONC, and no completion bound may be
-/// certified.
-#[test]
-fn bitstate_downgrades_leads_to_failures_to_inconclusive() {
-    let mut sys = System::new("nogrant");
-    let m = sys.add_module("chip");
-    let cl = sys.add_behavior("CLIENT", m);
-    let req = sys.add_signal("REQ", Ty::Bit);
-    let _gnt = sys.add_signal("GNT", Ty::Bit);
-    sys.behavior_mut(cl).body = vec![drive(req, bit_const(true))];
-    let premise = |v: &StateView<'_>| v.signal_high("REQ") && !v.signal_high("GNT");
-    let goal = |v: &StateView<'_>| v.signal_high("GNT");
-    let exact = Checker::new(&sys).unwrap();
-    let es = exact.explore().unwrap();
-    let er = es.check_leads_to("eventual_grant", premise, goal);
-    assert_eq!(er.verdict, Verdict::Fail, "the grant genuinely never comes");
-    assert!(er.counterexample.is_some());
-    assert!(es.worst_cost_to_quiescence().is_some());
-
-    let lossy = Checker::with_config(&sys, CheckConfig::new().with_bitstate(32)).unwrap();
-    let ls = lossy.explore().unwrap();
-    let lr = ls.check_leads_to("eventual_grant", premise, goal);
-    assert_eq!(lr.verdict, Verdict::Inconclusive);
-    assert!(!lr.holds, "inconclusive is not a proof");
-    assert!(lr.counterexample.is_none(), "no trace-checkable witness");
-    let line = lr.to_string();
-    assert!(line.starts_with("INCONC"), "{line}");
-    assert_eq!(
-        ls.worst_cost_to_quiescence(),
-        None,
-        "a lossy graph cannot certify a completion bound"
-    );
-}
-
-#[test]
-fn bitstate_mode_explores_the_small_space_exactly() {
-    let sys = handshake();
-    let exact = Checker::new(&sys).unwrap();
-    let lossy = Checker::with_config(&sys, CheckConfig::new().with_bitstate(32)).unwrap();
-    let es = exact.explore().unwrap();
-    let ls = lossy.explore().unwrap();
-    // At 32 fingerprint bits over a handful of states, collisions are
-    // (deterministically) absent: the sweep matches the exact graph.
-    assert_eq!(es.state_count(), ls.state_count());
-    assert!(ls.check_terminal("completes", |v| v.all_done()).holds);
-}
-
-#[test]
-fn unknown_observed_names_are_rejected() {
-    let sys = handshake();
-    let err = Checker::with_config(
-        &sys,
-        CheckConfig::new().with_observed_signals(vec!["NOPE".to_string()]),
-    )
-    .err()
-    .expect("unknown signal must be rejected");
-    assert!(err.to_string().contains("NOPE"));
-    let err = Checker::with_config(
-        &sys,
-        CheckConfig::new().with_observed_variables(vec!["NOPE".to_string()]),
-    )
-    .err()
-    .expect("unknown variable must be rejected");
-    assert!(err.to_string().contains("NOPE"));
+    assert_eq!(err, SimError::StateCapExceeded { max_states: 20 });
+    assert_eq!(err.to_string(), "reachable state space exceeds 20 states");
 }
 
 /// `intern_with` resolves a borrowed slice to the boxed component it
 /// equals and builds an owned copy only on a miss, handing out ids in
-/// the same order `intern` does. After `truncate(n)` the dropped keys
-/// miss again, and re-interning them hands out the same ids as before.
+/// the same order `intern` does, also for keys that share a hash bucket.
 #[test]
 fn interner_resolves_borrowed_keys_and_copies_only_misses() {
     /// Interns `v` by borrowed key: its id, and whether a copy was built.
@@ -533,17 +448,6 @@ fn interner_resolves_borrowed_keys_and_copies_only_misses() {
     assert_eq!(pool.intern(vec![3].into_boxed_slice()), c);
     assert_eq!(&**pool.get(c), &[3]);
 
-    pool.truncate(1);
-    assert_eq!(pool.len(), 1);
-    assert_eq!(intern(&mut pool, &[3]), (b, true), "truncated keys miss");
-    assert_eq!(intern(&mut pool, &[2, 1]), (c, true));
-    assert_eq!(
-        intern(&mut pool, &[1, 2]),
-        (a, false),
-        "kept keys still hit"
-    );
-
-    // Keys that share one hash bucket are truncated one id at a time.
     #[derive(PartialEq, Eq)]
     struct Clash(u32);
     impl std::hash::Hash for Clash {
@@ -553,12 +457,8 @@ fn interner_resolves_borrowed_keys_and_copies_only_misses() {
     }
     let mut pool = state::Interner::new();
     let ids: Vec<u32> = (0..3).map(|k| pool.intern(Clash(k))).collect();
-    pool.truncate(1);
-    assert_eq!(pool.intern(Clash(2)), 1);
-    assert_eq!(pool.intern(Clash(1)), 2);
-    pool.truncate(0);
-    assert_eq!(pool.intern(Clash(0)), ids[0]);
-    assert_eq!(pool.intern(Clash(1)), ids[1]);
+    assert_eq!(ids, [0, 1, 2]);
+    assert_eq!(pool.intern(Clash(1)), 1);
 }
 
 // ---- in-place execution: rollback ----
@@ -566,9 +466,9 @@ fn interner_resolves_borrowed_keys_and_copies_only_misses() {
 /// A run that writes a shared variable and drives a signal, then crashes
 /// on an out-of-range index, commits no successor — but its writes have
 /// already landed in the explorer's scratch state. They must be rolled
-/// back before the later-pid `Q` runs on that state, so `Q`'s copies of
-/// the variable and the signal keep their initial values on every
-/// schedule, while the crash still fails the terminal property.
+/// back before the later-pid `Q` runs on that state, so the copies `Q`
+/// drives of the variable and the signal keep their initial values on
+/// every schedule, while the crash still fails the terminal property.
 #[test]
 fn crashed_run_writes_never_reach_later_pids() {
     let mut sys = System::new("crash_rollback");
@@ -579,24 +479,20 @@ fn crashed_run_writes_never_reach_later_pids() {
     let sh = sys.add_variable("sh", Ty::Int(8), p);
     let mem = sys.add_variable("mem", Ty::array(Ty::Int(8), 2), p);
     let k = sys.add_variable_init("k", Ty::Int(8), p, Value::int(5, 8));
-    let sh_copy = sys.add_variable("sh_copy", Ty::Int(8), q);
-    let s_copy = sys.add_variable("s_copy", Ty::Bit, q);
+    let sh_copy = sys.add_signal("SH_COPY", Ty::Int(8));
+    let s_copy = sys.add_signal("S_COPY", Ty::Bit);
     // Zero-cost statements: the two writes and the crash are one run.
     sys.behavior_mut(p).body = vec![
         assign_cost(var(sh), int_const(7, 8), 0),
         drive_cost(s, bit_const(true), 0),
         assign_cost(index(var(mem), load(var(k))), int_const(1, 8), 0),
     ];
-    sys.behavior_mut(q).body = vec![
-        assign(var(sh_copy), load(var(sh))),
-        assign(var(s_copy), signal(s)),
-    ];
+    sys.behavior_mut(q).body = vec![drive(sh_copy, load(var(sh))), drive(s_copy, signal(s))];
     for config in [CheckConfig::new(), CheckConfig::new().without_por()] {
         let ck = Checker::with_config(&sys, config).unwrap();
         let ss = ck.explore().unwrap();
         let report = ss.check_invariant("copies keep their initial values", |v| {
-            v.variable("sh_copy").unwrap().as_i64().unwrap() == 0
-                && matches!(v.variable("s_copy"), Some(Value::Bit(false)))
+            v.signal("SH_COPY").unwrap().as_i64().unwrap() == 0 && !v.signal_high("S_COPY")
         });
         assert!(report.holds, "{report}");
         let report = ss.check_terminal("completes", |v| v.all_done());

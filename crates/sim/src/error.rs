@@ -1,11 +1,12 @@
-//! Error type for simulation.
+//! Error type for simulation and model checking.
 
 use std::error::Error;
 use std::fmt;
 
 use crate::diagnose::DeadlockDiagnosis;
 
-/// Errors produced while compiling or running a simulation.
+/// Errors produced while compiling or running a simulation, or while
+/// exploring a model checker's state space.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SimError {
@@ -58,6 +59,14 @@ pub enum SimError {
         /// Simulation time of the failure.
         time: u64,
     },
+    /// The model checker found more reachable states than its hard cap
+    /// ([`crate::CheckConfig::max_states`]) allows. A capacity limit,
+    /// not a fault in the system: a state budget
+    /// ([`crate::CheckConfig::with_state_limit`]) lifts the cap.
+    StateCapExceeded {
+        /// The cap that was exceeded.
+        max_states: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -94,6 +103,9 @@ impl fmt::Display for SimError {
                 f,
                 "assertion failed in behavior `{behavior}` at time {time}: {note}"
             ),
+            SimError::StateCapExceeded { max_states } => {
+                write!(f, "reachable state space exceeds {max_states} states")
+            }
         }
     }
 }

@@ -64,7 +64,7 @@ pub mod vcd;
 
 pub use check::{
     BoundedInfo, CheckConfig, CheckStats, Checker, Counterexample, EnvFault, PropertyReport,
-    StateSpace, StateView, Verdict,
+    SignalView, StateSpace, StateView, Verdict,
 };
 pub use config::SimConfig;
 pub use diagnose::{BlockedWait, DeadlockDiagnosis};

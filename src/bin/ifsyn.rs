@@ -47,14 +47,9 @@
 //!                          unlike --fault these carry no schedule times;
 //!                          the checker tries every legal strike point
 //!   --check-limit STATES   stop exploring after STATES states and report
-//!                          BOUND verdicts instead of running out of
-//!                          memory on huge systems
-//!   --check-bitstate BITS  lossy bitstate dedup keyed by a 2^BITS
-//!                          fingerprint: invariant/terminal violations
-//!                          found are real, but a clean run is
-//!                          probabilistic, not a proof; leads-to checks
-//!                          report INCONC instead of FAIL (a collision
-//!                          can forge unreachability)
+//!                          BOUND verdicts; lifts the default cap of
+//!                          262144 states, so a limit above the
+//!                          reachable count checks exhaustively
 //!   --check-no-por         disable partial-order reduction (explore the
 //!                          full interleaving graph)
 //!   --explore              print the width exploration table and exit
@@ -82,7 +77,7 @@ use std::process::ExitCode;
 use interface_synthesis::core::{
     BusDesign, BusGenerator, Constraint, ProtocolGenerator, ProtocolKind,
 };
-use interface_synthesis::sim::{FaultPlan, SimConfig, Simulator};
+use interface_synthesis::sim::{FaultPlan, SimConfig, SimError, Simulator};
 use interface_synthesis::spec::{ChannelId, System};
 use interface_synthesis::vhdl::VhdlPrinter;
 
@@ -102,7 +97,6 @@ struct Options {
     check: bool,
     check_faults: Vec<String>,
     check_limit: Option<usize>,
-    check_bitstate: Option<u32>,
     check_no_por: bool,
     print_vhdl: bool,
     vcd: Option<String>,
@@ -474,10 +468,6 @@ fn check_refined(
     if let Some(limit) = options.check_limit {
         config = config.with_state_limit(limit);
     }
-    if let Some(bits) = options.check_bitstate {
-        config = config.with_bitstate(bits);
-        println!("bitstate dedup on ({bits} fingerprint bits): a clean run is not a proof");
-    }
     if options.check_no_por {
         config = config.without_por();
     }
@@ -489,7 +479,7 @@ fn check_refined(
         );
     }
     let checker = Checker::with_config(&refined.system, config)?;
-    let space = checker.explore()?;
+    let space = checker.explore().map_err(explain_check_error)?;
     println!(
         "\nexplored {} states, {} transitions, {} terminal(s), {} runtime error path(s)",
         space.state_count(),
@@ -513,9 +503,6 @@ fn check_refined(
         Some(w) => println!("worst-case completion over every schedule: {w} cycles"),
         None if space.bounded().is_some() => {
             println!("worst-case completion: unknown (exploration was bounded)")
-        }
-        None if options.check_bitstate.is_some() => {
-            println!("worst-case completion: unknown (bitstate dedup is lossy)")
         }
         None => println!("worst-case completion: unbounded (a reachable cycle exists)"),
     }
@@ -554,28 +541,16 @@ fn check_refined(
         }
     }
 
-    let mut failures = 0usize;
-    let mut inconclusive = 0usize;
     for rep in &reports {
         println!("{rep}");
-        match rep.verdict {
-            Verdict::Fail => failures += 1,
-            Verdict::Inconclusive => inconclusive += 1,
-            Verdict::Pass | Verdict::Bounded => {}
-        }
     }
+    let failures = reports
+        .iter()
+        .filter(|r| r.verdict == Verdict::Fail)
+        .count();
     if failures > 0 {
         return Err(format!(
             "{failures} of {} propert{} violated",
-            reports.len(),
-            if reports.len() == 1 { "y" } else { "ies" }
-        )
-        .into());
-    }
-    if inconclusive > 0 {
-        return Err(format!(
-            "{inconclusive} of {} propert{} inconclusive under bitstate \
-             dedup — rerun without --check-bitstate to confirm",
             reports.len(),
             if reports.len() == 1 { "y" } else { "ies" }
         )
@@ -595,6 +570,20 @@ fn check_refined(
         );
     }
     Ok(())
+}
+
+/// Turns an exploration error into the CLI's message: the checker's
+/// state cap is a capacity limit, and `--check-limit` is how a CLI user
+/// lifts it.
+fn explain_check_error(e: SimError) -> Box<dyn Error> {
+    match e {
+        SimError::StateCapExceeded { .. } => format!(
+            "{e}; --check-limit STATES lifts the cap and stops exploring \
+             after STATES states instead"
+        )
+        .into(),
+        e => e.into(),
+    }
 }
 
 /// Parses a `--check-fault` SPEC: `stuck0:SIG` or `flip:SIG:BIT[:BUDGET]`.
@@ -738,7 +727,6 @@ fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Options, Box<dy
             "--check" => o.check = true,
             "--check-fault" => o.check_faults.push(value_of("--check-fault")?),
             "--check-limit" => o.check_limit = Some(value_of("--check-limit")?.parse()?),
-            "--check-bitstate" => o.check_bitstate = Some(value_of("--check-bitstate")?.parse()?),
             "--check-no-por" => o.check_no_por = true,
             "--print-vhdl" => o.print_vhdl = true,
             "--vcd" => o.vcd = Some(value_of("--vcd")?),
@@ -971,6 +959,7 @@ mod tests {
             &["s.ifs", "--lockstep"][..],
             &["s.ifs", "--sim-threads", "2"][..],
             &["s.ifs", "--check-threads", "2"][..],
+            &["s.ifs", "--check-bitstate", "12"][..],
         ] {
             assert!(
                 parse_args(args.iter().map(|s| s.to_string())).is_err(),
@@ -1005,18 +994,28 @@ mod tests {
             "--check",
             "--check-limit",
             "500000",
-            "--check-bitstate",
-            "28",
             "--check-no-por",
         ]);
         assert_eq!(o.check_limit, Some(500_000));
-        assert_eq!(o.check_bitstate, Some(28));
         assert!(o.check_no_por);
-        // Defaults: exact POR exploration, unbounded.
+        // Defaults: POR exploration, unbounded.
         let o = parse(&["s.ifs", "--check"]);
         assert_eq!(o.check_limit, None);
-        assert_eq!(o.check_bitstate, None);
         assert!(!o.check_no_por);
+    }
+
+    #[test]
+    fn state_cap_error_points_at_check_limit() {
+        let e = explain_check_error(SimError::StateCapExceeded {
+            max_states: 262_144,
+        });
+        assert_eq!(
+            e.to_string(),
+            "reachable state space exceeds 262144 states; --check-limit STATES \
+             lifts the cap and stops exploring after STATES states instead"
+        );
+        let e = explain_check_error(SimError::eval("index 5 out of range"));
+        assert_eq!(e.to_string(), "evaluation error: index 5 out of range");
     }
 
     #[test]
