@@ -3,8 +3,16 @@
 //! ```text
 //! cargo run -p ifsyn-bench --bin experiments -- all
 //! cargo run -p ifsyn-bench --bin experiments -- fig7
-//! cargo run -p ifsyn-bench --bin experiments -- bench   # writes BENCH_sim.json
-//! cargo run -p ifsyn-bench --bin experiments -- faults  # writes BENCH_faults.json
+//!     # fig2 | fig7 | fig8 | extra | overhead | ablation | all print
+//!     # their tables and take no arguments.
+//! cargo run -p ifsyn-bench --bin experiments -- bench
+//!     # kernel throughput; writes BENCH_sim.json. Options:
+//!     #   --out PATH        output file (default BENCH_sim.json)
+//! cargo run -p ifsyn-bench --bin experiments -- faults
+//!     # fault-matrix campaign; writes BENCH_faults.json and exits
+//!     # nonzero on a silent corruption under the protected variant.
+//!     # Options:
+//!     #   --out PATH        output file (default BENCH_faults.json)
 //! cargo run -p ifsyn-bench --bin experiments -- calibrate
 //!     # trace-analytics campaign: estimated vs observed rates over the
 //!     # Fig. 7 sweep plus the calibration fixed point; writes
@@ -30,111 +38,148 @@
 //!     #                     because CI machines differ from the machine
 //!     #                     that wrote the baseline)
 //! ```
+//!
+//! An argument a subcommand does not take, or an unknown subcommand,
+//! prints the usage line and exits nonzero.
 
 use std::env;
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: experiments [fig2 | fig7 | fig8 | extra | overhead | ablation | all]
+       experiments bench | faults [--out PATH]
+       experiments calibrate [--out PATH] [--tolerance R]
+       experiments check [--out PATH] [--min-rate R] [--no-big]
+       experiments perf [--check] [--baseline PATH] [--tolerance R]";
+
+/// The print-only tables, in `all` order.
+const TABLES: [&str; 6] = ["fig2", "fig7", "fig8", "extra", "overhead", "ablation"];
+
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
-    let what = args.first().map(String::as_str).unwrap_or("all");
-    match what {
-        "fig2" => print_fig2(),
-        "fig7" => print_fig7(),
-        "fig8" => print_fig8(),
-        "extra" => print_extra(),
-        "ablation" => print_ablation(),
-        "overhead" => print_overhead(),
-        "bench" => {
-            if let Err(e) = run_bench(args.get(1).map(String::as_str)) {
-                eprintln!("bench failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "faults" => {
-            if let Err(e) = run_faults(args.get(1).map(String::as_str)) {
-                eprintln!("faults failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "calibrate" => {
-            if let Err(e) = run_calibrate(&args[1..]) {
-                eprintln!("calibrate failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "check" => {
-            if let Err(e) = run_check(&args[1..]) {
-                eprintln!("check failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "perf" => {
-            if let Err(e) = run_perf(&args[1..]) {
-                eprintln!("perf: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "all" => {
-            print_fig2();
-            print_fig7();
-            print_fig8();
-            print_extra();
-            print_overhead();
-            print_ablation();
-        }
-        other => {
-            eprintln!(
-                "unknown experiment `{other}`; expected fig2 | fig7 | fig8 | extra | overhead | ablation | bench | faults | check | calibrate | perf | all"
-            );
+    let what = args.first().map_or("all", String::as_str);
+    let flags = match Flags::parse(what, args.get(1..).unwrap_or_default()) {
+        Ok(flags) => flags,
+        Err(e) => {
+            eprintln!("experiments: {e}\n{USAGE}");
             return ExitCode::FAILURE;
         }
+    };
+    let result = match what {
+        "bench" => run_bench(flags.out("BENCH_sim.json")),
+        "faults" => run_faults(flags.out("BENCH_faults.json")),
+        "calibrate" => run_calibrate(&flags),
+        "check" => run_check(&flags),
+        "perf" => run_perf(&flags),
+        "all" => {
+            TABLES.into_iter().for_each(print_table);
+            Ok(())
+        }
+        table => {
+            print_table(table);
+            Ok(())
+        }
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{what} failed: {e}");
+            ExitCode::FAILURE
+        }
     }
-    ExitCode::SUCCESS
 }
 
-/// Measures kernel throughput and writes `BENCH_sim.json` (default) or
-/// the given output path.
-fn run_bench(out_path: Option<&str>) -> std::io::Result<()> {
+/// The options each subcommand takes: `(flag, takes a value)`.
+fn accepted_flags(what: &str) -> Result<&'static [(&'static str, bool)], String> {
+    Ok(match what {
+        table if table == "all" || TABLES.contains(&table) => &[],
+        "bench" | "faults" => &[("--out", true)],
+        "calibrate" => &[("--out", true), ("--tolerance", true)],
+        "check" => &[("--out", true), ("--min-rate", true), ("--no-big", false)],
+        "perf" => &[
+            ("--check", false),
+            ("--baseline", true),
+            ("--tolerance", true),
+        ],
+        other => return Err(format!("unknown experiment `{other}`")),
+    })
+}
+
+/// The parsed options of one subcommand, in command-line order.
+struct Flags(Vec<(&'static str, Option<String>)>);
+
+impl Flags {
+    fn parse(what: &str, args: &[String]) -> Result<Self, String> {
+        let accepted = accepted_flags(what)?;
+        let mut found = Vec::new();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let &(flag, takes_value) = accepted
+                .iter()
+                .find(|(flag, _)| flag == arg)
+                .ok_or_else(|| format!("`{what}` does not take `{arg}`"))?;
+            let value = if takes_value {
+                Some(it.next().ok_or(format!("{flag} requires a value"))?.clone())
+            } else {
+                None
+            };
+            found.push((flag, value));
+        }
+        Ok(Self(found))
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The last value given for `flag`.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.0
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .and_then(|(_, v)| v.as_deref())
+    }
+
+    fn out<'a>(&'a self, default: &'a str) -> &'a str {
+        self.value("--out").unwrap_or(default)
+    }
+
+    fn number(&self, flag: &str) -> Result<Option<f64>, String> {
+        self.value(flag)
+            .map(|v| v.parse::<f64>().map_err(|e| format!("bad {flag}: {e}")))
+            .transpose()
+    }
+
+    /// `--tolerance`, which must lie in [0, 1).
+    fn tolerance(&self, default: f64) -> Result<f64, String> {
+        let tolerance = self.number("--tolerance")?.unwrap_or(default);
+        if !(0.0..1.0).contains(&tolerance) {
+            return Err("--tolerance must be in [0, 1)".to_string());
+        }
+        Ok(tolerance)
+    }
+}
+
+/// Measures kernel throughput and writes it to `out_path`.
+fn run_bench(out_path: &str) -> Result<(), String> {
     rule();
     let data = ifsyn_bench::perf::run();
     print!("{}", ifsyn_bench::perf::render(&data));
-    let path = out_path.unwrap_or("BENCH_sim.json");
-    std::fs::write(path, ifsyn_bench::perf::to_json(&data))?;
-    println!("\nwrote {path}");
+    std::fs::write(out_path, ifsyn_bench::perf::to_json(&data)).map_err(|e| e.to_string())?;
+    println!("\nwrote {out_path}");
     Ok(())
 }
 
 /// Measures throughput and, with `--check`, compares against a committed
 /// baseline instead of overwriting it.
-fn run_perf(args: &[String]) -> Result<(), String> {
-    let mut check = false;
-    let mut tolerance = 0.5f64;
-    let mut baseline_path = "BENCH_sim.json".to_string();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--check" => check = true,
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .ok_or("--tolerance requires a value")?
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad --tolerance: {e}"))?;
-                if !(0.0..1.0).contains(&tolerance) {
-                    return Err("--tolerance must be in [0, 1)".to_string());
-                }
-            }
-            "--baseline" => {
-                baseline_path = it.next().ok_or("--baseline requires a value")?.clone();
-            }
-            other => return Err(format!("unknown perf option `{other}`")),
-        }
-    }
+fn run_perf(flags: &Flags) -> Result<(), String> {
+    let tolerance = flags.tolerance(0.5)?;
+    let baseline_path = flags.value("--baseline").unwrap_or("BENCH_sim.json");
     rule();
     let data = ifsyn_bench::perf::run();
     print!("{}", ifsyn_bench::perf::render(&data));
-    if check {
-        let json = std::fs::read_to_string(&baseline_path)
+    if flags.has("--check") {
+        let json = std::fs::read_to_string(baseline_path)
             .map_err(|e| format!("cannot read baseline `{baseline_path}`: {e}"))?;
         let baseline = ifsyn_bench::perf::parse_baseline(&json);
         if baseline.is_empty() {
@@ -155,16 +200,15 @@ fn run_perf(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the fault campaign and writes `BENCH_faults.json` (default) or
-/// the given output path. Exits with an error when any protected run
-/// corrupted data without raising a flag (an integrity regression).
-fn run_faults(out_path: Option<&str>) -> Result<(), String> {
+/// Runs the fault campaign and writes it to `out_path`. Exits with an
+/// error when any protected run corrupted data without raising a flag
+/// (an integrity regression).
+fn run_faults(out_path: &str) -> Result<(), String> {
     rule();
     let data = ifsyn_bench::faults::run();
     print!("{}", ifsyn_bench::faults::render(&data));
-    let path = out_path.unwrap_or("BENCH_faults.json");
-    std::fs::write(path, ifsyn_bench::faults::to_json(&data)).map_err(|e| e.to_string())?;
-    println!("\nwrote {path}");
+    std::fs::write(out_path, ifsyn_bench::faults::to_json(&data)).map_err(|e| e.to_string())?;
+    println!("\nwrote {out_path}");
     let silent = data.silent_corruptions();
     if !silent.is_empty() {
         return Err(format!(
@@ -180,30 +224,13 @@ fn run_faults(out_path: Option<&str>) -> Result<(), String> {
 /// alone-on-the-bus rates deviating from the static estimates, a shared
 /// rate beating its analytic ceiling, the worst shared shortfall
 /// exceeding the tolerance, or the calibration loop failing to converge.
-fn run_calibrate(args: &[String]) -> Result<(), String> {
-    let mut tolerance = ifsyn_bench::calibrate::DEFAULT_TOLERANCE;
-    let mut out_path = "BENCH_analyze.json".to_string();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => out_path = it.next().ok_or("--out requires a value")?.clone(),
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .ok_or("--tolerance requires a value")?
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad --tolerance: {e}"))?;
-                if !(0.0..1.0).contains(&tolerance) {
-                    return Err("--tolerance must be in [0, 1)".to_string());
-                }
-            }
-            other => return Err(format!("unknown calibrate option `{other}`")),
-        }
-    }
+fn run_calibrate(flags: &Flags) -> Result<(), String> {
+    let tolerance = flags.tolerance(ifsyn_bench::calibrate::DEFAULT_TOLERANCE)?;
+    let out_path = flags.out("BENCH_analyze.json");
     rule();
     let data = ifsyn_bench::calibrate::run();
     print!("{}", ifsyn_bench::calibrate::render(&data));
-    std::fs::write(&out_path, ifsyn_bench::calibrate::to_json(&data)).map_err(|e| e.to_string())?;
+    std::fs::write(out_path, ifsyn_bench::calibrate::to_json(&data)).map_err(|e| e.to_string())?;
     println!("\nwrote {out_path}");
     match ifsyn_bench::calibrate::check(&data, tolerance) {
         Ok(summary) => {
@@ -223,35 +250,17 @@ fn run_calibrate(args: &[String]) -> Result<(), String> {
 /// unexpectedly passes), when the big-system run falls below the
 /// million-state scale floor, or when `--min-rate` is given and the
 /// measured exploration throughput drops below it.
-fn run_check(args: &[String]) -> Result<(), String> {
-    let mut out_path = "BENCH_check.json".to_string();
-    let mut min_rate: Option<f64> = None;
-    let mut big = true;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => out_path = it.next().ok_or("--out requires a value")?.clone(),
-            "--min-rate" => {
-                let r = it
-                    .next()
-                    .ok_or("--min-rate requires a value")?
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad --min-rate: {e}"))?;
-                if r <= 0.0 {
-                    return Err("--min-rate must be positive".to_string());
-                }
-                min_rate = Some(r);
-            }
-            "--no-big" => big = false,
-            // Back-compat: a bare path is the output file, as before.
-            other if !other.starts_with('-') => out_path = other.to_string(),
-            other => return Err(format!("unknown check option `{other}`")),
-        }
+fn run_check(flags: &Flags) -> Result<(), String> {
+    let min_rate = flags.number("--min-rate")?;
+    if min_rate.is_some_and(|r| r <= 0.0) {
+        return Err("--min-rate must be positive".to_string());
     }
+    let out_path = flags.out("BENCH_check.json");
+    let big = !flags.has("--no-big");
     rule();
     let data = ifsyn_bench::check::run_with(&ifsyn_bench::check::CheckOptions { big });
     print!("{}", ifsyn_bench::check::render(&data));
-    std::fs::write(&out_path, ifsyn_bench::check::to_json(&data)).map_err(|e| e.to_string())?;
+    std::fs::write(out_path, ifsyn_bench::check::to_json(&data)).map_err(|e| e.to_string())?;
     println!("\nwrote {out_path}");
     let bad = data.unexpected();
     if !bad.is_empty() {
@@ -279,38 +288,17 @@ fn rule() {
     println!("\n{}\n", "=".repeat(72));
 }
 
-fn print_fig2() {
+/// Prints one of the [`TABLES`].
+fn print_table(what: &str) {
+    use ifsyn_bench::{ablation, extra, fig2, fig7, fig8, overhead};
     rule();
-    print!("{}", ifsyn_bench::fig2::render(&ifsyn_bench::fig2::run()));
-}
-
-fn print_fig7() {
-    rule();
-    print!("{}", ifsyn_bench::fig7::render(&ifsyn_bench::fig7::run()));
-}
-
-fn print_fig8() {
-    rule();
-    print!("{}", ifsyn_bench::fig8::render(&ifsyn_bench::fig8::run()));
-}
-
-fn print_extra() {
-    rule();
-    print!("{}", ifsyn_bench::extra::render(&ifsyn_bench::extra::run()));
-}
-
-fn print_overhead() {
-    rule();
-    print!(
-        "{}",
-        ifsyn_bench::overhead::render(&ifsyn_bench::overhead::run())
-    );
-}
-
-fn print_ablation() {
-    rule();
-    print!(
-        "{}",
-        ifsyn_bench::ablation::render(&ifsyn_bench::ablation::run())
-    );
+    let text = match what {
+        "fig2" => fig2::render(&fig2::run()),
+        "fig7" => fig7::render(&fig7::run()),
+        "fig8" => fig8::render(&fig8::run()),
+        "extra" => extra::render(&extra::run()),
+        "overhead" => overhead::render(&overhead::run()),
+        _ => ablation::render(&ablation::run()),
+    };
+    print!("{text}");
 }

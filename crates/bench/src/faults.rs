@@ -7,7 +7,7 @@
 //! protocol variants: the plain full handshake, the timeout-hardened
 //! variant (`ProtocolGenerator::with_timeout`), and the
 //! integrity-protected variant (`ProtocolGenerator::with_integrity`),
-//! which appends a salted-XOR check word to every word run and
+//! which appends a position-weighted checksum word to every word run and
 //! retransmits on mismatch. Every run is classified:
 //!
 //! * `completed` — all client processes finished and the transferred
@@ -38,9 +38,9 @@
 //! traffic overhead. Serialization is hand-rolled JSON (offline build,
 //! no serde), written to `BENCH_faults.json`.
 
-use ifsyn_core::{BusDesign, ProtocolGenerator, ProtocolKind, RefinedSystem, WordDir, WordPlan};
+use ifsyn_core::{BusDesign, ProtocolGenerator, ProtocolKind, RefinedSystem, WordPlan};
 use ifsyn_sim::{FaultPlan, SimConfig, SimError, Simulator};
-use ifsyn_spec::{ChannelDirection, Value};
+use ifsyn_spec::Value;
 use ifsyn_systems::{fig3, flc};
 
 use crate::emit::{json_opt, json_str};
@@ -61,8 +61,8 @@ pub enum Variant {
     /// Timeout-hardened handshake (PR 2): watchdogs, bounded word
     /// retries, sticky abort flags.
     Hardened,
-    /// Integrity-protected handshake: hardening plus salted-XOR check
-    /// words and bounded message retransmission.
+    /// Integrity-protected handshake: hardening plus checksum words and
+    /// bounded message retransmission.
     Protected,
 }
 
@@ -263,9 +263,8 @@ fn retry_overhead(words: u64) -> u64 {
 }
 
 /// Total fault-free handshake words the campaign system moves under
-/// `variant`, counting every access of every bus channel. The protected
-/// variant adds one check word per word run (one for writes; one per
-/// direction run for reads, whose plans are direction-aligned).
+/// `variant`, counting every access of every bus channel and the check
+/// words the protected variant adds ([`WordPlan::for_refinement`]).
 fn campaign_words(refined: &RefinedSystem, variant: Variant) -> u64 {
     let width = refined.bus.design.width;
     refined
@@ -275,25 +274,8 @@ fn campaign_words(refined: &RefinedSystem, variant: Variant) -> u64 {
         .iter()
         .map(|&c| {
             let ch = refined.system.channel(c);
-            let protected = variant == Variant::Protected;
-            let plan = if protected && ch.direction == ChannelDirection::Read {
-                WordPlan::aligned_for_channel(ch, width)
-            } else {
-                WordPlan::for_channel(ch, width)
-            };
-            let mut words = u64::from(plan.word_count());
-            if protected {
-                let requests = plan
-                    .words
-                    .iter()
-                    .filter(|w| w.dir == WordDir::Request)
-                    .count();
-                words += match ch.direction {
-                    ChannelDirection::Write => 1,
-                    ChannelDirection::Read => 1 + u64::from(requests > 0),
-                };
-            }
-            words * ch.accesses
+            let (plan, checks) = WordPlan::for_refinement(ch, width, variant == Variant::Protected);
+            u64::from(plan.word_count() + checks) * ch.accesses
         })
         .sum()
 }

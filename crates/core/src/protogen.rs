@@ -16,6 +16,20 @@
 //!   watches the bus and dispatches on the ID lines — step 5, Fig. 5
 //!   bottom (`Xproc`, `MEMproc`).
 //!
+//! Robustness is a layer over those same four builders, not a second
+//! generator. Each builder emits the plain per-word body. Timeout
+//! hardening ([`ProtocolGenerator::with_timeout`]) bounds every client
+//! word with watchdogs and a bounded retry. Integrity
+//! ([`ProtocolGenerator::with_integrity`]) adds three things to the same
+//! body:
+//!
+//! * a checksum step on each word;
+//! * one check word closing each direction run;
+//! * a loop around the message: the client retransmits through the same
+//!   bounded-retry combinator a hardened word uses, and the server's
+//!   verify loop repeats a run until it verifies, so nothing unverified
+//!   is committed or answered.
+//!
 //! Statement costs are assigned so that a full-handshake word takes
 //! exactly 2 clocks of simulated time (the paper's Eq. 2 delay model):
 //! the two rising control edges cost one cycle each, and latches,
@@ -34,7 +48,7 @@ use crate::arbitration::{self, ArbiterWiring, Arbitration};
 use crate::busgen::BusDesign;
 use crate::error::CoreError;
 use crate::protocol::ProtocolKind;
-use crate::words::{WordDir, WordPlan};
+use crate::words::{WordDir, WordPlan, WordSpec};
 
 /// How the generator decides whether to install a bus arbiter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -132,22 +146,6 @@ impl BusStructure {
             .find(|(c, _)| *c == channel)
             .map(|(_, p)| *p)
     }
-
-    /// Server-side procedure of a channel.
-    pub fn serve_proc(&self, channel: ChannelId) -> Option<ProcId> {
-        self.serve_procs
-            .iter()
-            .find(|(c, _)| *c == channel)
-            .map(|(_, p)| *p)
-    }
-
-    /// Abort status flag of a channel (hardened refinements only).
-    pub fn status_flag(&self, channel: ChannelId) -> Option<SignalId> {
-        self.status_flags
-            .iter()
-            .find(|(c, _)| *c == channel)
-            .map(|(_, s)| *s)
-    }
 }
 
 /// The output of protocol generation: a refined, simulatable system plus
@@ -201,12 +199,6 @@ impl ProtocolGenerator {
             hardening: None,
             integrity: false,
         }
-    }
-
-    /// Builder-style setter for the bus name prefix.
-    pub fn with_bus_name(mut self, name: impl Into<String>) -> Self {
-        self.bus_name = name.into();
-        self
     }
 
     /// Forces a specific arbiter configuration.
@@ -380,10 +372,7 @@ impl ProtocolGenerator {
         for (k, design) in designs.iter().enumerate() {
             let generator = Self {
                 bus_name: format!("{}{k}", self.bus_name),
-                arbitration: self.arbitration,
-                rolled_loops: self.rolled_loops,
-                hardening: self.hardening,
-                integrity: self.integrity,
+                ..self.clone()
             };
             let refined = generator.refine(&current, design)?;
             current = refined.system;
@@ -567,6 +556,47 @@ fn rewrite_channel_ops(sys: &mut System, client_map: &HashMap<ChannelId, ProcId>
     }
 }
 
+/// Bus-lock lines `(req, gnt)` of a client behind an arbiter.
+type Lock = Option<(SignalId, SignalId)>;
+
+/// A bounded retry's success flag and attempt counter (local slots) and
+/// the status flag its abort raises.
+type Retry = (usize, usize, SignalId);
+
+/// `n := n + 1` on an `int<16>` retry counter.
+fn count_up(n_slot: usize) -> Stmt {
+    assign_cost(local(n_slot), add(load(local(n_slot)), int_const(1, 16)), 0)
+}
+
+/// One attempt's verdict: `if cond then ok := '1' else n := n + 1`.
+fn succeed_or_count(cond: Expr, ok_slot: usize, n_slot: usize) -> Stmt {
+    if_else(
+        cond,
+        vec![assign_cost(local(ok_slot), bit_const(true), 0)],
+        vec![count_up(n_slot)],
+    )
+}
+
+/// Brackets a client body with the arbiter's lock and unlock.
+fn locked(lock: Lock, body: Vec<Stmt>) -> Vec<Stmt> {
+    let Some((req, gnt)) = lock else {
+        return body;
+    };
+    let mut v = arbitration::lock_stmts(req, gnt);
+    v.extend(body);
+    v.extend(arbitration::unlock_stmts(req, gnt));
+    v
+}
+
+/// Length of a plan's leading request run: every word of a write, the
+/// address-only words of a read.
+fn request_run_len(plan: &WordPlan) -> usize {
+    plan.words
+        .iter()
+        .take_while(|w| w.dir == WordDir::Request)
+        .count()
+}
+
 /// Working state of one shared-bus refinement.
 struct Gen {
     sys: System,
@@ -685,13 +715,7 @@ impl Gen {
         for (k, &chid) in self.design.channels.clone().iter().enumerate() {
             let ch = self.sys.channel(chid).clone();
             let code = k as u64;
-            // Protected reads need direction-aligned words so request
-            // and response runs checksum independently.
-            let plan = if self.integrity && ch.direction == ChannelDirection::Read {
-                WordPlan::aligned_for_channel(&ch, self.width)
-            } else {
-                WordPlan::for_channel(&ch, self.width)
-            };
+            let (plan, _) = WordPlan::for_refinement(&ch, self.width, self.integrity);
             let lock = self.arbiter.as_ref().and_then(|w| w.lines_of(ch.accessor));
             // Hardened transfers report unrecoverable failures through a
             // sticky per-channel status flag instead of hanging. The
@@ -706,29 +730,15 @@ impl Gen {
                     self.status_flags.push((chid, sig));
                     sig
                 });
-            let (client, serve) = if self.integrity {
-                let stat = stat.expect("integrity implies hardening status flags");
-                match ch.direction {
-                    ChannelDirection::Write => (
-                        self.gen_send_proc_protected(&ch, code, &plan, lock, stat),
-                        self.gen_serve_write_protected(&ch, &plan),
-                    ),
-                    ChannelDirection::Read => (
-                        self.gen_receive_proc_protected(&ch, code, &plan, lock, stat),
-                        self.gen_serve_read_protected(&ch, &plan),
-                    ),
-                }
-            } else {
-                match ch.direction {
-                    ChannelDirection::Write => (
-                        self.gen_send_proc(&ch, code, &plan, lock, stat),
-                        self.gen_serve_write(&ch, &plan),
-                    ),
-                    ChannelDirection::Read => (
-                        self.gen_receive_proc(&ch, code, &plan, lock, stat),
-                        self.gen_serve_read(&ch, &plan),
-                    ),
-                }
+            let (client, serve) = match ch.direction {
+                ChannelDirection::Write => (
+                    self.gen_send_proc(&ch, code, &plan, lock, stat),
+                    self.gen_serve_write(&ch, &plan),
+                ),
+                ChannelDirection::Read => (
+                    self.gen_receive_proc(&ch, code, &plan, lock, stat),
+                    self.gen_serve_read(&ch, &plan),
+                ),
             };
             let client_id = self.sys.add_procedure(client);
             let serve_id = self.sys.add_procedure(serve);
@@ -740,7 +750,11 @@ impl Gen {
     /// Client-side synchronisation of one requester-driven word; the
     /// data lines must already be set up. `latch` runs while the word is
     /// acknowledged (response latches, checksum updates, ERR samples).
-    fn client_word_sync(&self, latch: Vec<Stmt>) -> Vec<Stmt> {
+    /// With `harden` slots the word is timeout-hardened.
+    fn client_word_sync(&self, latch: Vec<Stmt>, harden: Option<Retry>, lock: Lock) -> Vec<Stmt> {
+        if let Some(retry) = harden {
+            return self.hardened_client_word_sync(latch, retry, lock);
+        }
         let start = self.start;
         match self.protocol {
             ProtocolKind::FullHandshake => {
@@ -774,11 +788,7 @@ impl Gen {
     /// Add the `ok`/`retry` bookkeeping locals a hardened client procedure
     /// needs. Returns `(ok_slot, retry_slot, stat)` when hardening applies,
     /// `None` otherwise (then plain synchronisation is emitted).
-    fn harden_slots(
-        &self,
-        p: &mut Procedure,
-        stat: Option<SignalId>,
-    ) -> Option<(usize, usize, SignalId)> {
+    fn harden_slots(&self, p: &mut Procedure, stat: Option<SignalId>) -> Option<Retry> {
         let stat = stat?;
         if self.hardening.is_none() || self.protocol != ProtocolKind::FullHandshake {
             return None;
@@ -788,86 +798,67 @@ impl Gen {
         Some((ok_slot, retry_slot, stat))
     }
 
-    /// One requester-driven word, hardened when `harden` carries the
-    /// bookkeeping slots and plain otherwise.
-    fn client_word_sync_with(
-        &self,
-        latch: Vec<Stmt>,
-        harden: Option<(usize, usize, SignalId)>,
-        lock: Option<(SignalId, SignalId)>,
-    ) -> Vec<Stmt> {
-        match harden {
-            Some((ok_slot, retry_slot, stat)) => {
-                self.hardened_client_word_sync(latch, ok_slot, retry_slot, stat, lock)
-            }
-            None => self.client_word_sync(latch),
-        }
-    }
-
     /// Timeout-hardened full-handshake word (paper Fig. 4, robust form).
     ///
     /// Every `wait until` carries a watchdog bound of `W` cycles. A word
-    /// that does not complete is retried (START re-driven) up to `N`
-    /// times; on exhaustion the procedure raises the channel's sticky
-    /// status flag, releases any bus lock it holds, and returns. In the
-    /// fault-free case the emitted schedule is cycle-identical to the
-    /// plain handshake (2 cycles per word), so hardening costs nothing
-    /// until a fault fires. The worst-case residency of one word is
-    /// bounded by `(N + 1) * (2W + 2)` cycles.
-    fn hardened_client_word_sync(
-        &self,
-        latch: Vec<Stmt>,
-        ok_slot: usize,
-        retry_slot: usize,
-        stat: SignalId,
-        lock: Option<(SignalId, SignalId)>,
-    ) -> Vec<Stmt> {
+    /// that does not complete is retried (START re-driven) through the
+    /// [bounded-retry combinator](Gen::bounded_retry). In the fault-free
+    /// case the emitted schedule is cycle-identical to the plain
+    /// handshake (2 cycles per word), so hardening costs nothing until a
+    /// fault fires. The worst-case residency of one word is bounded by
+    /// `(N + 1) * (2W + 2)` cycles.
+    fn hardened_client_word_sync(&self, latch: Vec<Stmt>, retry: Retry, lock: Lock) -> Vec<Stmt> {
         let h = self.hardening.expect("hardened sync requires hardening");
+        let (ok_slot, retry_slot, _) = retry;
         let start = self.start;
         let done = self.done.expect("full handshake has DONE");
         let watchdog = h.watchdog.max(1);
-        let retries = i64::from(h.max_retries);
-        let bump_retry = assign_cost(
-            local(retry_slot),
-            add(load(local(retry_slot)), int_const(1, 16)),
-            0,
-        );
-        let mut done_hi = Vec::new();
-        done_hi.extend(latch);
+        let mut done_hi = latch;
         done_hi.push(drive_cost(start, bit_const(false), 0));
         done_hi.push(wait_until_for(eq(signal(done), bit_const(false)), watchdog));
-        done_hi.push(if_else(
+        done_hi.push(succeed_or_count(
             eq(signal(done), bit_const(false)),
-            vec![assign_cost(local(ok_slot), bit_const(true), 0)],
-            vec![bump_retry.clone()],
+            ok_slot,
+            retry_slot,
         ));
         // The release drive costs a cycle here (unlike the fault-free
         // path) so that retries against a dead server consume time and
         // the watchdog bound stays finite.
-        let done_lo = vec![drive_cost(start, bit_const(false), 1), bump_retry];
+        let done_lo = vec![drive_cost(start, bit_const(false), 1), count_up(retry_slot)];
         let attempt = vec![
             drive_cost(start, bit_const(true), 1),
             wait_until_for(eq(signal(done), bit_const(true)), watchdog),
             if_else(eq(signal(done), bit_const(true)), done_hi, done_lo),
         ];
-        let mut v = vec![
-            assign_cost(local(ok_slot), bit_const(false), 0),
-            assign_cost(local(retry_slot), int_const(0, 16), 0),
-            while_loop(
-                and(
-                    eq(load(local(ok_slot)), bit_const(false)),
-                    le(load(local(retry_slot)), int_const(retries, 16)),
-                ),
-                attempt,
-            ),
-        ];
+        self.bounded_retry(retry, attempt, lock)
+    }
+
+    /// The bounded-retry combinator of word hardening and message
+    /// retransmission alike: `ok := '0'; n := 0; while ok = '0' and
+    /// n <= N loop <attempt> end loop; if ok = '0' then <abort> end if`,
+    /// with `N` the hardening retry limit. The attempt sets `ok` or counts
+    /// a failure in `n`. The abort raises the channel's sticky status
+    /// flag `stat`, releases any bus lock the client holds, and returns.
+    fn bounded_retry(&self, retry: Retry, attempt: Vec<Stmt>, lock: Lock) -> Vec<Stmt> {
+        let (ok_slot, n_slot, stat) = retry;
+        let h = self.hardening.expect("retries come from hardening");
         let mut abort = vec![drive_cost(stat, bit_const(true), 0)];
         if let Some((req, gnt)) = lock {
             abort.extend(arbitration::unlock_stmts(req, gnt));
         }
         abort.push(Stmt::Return);
-        v.push(if_then(eq(load(local(ok_slot)), bit_const(false)), abort));
-        v
+        vec![
+            assign_cost(local(ok_slot), bit_const(false), 0),
+            assign_cost(local(n_slot), int_const(0, 16), 0),
+            while_loop(
+                and(
+                    eq(load(local(ok_slot)), bit_const(false)),
+                    le(load(local(n_slot)), int_const(i64::from(h.max_retries), 16)),
+                ),
+                attempt,
+            ),
+            if_then(eq(load(local(ok_slot)), bit_const(false)), abort),
+        ]
     }
 
     /// Server-side word: wait for the word, run `actions` (latches and/or
@@ -903,9 +894,11 @@ impl Gen {
         }
     }
 
-    /// Can this plan be emitted as one homogeneous rolled loop?
+    /// Can this plan be emitted as one homogeneous rolled loop? Protected
+    /// runs never roll: their per-word checksum salt is a constant.
     fn rollable(&self, plan: &WordPlan, dir: WordDir) -> bool {
         self.rolled_loops
+            && !self.integrity
             && matches!(
                 self.protocol,
                 ProtocolKind::FullHandshake | ProtocolKind::FixedDelay { .. }
@@ -917,7 +910,6 @@ impl Gen {
 
     /// `for j in 0 to n-1 loop <word> end loop` over dynamic slices.
     fn rolled_loop(&self, plan: &WordPlan, j_slot: usize, word_body: Vec<Stmt>) -> Stmt {
-        let _ = plan;
         for_loop(
             local(j_slot),
             int_const(0, 16),
@@ -938,32 +930,45 @@ impl Gen {
 
     /// `Send_ch(addr?, txdata)` — paper Fig. 4's `SendCH0`, with the word
     /// loop unrolled (widths and message sizes are static here).
+    ///
+    /// Under integrity the words are checksummed and followed by one
+    /// check word; the server's verdict is sampled from ERR while the
+    /// check word is acknowledged, and a NACK retransmits the whole
+    /// message through the bounded-retry combinator.
     fn gen_send_proc(
         &self,
         ch: &Channel,
         code: u64,
         plan: &WordPlan,
-        lock: Option<(SignalId, SignalId)>,
+        lock: Lock,
         stat: Option<SignalId>,
     ) -> Procedure {
         let a = ch.addr_bits;
-        let d = ch.data_bits;
-        let m = a + d;
+        let m = ch.message_bits();
         let mut p = Procedure::new(format!("Send_{}", ch.name));
         let addr_slot = (a > 0).then(|| p.add_param("addr", Ty::Bits(a), ParamMode::In));
-        let tx_slot = p.add_param("txdata", Ty::Bits(d), ParamMode::In);
+        let tx_slot = p.add_param("txdata", Ty::Bits(ch.data_bits), ParamMode::In);
         let msg_slot = p.add_local("msg", Ty::Bits(m));
+        // The check word's (acc, nak), then the message retry.
+        let layer = self.integrity.then(|| {
+            let check = (
+                p.add_local("acc", Ty::Bits(self.width)),
+                p.add_local("nak", Ty::Bit),
+            );
+            let sent = p.add_local("sent", Ty::Bit);
+            let mretry = p.add_local("mretry", Ty::Int(16));
+            (
+                check,
+                (sent, mretry, stat.expect("integrity implies a status flag")),
+            )
+        });
         let harden = self.harden_slots(&mut p, stat);
-        let mut body = Vec::new();
-        if let Some((req, gnt)) = lock {
-            body.extend(arbitration::lock_stmts(req, gnt));
-        }
         let msg_val = match addr_slot {
             Some(aslot) => concat(load(local(aslot)), load(local(tx_slot))),
             None => resize(load(local(tx_slot)), m),
         };
-        body.push(assign_cost(local(msg_slot), msg_val, 0));
-        body.extend(self.drive_id_stmt(code));
+        let mut body = vec![assign_cost(local(msg_slot), msg_val, 0)];
+        let mut attempt: Vec<Stmt> = self.drive_id_stmt(code).into_iter().collect();
         if self.rollable(plan, WordDir::Request) {
             // Fig. 4's form: one loop, the word selected by a dynamic
             // slice of the message buffer.
@@ -973,98 +978,165 @@ impl Gen {
                 dyn_slice_of(load(local(msg_slot)), self.word_offset(j_slot), self.width),
                 0,
             )];
-            word.extend(self.client_word_sync_with(vec![], harden, lock));
-            body.push(self.rolled_loop(plan, j_slot, word));
+            word.extend(self.client_word_sync(vec![], harden, lock));
+            attempt.push(self.rolled_loop(plan, j_slot, word));
         } else {
-            for w in &plan.words {
-                body.push(drive_cost(
-                    self.data,
-                    resize(
-                        slice_of(load(local(msg_slot)), w.msg_hi, w.msg_lo),
-                        self.width,
-                    ),
-                    0,
-                ));
-                body.extend(self.client_word_sync_with(vec![], harden, lock));
+            let check = layer.map(|(check, ..)| check);
+            attempt.extend(self.client_request_run(msg_slot, &plan.words, check, harden, lock));
+        }
+        match layer {
+            None => body.extend(attempt),
+            Some(((_, nak), retry @ (sent, mretry, _))) => {
+                let acked = eq(load(local(nak)), bit_const(false));
+                attempt.push(succeed_or_count(acked, sent, mretry));
+                body.extend(self.bounded_retry(retry, attempt, lock));
             }
         }
-        if let Some((req, gnt)) = lock {
-            body.extend(arbitration::unlock_stmts(req, gnt));
-        }
-        p.body = body;
+        p.body = locked(lock, body);
         p
     }
 
+    /// A requester-driven run: each word of `run` is driven from the bits
+    /// of local `src` and synchronised. Under integrity (`check` holds the
+    /// `acc` and `nak` slots) the run is checksummed from a seeded `acc`
+    /// and closes with its check word: the client drives `acc` and samples
+    /// the server's ERR answer into `nak` while the word is acknowledged.
+    fn client_request_run(
+        &self,
+        src: usize,
+        run: &[WordSpec],
+        check: Option<(usize, usize)>,
+        harden: Option<Retry>,
+        lock: Lock,
+    ) -> Vec<Stmt> {
+        let mut v = Vec::new();
+        v.extend(check.map(|(acc, _)| self.acc_init(acc, run.len())));
+        for w in run {
+            let word = resize(slice_of(load(local(src)), w.msg_hi, w.msg_lo), self.width);
+            v.push(drive_cost(self.data, word.clone(), 0));
+            v.extend(check.map(|(acc, _)| self.acc_update(acc, word, w.index)));
+            v.extend(self.client_word_sync(vec![], harden, lock));
+        }
+        if let Some((acc, nak)) = check {
+            let err = self.err.expect("integrity refinement has ERR");
+            v.push(drive_cost(self.data, load(local(acc)), 0));
+            let sample = assign_cost(local(nak), signal(err), 0);
+            v.extend(self.client_word_sync(vec![sample], harden, lock));
+        }
+        v
+    }
+
     /// `Receive_ch(addr?, rxdata)` — the client side of a read channel.
+    ///
+    /// Under integrity the request run (if any) carries its own check
+    /// word, verified by the server and answered on ERR; the response
+    /// run's trailing check word is verified by the client itself. Either
+    /// failure retransmits the whole message through the bounded-retry
+    /// combinator.
     fn gen_receive_proc(
         &self,
         ch: &Channel,
         code: u64,
         plan: &WordPlan,
-        lock: Option<(SignalId, SignalId)>,
+        lock: Lock,
         stat: Option<SignalId>,
     ) -> Procedure {
         let a = ch.addr_bits;
-        let d = ch.data_bits;
         let mut p = Procedure::new(format!("Receive_{}", ch.name));
         let addr_slot = (a > 0).then(|| p.add_param("addr", Ty::Bits(a), ParamMode::In));
-        let rx_slot = p.add_param("rxdata", Ty::Bits(d), ParamMode::Out);
+        let rx_slot = p.add_param("rxdata", Ty::Bits(ch.data_bits), ParamMode::Out);
+        // The request check word's (acc, nak), the response sum and check
+        // word, then the message retry.
+        let layer = self.integrity.then(|| {
+            let acc = p.add_local("acc", Ty::Bits(self.width));
+            let racc = p.add_local("racc", Ty::Bits(self.width));
+            let chkw = p.add_local("chkw", Ty::Bits(self.width));
+            let nak = p.add_local("nak", Ty::Bit);
+            let got = p.add_local("got", Ty::Bit);
+            let mretry = p.add_local("mretry", Ty::Int(16));
+            (
+                (acc, nak),
+                racc,
+                chkw,
+                (got, mretry, stat.expect("integrity implies a status flag")),
+            )
+        });
         let harden = self.harden_slots(&mut p, stat);
-        let mut body = Vec::new();
-        if let Some((req, gnt)) = lock {
-            body.extend(arbitration::lock_stmts(req, gnt));
+        let (requests, rest) = plan.words.split_at(request_run_len(plan));
+        let mut attempt: Vec<Stmt> = self.drive_id_stmt(code).into_iter().collect();
+        if let Some(((_, nak), ..)) = layer {
+            attempt.push(assign_cost(local(nak), bit_const(false), 0));
         }
-        body.extend(self.drive_id_stmt(code));
-        for w in &plan.words {
-            match w.dir {
-                WordDir::Request => {
-                    let aslot = addr_slot.expect("request words imply an address");
-                    body.push(drive_cost(
-                        self.data,
-                        resize(slice_of(load(local(aslot)), w.msg_hi, w.msg_lo), self.width),
-                        0,
-                    ));
-                    body.extend(self.client_word_sync_with(vec![], harden, lock));
-                }
-                WordDir::Response => {
-                    let latch = Stmt::Assign {
-                        place: slice(local(rx_slot), w.msg_hi - a, w.msg_lo - a),
-                        value: slice_of(signal(self.data), w.msg_hi - w.msg_lo, 0),
-                        cost: Some(0),
-                    };
-                    body.extend(self.client_word_sync_with(vec![latch], harden, lock));
-                }
-                WordDir::Mixed => {
-                    let aslot = addr_slot.expect("mixed words imply an address");
-                    body.push(drive_cost(
-                        self.data,
-                        resize(slice_of(load(local(aslot)), a - 1, w.msg_lo), self.width),
-                        0,
-                    ));
-                    let latch = Stmt::Assign {
-                        place: slice(local(rx_slot), w.msg_hi - a, 0),
-                        value: slice_of(signal(self.data), w.msg_hi - w.msg_lo, a - w.msg_lo),
-                        cost: Some(0),
-                    };
-                    body.extend(self.client_word_sync_with(vec![latch], harden, lock));
-                }
+        if !requests.is_empty() {
+            let aslot = addr_slot.expect("request words imply an address");
+            let check = layer.map(|(check, ..)| check);
+            attempt.extend(self.client_request_run(aslot, requests, check, harden, lock));
+        }
+        let racc = layer.map(|(_, racc, ..)| racc);
+        let mut response: Vec<Stmt> = racc
+            .map(|r| self.acc_init(r, rest.len()))
+            .into_iter()
+            .collect();
+        for w in rest {
+            let latch = if w.dir == WordDir::Mixed {
+                let aslot = addr_slot.expect("mixed words imply an address");
+                response.push(drive_cost(
+                    self.data,
+                    resize(slice_of(load(local(aslot)), a - 1, w.msg_lo), self.width),
+                    0,
+                ));
+                vec![Stmt::Assign {
+                    place: slice(local(rx_slot), w.msg_hi - a, 0),
+                    value: slice_of(signal(self.data), w.msg_hi - w.msg_lo, a - w.msg_lo),
+                    cost: Some(0),
+                }]
+            } else {
+                let received = slice_of(signal(self.data), w.msg_hi - w.msg_lo, 0);
+                let mut latch = vec![Stmt::Assign {
+                    place: slice(local(rx_slot), w.msg_hi - a, w.msg_lo - a),
+                    value: received.clone(),
+                    cost: Some(0),
+                }];
+                let word = resize(received, self.width);
+                latch.extend(racc.map(|racc| self.acc_update(racc, word, w.index)));
+                latch
+            };
+            response.extend(self.client_word_sync(latch, harden, lock));
+        }
+        let body = match layer {
+            None => {
+                attempt.extend(response);
+                attempt
             }
-        }
-        if let Some((req, gnt)) = lock {
-            body.extend(arbitration::unlock_stmts(req, gnt));
-        }
-        p.body = body;
+            Some(((_, nak), racc, chkw, retry @ (got, mretry, _))) => {
+                let latch_chk = assign_cost(local(chkw), signal(self.data), 0);
+                response.extend(self.client_word_sync(vec![latch_chk], harden, lock));
+                let verified = eq(load(local(chkw)), load(local(racc)));
+                response.push(succeed_or_count(verified, got, mretry));
+                attempt.push(if_else(
+                    eq(load(local(nak)), bit_const(false)),
+                    response,
+                    vec![count_up(mretry)],
+                ));
+                self.bounded_retry(retry, attempt, lock)
+            }
+        };
+        p.body = locked(lock, body);
         p
     }
 
     /// `Serve_ch` for a write channel: receive all words, commit to the
-    /// variable.
+    /// variable. Under integrity the words form a verified run, so only
+    /// a verified message commits; the verify loop doubles as the
+    /// resynchronisation mechanism, since after a duplicated or dropped
+    /// word the next client attempt lands back on word 0 of a fresh run.
     fn gen_serve_write(&self, ch: &Channel, plan: &WordPlan) -> Procedure {
-        let m = ch.message_bits();
         let mut p = Procedure::new(format!("Serve_{}", ch.name));
-        let msg_slot = p.add_local("msg", Ty::Bits(m));
-        let mut body = Vec::new();
-        if self.rollable(plan, WordDir::Request) {
+        let msg_slot = p.add_local("msg", Ty::Bits(ch.message_bits()));
+        let acc = self
+            .integrity
+            .then(|| p.add_local("acc", Ty::Bits(self.width)));
+        let mut body = if self.rollable(plan, WordDir::Request) {
             let j_slot = p.add_local("j", Ty::Int(16));
             let latch = Stmt::Assign {
                 place: dyn_slice(local(msg_slot), self.word_offset(j_slot), self.width),
@@ -1075,97 +1147,160 @@ impl Gen {
             // same way (word index 1 avoids half-handshake's special
             // word 0, which `rollable` already excludes).
             let word = self.server_word_sync(1, vec![latch]);
-            body.push(self.rolled_loop(plan, j_slot, word));
+            vec![self.rolled_loop(plan, j_slot, word)]
         } else {
-            for w in &plan.words {
-                let latch = Stmt::Assign {
-                    place: slice(local(msg_slot), w.msg_hi, w.msg_lo),
-                    value: slice_of(signal(self.data), w.msg_hi - w.msg_lo, 0),
-                    cost: Some(0),
-                };
-                body.extend(self.server_word_sync(w.index, vec![latch]));
-            }
-        }
+            let addr = slice_of(load(local(msg_slot)), ch.addr_bits.max(1) - 1, 0);
+            self.server_request_run(&mut p, ch, msg_slot, &plan.words, acc, addr)
+        };
         body.push(commit_stmt(ch, load(local(msg_slot))));
         p.body = body;
         p
     }
 
+    /// The server side of a request run: each word of `run` is latched
+    /// into the bits of local `dst`.
+    ///
+    /// Under integrity (`acc` given, `run` not empty) this is the
+    /// *verified run*: the words are summed into a seeded `acc`, the
+    /// check word is compared with the sum and `addr` with the served
+    /// array's bound, ERR answers the verdict while the check word is
+    /// acknowledged and then returns to its resting NACK, and the run
+    /// repeats until it verifies.
+    fn server_request_run(
+        &self,
+        p: &mut Procedure,
+        ch: &Channel,
+        dst: usize,
+        run: &[WordSpec],
+        acc: Option<usize>,
+        addr: Expr,
+    ) -> Vec<Stmt> {
+        let mut words = Vec::new();
+        for w in run {
+            let received = slice_of(signal(self.data), w.msg_hi - w.msg_lo, 0);
+            let mut actions = vec![Stmt::Assign {
+                place: slice(local(dst), w.msg_hi, w.msg_lo),
+                value: received.clone(),
+                cost: Some(0),
+            }];
+            let word = resize(received, self.width);
+            actions.extend(acc.map(|acc| self.acc_update(acc, word, w.index)));
+            words.extend(self.server_word_sync(w.index, actions));
+        }
+        let Some(acc) = acc.filter(|_| !run.is_empty()) else {
+            return words;
+        };
+        let err = self.err.expect("integrity refinement has ERR");
+        let chk_slot = p.add_local("chk", Ty::Bits(self.width));
+        let good_slot = p.add_local("good", Ty::Bit);
+        let mut ok = eq(load(local(chk_slot)), load(local(acc)));
+        // A false-accepted (or merely corrupt) address must read as a
+        // NACK, never reach an array index: the client retransmits or
+        // aborts with its flag, and the server stays inside its storage.
+        if let (Ty::Array { len, .. }, true) =
+            (&self.sys.variable(ch.variable).ty, ch.addr_bits > 0)
+        {
+            ok = and(ok, lt(addr, int_const(i64::from(*len), 32)));
+        }
+        let verify = vec![
+            assign_cost(local(chk_slot), signal(self.data), 0),
+            if_else(
+                ok,
+                vec![
+                    assign_cost(local(good_slot), bit_const(true), 0),
+                    drive_cost(err, bit_const(false), 0),
+                ],
+                vec![drive_cost(err, bit_const(true), 0)],
+            ),
+        ];
+        let mut round = vec![self.acc_init(acc, run.len())];
+        round.extend(words);
+        round.extend(self.server_word_sync(run.len() as u32, verify));
+        // Restore the resting NACK level once the check word completes.
+        round.push(drive_cost(err, bit_const(true), 0));
+        vec![
+            assign_cost(local(good_slot), bit_const(false), 0),
+            while_loop(eq(load(local(good_slot)), bit_const(false)), round),
+        ]
+    }
+
     /// `Serve_ch` for a read channel: receive the address, fetch, answer.
+    /// The fetch follows the request run unless a mixed turnaround word
+    /// fetches inside its own handshake.
+    ///
+    /// Under integrity the request run is a verified run, so a corrupted
+    /// address never produces an internally consistent response; the
+    /// response words are summed and followed by their own check word
+    /// for the client to verify.
     fn gen_serve_read(&self, ch: &Channel, plan: &WordPlan) -> Procedure {
         let a = ch.addr_bits;
-        let d = ch.data_bits;
         let mut p = Procedure::new(format!("Serve_{}", ch.name));
         let addr_slot = (a > 0).then(|| p.add_local("addrbuf", Ty::Bits(a)));
-        let data_slot = p.add_local("data", Ty::Bits(d));
-        let fetch = |data_slot: usize| -> Stmt {
+        let data_slot = p.add_local("data", Ty::Bits(ch.data_bits));
+        let acc = self
+            .integrity
+            .then(|| p.add_local("acc", Ty::Bits(self.width)));
+        let fetch = {
             let value = match addr_slot {
                 Some(aslot) => load(index(var(ch.variable), load(local(aslot)))),
                 None => load(var(ch.variable)),
             };
             assign_cost(local(data_slot), value, 0)
         };
-        let mut body = Vec::new();
-        if a == 0 {
-            body.push(fetch(data_slot));
-        }
-        let complete = plan.addr_complete_word();
-        for w in &plan.words {
-            match w.dir {
-                WordDir::Request => {
-                    let aslot = addr_slot.expect("request words imply an address");
-                    let latch = Stmt::Assign {
-                        place: slice(local(aslot), w.msg_hi, w.msg_lo),
-                        value: slice_of(signal(self.data), w.msg_hi - w.msg_lo, 0),
-                        cost: Some(0),
-                    };
-                    body.extend(self.server_word_sync(w.index, vec![latch]));
-                    if complete == Some(w.index) {
-                        body.push(fetch(data_slot));
-                    }
-                }
-                WordDir::Response => {
-                    let respond = drive_cost(
-                        self.data,
-                        resize(
-                            slice_of(load(local(data_slot)), w.msg_hi - a, w.msg_lo - a),
-                            self.width,
-                        ),
-                        0,
-                    );
-                    body.extend(self.server_word_sync(w.index, vec![respond]));
-                }
-                WordDir::Mixed => {
-                    let aslot = addr_slot.expect("mixed words imply an address");
-                    let latch_addr = Stmt::Assign {
-                        place: slice(local(aslot), a - 1, w.msg_lo),
-                        value: slice_of(signal(self.data), a - 1 - w.msg_lo, 0),
-                        cost: Some(0),
-                    };
-                    // Data part sits at word positions a-lo .. hi-lo:
-                    // pad the low (address) positions with zeros.
-                    let respond_value = if a - w.msg_lo > 0 {
-                        resize(
-                            concat(
-                                bits_const(0, a - w.msg_lo),
-                                slice_of(load(local(data_slot)), w.msg_hi - a, 0),
-                            ),
-                            self.width,
-                        )
-                    } else {
-                        resize(
-                            slice_of(load(local(data_slot)), w.msg_hi - a, 0),
-                            self.width,
-                        )
-                    };
-                    let actions = vec![
-                        latch_addr,
-                        fetch(data_slot),
-                        drive_cost(self.data, respond_value, 0),
-                    ];
-                    body.extend(self.server_word_sync(w.index, actions));
-                }
+        let (requests, rest) = plan.words.split_at(request_run_len(plan));
+        let mut body = match addr_slot {
+            Some(aslot) => {
+                self.server_request_run(&mut p, ch, aslot, requests, acc, load(local(aslot)))
             }
+            None => Vec::new(),
+        };
+        if rest.iter().all(|w| w.dir != WordDir::Mixed) {
+            body.push(fetch.clone());
+        }
+        body.extend(acc.map(|acc| self.acc_init(acc, rest.len())));
+        for w in rest {
+            let actions = if w.dir == WordDir::Mixed {
+                let aslot = addr_slot.expect("mixed words imply an address");
+                let latch_addr = Stmt::Assign {
+                    place: slice(local(aslot), a - 1, w.msg_lo),
+                    value: slice_of(signal(self.data), a - 1 - w.msg_lo, 0),
+                    cost: Some(0),
+                };
+                // Data part sits at word positions a-lo .. hi-lo:
+                // pad the low (address) positions with zeros.
+                let respond_value = if a - w.msg_lo > 0 {
+                    resize(
+                        concat(
+                            bits_const(0, a - w.msg_lo),
+                            slice_of(load(local(data_slot)), w.msg_hi - a, 0),
+                        ),
+                        self.width,
+                    )
+                } else {
+                    resize(
+                        slice_of(load(local(data_slot)), w.msg_hi - a, 0),
+                        self.width,
+                    )
+                };
+                vec![
+                    latch_addr,
+                    fetch.clone(),
+                    drive_cost(self.data, respond_value, 0),
+                ]
+            } else {
+                let word = resize(
+                    slice_of(load(local(data_slot)), w.msg_hi - a, w.msg_lo - a),
+                    self.width,
+                );
+                let mut actions = vec![drive_cost(self.data, word.clone(), 0)];
+                actions.extend(acc.map(|acc| self.acc_update(acc, word, w.index)));
+                actions
+            };
+            body.extend(self.server_word_sync(w.index, actions));
+        }
+        if let Some(acc) = acc {
+            let check = drive_cost(self.data, load(local(acc)), 0);
+            body.extend(self.server_word_sync(plan.word_count(), vec![check]));
         }
         p.body = body;
         p
@@ -1190,28 +1325,6 @@ impl Gen {
         assign_cost(local(acc_slot), bits_const(run_words as u64, self.width), 0)
     }
 
-    /// The array length behind `ch`, when its variable is addressable:
-    /// the bound a message address must respect before the server
-    /// dereferences it.
-    fn served_array_len(&self, ch: &Channel) -> Option<u32> {
-        match &self.sys.variable(ch.variable).ty {
-            Ty::Array { len, .. } => Some(*len),
-            _ => None,
-        }
-    }
-
-    /// Conjoins an in-range check of a served message's address onto a
-    /// verification condition. A false-accepted (or merely corrupt)
-    /// address must read as a NACK, never reach an array index: the
-    /// client retransmits or aborts with its flag, and the server stays
-    /// inside its storage.
-    fn guard_addr(&self, cond: Expr, ch: &Channel, addr: Expr) -> Expr {
-        match self.served_array_len(ch) {
-            Some(len) if ch.addr_bits > 0 => and(cond, lt(addr, int_const(i64::from(len), 32))),
-            _ => cond,
-        }
-    }
-
     /// `acc := acc + word * salt_j` — one rolling-checksum step,
     /// truncated to the data width on assignment.
     ///
@@ -1227,355 +1340,6 @@ impl Gen {
             add(load(local(acc_slot)), mul(word, self.salt(j))),
             0,
         )
-    }
-
-    /// `mretry := mretry + 1` — one message-level retry consumed.
-    fn bump_mretry(&self, mretry_slot: usize) -> Stmt {
-        assign_cost(
-            local(mretry_slot),
-            add(load(local(mretry_slot)), int_const(1, 16)),
-            0,
-        )
-    }
-
-    /// Sticky abort: raise the status flag, release the bus, return.
-    fn abort_stmts(&self, stat: SignalId, lock: Option<(SignalId, SignalId)>) -> Vec<Stmt> {
-        let mut v = vec![drive_cost(stat, bit_const(true), 0)];
-        if let Some((req, gnt)) = lock {
-            v.extend(arbitration::unlock_stmts(req, gnt));
-        }
-        v.push(Stmt::Return);
-        v
-    }
-
-    /// `Send_ch(addr?, txdata)`, integrity-protected: every attempt
-    /// drives the message words followed by one check word carrying the
-    /// salted-XOR checksum; the server's verdict is sampled from the ERR
-    /// wire while the check word is acknowledged. A NACK retransmits the
-    /// whole message, bounded by the hardening retry limit; exhaustion
-    /// raises the sticky status flag.
-    fn gen_send_proc_protected(
-        &self,
-        ch: &Channel,
-        code: u64,
-        plan: &WordPlan,
-        lock: Option<(SignalId, SignalId)>,
-        stat: SignalId,
-    ) -> Procedure {
-        let a = ch.addr_bits;
-        let d = ch.data_bits;
-        let m = a + d;
-        let err = self.err.expect("integrity refinement has ERR");
-        let h = self.hardening.expect("integrity implies hardening");
-        let retries = i64::from(h.max_retries);
-        let mut p = Procedure::new(format!("Send_{}", ch.name));
-        let addr_slot = (a > 0).then(|| p.add_param("addr", Ty::Bits(a), ParamMode::In));
-        let tx_slot = p.add_param("txdata", Ty::Bits(d), ParamMode::In);
-        let msg_slot = p.add_local("msg", Ty::Bits(m));
-        let acc_slot = p.add_local("acc", Ty::Bits(self.width));
-        let nak_slot = p.add_local("nak", Ty::Bit);
-        let sent_slot = p.add_local("sent", Ty::Bit);
-        let mretry_slot = p.add_local("mretry", Ty::Int(16));
-        let harden = self.harden_slots(&mut p, Some(stat));
-        let mut body = Vec::new();
-        if let Some((req, gnt)) = lock {
-            body.extend(arbitration::lock_stmts(req, gnt));
-        }
-        let msg_val = match addr_slot {
-            Some(aslot) => concat(load(local(aslot)), load(local(tx_slot))),
-            None => resize(load(local(tx_slot)), m),
-        };
-        body.push(assign_cost(local(msg_slot), msg_val, 0));
-        body.push(assign_cost(local(sent_slot), bit_const(false), 0));
-        body.push(assign_cost(local(mretry_slot), int_const(0, 16), 0));
-        let mut attempt = Vec::new();
-        attempt.extend(self.drive_id_stmt(code));
-        attempt.push(self.acc_init(acc_slot, plan.words.len()));
-        for w in &plan.words {
-            let word = resize(
-                slice_of(load(local(msg_slot)), w.msg_hi, w.msg_lo),
-                self.width,
-            );
-            attempt.push(drive_cost(self.data, word.clone(), 0));
-            attempt.push(self.acc_update(acc_slot, word, w.index));
-            attempt.extend(self.client_word_sync_with(vec![], harden, lock));
-        }
-        attempt.push(drive_cost(self.data, load(local(acc_slot)), 0));
-        let sample = assign_cost(local(nak_slot), signal(err), 0);
-        attempt.extend(self.client_word_sync_with(vec![sample], harden, lock));
-        attempt.push(if_else(
-            eq(load(local(nak_slot)), bit_const(false)),
-            vec![assign_cost(local(sent_slot), bit_const(true), 0)],
-            vec![self.bump_mretry(mretry_slot)],
-        ));
-        body.push(while_loop(
-            and(
-                eq(load(local(sent_slot)), bit_const(false)),
-                le(load(local(mretry_slot)), int_const(retries, 16)),
-            ),
-            attempt,
-        ));
-        body.push(if_then(
-            eq(load(local(sent_slot)), bit_const(false)),
-            self.abort_stmts(stat, lock),
-        ));
-        if let Some((req, gnt)) = lock {
-            body.extend(arbitration::unlock_stmts(req, gnt));
-        }
-        p.body = body;
-        p
-    }
-
-    /// `Serve_ch` for a protected write channel: latch the words while
-    /// accumulating their checksum, compare against the client's check
-    /// word, answer on ERR, and commit only a verified message. The
-    /// mismatch-restart loop doubles as the resynchronisation mechanism:
-    /// after a duplicated or dropped word the next client attempt lands
-    /// back on word 0 of a fresh round.
-    fn gen_serve_write_protected(&self, ch: &Channel, plan: &WordPlan) -> Procedure {
-        let m = ch.message_bits();
-        let err = self.err.expect("integrity refinement has ERR");
-        let mut p = Procedure::new(format!("Serve_{}", ch.name));
-        let msg_slot = p.add_local("msg", Ty::Bits(m));
-        let acc_slot = p.add_local("acc", Ty::Bits(self.width));
-        let chk_slot = p.add_local("chk", Ty::Bits(self.width));
-        let good_slot = p.add_local("good", Ty::Bit);
-        let mut round = vec![self.acc_init(acc_slot, plan.words.len())];
-        for w in &plan.words {
-            let latch = Stmt::Assign {
-                place: slice(local(msg_slot), w.msg_hi, w.msg_lo),
-                value: slice_of(signal(self.data), w.msg_hi - w.msg_lo, 0),
-                cost: Some(0),
-            };
-            let word = resize(
-                slice_of(signal(self.data), w.msg_hi - w.msg_lo, 0),
-                self.width,
-            );
-            let upd = self.acc_update(acc_slot, word, w.index);
-            round.extend(self.server_word_sync(w.index, vec![latch, upd]));
-        }
-        let ok = self.guard_addr(
-            eq(load(local(chk_slot)), load(local(acc_slot))),
-            ch,
-            slice_of(load(local(msg_slot)), ch.addr_bits.max(1) - 1, 0),
-        );
-        let verify = vec![
-            assign_cost(local(chk_slot), signal(self.data), 0),
-            if_else(
-                ok,
-                vec![
-                    assign_cost(local(good_slot), bit_const(true), 0),
-                    drive_cost(err, bit_const(false), 0),
-                ],
-                vec![drive_cost(err, bit_const(true), 0)],
-            ),
-        ];
-        let mut check_word = self.server_word_sync(plan.word_count(), verify);
-        // Restore the resting NACK level once the check word completes.
-        check_word.push(drive_cost(err, bit_const(true), 0));
-        round.extend(check_word);
-        p.body = vec![
-            assign_cost(local(good_slot), bit_const(false), 0),
-            while_loop(eq(load(local(good_slot)), bit_const(false)), round),
-            commit_stmt(ch, load(local(msg_slot))),
-        ];
-        p
-    }
-
-    /// `Receive_ch(addr?, rxdata)`, integrity-protected: the request run
-    /// (if any) carries its own check word verified by the server and
-    /// acknowledged on ERR; the response run's trailing check word is
-    /// verified by the client itself. Either failure retransmits the
-    /// whole message, bounded by the hardening retry limit.
-    fn gen_receive_proc_protected(
-        &self,
-        ch: &Channel,
-        code: u64,
-        plan: &WordPlan,
-        lock: Option<(SignalId, SignalId)>,
-        stat: SignalId,
-    ) -> Procedure {
-        let a = ch.addr_bits;
-        let d = ch.data_bits;
-        let err = self.err.expect("integrity refinement has ERR");
-        let h = self.hardening.expect("integrity implies hardening");
-        let retries = i64::from(h.max_retries);
-        let mut p = Procedure::new(format!("Receive_{}", ch.name));
-        let addr_slot = (a > 0).then(|| p.add_param("addr", Ty::Bits(a), ParamMode::In));
-        let rx_slot = p.add_param("rxdata", Ty::Bits(d), ParamMode::Out);
-        let acc_slot = p.add_local("acc", Ty::Bits(self.width));
-        let racc_slot = p.add_local("racc", Ty::Bits(self.width));
-        let chkw_slot = p.add_local("chkw", Ty::Bits(self.width));
-        let nak_slot = p.add_local("nak", Ty::Bit);
-        let got_slot = p.add_local("got", Ty::Bit);
-        let mretry_slot = p.add_local("mretry", Ty::Int(16));
-        let harden = self.harden_slots(&mut p, Some(stat));
-        let request_words: Vec<_> = plan
-            .words
-            .iter()
-            .filter(|w| w.dir == WordDir::Request)
-            .collect();
-        let response_words: Vec<_> = plan
-            .words
-            .iter()
-            .filter(|w| w.dir == WordDir::Response)
-            .collect();
-        let mut body = Vec::new();
-        if let Some((req, gnt)) = lock {
-            body.extend(arbitration::lock_stmts(req, gnt));
-        }
-        body.push(assign_cost(local(got_slot), bit_const(false), 0));
-        body.push(assign_cost(local(mretry_slot), int_const(0, 16), 0));
-        let mut attempt = Vec::new();
-        attempt.extend(self.drive_id_stmt(code));
-        attempt.push(assign_cost(local(nak_slot), bit_const(false), 0));
-        if !request_words.is_empty() {
-            let aslot = addr_slot.expect("request words imply an address");
-            attempt.push(self.acc_init(acc_slot, request_words.len()));
-            for w in &request_words {
-                let word = resize(slice_of(load(local(aslot)), w.msg_hi, w.msg_lo), self.width);
-                attempt.push(drive_cost(self.data, word.clone(), 0));
-                attempt.push(self.acc_update(acc_slot, word, w.index));
-                attempt.extend(self.client_word_sync_with(vec![], harden, lock));
-            }
-            attempt.push(drive_cost(self.data, load(local(acc_slot)), 0));
-            let sample = assign_cost(local(nak_slot), signal(err), 0);
-            attempt.extend(self.client_word_sync_with(vec![sample], harden, lock));
-        }
-        let mut respond = vec![self.acc_init(racc_slot, response_words.len())];
-        for w in &response_words {
-            let latch = Stmt::Assign {
-                place: slice(local(rx_slot), w.msg_hi - a, w.msg_lo - a),
-                value: slice_of(signal(self.data), w.msg_hi - w.msg_lo, 0),
-                cost: Some(0),
-            };
-            let word = resize(
-                slice_of(signal(self.data), w.msg_hi - w.msg_lo, 0),
-                self.width,
-            );
-            let upd = self.acc_update(racc_slot, word, w.index);
-            respond.extend(self.client_word_sync_with(vec![latch, upd], harden, lock));
-        }
-        let latch_chk = assign_cost(local(chkw_slot), signal(self.data), 0);
-        respond.extend(self.client_word_sync_with(vec![latch_chk], harden, lock));
-        respond.push(if_else(
-            eq(load(local(chkw_slot)), load(local(racc_slot))),
-            vec![assign_cost(local(got_slot), bit_const(true), 0)],
-            vec![self.bump_mretry(mretry_slot)],
-        ));
-        attempt.push(if_else(
-            eq(load(local(nak_slot)), bit_const(false)),
-            respond,
-            vec![self.bump_mretry(mretry_slot)],
-        ));
-        body.push(while_loop(
-            and(
-                eq(load(local(got_slot)), bit_const(false)),
-                le(load(local(mretry_slot)), int_const(retries, 16)),
-            ),
-            attempt,
-        ));
-        body.push(if_then(
-            eq(load(local(got_slot)), bit_const(false)),
-            self.abort_stmts(stat, lock),
-        ));
-        if let Some((req, gnt)) = lock {
-            body.extend(arbitration::unlock_stmts(req, gnt));
-        }
-        p.body = body;
-        p
-    }
-
-    /// `Serve_ch` for a protected read channel: verify the request run's
-    /// check word before fetching (a corrupted address must not produce
-    /// an internally consistent response), then answer the response
-    /// words followed by their own checksum for the client to verify.
-    fn gen_serve_read_protected(&self, ch: &Channel, plan: &WordPlan) -> Procedure {
-        let a = ch.addr_bits;
-        let d = ch.data_bits;
-        let err = self.err.expect("integrity refinement has ERR");
-        let mut p = Procedure::new(format!("Serve_{}", ch.name));
-        let addr_slot = (a > 0).then(|| p.add_local("addrbuf", Ty::Bits(a)));
-        let data_slot = p.add_local("data", Ty::Bits(d));
-        let acc_slot = p.add_local("acc", Ty::Bits(self.width));
-        let request_words: Vec<_> = plan
-            .words
-            .iter()
-            .filter(|w| w.dir == WordDir::Request)
-            .collect();
-        let response_words: Vec<_> = plan
-            .words
-            .iter()
-            .filter(|w| w.dir == WordDir::Response)
-            .collect();
-        let fetch = |data_slot: usize| -> Stmt {
-            let value = match addr_slot {
-                Some(aslot) => load(index(var(ch.variable), load(local(aslot)))),
-                None => load(var(ch.variable)),
-            };
-            assign_cost(local(data_slot), value, 0)
-        };
-        let mut body = Vec::new();
-        if !request_words.is_empty() {
-            let aslot = addr_slot.expect("request words imply an address");
-            let chk_slot = p.add_local("chk", Ty::Bits(self.width));
-            let good_slot = p.add_local("good", Ty::Bit);
-            let mut round = vec![self.acc_init(acc_slot, request_words.len())];
-            for w in &request_words {
-                let latch = Stmt::Assign {
-                    place: slice(local(aslot), w.msg_hi, w.msg_lo),
-                    value: slice_of(signal(self.data), w.msg_hi - w.msg_lo, 0),
-                    cost: Some(0),
-                };
-                let word = resize(
-                    slice_of(signal(self.data), w.msg_hi - w.msg_lo, 0),
-                    self.width,
-                );
-                let upd = self.acc_update(acc_slot, word, w.index);
-                round.extend(self.server_word_sync(w.index, vec![latch, upd]));
-            }
-            let ok = self.guard_addr(
-                eq(load(local(chk_slot)), load(local(acc_slot))),
-                ch,
-                load(local(aslot)),
-            );
-            let verify = vec![
-                assign_cost(local(chk_slot), signal(self.data), 0),
-                if_else(
-                    ok,
-                    vec![
-                        assign_cost(local(good_slot), bit_const(true), 0),
-                        drive_cost(err, bit_const(false), 0),
-                    ],
-                    vec![drive_cost(err, bit_const(true), 0)],
-                ),
-            ];
-            let mut check_word = self.server_word_sync(request_words.len() as u32, verify);
-            check_word.push(drive_cost(err, bit_const(true), 0));
-            round.extend(check_word);
-            body.push(assign_cost(local(good_slot), bit_const(false), 0));
-            body.push(while_loop(
-                eq(load(local(good_slot)), bit_const(false)),
-                round,
-            ));
-        }
-        body.push(fetch(data_slot));
-        body.push(self.acc_init(acc_slot, response_words.len()));
-        for w in &response_words {
-            let word = resize(
-                slice_of(load(local(data_slot)), w.msg_hi - a, w.msg_lo - a),
-                self.width,
-            );
-            let respond = drive_cost(self.data, word.clone(), 0);
-            let upd = self.acc_update(acc_slot, word, w.index);
-            body.extend(self.server_word_sync(w.index, vec![respond, upd]));
-        }
-        body.extend(self.server_word_sync(
-            plan.word_count(),
-            vec![drive_cost(self.data, load(local(acc_slot)), 0)],
-        ));
-        p.body = body;
-        p
     }
 
     /// Step 5: one variable process per served variable, dispatching on

@@ -108,20 +108,40 @@ impl WordPlan {
         }
     }
 
-    /// Plans a *direction-aligned* word layout: request words carry only
-    /// address bits, response words only data bits, so no word straddles
-    /// the boundary ([`WordDir::Mixed`] never appears).
+    /// The layout protocol generation emits for `channel` on a
+    /// `width`-bit bus, with the number of check words the integrity
+    /// layer adds to it.
     ///
-    /// The integrity-protected protocol uses this layout for read
-    /// channels so each direction can carry its own trailing check word;
-    /// a message whose address does not fill a whole word costs up to
-    /// one extra bus word compared to [`WordPlan::for_channel`]. Write
-    /// channels and address-free reads plan identically either way.
+    /// Without `integrity` this is [`WordPlan::for_channel`] and no check
+    /// words. With it, a read uses the direction-aligned layout, so its
+    /// request and response runs are checksummed independently, and each
+    /// direction run closes with one check word: one for a write; for a
+    /// read, one after the response run plus one after the address run
+    /// when the message has one.
     ///
     /// # Panics
     ///
     /// Panics if `width` is zero or the channel has a zero-bit message.
-    pub fn aligned_for_channel(channel: &Channel, width: u32) -> Self {
+    pub fn for_refinement(channel: &Channel, width: u32, integrity: bool) -> (Self, u32) {
+        if !integrity {
+            return (Self::for_channel(channel, width), 0);
+        }
+        let plan = Self::aligned_for_channel(channel, width);
+        let address_run = channel.direction == ChannelDirection::Read
+            && plan.words.iter().any(|w| w.dir == WordDir::Request);
+        (plan, 1 + u32::from(address_run))
+    }
+
+    /// Plans a *direction-aligned* word layout: request words carry only
+    /// address bits, response words only data bits, so no word straddles
+    /// the boundary ([`WordDir::Mixed`] never appears).
+    ///
+    /// The integrity layer uses this layout for read channels so each
+    /// direction can carry its own trailing check word; a message whose
+    /// address does not fill a whole word costs up to one extra bus word
+    /// compared to [`WordPlan::for_channel`]. Write channels and
+    /// address-free reads plan identically either way.
+    fn aligned_for_channel(channel: &Channel, width: u32) -> Self {
         assert!(width > 0, "bus width must be positive");
         let a = channel.addr_bits;
         let d = channel.data_bits;
@@ -164,15 +184,6 @@ impl WordPlan {
     /// Number of bus words.
     pub fn word_count(&self) -> u32 {
         self.words.len() as u32
-    }
-
-    /// Index of the word in which the last address bit travels (`None`
-    /// for scalar channels with no address).
-    pub fn addr_complete_word(&self) -> Option<u32> {
-        if self.addr_bits == 0 {
-            return None;
-        }
-        Some((self.addr_bits - 1) / self.width)
     }
 }
 
@@ -241,7 +252,6 @@ mod tests {
         let ch = channel(ChannelDirection::Read, 16, 0);
         let plan = WordPlan::for_channel(&ch, 8);
         assert!(plan.words.iter().all(|w| w.dir == WordDir::Response));
-        assert_eq!(plan.addr_complete_word(), None);
     }
 
     #[test]
@@ -323,6 +333,19 @@ mod tests {
     }
 
     #[test]
+    fn refinement_layout_adds_one_check_word_per_direction_run() {
+        let write = channel(ChannelDirection::Write, 16, 7);
+        let scalar_read = channel(ChannelDirection::Read, 16, 0);
+        let addressed_read = channel(ChannelDirection::Read, 16, 7);
+        for (ch, checks) in [(&write, 1), (&scalar_read, 1), (&addressed_read, 2)] {
+            let protected = WordPlan::for_refinement(ch, 8, true);
+            assert_eq!(protected, (WordPlan::aligned_for_channel(ch, 8), checks));
+            let plain = WordPlan::for_refinement(ch, 8, false);
+            assert_eq!(plain, (WordPlan::for_channel(ch, 8), 0));
+        }
+    }
+
+    #[test]
     fn aligned_plan_matches_plain_for_writes_and_scalar_reads() {
         let wr = channel(ChannelDirection::Write, 16, 7);
         let rd = channel(ChannelDirection::Read, 16, 0);
@@ -336,14 +359,5 @@ mod tests {
                 WordPlan::for_channel(&rd, w)
             );
         }
-    }
-
-    #[test]
-    fn addr_complete_word_is_where_last_addr_bit_travels() {
-        let ch = channel(ChannelDirection::Read, 16, 7);
-        assert_eq!(WordPlan::for_channel(&ch, 4).addr_complete_word(), Some(1));
-        assert_eq!(WordPlan::for_channel(&ch, 8).addr_complete_word(), Some(0));
-        assert_eq!(WordPlan::for_channel(&ch, 7).addr_complete_word(), Some(0));
-        assert_eq!(WordPlan::for_channel(&ch, 2).addr_complete_word(), Some(3));
     }
 }
