@@ -37,8 +37,7 @@ pub struct BatchRunner {
 
 impl BatchRunner {
     /// Creates a runner with the default configuration and automatic
-    /// worker count (the sweep driver's resolution: `--jobs` override,
-    /// `IFSYN_SWEEP_THREADS`, then one per core).
+    /// worker count (one per core).
     #[must_use]
     pub fn new() -> Self {
         Self {
@@ -63,8 +62,8 @@ impl BatchRunner {
     }
 
     /// The worker count the next [`BatchRunner::run`] call will use: an
-    /// explicit [`BatchRunner::with_jobs`] setting as-is, otherwise the
-    /// sweep driver's resolution.
+    /// explicit [`BatchRunner::with_jobs`] setting as-is, otherwise one
+    /// per core.
     #[must_use]
     pub fn jobs(&self) -> usize {
         if self.jobs > 0 {

@@ -5,9 +5,6 @@
 //! cargo run -p ifsyn-bench --bin experiments -- fig7
 //!     # fig2 | fig7 | fig8 | extra | overhead | ablation | all print
 //!     # their tables and take no arguments.
-//! cargo run -p ifsyn-bench --bin experiments -- bench
-//!     # kernel throughput; writes BENCH_sim.json. Options:
-//!     #   --out PATH        output file (default BENCH_sim.json)
 //! cargo run -p ifsyn-bench --bin experiments -- faults
 //!     # fault-matrix campaign; writes BENCH_faults.json and exits
 //!     # nonzero on a silent corruption under the protected variant.
@@ -30,14 +27,10 @@
 //!     #   --min-rate R      fail when the measured exploration rate
 //!     #                     drops below R states/second
 //!     #   --no-big          skip the big-system scale run
-//! cargo run -p ifsyn-bench --bin experiments -- perf --check
-//!     # measure and compare against the committed BENCH_sim.json;
-//!     # exits nonzero on a throughput regression. Options:
-//!     #   --baseline PATH   baseline file (default BENCH_sim.json)
-//!     #   --tolerance R     allowed fractional drop (default 0.5 — wide,
-//!     #                     because CI machines differ from the machine
-//!     #                     that wrote the baseline)
 //! ```
+//!
+//! Kernel and checker throughput are measured by the `perfbench`
+//! benchmark (`perfbench/README.md`), not here.
 //!
 //! An argument a subcommand does not take, or an unknown subcommand,
 //! prints the usage line and exits nonzero.
@@ -46,10 +39,9 @@ use std::env;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: experiments [fig2 | fig7 | fig8 | extra | overhead | ablation | all]
-       experiments bench | faults [--out PATH]
+       experiments faults [--out PATH]
        experiments calibrate [--out PATH] [--tolerance R]
-       experiments check [--out PATH] [--min-rate R] [--no-big]
-       experiments perf [--check] [--baseline PATH] [--tolerance R]";
+       experiments check [--out PATH] [--min-rate R] [--no-big]";
 
 /// The print-only tables, in `all` order.
 const TABLES: [&str; 6] = ["fig2", "fig7", "fig8", "extra", "overhead", "ablation"];
@@ -65,11 +57,9 @@ fn main() -> ExitCode {
         }
     };
     let result = match what {
-        "bench" => run_bench(flags.out("BENCH_sim.json")),
         "faults" => run_faults(flags.out("BENCH_faults.json")),
         "calibrate" => run_calibrate(&flags),
         "check" => run_check(&flags),
-        "perf" => run_perf(&flags),
         "all" => {
             TABLES.into_iter().for_each(print_table);
             Ok(())
@@ -92,14 +82,9 @@ fn main() -> ExitCode {
 fn accepted_flags(what: &str) -> Result<&'static [(&'static str, bool)], String> {
     Ok(match what {
         table if table == "all" || TABLES.contains(&table) => &[],
-        "bench" | "faults" => &[("--out", true)],
+        "faults" => &[("--out", true)],
         "calibrate" => &[("--out", true), ("--tolerance", true)],
         "check" => &[("--out", true), ("--min-rate", true), ("--no-big", false)],
-        "perf" => &[
-            ("--check", false),
-            ("--baseline", true),
-            ("--tolerance", true),
-        ],
         other => return Err(format!("unknown experiment `{other}`")),
     })
 }
@@ -158,46 +143,6 @@ impl Flags {
         }
         Ok(tolerance)
     }
-}
-
-/// Measures kernel throughput and writes it to `out_path`.
-fn run_bench(out_path: &str) -> Result<(), String> {
-    rule();
-    let data = ifsyn_bench::perf::run();
-    print!("{}", ifsyn_bench::perf::render(&data));
-    std::fs::write(out_path, ifsyn_bench::perf::to_json(&data)).map_err(|e| e.to_string())?;
-    println!("\nwrote {out_path}");
-    Ok(())
-}
-
-/// Measures throughput and, with `--check`, compares against a committed
-/// baseline instead of overwriting it.
-fn run_perf(flags: &Flags) -> Result<(), String> {
-    let tolerance = flags.tolerance(0.5)?;
-    let baseline_path = flags.value("--baseline").unwrap_or("BENCH_sim.json");
-    rule();
-    let data = ifsyn_bench::perf::run();
-    print!("{}", ifsyn_bench::perf::render(&data));
-    if flags.has("--check") {
-        let json = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("cannot read baseline `{baseline_path}`: {e}"))?;
-        let baseline = ifsyn_bench::perf::parse_baseline(&json);
-        if baseline.is_empty() {
-            return Err(format!("no scenarios found in `{baseline_path}`"));
-        }
-        println!(
-            "\nregression check vs {baseline_path} (tolerance {:.0}%):",
-            tolerance * 100.0
-        );
-        match ifsyn_bench::perf::check(&data, &baseline, tolerance) {
-            Ok(report) => print!("{report}"),
-            Err(report) => {
-                print!("{report}");
-                return Err("throughput regression detected".to_string());
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Runs the fault campaign and writes it to `out_path`. Exits with an

@@ -1,7 +1,7 @@
 //! Shared JSON-emission helpers for the `BENCH_*.json` writers.
 //!
-//! Every campaign report (`BENCH_sim.json`, `BENCH_faults.json`,
-//! `BENCH_check.json`, `BENCH_analyze.json`) is hand-rolled JSON — the
+//! Every campaign report (`BENCH_faults.json`, `BENCH_check.json`,
+//! `BENCH_analyze.json`) is hand-rolled JSON — the
 //! build environment is offline, so no serde. The string-escaping and
 //! array-glue logic used to be copy-pasted per writer; it lives here
 //! once so the formats cannot drift apart.

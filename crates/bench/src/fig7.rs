@@ -21,8 +21,6 @@ use ifsyn_systems::flc::{self, CONV_COMPUTE_CYCLES, EVAL_COMPUTE_CYCLES, FLC_ACC
 use crate::sweep::parallel_sweep;
 use crate::table::Table;
 
-pub use crate::sweep::sweep_threads;
-
 /// One width's results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fig7Row {
@@ -50,17 +48,14 @@ pub struct Fig7Data {
     /// Smallest width meeting the paper's example constraint
     /// (CONV_R2 <= 2000 clocks).
     pub min_width_for_2000_clocks: u32,
-    /// Kernel instructions executed over all simulations of the sweep
-    /// (throughput accounting for `BENCH_sim.json`).
-    pub total_instrs: u64,
 }
 
 fn analytic(width: u32, compute: u64) -> u64 {
     FLC_ACCESSES * (compute + BusTiming::new(width, 2).cycles_per_access(23))
 }
 
-/// Measured finish time plus kernel instructions executed.
-fn measure_alone(channel_is_eval: bool, width: u32) -> (u64, u64) {
+/// Measured finish time of the process running alone on the bus.
+fn measure_alone(channel_is_eval: bool, width: u32) -> u64 {
     let f = flc::flc();
     let ch = if channel_is_eval { f.ch1 } else { f.ch2 };
     let behavior = if channel_is_eval {
@@ -76,13 +71,10 @@ fn measure_alone(channel_is_eval: bool, width: u32) -> (u64, u64) {
         .expect("fig7 sim setup")
         .run_to_quiescence()
         .expect("fig7 sim");
-    (
-        report.finish_time(behavior).expect("process finished"),
-        report.total_instrs(),
-    )
+    report.finish_time(behavior).expect("process finished")
 }
 
-fn measure_shared(width: u32) -> (u64, u64, u64) {
+fn measure_shared(width: u32) -> (u64, u64) {
     let f = flc::flc();
     let design = BusDesign::with_width(f.bus_channels(), width, ProtocolKind::FullHandshake);
     let refined = ProtocolGenerator::new()
@@ -95,7 +87,6 @@ fn measure_shared(width: u32) -> (u64, u64, u64) {
     (
         report.finish_time(f.eval_r3).expect("eval finished"),
         report.finish_time(f.conv_r2).expect("conv finished"),
-        report.total_instrs(),
     )
 }
 
@@ -106,25 +97,18 @@ fn measure_shared(width: u32) -> (u64, u64, u64) {
 /// width order regardless of scheduling.
 pub fn run_to(max_width: u32) -> Fig7Data {
     let widths: Vec<u32> = (1..=max_width).collect();
-    let measured = parallel_sweep(&widths, |&width| {
-        let (eval_shared, conv_shared, shared_instrs) = measure_shared(width);
-        let (eval_alone, eval_instrs) = measure_alone(true, width);
-        let (conv_alone, conv_instrs) = measure_alone(false, width);
-        (
-            Fig7Row {
-                width,
-                eval_analytic: analytic(width, EVAL_COMPUTE_CYCLES),
-                conv_analytic: analytic(width, CONV_COMPUTE_CYCLES),
-                eval_alone,
-                conv_alone,
-                eval_shared,
-                conv_shared,
-            },
-            shared_instrs + eval_instrs + conv_instrs,
-        )
+    let rows = parallel_sweep(&widths, |&width| {
+        let (eval_shared, conv_shared) = measure_shared(width);
+        Fig7Row {
+            width,
+            eval_analytic: analytic(width, EVAL_COMPUTE_CYCLES),
+            conv_analytic: analytic(width, CONV_COMPUTE_CYCLES),
+            eval_alone: measure_alone(true, width),
+            conv_alone: measure_alone(false, width),
+            eval_shared,
+            conv_shared,
+        }
     });
-    let total_instrs = measured.iter().map(|(_, i)| i).sum();
-    let rows: Vec<Fig7Row> = measured.into_iter().map(|(r, _)| r).collect();
     let min_width_for_2000_clocks = rows
         .iter()
         .find(|r| r.conv_analytic <= 2000)
@@ -133,7 +117,6 @@ pub fn run_to(max_width: u32) -> Fig7Data {
     Fig7Data {
         rows,
         min_width_for_2000_clocks,
-        total_instrs,
     }
 }
 

@@ -36,6 +36,5 @@ pub mod fig2;
 pub mod fig7;
 pub mod fig8;
 pub mod overhead;
-pub mod perf;
 pub mod sweep;
 pub mod table;

@@ -8,35 +8,8 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Process-wide worker-count override; 0 means "not set".
-static SWEEP_THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides the sweep worker count for this process.
-///
-/// The CLI's `--jobs` flag lands here. Passing 0 restores the default
-/// resolution order (`IFSYN_SWEEP_THREADS`, then one per core).
-pub fn set_sweep_threads(n: usize) {
-    SWEEP_THREADS_OVERRIDE.store(n, Ordering::Relaxed);
-}
-
-/// Worker threads the sweep driver will use.
-///
-/// Resolution order: [`set_sweep_threads`] override, the
-/// `IFSYN_SWEEP_THREADS` environment variable, then one per available
-/// core. The resolved count is what `BENCH_sim.json` records as
-/// `sweep_threads`, so the file always reflects the actual fan-out.
-pub fn sweep_threads() -> usize {
-    let forced = SWEEP_THREADS_OVERRIDE.load(Ordering::Relaxed);
-    if forced > 0 {
-        return forced;
-    }
-    if let Some(n) = std::env::var("IFSYN_SWEEP_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
+/// Worker threads the sweep driver uses: one per available core.
+pub(crate) fn sweep_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

@@ -13,6 +13,9 @@
 //! * `experiments all`, `faults` and `calibrate`, byte for byte against
 //!   `docs/experiments_output.txt`, `BENCH_faults.json` and
 //!   `BENCH_analyze.json`.
+//! * `experiments check --no-big`: the file it writes, with its timing
+//!   fields blanked, against `golden/check_no_big.json` (every verdict,
+//!   state count and counterexample of the pinned catalog).
 //! * The `experiments` argument surface: `--out` is honoured and
 //!   anything a subcommand does not take is refused.
 //!
@@ -30,6 +33,10 @@ use ifsyn_core::{BusDesign, BusGenerator, ProtocolKind};
 use ifsyn_partition::Partitioner;
 use ifsyn_spec::{ChannelId, System};
 use ifsyn_vhdl::VhdlPrinter;
+
+mod support;
+
+use support::expect_file;
 
 /// The bundled specs, in line order.
 const SPECS: [(&str, &str); 5] = [
@@ -60,38 +67,6 @@ fn golden_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(name)
-}
-
-/// Compares `actual` with the file at `path`, or rewrites the file when
-/// `IFSYN_BLESS=1`.
-fn expect_file(path: &Path, actual: &str) {
-    if std::env::var("IFSYN_BLESS").is_ok_and(|v| v == "1") {
-        fs::write(path, actual).unwrap_or_else(|e| panic!("cannot bless {}: {e}", path.display()));
-        return;
-    }
-    let expected = fs::read_to_string(path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read {}: {e} (IFSYN_BLESS=1 writes it)",
-            path.display()
-        )
-    });
-    if expected == actual {
-        return;
-    }
-    let (line, want, got) = expected
-        .lines()
-        .map(Some)
-        .chain(std::iter::repeat(None))
-        .zip(actual.lines().map(Some).chain(std::iter::repeat(None)))
-        .enumerate()
-        .find(|(_, (e, a))| e != a)
-        .map(|(i, (e, a))| (i + 1, e.unwrap_or("<end>"), a.unwrap_or("<end>")))
-        .unwrap_or((0, "<trailing bytes>", "<trailing bytes>"));
-    panic!(
-        "{} differs first at line {line}:\n  expected: {want}\n  actual:   {got}\n\
-         (IFSYN_BLESS=1 rewrites it if the change is intended)",
-        path.display()
-    );
 }
 
 /// FNV-1a, 64-bit: a hash that is the same on every host and release.
@@ -253,6 +228,40 @@ fn calibration_matches_bench_analyze_json() {
     pin_written_file("calibrate", "BENCH_analyze.json");
 }
 
+/// Blanks the value of every wall-clock field of a `BENCH_check.json`
+/// document, so the rest of it can be compared byte for byte.
+fn strip_timing(json: &str) -> String {
+    let mut out = json.to_string();
+    for key in [
+        "\"elapsed_ms\": ",
+        "\"states_per_sec\": ",
+        "\"campaign_states_per_sec\": ",
+    ] {
+        let mut stripped = String::with_capacity(out.len());
+        let mut rest = out.as_str();
+        while let Some(i) = rest.find(key) {
+            let (head, tail) = rest.split_at(i + key.len());
+            stripped.push_str(head);
+            stripped.push('_');
+            rest = tail.trim_start_matches(|c: char| c.is_ascii_digit() || c == '.');
+        }
+        stripped.push_str(rest);
+        out = stripped;
+    }
+    out
+}
+
+#[test]
+fn check_campaign_without_the_big_system_is_pinned() {
+    let dir = scratch_dir("check");
+    let args = ["check", "--no-big", "--out", "out.json"];
+    let out = experiments(&args, &dir);
+    succeeded(&args, &out);
+    let written = fs::read_to_string(dir.join("out.json")).expect("--out file written");
+    expect_file(&golden_path("check_no_big.json"), &strip_timing(&written));
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn experiments_refuses_arguments_it_does_not_take() {
     let dir = scratch_dir("args");
@@ -260,10 +269,10 @@ fn experiments_refuses_arguments_it_does_not_take() {
         &["fig7", "--bogus"],
         &["all", "extra"],
         &["faults", "out.json"],
-        &["bench", "out.json"],
+        &["bench"],
         &["check", "out.json"],
         &["calibrate", "--out"],
-        &["perf", "--out", "x.json"],
+        &["perf"],
         &["fig9"],
     ];
     for args in refused {

@@ -33,9 +33,8 @@ use std::ops::Deref;
 
 use ifsyn_spec::Value;
 
-use crate::diagnose::{render_expr, DeadlockDiagnosis};
+use crate::diagnose::DeadlockDiagnosis;
 use crate::exec::RegFile;
-use crate::program::WaitSpec;
 
 use super::explore::{BoundedInfo, CheckStats, Edge, Graph, StepLabel};
 use super::state::{CkProc, CkState, CompactState};
@@ -470,32 +469,19 @@ impl<'x, 'a> SpaceRef<'x, 'a> {
         let ck = self.ck;
         let st = self.materialize(state);
         let mut regs = RegFile::with_capacity(ck.max_regs as usize);
-        // (pid, rendered wait, sensitivity signal indices)
-        let mut waits: Vec<(usize, String, Vec<usize>)> = Vec::new();
+        let mut waits = Vec::new();
         for (pid, p) in st.procs.iter().enumerate() {
             if p.done {
                 continue;
             }
-            let Some(spec) = ck.parked_wait(&st, pid) else {
+            let Some(wait) = ck.parked_wait(&st, pid) else {
                 continue;
             };
-            let (wait, sens) = match spec {
-                WaitSpec::ForCycles(_) | WaitSpec::OnSignals(_) => continue,
-                WaitSpec::Until(cond) | WaitSpec::UntilTimeout { cond, .. } => (
-                    format!("wait until {}", render_expr(ck.system, &cond.display)),
-                    cond.sensitivity.iter().map(|s| s.index()).collect(),
-                ),
-                WaitSpec::UntilSignalIs { signal, value }
-                | WaitSpec::UntilSignalIsTimeout { signal, value, .. } => (
-                    format!(
-                        "wait until {} = {value}",
-                        ck.system.signals[signal.index()].name
-                    ),
-                    vec![signal.index()],
-                ),
-            };
-            if !matches!(ck.wait_holds(&st, &mut regs, pid, spec), Ok(Some(true))) {
-                waits.push((pid, wait, sens));
+            // `wait for` and `wait on` have no condition and never block
+            // a checker process.
+            match ck.wait_holds(&st, &mut regs, pid, wait) {
+                Ok(None | Some(true)) => {}
+                Ok(Some(false)) | Err(_) => waits.push((pid, wait)),
             }
         }
         DeadlockDiagnosis::assemble(ck.system, &ck.program, &st.signals, time, waits)

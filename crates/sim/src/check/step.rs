@@ -142,24 +142,20 @@ impl Engine for Run<'_, '_> {
         }
     }
 
-    /// Every cycle-consuming instruction is a scheduling point.
-    fn elapse(&mut self, cycles: u64, _active: bool) -> Result<bool, SimError> {
+    /// The cycles add to the transition's cost; like every
+    /// cycle-consuming instruction, this is a scheduling point.
+    fn elapse(&mut self, cycles: u64, _active: bool) {
         self.cost += cycles;
-        Ok(false)
     }
 
     /// Applies a signal drive immediately (time-abstracted visibility).
     /// Writes to frozen (stuck) signals are swallowed, mirroring the
     /// fault semantics of [`crate::FaultKind::StuckAt`].
-    fn drive(&mut self, signal: usize, value: Value, cost: u32) -> Result<bool, SimError> {
+    fn drive(&mut self, signal: usize, value: Value, _cost: u32) {
         if !self.s.frozen[signal] {
             self.fx.wrote_sig = true;
             self.s.signals[signal] = value;
         }
-        if cost > 0 {
-            return self.elapse(u64::from(cost), true);
-        }
-        Ok(true)
     }
 
     fn suspend(&mut self, wait: &WaitSpec) -> bool {
@@ -283,18 +279,16 @@ impl<'a> Checker<'a> {
             // Watchdog expiries are global-stall transitions, never
             // candidates for reduction.
             fx.pure_run = false;
-            cost = match self.parked_wait(s, pid) {
-                Some(
-                    wait @ (WaitSpec::UntilTimeout { cycles, .. }
-                    | WaitSpec::UntilSignalIsTimeout { cycles, .. }),
-                ) => {
-                    if self.wait_holds(s, regs, pid, wait)? == Some(true) {
-                        return Ok(None);
-                    }
-                    *cycles
-                }
-                _ => return Ok(None),
+            let Some((wait, cycles)) = self
+                .parked_wait(s, pid)
+                .and_then(|wait| Some((wait, wait.timeout()?)))
+            else {
+                return Ok(None);
             };
+            if self.wait_holds(s, regs, pid, wait)? == Some(true) {
+                return Ok(None);
+            }
+            cost = cycles;
             s.procs[pid].frames.last_mut().expect("frame").pc += 1;
         }
         let mut run = Run {

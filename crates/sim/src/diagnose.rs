@@ -11,7 +11,7 @@ use std::fmt;
 
 use ifsyn_spec::{Expr, System, Value};
 
-use crate::program::Program;
+use crate::program::{Program, WaitSpec};
 
 /// One blocked process and what it is waiting for.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,16 +61,16 @@ impl DeadlockDiagnosis {
     }
 
     /// Assembles the diagnosis taken at `time` from the blocked
-    /// processes, in pid order: each one's behavior index, its rendered
-    /// wait and the signals it is sensitive to, whose values in
-    /// `signals` are reported as observed. `None` when nothing is
+    /// processes, in pid order: each one's behavior index and the wait
+    /// it is blocked on, whose sensitivity signals are reported with
+    /// their values in `signals` as observed. `None` when nothing is
     /// blocked.
     pub(crate) fn assemble(
         system: &System,
         program: &Program,
         signals: &[Value],
         time: u64,
-        waits: Vec<(usize, String, Vec<usize>)>,
+        waits: Vec<(usize, &WaitSpec)>,
     ) -> Option<Self> {
         if waits.is_empty() {
             return None;
@@ -80,14 +80,14 @@ impl DeadlockDiagnosis {
         // wakeup signals itself blocked, the cycle is unbreakable.
         let writes: Vec<Vec<bool>> = waits
             .iter()
-            .map(|(b, _, _)| program.written_signals(*b, system.signals.len()))
+            .map(|(b, _)| program.written_signals(*b, system.signals.len()))
             .collect();
         let edges: Vec<Vec<usize>> = waits
             .iter()
             .enumerate()
-            .map(|(i, (_, _, sens))| {
+            .map(|(i, (_, wait))| {
                 (0..waits.len())
-                    .filter(|&j| j != i && sens.iter().any(|&s| writes[j][s]))
+                    .filter(|&j| j != i && wait.sensitivity().iter().any(|s| writes[j][s.index()]))
                     .collect()
             })
             .collect();
@@ -102,12 +102,18 @@ impl DeadlockDiagnosis {
             .collect();
         let blocked = waits
             .into_iter()
-            .map(|(b, wait, sens)| BlockedWait {
+            .map(|(b, wait)| BlockedWait {
                 behavior: system.behaviors[b].name.clone(),
-                wait,
-                observed: sens
+                wait: render_wait(system, wait),
+                observed: wait
+                    .sensitivity()
                     .iter()
-                    .map(|&s| (system.signals[s].name.clone(), signals[s].to_string()))
+                    .map(|&s| {
+                        (
+                            system.signal(s).name.clone(),
+                            signals[s.index()].to_string(),
+                        )
+                    })
                     .collect(),
             })
             .collect();
@@ -132,10 +138,32 @@ impl fmt::Display for DeadlockDiagnosis {
     }
 }
 
+/// Renders a wait for diagnosis messages, e.g. `wait until B_DONE = '1'`
+/// or `wait on REQ, ACK`.
+fn render_wait(system: &System, wait: &WaitSpec) -> String {
+    match wait {
+        WaitSpec::ForCycles(n) => format!("wait for {n}"),
+        WaitSpec::OnSignals(list) => {
+            let names: Vec<&str> = list
+                .iter()
+                .map(|s| system.signal(*s).name.as_str())
+                .collect();
+            format!("wait on {}", names.join(", "))
+        }
+        WaitSpec::Until(cond) | WaitSpec::UntilTimeout { cond, .. } => {
+            format!("wait until {}", render_expr(system, &cond.display))
+        }
+        WaitSpec::UntilSignalIs { signal, value }
+        | WaitSpec::UntilSignalIsTimeout { signal, value, .. } => {
+            format!("wait until {} = {value}", system.signal(*signal).name)
+        }
+    }
+}
+
 /// Renders a wait condition compactly for diagnosis messages: signal
 /// names, literal values and operators; structural forms fall back to a
 /// placeholder rather than a full printout.
-pub(crate) fn render_expr(system: &System, expr: &Expr) -> String {
+fn render_expr(system: &System, expr: &Expr) -> String {
     match expr {
         Expr::Signal(s) => system.signal(*s).name.clone(),
         Expr::Const(v) => v.to_string(),

@@ -13,7 +13,8 @@
 //!   frames and the register file ([`Engine::store`]);
 //! * **tick** — per-instruction bookkeeping and budgets;
 //! * **before-store** — a variable store is about to land;
-//! * **elapse** — a costed instruction or `wait for` takes cycles;
+//! * **elapse** — a costed instruction or `wait for` takes cycles, which
+//!   ends the run;
 //! * **drive** — a signal write;
 //! * **suspend** — a `wait on`, or a level-sensitive wait that does not
 //!   hold;
@@ -47,7 +48,8 @@ pub(crate) struct Store<'s> {
 /// The scheduling side of an execution engine: everything [`run`] needs
 /// besides the data plane. Hooks that return `bool` answer "does the
 /// process keep running?"; when one says no, the loop stores the pc in
-/// the top frame and returns.
+/// the top frame and returns. A costed instruction always ends the run
+/// that way, after [`Engine::elapse`].
 pub(crate) trait Engine {
     /// The storage view of the running process.
     fn store(&mut self) -> Store<'_>;
@@ -60,13 +62,14 @@ pub(crate) trait Engine {
     /// crashes midway is still covered.
     fn before_store(&mut self, var: usize);
 
-    /// `cycles` (nonzero) pass; `active` is `false` for `wait for`,
-    /// which is idle time rather than work.
-    fn elapse(&mut self, cycles: u64, active: bool) -> Result<bool, SimError>;
+    /// `cycles` (nonzero) pass, and the process then parks; `active` is
+    /// `false` for `wait for`, which is idle time rather than work.
+    fn elapse(&mut self, cycles: u64, active: bool);
 
     /// Drives `value`, already coerced to the signal's type, onto
-    /// `signal`; the write takes `cost` cycles (zero: the next delta).
-    fn drive(&mut self, signal: usize, value: Value, cost: u32) -> Result<bool, SimError>;
+    /// `signal`; the write takes `cost` cycles (zero: the next delta). A
+    /// nonzero cost then elapses.
+    fn drive(&mut self, signal: usize, value: Value, cost: u32);
 
     /// The process blocks on `wait`: a `wait on`, or a level-sensitive
     /// wait whose condition does not hold. Returns `true` to park past
@@ -106,8 +109,8 @@ pub(crate) fn run<E: Engine>(
                 let v = e.store().eval_owned(value)?;
                 write_place(sys, e, place, v)?;
                 pc += 1;
-                if *cost > 0 && !e.elapse(u64::from(*cost), true)? {
-                    return park(e, pc);
+                if *cost > 0 {
+                    return elapse(e, u64::from(*cost), true, pc);
                 }
             }
             Instr::SignalWrite {
@@ -122,8 +125,9 @@ pub(crate) fn run<E: Engine>(
                     None => coerce(e.store().eval(value)?.clone(), &sys.signal(*signal).ty),
                 };
                 pc += 1;
-                if !e.drive(signal.index(), v, *cost)? {
-                    return park(e, pc);
+                e.drive(signal.index(), v, *cost);
+                if *cost > 0 {
+                    return elapse(e, u64::from(*cost), true, pc);
                 }
             }
             Instr::Jump(target) => pc = *target,
@@ -152,8 +156,8 @@ pub(crate) fn run<E: Engine>(
             }
             Instr::Wait(WaitSpec::ForCycles(n)) => {
                 pc += 1;
-                if *n > 0 && !e.elapse(*n, false)? {
-                    return park(e, pc);
+                if *n > 0 {
+                    return elapse(e, *n, false, pc);
                 }
             }
             Instr::Wait(wait) => {
@@ -210,8 +214,8 @@ pub(crate) fn run<E: Engine>(
                 let v = e.store().eval_owned(data)?;
                 channel_write(sys, e, *channel, addr, v)?;
                 pc += 1;
-                if *cost > 0 && !e.elapse(u64::from(*cost), true)? {
-                    return park(e, pc);
+                if *cost > 0 {
+                    return elapse(e, u64::from(*cost), true, pc);
                 }
             }
             Instr::ChannelReceive {
@@ -227,8 +231,8 @@ pub(crate) fn run<E: Engine>(
                 let v = channel_read(sys, e.store().vars, *channel, addr)?;
                 write_place(sys, e, target, v)?;
                 pc += 1;
-                if *cost > 0 && !e.elapse(u64::from(*cost), true)? {
-                    return park(e, pc);
+                if *cost > 0 {
+                    return elapse(e, u64::from(*cost), true, pc);
                 }
             }
             Instr::Assert { cond, note } => {
@@ -245,8 +249,8 @@ pub(crate) fn run<E: Engine>(
             }
             Instr::Consume { cycles } => {
                 pc += 1;
-                if *cycles > 0 && !e.elapse(*cycles, true)? {
-                    return park(e, pc);
+                if *cycles > 0 {
+                    return elapse(e, *cycles, true, pc);
                 }
             }
         }
@@ -265,6 +269,13 @@ fn top(frames: &mut [Frame]) -> &mut Frame {
 fn park<E: Engine>(e: &mut E, pc: usize) -> Result<(), SimError> {
     top(e.store().frames).pc = pc;
     Ok(())
+}
+
+/// A costed instruction ends the run: `cycles` pass and the process
+/// parks at `pc`.
+fn elapse<E: Engine>(e: &mut E, cycles: u64, active: bool, pc: usize) -> Result<(), SimError> {
+    e.elapse(cycles, active);
+    park(e, pc)
 }
 
 impl Store<'_> {

@@ -1,29 +1,28 @@
 //! The discrete-event simulation kernel.
 //!
 //! The kernel owns time: the delta loop, the event heaps, waiter
-//! registration and wake-up, the fault filter and fast-forward.
-//! Instructions execute in the interpreter it shares with the model
-//! checker ([`crate::interp`]); an activation plugs the kernel's
-//! scheduling into it: zero-cost signal writes queue for the next
-//! delta, costed instructions sleep (or fast-forward when nothing else
-//! can observe the skipped interval), and an unsatisfied wait registers
-//! the process as a waiter and parks it past the wait.
+//! registration and wake-up, and the fault filter. Instructions execute
+//! in the interpreter it shares with the model checker
+//! ([`crate::interp`]); an activation plugs the kernel's scheduling into
+//! it: zero-cost signal writes queue for the next delta, costed
+//! instructions sleep, and an unsatisfied wait registers the process as
+//! a waiter and parks it past the wait. An activation therefore spans
+//! one instant.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
 
 use ifsyn_spec::{BitVec, SignalId, System, Value};
 
 use crate::config::SimConfig;
-use crate::diagnose::{render_expr, DeadlockDiagnosis};
+use crate::diagnose::DeadlockDiagnosis;
 use crate::error::SimError;
 use crate::eval::{coerce, EvalCtx};
-use crate::exec::{self, ExprCode, RegFile};
+use crate::exec::RegFile;
 use crate::fault::{FaultKind, InjectedFault};
 use crate::interp::{self, Engine, Store};
-use crate::process::{CodeRef, Process, Status, WaitKind};
-use crate::program::{CodeCache, Program, WaitSpec};
+use crate::process::{CodeRef, Frame, Process, Status};
+use crate::program::{CodeCache, Instr, Program, WaitSpec};
 use crate::report::{BehaviorOutcome, SimReport, TraceEvent};
 
 /// Upper bound on recorded [`InjectedFault`] entries, so a stuck line on
@@ -80,27 +79,21 @@ enum Disposition {
     Delay(u64),
 }
 
-/// Evaluates compiled expression code for one process, splitting the
-/// simulator's storage fields so the shared context borrows (variables,
-/// signals, the frame) coexist with the mutable register-file borrow.
-fn eval_split<'s>(
-    vars: &'s [Value],
-    signals: &'s [Value],
-    processes: &'s [Process],
-    regs: &'s mut RegFile,
-    pid: usize,
-    code: &'s ExprCode,
-) -> Result<&'s Value, SimError> {
-    let frame = processes[pid]
-        .frames
-        .last()
-        .ok_or_else(|| SimError::eval("process has no frame".to_string()))?;
-    let ctx = EvalCtx {
-        vars,
-        signals,
-        locals: &frame.locals,
-    };
-    exec::eval_code(&ctx, code, regs)
+/// The wait a suspended process is parked past: a suspension stores the
+/// pc after its wait, where the process resumes.
+///
+/// The kernel looks its waits up here rather than keeping a copy in the
+/// process status. That is sound because waking and diagnosis run only
+/// between activations, never while one holds the program.
+fn parked_wait<'p>(program: &'p Program, frame: &Frame) -> &'p WaitSpec {
+    match frame
+        .pc
+        .checked_sub(1)
+        .and_then(|pc| program.block(frame.code).instrs.get(pc))
+    {
+        Some(Instr::Wait(wait)) => wait,
+        _ => panic!("a suspended process is parked past its wait"),
+    }
 }
 
 /// A deterministic discrete-event simulator over a [`System`].
@@ -191,19 +184,9 @@ pub struct Simulator<'a> {
     has_faults: bool,
     /// Monotonic tiebreaker giving heap entries FIFO order per instant.
     event_seq: u64,
-    /// Deadline of the current `run_events` call, mirrored into a field
-    /// so the interpreter's fast-forward path can respect it.
-    run_deadline: Option<u64>,
     /// Per signal: processes registered as waiters (swap-remove lists;
     /// order is irrelevant because wake order flows from `ready`).
     waiters: Vec<Vec<usize>>,
-    /// Monotonic counter identifying one `register_wait` call; paired
-    /// with `sig_mark` to deduplicate a sensitivity list in O(1) per
-    /// signal instead of scanning the waiter list.
-    reg_epoch: u64,
-    /// Per signal: the `reg_epoch` that last touched it. Equal to the
-    /// current epoch means this registration already covered the signal.
-    sig_mark: Vec<u64>,
     /// Scratch: per-signal index of the last pending write in the batch
     /// being applied (`usize::MAX` = none); reset on use.
     last_write: Vec<usize>,
@@ -322,10 +305,7 @@ impl<'a> Simulator<'a> {
             injected: Vec::new(),
             has_faults,
             event_seq: 0,
-            run_deadline: None,
             waiters: vec![Vec::new(); n_signals],
-            reg_epoch: 0,
-            sig_mark: vec![0; n_signals],
             last_write: vec![usize::MAX; n_signals],
             changed: Vec::new(),
             signal_events: vec![0; n_signals],
@@ -353,9 +333,10 @@ impl<'a> Simulator<'a> {
     pub fn run_to_quiescence(mut self) -> Result<SimReport, SimError> {
         self.run_events(None)?;
         if self.config.fail_on_deadlock {
-            let stuck = self.processes.iter().any(|p| {
-                matches!(p.status, Status::Waiting(_)) && !self.system.behaviors[p.behavior].repeats
-            });
+            let stuck = self
+                .processes
+                .iter()
+                .any(|p| p.status == Status::Waiting && !self.system.behaviors[p.behavior].repeats);
             if stuck {
                 let diagnosis = self.diagnosis().expect("a blocked process exists");
                 return Err(SimError::Deadlock {
@@ -384,7 +365,6 @@ impl<'a> Simulator<'a> {
 
     /// The main event loop; stops at quiescence, or past `deadline`.
     fn run_events(&mut self, deadline: Option<u64>) -> Result<(), SimError> {
-        self.run_deadline = deadline;
         loop {
             self.settle_instant()?;
             if !self.advance_time(deadline)? {
@@ -451,7 +431,7 @@ impl<'a> Simulator<'a> {
             // Same lazy invalidation as sleepers: only a process still
             // suspended on the *same* wait expires.
             let p = &self.processes[pid];
-            if matches!(p.status, Status::Waiting(_)) && p.wait_gen == gen {
+            if p.status == Status::Waiting && p.wait_gen == gen {
                 self.make_ready(pid);
             }
         }
@@ -471,7 +451,7 @@ impl<'a> Simulator<'a> {
     fn next_live_wait_timeout(&mut self) -> Option<u64> {
         while let Some(&Reverse((t, _, pid, gen))) = self.wait_timeouts.peek() {
             let p = &self.processes[pid];
-            if matches!(p.status, Status::Waiting(_)) && p.wait_gen == gen {
+            if p.status == Status::Waiting && p.wait_gen == gen {
                 return Some(t);
             }
             self.wait_timeouts.pop();
@@ -635,7 +615,9 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Wakes processes sensitive to the signals in the `changed` buffer.
+    /// Wakes processes sensitive to the signals in the `changed` buffer
+    /// whose parked wait now holds; a `wait on` has no condition, so any
+    /// event on its list wakes it.
     fn wake_on(&mut self) -> Result<(), SimError> {
         for ci in 0..self.changed.len() {
             let sig = self.changed[ci];
@@ -647,34 +629,29 @@ impl<'a> Simulator<'a> {
             let mut i = 0;
             while i < self.waiters[sig].len() {
                 let pid = self.waiters[sig][i];
-                let sat = match &self.processes[pid].status {
-                    Status::Waiting(WaitKind::Signals) => true,
-                    Status::Waiting(WaitKind::Until(cond)) => {
-                        // Split borrows: the condition lives in `processes`
-                        // (shared), the register file is the only mutable
-                        // field touched — no Arc clone on the wake path.
-                        eval_split(
-                            &self.vars,
-                            &self.signals,
-                            &self.processes,
-                            &mut self.regs,
-                            pid,
-                            &cond.code,
-                        )?
-                        .as_bool()
-                        .map_err(|e| SimError::eval(e.to_string()))?
-                    }
-                    Status::Waiting(WaitKind::SignalIs(idx, v)) => self.signals[*idx] == *v,
-                    _ => false,
-                };
-                if sat {
-                    self.make_ready(pid);
-                } else {
+                if self.parked_wait_holds(pid)? == Some(false) {
                     i += 1;
+                } else {
+                    self.make_ready(pid);
                 }
             }
         }
         Ok(())
+    }
+
+    /// [`WaitSpec::holds`] for the wait process `pid` is parked past, in
+    /// its scope.
+    fn parked_wait_holds(&mut self, pid: usize) -> Result<Option<bool>, SimError> {
+        let frame = self.processes[pid]
+            .frames
+            .last()
+            .expect("a suspended process has a frame");
+        let ctx = EvalCtx {
+            vars: &self.vars,
+            signals: &self.signals,
+            locals: &frame.locals,
+        };
+        parked_wait(&self.program, frame).holds(&ctx, &mut self.regs)
     }
 
     fn make_ready(&mut self, pid: usize) {
@@ -718,41 +695,19 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    fn register_wait(&mut self, pid: usize, kind: WaitKind, sensitivity: &[SignalId]) {
+    /// Registers process `pid` as a waiter on every signal of
+    /// `sensitivity`, which compilation made duplicate-free.
+    fn register_wait(&mut self, pid: usize, sensitivity: &[SignalId]) {
+        let p = &mut self.processes[pid];
         // A fresh generation invalidates any watchdog entry left over from
         // an earlier suspension of this process.
-        self.processes[pid].wait_gen += 1;
-        // A fresh epoch makes every `sig_mark` entry stale at once, so
-        // deduplicating a wide sensitivity list is O(1) per signal instead
-        // of a scan of the waiter list. A process can never already be in
-        // a waiter list here (make_ready clears its registrations before
-        // it runs again), so only same-list duplicates need catching.
-        self.reg_epoch += 1;
-        let epoch = self.reg_epoch;
-        let mut registered = std::mem::take(&mut self.processes[pid].registered);
-        registered.clear();
+        p.wait_gen += 1;
+        p.registered.clear();
         for s in sensitivity {
-            let idx = s.index();
-            if self.sig_mark[idx] != epoch {
-                self.sig_mark[idx] = epoch;
-                self.waiters[idx].push(pid);
-                registered.push(idx);
-            }
+            self.waiters[s.index()].push(pid);
+            p.registered.push(s.index());
         }
-        self.processes[pid].registered = registered;
-        self.processes[pid].status = Status::Waiting(kind);
-    }
-
-    /// Single-signal fast path of [`Self::register_wait`]: no epoch bump
-    /// and no dedup pass — a one-element sensitivity list cannot contain
-    /// duplicates. This is the shape of every generated handshake wait.
-    fn register_wait_one(&mut self, pid: usize, kind: WaitKind, idx: usize) {
-        self.processes[pid].wait_gen += 1;
-        self.waiters[idx].push(pid);
-        let registered = &mut self.processes[pid].registered;
-        registered.clear();
-        registered.push(idx);
-        self.processes[pid].status = Status::Waiting(kind);
+        p.status = Status::Waiting;
     }
 
     /// Arms a watchdog for the suspension the process just entered (must
@@ -764,77 +719,6 @@ impl<'a> Simulator<'a> {
         self.event_seq += 1;
     }
 
-    /// Attempts to jump simulated time straight to `wake` without
-    /// suspending the running process.
-    ///
-    /// Legal exactly when nothing else can observe the skipped interval:
-    /// no undelivered zero-delay writes, no other runnable process, and
-    /// no scheduled event at or before `wake`. A wake past the run
-    /// deadline or the time cap declines too, so those terminations stay
-    /// handled in one place (`run_events`). On success the instant
-    /// counter advances just as the event loop would have done.
-    fn try_fast_advance(&mut self, wake: u64) -> Result<bool, SimError> {
-        if !self.ready.is_empty() {
-            return Ok(false);
-        }
-        if wake > self.config.max_time || self.run_deadline.is_some_and(|d| wake > d) {
-            return Ok(false);
-        }
-        if !self.pending.is_empty() {
-            // `ready` is empty, so the running process is the last runner
-            // of this delta round: applying the batch here is exactly the
-            // settle step that would otherwise follow its suspension.
-            self.apply_pending();
-            self.wake_on()?;
-            self.total_deltas += 1;
-            if !self.ready.is_empty() {
-                // The delta woke somebody; the interval is observable.
-                return Ok(false);
-            }
-        }
-        let next_write = self.timed_writes.peek().map(|Reverse(w)| w.time);
-        let next_sleep = self.sleepers.peek().map(|&Reverse((t, _, _))| t);
-        let next_timeout = self.next_live_wait_timeout();
-        let next_injection = self.injections.peek().map(|&Reverse((t, _, _))| t);
-        if next_write.is_some_and(|t| t <= wake) {
-            return Ok(false);
-        }
-        if next_sleep.is_some_and(|t| t <= wake) {
-            return Ok(false);
-        }
-        if next_timeout.is_some_and(|t| t <= wake) {
-            return Ok(false);
-        }
-        if next_injection.is_some_and(|t| t <= wake) {
-            return Ok(false);
-        }
-        self.time = wake;
-        self.time_steps += 1;
-        Ok(true)
-    }
-
-    /// Fast path for a costed signal write: when the interval to `wake`
-    /// is unobservable (same conditions as [`Self::try_fast_advance`]),
-    /// the write is applied as the single delta of the new instant —
-    /// exactly what draining it from the timed-write heap would have done
-    /// — and the caller keeps running ahead of any process it woke.
-    /// Declines by handing the value back for the slow path.
-    fn try_fast_advance_write(
-        &mut self,
-        wake: u64,
-        signal: usize,
-        value: Value,
-    ) -> Result<Option<Value>, SimError> {
-        if !self.try_fast_advance(wake)? {
-            return Ok(Some(value));
-        }
-        self.pending.push((signal, value, false));
-        self.apply_pending();
-        self.wake_on()?;
-        self.total_deltas += 1;
-        Ok(None)
-    }
-
     /// Runs one process until it blocks, sleeps or finishes, then flushes
     /// the executed-instruction counters in one add each.
     fn run_process(&mut self, pid: usize) -> Result<(), SimError> {
@@ -844,7 +728,6 @@ impl<'a> Simulator<'a> {
             sim: self,
             pid,
             steps: 0,
-            instant_steps: 0,
         };
         let result = interp::run(system, &program, pid, &mut act);
         let steps = act.steps;
@@ -860,25 +743,10 @@ impl<'a> Simulator<'a> {
         let waits = self
             .processes
             .iter()
-            .filter_map(|p| {
-                let wait = match &p.status {
-                    Status::Waiting(WaitKind::Signals) => {
-                        let names: Vec<&str> = p
-                            .registered
-                            .iter()
-                            .map(|&s| self.system.signals[s].name.as_str())
-                            .collect();
-                        format!("wait on {}", names.join(", "))
-                    }
-                    Status::Waiting(WaitKind::Until(cond)) => {
-                        format!("wait until {}", render_expr(self.system, &cond.display))
-                    }
-                    Status::Waiting(WaitKind::SignalIs(sig, v)) => {
-                        format!("wait until {} = {v}", self.system.signals[*sig].name)
-                    }
-                    _ => return None,
-                };
-                Some((p.behavior, wait, p.registered.clone()))
+            .filter(|p| p.status == Status::Waiting)
+            .map(|p| {
+                let frame = p.frames.last().expect("a suspended process has a frame");
+                (p.behavior, parked_wait(&self.program, frame))
             })
             .collect();
         DeadlockDiagnosis::assemble(self.system, &self.program, &self.signals, self.time, waits)
@@ -892,7 +760,7 @@ impl<'a> Simulator<'a> {
                 name: self.system.behaviors[p.behavior].name.clone(),
                 finish_time: p.finish_time,
                 iterations: p.iterations,
-                blocked: matches!(p.status, Status::Waiting(_)),
+                blocked: p.status == Status::Waiting,
                 repeats: self.system.behaviors[p.behavior].repeats,
                 active_cycles: p.active_cycles,
                 instrs_executed: p.instrs_executed,
@@ -922,9 +790,7 @@ impl<'a> Simulator<'a> {
         let blocked_at_exit = self
             .processes
             .iter()
-            .filter(|p| {
-                !self.system.behaviors[p.behavior].repeats && !matches!(p.status, Status::Finished)
-            })
+            .filter(|p| !self.system.behaviors[p.behavior].repeats && p.status != Status::Finished)
             .count();
         SimReport {
             time: self.time,
@@ -949,12 +815,9 @@ impl<'a> Simulator<'a> {
 struct Activation<'k, 'a> {
     sim: &'k mut Simulator<'a>,
     pid: usize,
-    /// Instructions executed in this activation.
+    /// Instructions executed in this activation, against the zero-delay
+    /// loop budget: an activation spans one instant.
     steps: u64,
-    /// Zero-delay-loop budget: counts steps at the current instant and
-    /// resets whenever the fast path advances time, so long runs that
-    /// legitimately consume simulated time are never misdiagnosed.
-    instant_steps: u64,
 }
 
 impl Engine for Activation<'_, '_> {
@@ -970,8 +833,7 @@ impl Engine for Activation<'_, '_> {
 
     fn tick(&mut self, _code: CodeRef, _pc: usize) -> Result<(), SimError> {
         self.steps += 1;
-        self.instant_steps += 1;
-        if self.instant_steps > self.sim.config.max_steps_per_activation {
+        if self.steps > self.sim.config.max_steps_per_activation {
             return Err(SimError::ZeroDelayLoop {
                 behavior: self.sim.system.behaviors[self.pid].name.clone(),
                 time: self.sim.time,
@@ -982,36 +844,20 @@ impl Engine for Activation<'_, '_> {
 
     fn before_store(&mut self, _var: usize) {}
 
-    fn elapse(&mut self, cycles: u64, active: bool) -> Result<bool, SimError> {
+    /// The process sleeps until the cycles have passed.
+    fn elapse(&mut self, cycles: u64, active: bool) {
         if active {
             self.sim.processes[self.pid].active_cycles += cycles;
         }
-        let wake = self.sim.time + cycles;
-        if self.sim.try_fast_advance(wake)? {
-            self.instant_steps = 0;
-            return Ok(true);
-        }
-        self.sim.sleep_until(self.pid, wake);
-        Ok(false)
+        self.sim.sleep_until(self.pid, self.sim.time + cycles);
     }
 
-    fn drive(&mut self, signal: usize, value: Value, cost: u32) -> Result<bool, SimError> {
+    fn drive(&mut self, signal: usize, value: Value, cost: u32) {
         if cost == 0 {
             self.sim.pending.push((signal, value, false));
-            return Ok(true);
-        }
-        self.sim.processes[self.pid].active_cycles += u64::from(cost);
-        let wake = self.sim.time + u64::from(cost);
-        match self.sim.try_fast_advance_write(wake, signal, value)? {
-            None => {
-                self.instant_steps = 0;
-                Ok(true)
-            }
-            Some(value) => {
-                self.sim.schedule_write(wake, signal, value, false);
-                self.sim.sleep_until(self.pid, wake);
-                Ok(false)
-            }
+        } else {
+            let at = self.sim.time + u64::from(cost);
+            self.sim.schedule_write(at, signal, value, false);
         }
     }
 
@@ -1020,36 +866,8 @@ impl Engine for Activation<'_, '_> {
     /// bounded wait re-tests the condition.
     fn suspend(&mut self, wait: &WaitSpec) -> bool {
         let (sim, pid) = (&mut *self.sim, self.pid);
-        let deadline = match wait {
-            WaitSpec::OnSignals(signals) => {
-                sim.register_wait(pid, WaitKind::Signals, signals);
-                None
-            }
-            WaitSpec::Until(cond) => {
-                sim.register_wait(pid, WaitKind::Until(Arc::clone(cond)), &cond.sensitivity);
-                None
-            }
-            WaitSpec::UntilTimeout { cond, cycles } => {
-                sim.register_wait(pid, WaitKind::Until(Arc::clone(cond)), &cond.sensitivity);
-                Some(*cycles)
-            }
-            WaitSpec::UntilSignalIs { signal, value } => {
-                let kind = WaitKind::SignalIs(signal.index(), value.clone());
-                sim.register_wait_one(pid, kind, signal.index());
-                None
-            }
-            WaitSpec::UntilSignalIsTimeout {
-                signal,
-                value,
-                cycles,
-            } => {
-                let kind = WaitKind::SignalIs(signal.index(), value.clone());
-                sim.register_wait_one(pid, kind, signal.index());
-                Some(*cycles)
-            }
-            WaitSpec::ForCycles(_) => unreachable!("`wait for` elapses, it never suspends"),
-        };
-        if let Some(cycles) = deadline {
+        sim.register_wait(pid, wait.sensitivity());
+        if let Some(cycles) = wait.timeout() {
             sim.arm_watchdog(pid, sim.time + cycles);
         }
         true

@@ -1,10 +1,6 @@
 //! Per-process runtime state: frames, statuses, resolved places.
 
-use std::sync::Arc;
-
 use ifsyn_spec::{Ty, Value};
-
-use crate::program::CompiledCond;
 
 /// Which code block a frame executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -125,28 +121,14 @@ impl Clone for Frame {
     }
 }
 
-/// Why a process is not currently running.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum WaitKind {
-    /// `wait on ...` — any event on a registered signal resumes.
-    Signals,
-    /// `wait until <expr>` — an event must also make the condition true.
-    ///
-    /// The compiled condition is shared with the instruction stream, so
-    /// suspending costs one reference count, not a clone.
-    Until(Arc<CompiledCond>),
-    /// `wait until <signal> = <const>` — resumable by a single stored
-    /// value compare, no expression evaluation (signal index, value).
-    SignalIs(usize, Value),
-}
-
 /// Scheduler status of a process.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Status {
     /// Runnable now.
     Ready,
-    /// Suspended on a wait statement.
-    Waiting(WaitKind),
+    /// Suspended on a wait statement; the wait is the instruction before
+    /// the process's pc.
+    Waiting,
     /// Suspended until a scheduled wake-up time.
     Sleeping,
     /// Terminated (non-repeating behavior finished its body).

@@ -134,6 +134,28 @@ impl WaitSpec {
             }
         }))
     }
+
+    /// The signals whose events can wake a process suspended on this
+    /// wait, each once: the `wait on` list or the signals the condition
+    /// reads; none for `wait for`.
+    pub(crate) fn sensitivity(&self) -> &[SignalId] {
+        match self {
+            WaitSpec::ForCycles(_) => &[],
+            WaitSpec::OnSignals(signals) => signals,
+            WaitSpec::Until(cond) | WaitSpec::UntilTimeout { cond, .. } => &cond.sensitivity,
+            WaitSpec::UntilSignalIs { signal, .. }
+            | WaitSpec::UntilSignalIsTimeout { signal, .. } => std::slice::from_ref(signal),
+        }
+    }
+
+    /// The watchdog bound of a bounded wait, in cycles.
+    pub(crate) fn timeout(&self) -> Option<u64> {
+        match self {
+            WaitSpec::UntilTimeout { cycles, .. }
+            | WaitSpec::UntilSignalIsTimeout { cycles, .. } => Some(*cycles),
+            _ => None,
+        }
+    }
 }
 
 /// One lowered instruction.
@@ -888,7 +910,17 @@ impl Lowerer<'_> {
     fn compile_wait(&mut self, cond: &WaitCond) -> WaitSpec {
         match cond {
             WaitCond::ForCycles(n) => WaitSpec::ForCycles(*n),
-            WaitCond::OnSignals(signals) => WaitSpec::OnSignals(signals.clone()),
+            WaitCond::OnSignals(signals) => {
+                // Each signal once, as `until` sensitivity lists are: the
+                // kernel registers a waiter once per listed signal.
+                let mut unique = Vec::with_capacity(signals.len());
+                for s in signals {
+                    if !unique.contains(s) {
+                        unique.push(*s);
+                    }
+                }
+                WaitSpec::OnSignals(unique)
+            }
             WaitCond::Until(expr) => {
                 let folded = fold_expr(expr);
                 if let Some(spec) = specialize_wait(self.system, &folded) {

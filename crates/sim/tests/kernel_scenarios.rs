@@ -766,9 +766,9 @@ fn report_carries_scheduler_stats() {
         int_const(9, 16),
         vec![drive_cost(s, resize(load(var(i)), 8), 1), wait_cycles(2)],
     )];
-    // A second process sleeping on its own cadence keeps the scheduler
-    // from fast-forwarding the first one past its suspensions, so the
-    // run genuinely exercises the event heaps.
+    // A second process sleeping on its own cadence interleaves its
+    // wake-ups with the first one's timed writes and sleeps, so the
+    // event heaps hold entries of both.
     let b2 = sys.add_behavior("Q", m);
     sys.behavior_mut(b2).body = vec![
         wait_cycles(3),
@@ -831,4 +831,34 @@ fn channel_send_evaluates_its_address_before_its_data() {
         "{err}"
     );
     assert_checker_agrees(&sys, Err(&err));
+}
+
+#[test]
+fn wait_on_a_repeated_signal_wakes_once_and_is_diagnosed_once() {
+    let (mut sys, m) = shell();
+    let s = sys.add_signal("s", Ty::Bit);
+    let w = sys.add_behavior("W", m);
+    let n = sys.add_variable("n", Ty::Int(8), w);
+    sys.behavior_mut(w).body = vec![
+        wait_on(vec![s, s]),
+        assign(var(n), add(load(var(n)), int_const(1, 8))),
+        wait_on(vec![s, s]),
+    ];
+    let d = sys.add_behavior("D", m);
+    sys.behavior_mut(d).body = vec![drive_cost(s, bit_const(true), 1)];
+    let report = Simulator::new(&sys).unwrap().run_to_quiescence().unwrap();
+    assert_eq!(report.final_variable(n), &Value::int(1, 8));
+    assert_eq!(report.blocked_at_exit(), 1);
+
+    let config = SimConfig::new().with_deadlock_detection();
+    let err = Simulator::with_config(&sys, config)
+        .unwrap()
+        .run_to_quiescence()
+        .expect_err("W waits forever");
+    let SimError::Deadlock { diagnosis } = err else {
+        panic!("expected Deadlock, got {err}");
+    };
+    let blocked = diagnosis.blocked_behavior("W").expect("W is blocked");
+    assert_eq!(blocked.wait, "wait on s");
+    assert_eq!(blocked.observed, vec![("s".to_string(), "'1'".to_string())]);
 }

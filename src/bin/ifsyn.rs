@@ -58,8 +58,8 @@
 //!                          LO..=HI and batch-simulate all of them,
 //!                          printing a finish-time table
 //!   --jobs N               worker threads for --sweep-sim (0 or unset:
-//!                          one per core, or $IFSYN_SWEEP_THREADS); each
-//!                          simulation runs on one thread
+//!                          one per core); each simulation runs on one
+//!                          thread
 //!
 //! `ifsyn analyze` runs the post-simulation bus analyzer: the spec is
 //! synthesized (honoring --width/--protocol/--channels/--min-width/...),
@@ -140,9 +140,6 @@ fn main() -> ExitCode {
 
 fn run() -> Result<(), Box<dyn Error>> {
     let options = parse_args(std::env::args().skip(1))?;
-    if options.jobs > 0 {
-        interface_synthesis::bench::sweep::set_sweep_threads(options.jobs);
-    }
     if options.analyze && options.from_vcd.is_some() {
         return analyze_offline(&options);
     }
@@ -638,7 +635,7 @@ fn sweep_sim(
     }
     let runner = BatchRunner::new().with_jobs(options.jobs);
     println!(
-        "\nbatch-simulating widths {lo}..={hi} over {} worker(s) x 1 sim-thread(s)",
+        "\nbatch-simulating widths {lo}..={hi} over {} worker(s)",
         runner.jobs().min(systems.len().max(1)),
     );
     let reports = runner.run(&systems);
