@@ -46,7 +46,7 @@ use std::sync::Arc;
 use ifsyn_partition::ProcessFootprint;
 use ifsyn_spec::System;
 
-use crate::exec::{CArg, CPlace, CRoot, ExprCode, MicroOp, Src};
+use crate::exec::{CArg, CPlace, CRoot, Cond, ExprCode, IntArg, MicroOp, Slot, Src};
 use crate::process::CodeRef;
 use crate::program::{Code, Instr, WaitSpec};
 
@@ -134,7 +134,6 @@ impl Purity<'_> {
         code.ops.iter().all(|op| match op {
             MicroOp::Unary { a, .. } | MicroOp::Resize { a, .. } => self.src_pure(pid, *a),
             MicroOp::Binary { a, b, .. } => self.src_pure(pid, *a) && self.src_pure(pid, *b),
-            MicroOp::CmpSignalIs { signal, .. } => self.sig_read_pure(pid, *signal as usize),
             MicroOp::Slice { a, .. } => self.src_pure(pid, *a),
             MicroOp::DynSlice { a, offset, .. } => {
                 self.src_pure(pid, *a) && self.src_pure(pid, *offset)
@@ -143,6 +142,29 @@ impl Purity<'_> {
                 self.src_pure(pid, *base) && self.src_pure(pid, *index)
             }
         })
+    }
+
+    fn slot_pure(&self, pid: usize, slot: Slot) -> bool {
+        match slot {
+            Slot::Signal(s) => self.sig_read_pure(pid, s.index()),
+            Slot::Var(v) => self.var_private(pid, v as usize),
+            Slot::Local(_) => true,
+        }
+    }
+
+    /// A condition is pure when every storage it reads is.
+    fn cond_pure(&self, pid: usize, cond: &Cond) -> bool {
+        let int_pure = |arg: &IntArg| match arg {
+            IntArg::Slot(slot) => self.slot_pure(pid, *slot),
+            IntArg::Const { .. } => true,
+        };
+        match cond {
+            Cond::Is { slot, .. } => self.slot_pure(pid, *slot),
+            Cond::IntEq(a, b) | Cond::IntLess { a, b, .. } => int_pure(a) && int_pure(b),
+            Cond::Not(c) => self.cond_pure(pid, c),
+            Cond::And(ab) | Cond::Or(ab) => ab.iter().all(|c| self.cond_pure(pid, c)),
+            Cond::Code(code) => self.expr_pure(pid, code),
+        }
     }
 
     /// Purity of a place, read or written: its root must be private
@@ -178,7 +200,7 @@ impl Purity<'_> {
             // waits, waiter release and properties. Never pure.
             Instr::SignalWrite { .. } => false,
             Instr::Jump(_) => true,
-            Instr::JumpIfNot { cond, .. } => self.expr_pure(pid, cond),
+            Instr::JumpIfNot { cond, .. } => self.cond_pure(pid, cond),
             Instr::LoopInit { var, from, to } => {
                 self.place_pure(pid, var) && self.expr_pure(pid, from) && self.expr_pure(pid, to)
             }

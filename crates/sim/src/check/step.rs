@@ -29,7 +29,7 @@
 
 use ifsyn_spec::Value;
 
-use crate::error::SimError;
+use crate::error::{RunError, SimError};
 use crate::eval::EvalCtx;
 use crate::exec::RegFile;
 use crate::interp::{self, Engine, Store};
@@ -106,13 +106,13 @@ impl Engine for Run<'_, '_> {
         }
     }
 
-    fn tick(&mut self, code: CodeRef, pc: usize) -> Result<(), SimError> {
+    fn tick(&mut self, code: CodeRef, pc: usize) -> Result<(), RunError> {
         self.steps += 1;
         if self.steps > self.ck.config.step_budget {
-            return Err(SimError::eval(format!(
+            return Err(Box::new(SimError::eval(format!(
                 "step budget of {} exceeded in `{}` (zero-cost loop without waits?)",
                 self.ck.config.step_budget, self.ck.system.behaviors[self.pid].name
-            )));
+            ))));
         }
         if self.fx.track && self.fx.pure_run {
             self.fx.pure_run = self
@@ -236,7 +236,7 @@ impl<'a> Checker<'a> {
             signals: &s.signals,
             locals: &frame.locals,
         };
-        wait.holds(&ctx, regs)
+        wait.holds(&ctx, regs).map_err(|e| *e)
     }
 
     /// Runs process `pid` in place, from its current control point in `s`
@@ -302,7 +302,7 @@ impl<'a> Checker<'a> {
             forced: force_timeout,
             stalled: false,
         };
-        interp::run(self.system, &self.program, pid, &mut run)?;
+        interp::run(self.system, &self.program, pid, &mut run).map_err(|e| *e)?;
         Ok((!run.stalled).then_some(run.cost))
     }
 

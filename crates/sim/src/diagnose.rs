@@ -11,6 +11,7 @@ use std::fmt;
 
 use ifsyn_spec::{Expr, System, Value};
 
+use crate::exec::{Cond, Slot};
 use crate::program::{Program, WaitSpec};
 
 /// One blocked process and what it is waiting for.
@@ -150,12 +151,21 @@ fn render_wait(system: &System, wait: &WaitSpec) -> String {
                 .collect();
             format!("wait on {}", names.join(", "))
         }
-        WaitSpec::Until(cond) | WaitSpec::UntilTimeout { cond, .. } => {
-            format!("wait until {}", render_expr(system, &cond.display))
-        }
-        WaitSpec::UntilSignalIs { signal, value }
-        | WaitSpec::UntilSignalIsTimeout { signal, value, .. } => {
-            format!("wait until {} = {value}", system.signal(*signal).name)
+        WaitSpec::Until(until) | WaitSpec::UntilTimeout { until, .. } => {
+            let cond = match (until.display(), &until.cond) {
+                (Some(display), _) => render_expr(system, display),
+                // The handshake idiom keeps no source: it renders with
+                // its constant coerced to the signal's type.
+                (
+                    None,
+                    Cond::Is {
+                        slot: Slot::Signal(s),
+                        value,
+                    },
+                ) => format!("{} = {value}", system.signal(*s).name),
+                (None, _) => "<expr>".to_string(),
+            };
+            format!("wait until {cond}")
         }
     }
 }

@@ -112,6 +112,19 @@ impl fmt::Display for SimError {
 
 impl Error for SimError {}
 
+/// The interpreter's error: a [`SimError`] behind one pointer.
+///
+/// Every instruction, expression and wait check returns a `Result`; with
+/// the seven-word `SimError` inline, each success travels through a
+/// seven-word return slot. Boxed, the success path stays one word. The
+/// engines unbox it where a run hands its result to the public API.
+pub(crate) type RunError = Box<SimError>;
+
+/// A boxed [`SimError::Eval`].
+pub(crate) fn eval_error(message: impl Into<String>) -> RunError {
+    Box::new(SimError::eval(message))
+}
+
 impl SimError {
     /// Convenience constructor for evaluation errors.
     pub fn eval(message: impl Into<String>) -> Self {

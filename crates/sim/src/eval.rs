@@ -12,7 +12,7 @@ use std::ops::Deref;
 
 use ifsyn_spec::{BinOp, BitVec, Expr, Place, System, Ty, UnaryOp, Value};
 
-use crate::error::SimError;
+use crate::error::{eval_error, RunError, SimError};
 use crate::process::CodeRef;
 
 /// Read-only evaluation context: the world as seen by one process.
@@ -126,44 +126,41 @@ pub(crate) fn place_ty(system: &System, code: CodeRef, place: &Place) -> Result<
 pub(crate) fn read_place<'a>(
     ctx: &EvalCtx<'a>,
     place: &'a Place,
-) -> Result<Evaluated<'a>, SimError> {
+) -> Result<Evaluated<'a>, RunError> {
     match place {
         Place::Var(v) => ctx
             .vars
             .get(v.index())
             .map(Evaluated::Ref)
-            .ok_or_else(|| SimError::eval(format!("missing variable {v}"))),
+            .ok_or_else(|| eval_error(format!("missing variable {v}"))),
         Place::Local(slot) => ctx
             .locals
             .get(*slot)
             .map(Evaluated::Ref)
-            .ok_or_else(|| SimError::eval(format!("missing local slot {slot}"))),
+            .ok_or_else(|| eval_error(format!("missing local slot {slot}"))),
         Place::Index { base, index } => {
             let container = read_place(ctx, base)?;
             let i = eval(ctx, index)?.as_i64().map_err(wrap)?;
-            let i = usize::try_from(i)
-                .map_err(|_| SimError::eval(format!("negative array index {i}")))?;
+            let i =
+                usize::try_from(i).map_err(|_| eval_error(format!("negative array index {i}")))?;
             match container {
                 Evaluated::Ref(Value::Array(items)) => items
                     .get(i)
                     .map(Evaluated::Ref)
-                    .ok_or_else(|| SimError::eval(format!("array index {i} out of range"))),
+                    .ok_or_else(|| eval_error(format!("array index {i} out of range"))),
                 Evaluated::Owned(Value::Array(items)) => items
                     .get(i)
                     .cloned()
                     .map(Evaluated::Owned)
-                    .ok_or_else(|| SimError::eval(format!("array index {i} out of range"))),
-                other => Err(SimError::eval(format!(
-                    "indexing non-array value {}",
-                    &*other
-                ))),
+                    .ok_or_else(|| eval_error(format!("array index {i} out of range"))),
+                other => Err(eval_error(format!("indexing non-array value {}", &*other))),
             }
         }
         Place::Slice { base, hi, lo } => {
             let base_v = read_place(ctx, base)?;
             let bits = to_bits_cow(&base_v);
             if *hi >= bits.width() {
-                return Err(SimError::eval(format!(
+                return Err(eval_error(format!(
                     "slice {hi} downto {lo} out of range for width {}",
                     bits.width()
                 )));
@@ -176,29 +173,37 @@ pub(crate) fn read_place<'a>(
             width,
         } => {
             let lo = eval(ctx, offset)?.as_i64().map_err(wrap)?;
-            let lo = u32::try_from(lo)
-                .map_err(|_| SimError::eval(format!("negative slice offset {lo}")))?;
+            let lo =
+                u32::try_from(lo).map_err(|_| eval_error(format!("negative slice offset {lo}")))?;
             let base_v = read_place(ctx, base)?;
             let bits = to_bits_cow(&base_v);
-            let hi = lo + width - 1;
-            if hi >= bits.width() {
-                return Err(SimError::eval(format!(
-                    "dynamic slice {hi} downto {lo} out of range for width {}",
-                    bits.width()
-                )));
-            }
+            let hi = dyn_slice_hi(lo, *width, bits.width())?;
             Ok(Evaluated::Owned(Value::Bits(bits.slice(hi, lo))))
         }
     }
 }
 
-fn wrap(e: ifsyn_spec::SpecError) -> SimError {
-    SimError::eval(e.to_string())
+fn wrap(e: ifsyn_spec::SpecError) -> RunError {
+    eval_error(e.to_string())
+}
+
+/// The high bit of the dynamic slice `width` bits wide at the run-time
+/// offset `lo`, or the out-of-range error when it does not fit a vector
+/// `bits` wide. The sum is taken in `i64`: in `u32`, `lo + width - 1`
+/// overflows for large offsets.
+pub(crate) fn dyn_slice_hi(lo: u32, width: u32, bits: u32) -> Result<u32, RunError> {
+    let hi = i64::from(lo) + i64::from(width) - 1;
+    match u32::try_from(hi) {
+        Ok(hi) if width > 0 && hi < bits => Ok(hi),
+        _ => Err(eval_error(format!(
+            "dynamic slice {hi} downto {lo} out of range for width {bits}"
+        ))),
+    }
 }
 
 /// Evaluates an expression; plain loads come back as borrows, computed
 /// results as owned values.
-pub(crate) fn eval<'a>(ctx: &EvalCtx<'a>, expr: &'a Expr) -> Result<Evaluated<'a>, SimError> {
+pub(crate) fn eval<'a>(ctx: &EvalCtx<'a>, expr: &'a Expr) -> Result<Evaluated<'a>, RunError> {
     match expr {
         Expr::Const(v) => Ok(Evaluated::Ref(v)),
         Expr::Load(place) => read_place(ctx, place),
@@ -206,7 +211,7 @@ pub(crate) fn eval<'a>(ctx: &EvalCtx<'a>, expr: &'a Expr) -> Result<Evaluated<'a
             .signals
             .get(s.index())
             .map(Evaluated::Ref)
-            .ok_or_else(|| SimError::eval(format!("missing signal {s}"))),
+            .ok_or_else(|| eval_error(format!("missing signal {s}"))),
         Expr::Unary { op, arg } => {
             let v = eval(ctx, arg)?;
             eval_unary(*op, &v).map(Evaluated::Owned)
@@ -220,7 +225,7 @@ pub(crate) fn eval<'a>(ctx: &EvalCtx<'a>, expr: &'a Expr) -> Result<Evaluated<'a
             let base_v = eval(ctx, base)?;
             let bits = to_bits_cow(&base_v);
             if *hi >= bits.width() {
-                return Err(SimError::eval(format!(
+                return Err(eval_error(format!(
                     "slice {hi} downto {lo} out of range for width {}",
                     bits.width()
                 )));
@@ -238,23 +243,17 @@ pub(crate) fn eval<'a>(ctx: &EvalCtx<'a>, expr: &'a Expr) -> Result<Evaluated<'a
             width,
         } => {
             let lo = eval(ctx, offset)?.as_i64().map_err(wrap)?;
-            let lo = u32::try_from(lo)
-                .map_err(|_| SimError::eval(format!("negative slice offset {lo}")))?;
+            let lo =
+                u32::try_from(lo).map_err(|_| eval_error(format!("negative slice offset {lo}")))?;
             let base_v = eval(ctx, base)?;
             let bits = to_bits_cow(&base_v);
-            let hi = lo + width - 1;
-            if hi >= bits.width() {
-                return Err(SimError::eval(format!(
-                    "dynamic slice {hi} downto {lo} out of range for width {}",
-                    bits.width()
-                )));
-            }
+            let hi = dyn_slice_hi(lo, *width, bits.width())?;
             Ok(Evaluated::Owned(Value::Bits(bits.slice(hi, lo))))
         }
     }
 }
 
-pub(crate) fn eval_unary(op: UnaryOp, v: &Value) -> Result<Value, SimError> {
+pub(crate) fn eval_unary(op: UnaryOp, v: &Value) -> Result<Value, RunError> {
     match op {
         UnaryOp::Not => match v {
             Value::Bit(b) => Ok(Value::Bit(!b)),
@@ -269,7 +268,7 @@ pub(crate) fn eval_unary(op: UnaryOp, v: &Value) -> Result<Value, SimError> {
     }
 }
 
-pub(crate) fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value, SimError> {
+pub(crate) fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value, RunError> {
     use BinOp::*;
     match op {
         Add | Sub | Mul | Div | Rem | Min | Max => {

@@ -15,20 +15,21 @@
 //!   slice; each op writes one owned [`Value`] into its destination
 //!   register of a per-simulator register file that is reused across all
 //!   evaluations (no per-eval allocation);
-//! * **superinstructions** — the handshake idiom `sig = const` (and its
-//!   negation) compiles to [`MicroOp::CmpSignalIs`] with the constant
-//!   pre-coerced to the signal's type at compile time, so the run-time
-//!   check is one stored-value comparison.
+//! * **typed conditions** — branch and wait conditions compile to a
+//!   [`Cond`] instead: stored-value and integer compares of storage with
+//!   constants, and `and`/`or`/`not` of them, evaluate straight to
+//!   `bool` with no register, no `Value` built and no error path; only
+//!   what they cannot express stays [`ExprCode`].
 //!
 //! The old tree walker ([`crate::eval`]) is kept as the semantic oracle
 //! for the differential test suite.
 
 use std::borrow::Cow;
 
-use ifsyn_spec::{BinOp, BitVec, Ty, UnaryOp, Value};
+use ifsyn_spec::{BinOp, BitVec, SignalId, Ty, UnaryOp, Value};
 
-use crate::error::SimError;
-use crate::eval::{eval_binary, eval_unary, EvalCtx};
+use crate::error::{eval_error, RunError};
+use crate::eval::{dyn_slice_hi, eval_binary, eval_unary, EvalCtx};
 
 /// A micro-op operand: where a value is read from.
 ///
@@ -69,19 +70,6 @@ pub enum MicroOp {
         a: Src,
         /// Right operand.
         b: Src,
-        /// Destination register.
-        dst: u16,
-    },
-    /// Superinstruction for `sig = const` / `sig /= const`: one stored
-    /// value comparison against a pool constant pre-coerced to the
-    /// signal's type at compile time.
-    CmpSignalIs {
-        /// The compared signal, by index.
-        signal: u32,
-        /// Pool index of the pre-coerced constant.
-        pool: u16,
-        /// `true` compiles `/=` (negated comparison).
-        ne: bool,
         /// Destination register.
         dst: u16,
     },
@@ -177,8 +165,8 @@ impl RegFile {
     }
 }
 
-fn missing(kind: &str, idx: usize) -> SimError {
-    SimError::eval(format!("missing {kind} {idx}"))
+fn missing(kind: &str, idx: usize) -> RunError {
+    eval_error(format!("missing {kind} {idx}"))
 }
 
 /// Reads an operand. Register and pool slots are compiler-generated and
@@ -190,7 +178,7 @@ fn fetch<'s>(
     code: &'s ExprCode,
     regs: &'s [Value],
     s: Src,
-) -> Result<&'s Value, SimError> {
+) -> Result<&'s Value, RunError> {
     match s {
         Src::Reg(r) => Ok(&regs[r as usize]),
         Src::Const(c) => Ok(&code.pool[c as usize]),
@@ -218,13 +206,13 @@ fn bits_of(v: &Value) -> Cow<'_, BitVec> {
     }
 }
 
-fn wrap(e: ifsyn_spec::SpecError) -> SimError {
-    SimError::eval(e.to_string())
+fn wrap(e: ifsyn_spec::SpecError) -> RunError {
+    eval_error(e.to_string())
 }
 
-fn slice_checked(bits: &BitVec, hi: u32, lo: u32) -> Result<Value, SimError> {
+fn slice_checked(bits: &BitVec, hi: u32, lo: u32) -> Result<Value, RunError> {
     if hi >= bits.width() {
-        return Err(SimError::eval(format!(
+        return Err(eval_error(format!(
             "slice {hi} downto {lo} out of range for width {}",
             bits.width()
         )));
@@ -239,7 +227,7 @@ fn step<'s>(
     code: &'s ExprCode,
     regs: &'s [Value],
     op: &MicroOp,
-) -> Result<(u16, Value), SimError> {
+) -> Result<(u16, Value), RunError> {
     match op {
         MicroOp::Unary { op, a, dst } => {
             let a = fetch(ctx, code, regs, *a)?;
@@ -249,19 +237,6 @@ fn step<'s>(
             let a = fetch(ctx, code, regs, *a)?;
             let b = fetch(ctx, code, regs, *b)?;
             Ok((*dst, eval_binary(*op, a, b)?))
-        }
-        MicroOp::CmpSignalIs {
-            signal,
-            pool,
-            ne,
-            dst,
-        } => {
-            let cur = ctx
-                .signals
-                .get(*signal as usize)
-                .ok_or_else(|| missing("signal s", *signal as usize))?;
-            let eq = *cur == code.pool[*pool as usize];
-            Ok((*dst, Value::Bit(eq != *ne)))
         }
         MicroOp::Slice { a, hi, lo, dst } => {
             let a = fetch(ctx, code, regs, *a)?;
@@ -274,17 +249,11 @@ fn step<'s>(
             dst,
         } => {
             let lo = fetch(ctx, code, regs, *offset)?.as_i64().map_err(wrap)?;
-            let lo = u32::try_from(lo)
-                .map_err(|_| SimError::eval(format!("negative slice offset {lo}")))?;
+            let lo =
+                u32::try_from(lo).map_err(|_| eval_error(format!("negative slice offset {lo}")))?;
             let a = fetch(ctx, code, regs, *a)?;
             let bits = bits_of(a);
-            let hi = lo + width - 1;
-            if hi >= bits.width() {
-                return Err(SimError::eval(format!(
-                    "dynamic slice {hi} downto {lo} out of range for width {}",
-                    bits.width()
-                )));
-            }
+            let hi = dyn_slice_hi(lo, *width, bits.width())?;
             Ok((*dst, Value::Bits(bits.slice(hi, lo))))
         }
         MicroOp::Resize { a, width, dst } => {
@@ -293,16 +262,16 @@ fn step<'s>(
         }
         MicroOp::Elem { base, index, dst } => {
             let i = fetch(ctx, code, regs, *index)?.as_i64().map_err(wrap)?;
-            let i = usize::try_from(i)
-                .map_err(|_| SimError::eval(format!("negative array index {i}")))?;
+            let i =
+                usize::try_from(i).map_err(|_| eval_error(format!("negative array index {i}")))?;
             let base = fetch(ctx, code, regs, *base)?;
             match base {
                 Value::Array(items) => items
                     .get(i)
                     .cloned()
                     .map(|v| (*dst, v))
-                    .ok_or_else(|| SimError::eval(format!("array index {i} out of range"))),
-                other => Err(SimError::eval(format!("indexing non-array value {other}"))),
+                    .ok_or_else(|| eval_error(format!("array index {i} out of range"))),
+                other => Err(eval_error(format!("indexing non-array value {other}"))),
             }
         }
     }
@@ -315,7 +284,7 @@ pub(crate) fn eval_code<'a>(
     ctx: &EvalCtx<'a>,
     code: &'a ExprCode,
     regs: &'a mut RegFile,
-) -> Result<&'a Value, SimError> {
+) -> Result<&'a Value, RunError> {
     if !code.ops.is_empty() {
         if regs.regs.len() < code.nregs as usize {
             regs.regs.resize(code.nregs as usize, Value::Bit(false));
@@ -326,6 +295,137 @@ pub(crate) fn eval_code<'a>(
         }
     }
     fetch(ctx, code, &regs.regs, code.result)
+}
+
+/// Storage a condition reads in place: a signal, a system variable or a
+/// local slot of the evaluating frame.
+///
+/// Compilation admits a slot only after checking its index and its
+/// declared type (and that an initial value has that type), and every
+/// engine write coerces to the declared type, so reading one cannot
+/// fail.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Slot {
+    /// A signal.
+    Signal(SignalId),
+    /// A system variable, by index.
+    Var(u32),
+    /// A local slot of the evaluating frame.
+    Local(u16),
+}
+
+impl Slot {
+    #[inline]
+    fn read<'v>(self, ctx: &EvalCtx<'v>) -> &'v Value {
+        match self {
+            Slot::Signal(s) => &ctx.signals[s.index()],
+            Slot::Var(i) => &ctx.vars[i as usize],
+            Slot::Local(i) => &ctx.locals[i as usize],
+        }
+    }
+}
+
+/// An operand of an integer compare.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IntArg {
+    /// Storage declared `Int`.
+    Slot(Slot),
+    /// An `Int` constant.
+    Const {
+        /// The value.
+        value: i64,
+        /// Its width in bits.
+        width: u32,
+    },
+}
+
+impl IntArg {
+    /// The operand's value and width. A stored `Int` is not masked to its
+    /// width: a loop counter incremented in place may exceed it.
+    #[inline]
+    fn read(self, ctx: &EvalCtx<'_>) -> (i64, u32) {
+        match self {
+            IntArg::Slot(slot) => match slot.read(ctx) {
+                Value::Int { value, width } => (*value, *width),
+                other => unreachable!("integer storage holds {other}"),
+            },
+            IntArg::Const { value, width } => (value, width),
+        }
+    }
+}
+
+/// The low `width` bits of an integer: the bit pattern packing it to a
+/// [`BitVec`] keeps, zero-extended to 64 bits.
+#[inline]
+fn masked((value, width): (i64, u32)) -> u64 {
+    let bits = value as u64;
+    if width >= 64 {
+        bits
+    } else {
+        bits & ((1u64 << width) - 1)
+    }
+}
+
+/// A compiled branch or wait condition, evaluated straight to `bool`.
+///
+/// Every form but [`Cond::Code`] equals evaluating its source expression
+/// and reading the result as a bit (`eval_binary`, then `as_bool`), bit
+/// for bit, and never fails: compilation checked every slot, index and
+/// type. Compilation nests only such forms under `not`, `and` and `or`,
+/// so their operands may evaluate in any order; a condition with an
+/// operand that can fail stays [`Cond::Code`] as a whole, which fails
+/// exactly where the expression does.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Cond {
+    /// `slot = value` on `Bit` or `Bits` storage: one stored-value
+    /// compare. The constant is pre-coerced to the slot's declared type,
+    /// so equal representations mean equal logical values. A bare `Bit`
+    /// slot compiles as `slot = '1'`, and `not` of one as `slot = '0'`.
+    Is {
+        /// The compared storage.
+        slot: Slot,
+        /// The constant, of the slot's declared type.
+        value: Value,
+    },
+    /// `a = b` on integers: each side masked to its own width, as packing
+    /// it to bits does, and compared at the wider one.
+    IntEq(IntArg, IntArg),
+    /// `a < b`, or `a <= b` when `or_equal`, on the unmasked values
+    /// `as_i64` reads; `>` and `>=` compile with the operands swapped.
+    IntLess {
+        /// Left operand.
+        a: IntArg,
+        /// Right operand.
+        b: IntArg,
+        /// `<=` rather than `<`.
+        or_equal: bool,
+    },
+    /// `not c`.
+    Not(Box<Cond>),
+    /// `a and b`.
+    And(Box<[Cond; 2]>),
+    /// `a or b`.
+    Or(Box<[Cond; 2]>),
+    /// Any other condition: bytecode whose result is read as a bit.
+    Code(ExprCode),
+}
+
+impl Cond {
+    /// Evaluates the condition in `ctx`.
+    pub(crate) fn eval(&self, ctx: &EvalCtx<'_>, regs: &mut RegFile) -> Result<bool, RunError> {
+        Ok(match self {
+            Cond::Is { slot, value } => slot.read(ctx) == value,
+            Cond::IntEq(a, b) => masked(a.read(ctx)) == masked(b.read(ctx)),
+            Cond::IntLess { a, b, or_equal } => {
+                let (a, b) = (a.read(ctx).0, b.read(ctx).0);
+                a < b || (*or_equal && a == b)
+            }
+            Cond::Not(c) => !c.eval(ctx, regs)?,
+            Cond::And(ab) => ab[0].eval(ctx, regs)? && ab[1].eval(ctx, regs)?,
+            Cond::Or(ab) => ab[0].eval(ctx, regs)? || ab[1].eval(ctx, regs)?,
+            Cond::Code(code) => eval_code(ctx, code, regs)?.as_bool().map_err(wrap)?,
+        })
+    }
 }
 
 /// The storage root of a compiled place.

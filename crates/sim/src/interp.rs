@@ -30,9 +30,9 @@
 
 use ifsyn_spec::{ChannelId, ParamMode, System, Ty, Value};
 
-use crate::error::SimError;
+use crate::error::{eval_error, RunError, SimError};
 use crate::eval::{coerce, EvalCtx};
-use crate::exec::{eval_code, CArg, CPath, CPathStep, CPlace, CRoot, ExprCode, RegFile};
+use crate::exec::{eval_code, CArg, CPath, CPathStep, CPlace, CRoot, Cond, ExprCode, RegFile};
 use crate::process::{CodeRef, Frame, ResolvedPlace, Root, Step};
 use crate::program::{Instr, Program, WaitSpec};
 
@@ -56,7 +56,7 @@ pub(crate) trait Engine {
 
     /// Called before each instruction executes, with its location. An
     /// error (a step budget) aborts the run.
-    fn tick(&mut self, code: CodeRef, pc: usize) -> Result<(), SimError>;
+    fn tick(&mut self, code: CodeRef, pc: usize) -> Result<(), RunError>;
 
     /// Called before a store into variable `var` lands, so a run that
     /// crashes midway is still covered.
@@ -92,7 +92,7 @@ pub(crate) fn run<E: Engine>(
     prog: &Program,
     pid: usize,
     e: &mut E,
-) -> Result<(), SimError> {
+) -> Result<(), RunError> {
     let (mut code, mut pc) = {
         let frame = e.store().frames.last().ok_or_else(no_frame)?;
         (frame.code, frame.pc)
@@ -103,7 +103,7 @@ pub(crate) fn run<E: Engine>(
         let instr = block
             .instrs
             .get(pc)
-            .ok_or_else(|| SimError::eval(format!("pc {pc} out of range in `{}`", block.name)))?;
+            .ok_or_else(|| eval_error(format!("pc {pc} out of range in `{}`", block.name)))?;
         match instr {
             Instr::Assign { place, value, cost } => {
                 let v = e.store().eval_owned(value)?;
@@ -132,7 +132,7 @@ pub(crate) fn run<E: Engine>(
             }
             Instr::Jump(target) => pc = *target,
             Instr::JumpIfNot { cond, target } => {
-                pc = if e.store().eval_bool(cond)? {
+                pc = if e.store().test(cond)? {
                     pc + 1
                 } else {
                     *target
@@ -239,11 +239,11 @@ pub(crate) fn run<E: Engine>(
                 let held = e.store().eval_bool(cond)?;
                 let time = e.assert(held);
                 if !held {
-                    return Err(SimError::AssertionFailed {
+                    return Err(Box::new(SimError::AssertionFailed {
                         behavior: sys.behaviors[pid].name.clone(),
                         note: note.clone(),
                         time,
-                    });
+                    }));
                 }
                 pc += 1;
             }
@@ -257,8 +257,8 @@ pub(crate) fn run<E: Engine>(
     }
 }
 
-fn no_frame() -> SimError {
-    SimError::eval("process has no frame".to_string())
+fn no_frame() -> RunError {
+    eval_error("process has no frame".to_string())
 }
 
 fn top(frames: &mut [Frame]) -> &mut Frame {
@@ -266,14 +266,14 @@ fn top(frames: &mut [Frame]) -> &mut Frame {
 }
 
 /// Stores `pc` in the top frame: where the process resumes.
-fn park<E: Engine>(e: &mut E, pc: usize) -> Result<(), SimError> {
+fn park<E: Engine>(e: &mut E, pc: usize) -> Result<(), RunError> {
     top(e.store().frames).pc = pc;
     Ok(())
 }
 
 /// A costed instruction ends the run: `cycles` pass and the process
 /// parks at `pc`.
-fn elapse<E: Engine>(e: &mut E, cycles: u64, active: bool, pc: usize) -> Result<(), SimError> {
+fn elapse<E: Engine>(e: &mut E, cycles: u64, active: bool, pc: usize) -> Result<(), RunError> {
     e.elapse(cycles, active);
     park(e, pc)
 }
@@ -281,7 +281,7 @@ fn elapse<E: Engine>(e: &mut E, cycles: u64, active: bool, pc: usize) -> Result<
 impl Store<'_> {
     /// The evaluation context of the process's current (top) frame, and
     /// the register file.
-    fn scope(&mut self) -> Result<(EvalCtx<'_>, &mut RegFile), SimError> {
+    fn scope(&mut self) -> Result<(EvalCtx<'_>, &mut RegFile), RunError> {
         let frame = self.frames.last().ok_or_else(no_frame)?;
         let ctx = EvalCtx {
             vars: &*self.vars,
@@ -293,61 +293,69 @@ impl Store<'_> {
 
     /// Evaluates compiled code in the process's current scope, borrowing
     /// the result from wherever it lives (register, pool, storage).
-    fn eval<'t>(&'t mut self, code: &'t ExprCode) -> Result<&'t Value, SimError> {
+    fn eval<'t>(&'t mut self, code: &'t ExprCode) -> Result<&'t Value, RunError> {
         let (ctx, regs) = self.scope()?;
         eval_code(&ctx, code, regs)
     }
 
     /// Evaluates to an owned value; constant sources skip the evaluation
     /// context.
-    fn eval_owned(&mut self, code: &ExprCode) -> Result<Value, SimError> {
+    fn eval_owned(&mut self, code: &ExprCode) -> Result<Value, RunError> {
         match code.const_value() {
             Some(c) => Ok(c.clone()),
             None => Ok(self.eval(code)?.clone()),
         }
     }
 
-    fn eval_bool(&mut self, code: &ExprCode) -> Result<bool, SimError> {
+    fn eval_bool(&mut self, code: &ExprCode) -> Result<bool, RunError> {
         self.eval(code)?
             .as_bool()
-            .map_err(|e| SimError::eval(e.to_string()))
+            .map_err(|e| eval_error(e.to_string()))
+    }
+
+    /// Evaluates a branch condition in the process's current scope.
+    fn test(&mut self, cond: &Cond) -> Result<bool, RunError> {
+        let (ctx, regs) = self.scope()?;
+        cond.eval(&ctx, regs)
     }
 
     /// Evaluates to an integer (loop bounds, addresses, slice offsets).
-    fn eval_i64(&mut self, code: &ExprCode) -> Result<i64, SimError> {
+    fn eval_i64(&mut self, code: &ExprCode) -> Result<i64, RunError> {
         self.eval(code)?
             .as_i64()
-            .map_err(|e| SimError::eval(e.to_string()))
+            .map_err(|e| eval_error(e.to_string()))
     }
 
     /// Resolves a compiled path to concrete storage steps; index and
     /// offset code evaluates in the top frame, the root local (if any)
     /// lives in frame `frame_abs`.
-    fn resolve(&mut self, path: &CPath, frame_abs: usize) -> Result<ResolvedPlace, SimError> {
-        let root = match path.root {
-            CRoot::Var(i) => Root::Var(i as usize),
-            CRoot::Local(s) => Root::Local {
-                frame: frame_abs,
-                slot: s as usize,
-            },
-        };
+    fn resolve(&mut self, path: &CPath, frame_abs: usize) -> Result<ResolvedPlace, RunError> {
+        let root = root_in(path.root, frame_abs);
         let mut steps = Vec::with_capacity(path.steps.len());
         for st in path.steps.iter() {
             match st {
                 CPathStep::Elem(code) => {
                     let i = self.eval_i64(code)?;
                     let i = usize::try_from(i)
-                        .map_err(|_| SimError::eval(format!("negative array index {i}")))?;
+                        .map_err(|_| eval_error(format!("negative array index {i}")))?;
                     steps.push(Step::Elem(i));
                 }
                 CPathStep::Slice(hi, lo) => steps.push(Step::Slice(*hi, *lo)),
                 CPathStep::DynSlice(code, width) => {
                     // The offset evaluates once at resolution time, turning
-                    // the dynamic slice into a concrete one.
+                    // the dynamic slice into a concrete one; the target's
+                    // width is checked when the slice is written or read.
                     let lo = self.eval_i64(code)?;
                     let lo = u32::try_from(lo)
-                        .map_err(|_| SimError::eval(format!("negative slice offset {lo}")))?;
-                    steps.push(Step::Slice(lo + width - 1, lo));
+                        .map_err(|_| eval_error(format!("negative slice offset {lo}")))?;
+                    let hi = i64::from(lo) + i64::from(*width) - 1;
+                    let hi = u32::try_from(hi)
+                        .ok()
+                        .filter(|_| *width > 0)
+                        .ok_or_else(|| {
+                            eval_error(format!("dynamic slice {hi} downto {lo} out of range"))
+                        })?;
+                    steps.push(Step::Slice(hi, lo));
                 }
             }
         }
@@ -361,7 +369,7 @@ impl Store<'_> {
         sys: &System,
         place: &CPlace,
         frame_abs: usize,
-    ) -> Result<(ResolvedPlace, Ty), SimError> {
+    ) -> Result<(ResolvedPlace, Ty), RunError> {
         match place {
             CPlace::Var(i) => {
                 let decl = sys
@@ -391,7 +399,7 @@ impl Store<'_> {
     }
 
     /// Reads a compiled place's current value.
-    fn read_place(&mut self, place: &CPlace) -> Result<Value, SimError> {
+    fn read_place(&mut self, place: &CPlace) -> Result<Value, RunError> {
         match place {
             CPlace::Var(i) => self
                 .vars
@@ -414,7 +422,7 @@ impl Store<'_> {
     }
 
     /// Reads the value at a resolved path.
-    fn read_resolved(&self, rp: &ResolvedPlace) -> Result<Value, SimError> {
+    fn read_resolved(&self, rp: &ResolvedPlace) -> Result<Value, RunError> {
         let mut cur: &Value = match rp.root {
             Root::Var(i) => self.vars.get(i).ok_or_else(|| missing_var(i))?,
             Root::Local { frame, slot } => self
@@ -427,23 +435,21 @@ impl Store<'_> {
             match step {
                 Step::Elem(idx) => match cur {
                     Value::Array(items) => {
-                        cur = items.get(*idx).ok_or_else(|| {
-                            SimError::eval(format!("array index {idx} out of range"))
-                        })?;
+                        cur = items
+                            .get(*idx)
+                            .ok_or_else(|| eval_error(format!("array index {idx} out of range")))?;
                     }
-                    other => {
-                        return Err(SimError::eval(format!("indexing non-array value {other}")))
-                    }
+                    other => return Err(eval_error(format!("indexing non-array value {other}"))),
                 },
                 Step::Slice(hi, lo) => {
                     if i + 1 != rp.steps.len() {
-                        return Err(SimError::eval(
+                        return Err(eval_error(
                             "slice must be the last projection of a write target".to_string(),
                         ));
                     }
                     let bits = cur.to_bits();
                     if *hi >= bits.width() {
-                        return Err(SimError::eval(format!(
+                        return Err(eval_error(format!(
                             "slice {hi} downto {lo} out of range for width {}",
                             bits.width()
                         )));
@@ -457,7 +463,7 @@ impl Store<'_> {
 
     /// Reads a loop counter. Counters are whole int variables or locals
     /// in practice; those are read without an evaluation context.
-    fn read_counter(&mut self, var: &CPlace) -> Result<i64, SimError> {
+    fn read_counter(&mut self, var: &CPlace) -> Result<i64, RunError> {
         let whole = match var {
             CPlace::Var(v) => self.vars.get(*v as usize),
             CPlace::Local(slot) => self
@@ -471,13 +477,13 @@ impl Store<'_> {
         }
         self.read_place(var)?
             .as_i64()
-            .map_err(|e| SimError::eval(e.to_string()))
+            .map_err(|e| eval_error(e.to_string()))
     }
 
     /// Pushes a procedure frame: `in` arguments evaluate into their
     /// slots, `out`/`inout` actuals are resolved now for the copy-back
     /// at return.
-    fn enter(&mut self, sys: &System, procedure: usize, args: &[CArg]) -> Result<(), SimError> {
+    fn enter(&mut self, sys: &System, procedure: usize, args: &[CArg]) -> Result<(), RunError> {
         let proc = &sys.procedures[procedure];
         let caller_frame_abs = self.frames.len() - 1;
         let mut locals = Vec::with_capacity(proc.slot_count());
@@ -498,7 +504,7 @@ impl Store<'_> {
                     copyback.push((i, rp, ty));
                 }
                 _ => {
-                    return Err(SimError::eval(format!(
+                    return Err(eval_error(format!(
                         "argument mode mismatch calling `{}`",
                         proc.name
                     )))
@@ -515,6 +521,17 @@ impl Store<'_> {
     }
 }
 
+/// The storage a compiled place's root names, locals in frame `frame`.
+fn root_in(root: CRoot, frame: usize) -> Root {
+    match root {
+        CRoot::Var(i) => Root::Var(i as usize),
+        CRoot::Local(slot) => Root::Local {
+            frame,
+            slot: slot as usize,
+        },
+    }
+}
+
 fn whole(root: Root) -> ResolvedPlace {
     ResolvedPlace {
         root,
@@ -522,16 +539,16 @@ fn whole(root: Root) -> ResolvedPlace {
     }
 }
 
-fn missing_var(i: usize) -> SimError {
-    SimError::eval(format!("missing variable v{i}"))
+fn missing_var(i: usize) -> RunError {
+    eval_error(format!("missing variable v{i}"))
 }
 
-fn missing_slot(slot: usize) -> SimError {
-    SimError::eval(format!("missing local slot {slot}"))
+fn missing_slot(slot: usize) -> RunError {
+    eval_error(format!("missing local slot {slot}"))
 }
 
 /// The declared type of a local slot of a frame running `code`.
-fn local_ty(sys: &System, code: CodeRef, slot: usize) -> Result<&Ty, SimError> {
+fn local_ty(sys: &System, code: CodeRef, slot: usize) -> Result<&Ty, RunError> {
     match code {
         CodeRef::Procedure(p) => {
             let proc = &sys.procedures[p];
@@ -541,7 +558,7 @@ fn local_ty(sys: &System, code: CodeRef, slot: usize) -> Result<&Ty, SimError> {
                 Err(missing_slot(slot))
             }
         }
-        CodeRef::Behavior(_) => Err(SimError::eval(
+        CodeRef::Behavior(_) => Err(eval_error(
             "local slot referenced outside a procedure".to_string(),
         )),
     }
@@ -549,10 +566,10 @@ fn local_ty(sys: &System, code: CodeRef, slot: usize) -> Result<&Ty, SimError> {
 
 /// The error for a compiled place whose type could not be resolved at
 /// compile time (today: a local referenced from a behavior body).
-fn untyped_place_error(root: &CRoot) -> SimError {
+fn untyped_place_error(root: &CRoot) -> RunError {
     match root {
-        CRoot::Local(_) => SimError::eval("local slot referenced outside a procedure".to_string()),
-        CRoot::Var(_) => SimError::eval("place cannot be typed in this scope".to_string()),
+        CRoot::Local(_) => eval_error("local slot referenced outside a procedure".to_string()),
+        CRoot::Var(_) => eval_error("place cannot be typed in this scope".to_string()),
     }
 }
 
@@ -563,7 +580,7 @@ fn write_place<E: Engine>(
     e: &mut E,
     place: &CPlace,
     value: Value,
-) -> Result<(), SimError> {
+) -> Result<(), RunError> {
     match place {
         // Whole-variable and whole-local writes (the overwhelmingly
         // common case) skip place resolution entirely.
@@ -587,19 +604,32 @@ fn write_place<E: Engine>(
                 .as_ref()
                 .ok_or_else(|| untyped_place_error(&path.root))?;
             let mut st = e.store();
-            let rp = st.resolve(path, st.frames.len() - 1)?;
-            write_resolved(e, &rp, coerce(value, ty))
+            let top = st.frames.len() - 1;
+            // A static slice of a whole variable or local (a protocol's
+            // `msg(7 downto 0) := ...`) has nothing to resolve: it is
+            // written in place, with no step list built.
+            if let [CPathStep::Slice(hi, lo)] = *path.steps {
+                let root = root_in(path.root, top);
+                return write_at(e, root, &[Step::Slice(hi, lo)], coerce(value, ty));
+            }
+            let rp = st.resolve(path, top)?;
+            write_at(e, rp.root, &rp.steps, coerce(value, ty))
         }
     }
 }
 
-/// Writes `value` at a resolved place of the running process.
-fn write_resolved<E: Engine>(e: &mut E, rp: &ResolvedPlace, value: Value) -> Result<(), SimError> {
-    if let Root::Var(i) = rp.root {
+/// Writes `value` at `steps` below `root` in the running process.
+fn write_at<E: Engine>(
+    e: &mut E,
+    root: Root,
+    steps: &[Step],
+    value: Value,
+) -> Result<(), RunError> {
+    if let Root::Var(i) = root {
         e.before_store(i);
     }
     let st = e.store();
-    let root: &mut Value = match rp.root {
+    let root: &mut Value = match root {
         Root::Var(i) => st.vars.get_mut(i).ok_or_else(|| missing_var(i))?,
         Root::Local { frame, slot } => st
             .frames
@@ -607,11 +637,11 @@ fn write_resolved<E: Engine>(e: &mut E, rp: &ResolvedPlace, value: Value) -> Res
             .and_then(|f| f.locals.get_mut(slot))
             .ok_or_else(|| missing_slot(slot))?,
     };
-    write_steps(root, &rp.steps, value)
+    write_steps(root, steps, value)
 }
 
 /// Writes `value` through a resolved navigation path.
-fn write_steps(root: &mut Value, steps: &[Step], value: Value) -> Result<(), SimError> {
+fn write_steps(root: &mut Value, steps: &[Step], value: Value) -> Result<(), RunError> {
     match steps.split_first() {
         None => {
             *root = value;
@@ -621,21 +651,21 @@ fn write_steps(root: &mut Value, steps: &[Step], value: Value) -> Result<(), Sim
             Value::Array(items) => {
                 let slot = items
                     .get_mut(*i)
-                    .ok_or_else(|| SimError::eval(format!("array index {i} out of range")))?;
+                    .ok_or_else(|| eval_error(format!("array index {i} out of range")))?;
                 write_steps(slot, rest, value)
             }
-            other => Err(SimError::eval(format!("indexing non-array value {other}"))),
+            other => Err(eval_error(format!("indexing non-array value {other}"))),
         },
         Some((Step::Slice(hi, lo), rest)) => {
             if !rest.is_empty() {
-                return Err(SimError::eval(
+                return Err(eval_error(
                     "slice must be the last projection of a write target".to_string(),
                 ));
             }
             let ty = root.ty();
             let mut bits = root.to_bits();
             if *hi >= bits.width() {
-                return Err(SimError::eval(format!(
+                return Err(eval_error(format!(
                     "slice {hi} downto {lo} out of range for width {}",
                     bits.width()
                 )));
@@ -651,7 +681,7 @@ fn write_steps(root: &mut Value, steps: &[Step], value: Value) -> Result<(), Sim
 ///
 /// Whole int counters increment in place: stored values are unmasked,
 /// so this matches rebuilding the value and writing it back.
-fn increment<E: Engine>(sys: &System, e: &mut E, var: &CPlace) -> Result<i64, SimError> {
+fn increment<E: Engine>(sys: &System, e: &mut E, var: &CPlace) -> Result<i64, RunError> {
     fn bump(v: Option<&mut Value>) -> Option<i64> {
         match v {
             Some(Value::Int { value, width }) if *width > 0 => {
@@ -683,7 +713,7 @@ fn increment<E: Engine>(sys: &System, e: &mut E, var: &CPlace) -> Result<i64, Si
         return Ok(v);
     }
     let cur = e.store().read_place(var)?;
-    let v = cur.as_i64().map_err(|e| SimError::eval(e.to_string()))?;
+    let v = cur.as_i64().map_err(|e| eval_error(e.to_string()))?;
     let width = match &cur {
         Value::Int { width, .. } => *width,
         other => other.ty().bit_width(),
@@ -695,12 +725,12 @@ fn increment<E: Engine>(sys: &System, e: &mut E, var: &CPlace) -> Result<i64, Si
 /// Branches on a loop counter's value `v`: past the innermost bound, the
 /// bound is popped and the loop exits; otherwise execution goes on at
 /// `stay`.
-fn loop_next(frames: &mut [Frame], v: i64, stay: usize, exit: usize) -> Result<usize, SimError> {
+fn loop_next(frames: &mut [Frame], v: i64, stay: usize, exit: usize) -> Result<usize, RunError> {
     let frame = top(frames);
     let bound = *frame
         .loop_bounds
         .last()
-        .ok_or_else(|| SimError::eval("loop bound stack empty".to_string()))?;
+        .ok_or_else(|| eval_error("loop bound stack empty".to_string()))?;
     if v > bound {
         frame.loop_bounds.pop();
         Ok(exit)
@@ -711,7 +741,7 @@ fn loop_next(frames: &mut [Frame], v: i64, stay: usize, exit: usize) -> Result<u
 
 /// Pops the top frame, applying its out/inout copy-backs to the places
 /// resolved at the call.
-fn leave_frame<E: Engine>(e: &mut E) -> Result<(), SimError> {
+fn leave_frame<E: Engine>(e: &mut E) -> Result<(), RunError> {
     let frame = e
         .store()
         .frames
@@ -719,7 +749,7 @@ fn leave_frame<E: Engine>(e: &mut E) -> Result<(), SimError> {
         .expect("a running process has a frame");
     for (slot, rp, ty) in &frame.copyback {
         let v = coerce(frame.locals[*slot].clone(), ty);
-        write_resolved(e, rp, v)?;
+        write_at(e, rp.root, &rp.steps, v)?;
     }
     Ok(())
 }
@@ -731,7 +761,7 @@ fn channel_write<E: Engine>(
     channel: ChannelId,
     addr: Option<i64>,
     data: Value,
-) -> Result<(), SimError> {
+) -> Result<(), RunError> {
     let var = sys.channel(channel).variable.index();
     let ty = &sys.variables[var].ty;
     e.before_store(var);
@@ -739,20 +769,20 @@ fn channel_write<E: Engine>(
     match addr {
         Some(i) => {
             let i = usize::try_from(i)
-                .map_err(|_| SimError::eval(format!("negative channel address {i}")))?;
+                .map_err(|_| eval_error(format!("negative channel address {i}")))?;
             let elem_ty = match ty {
                 Ty::Array { elem, .. } => &**elem,
                 other => other,
             };
             match &mut vars[var] {
                 Value::Array(items) => {
-                    let slot = items.get_mut(i).ok_or_else(|| {
-                        SimError::eval(format!("channel address {i} out of range"))
-                    })?;
+                    let slot = items
+                        .get_mut(i)
+                        .ok_or_else(|| eval_error(format!("channel address {i} out of range")))?;
                     *slot = coerce(data, elem_ty);
                 }
                 _ => {
-                    return Err(SimError::eval(
+                    return Err(eval_error(
                         "addressed channel write to non-array variable".to_string(),
                     ))
                 }
@@ -769,18 +799,18 @@ fn channel_read(
     vars: &[Value],
     channel: ChannelId,
     addr: Option<i64>,
-) -> Result<Value, SimError> {
+) -> Result<Value, RunError> {
     let var = sys.channel(channel).variable.index();
     match addr {
         Some(i) => {
             let i = usize::try_from(i)
-                .map_err(|_| SimError::eval(format!("negative channel address {i}")))?;
+                .map_err(|_| eval_error(format!("negative channel address {i}")))?;
             match &vars[var] {
                 Value::Array(items) => items
                     .get(i)
                     .cloned()
-                    .ok_or_else(|| SimError::eval(format!("channel address {i} out of range"))),
-                _ => Err(SimError::eval(
+                    .ok_or_else(|| eval_error(format!("channel address {i} out of range"))),
+                _ => Err(eval_error(
                     "addressed channel read from non-array variable".to_string(),
                 )),
             }

@@ -16,7 +16,7 @@ use ifsyn_spec::{BitVec, SignalId, System, Value};
 
 use crate::config::SimConfig;
 use crate::diagnose::DeadlockDiagnosis;
-use crate::error::SimError;
+use crate::error::{RunError, SimError};
 use crate::eval::{coerce, EvalCtx};
 use crate::exec::RegFile;
 use crate::fault::{FaultKind, InjectedFault};
@@ -93,6 +93,18 @@ fn parked_wait<'p>(program: &'p Program, frame: &Frame) -> &'p WaitSpec {
     {
         Some(Instr::Wait(wait)) => wait,
         _ => panic!("a suspended process is parked past its wait"),
+    }
+}
+
+/// Takes waiting process `pid` off the waiter list of every signal its
+/// parked `wait` is sensitive to: the lists `register_wait` put it on.
+fn unwait(waiters: &mut [Vec<usize>], pid: usize, wait: &WaitSpec) {
+    for s in wait.sensitivity() {
+        let list = &mut waiters[s.index()];
+        // Waiter lists are unordered: swap-remove instead of retain.
+        if let Some(pos) = list.iter().position(|&p| p == pid) {
+            list.swap_remove(pos);
+        }
     }
 }
 
@@ -525,7 +537,7 @@ impl<'a> Simulator<'a> {
         loop {
             if !self.pending.is_empty() {
                 self.apply_pending();
-                self.wake_on()?;
+                self.wake_on().map_err(|e| *e)?;
                 deltas += 1;
                 self.total_deltas += 1;
                 if deltas > self.config.max_deltas_per_instant {
@@ -618,53 +630,46 @@ impl<'a> Simulator<'a> {
     /// Wakes processes sensitive to the signals in the `changed` buffer
     /// whose parked wait now holds; a `wait on` has no condition, so any
     /// event on its list wakes it.
-    fn wake_on(&mut self) -> Result<(), SimError> {
+    fn wake_on(&mut self) -> Result<(), RunError> {
         for ci in 0..self.changed.len() {
             let sig = self.changed[ci];
             // Iterate the waiter list in place: when a process wakes,
-            // `make_ready` swap-removes its entry, so the slot at `i` is
+            // `unwait` swap-removes its entry, so the slot at `i` is
             // refilled and the index only advances past survivors. No
             // process can suspend during a wake sweep, so no new entries
             // appear behind us.
             let mut i = 0;
             while i < self.waiters[sig].len() {
                 let pid = self.waiters[sig][i];
-                if self.parked_wait_holds(pid)? == Some(false) {
+                let frame = self.processes[pid]
+                    .frames
+                    .last()
+                    .expect("a suspended process has a frame");
+                let wait = parked_wait(&self.program, frame);
+                let ctx = EvalCtx {
+                    vars: &self.vars,
+                    signals: &self.signals,
+                    locals: &frame.locals,
+                };
+                if wait.holds(&ctx, &mut self.regs)? == Some(false) {
                     i += 1;
                 } else {
-                    self.make_ready(pid);
+                    unwait(&mut self.waiters, pid, wait);
+                    self.processes[pid].status = Status::Ready;
+                    self.ready.push_back(pid);
                 }
             }
         }
         Ok(())
     }
 
-    /// [`WaitSpec::holds`] for the wait process `pid` is parked past, in
-    /// its scope.
-    fn parked_wait_holds(&mut self, pid: usize) -> Result<Option<bool>, SimError> {
+    /// Readies a waiting process whose watchdog expired.
+    fn make_ready(&mut self, pid: usize) {
         let frame = self.processes[pid]
             .frames
             .last()
             .expect("a suspended process has a frame");
-        let ctx = EvalCtx {
-            vars: &self.vars,
-            signals: &self.signals,
-            locals: &frame.locals,
-        };
-        parked_wait(&self.program, frame).holds(&ctx, &mut self.regs)
-    }
-
-    fn make_ready(&mut self, pid: usize) {
-        let mut registered = std::mem::take(&mut self.processes[pid].registered);
-        for &sig in &registered {
-            // Waiter lists are unordered: swap-remove instead of retain.
-            if let Some(pos) = self.waiters[sig].iter().position(|&p| p == pid) {
-                self.waiters[sig].swap_remove(pos);
-            }
-        }
-        registered.clear();
-        // Hand the emptied buffer back so its capacity is reused.
-        self.processes[pid].registered = registered;
+        unwait(&mut self.waiters, pid, parked_wait(&self.program, frame));
         self.processes[pid].status = Status::Ready;
         self.ready.push_back(pid);
     }
@@ -696,16 +701,15 @@ impl<'a> Simulator<'a> {
     }
 
     /// Registers process `pid` as a waiter on every signal of
-    /// `sensitivity`, which compilation made duplicate-free.
+    /// `sensitivity`, which compilation made duplicate-free. Waking takes
+    /// it off the same lists: those of the wait it is parked past.
     fn register_wait(&mut self, pid: usize, sensitivity: &[SignalId]) {
         let p = &mut self.processes[pid];
         // A fresh generation invalidates any watchdog entry left over from
         // an earlier suspension of this process.
         p.wait_gen += 1;
-        p.registered.clear();
         for s in sensitivity {
             self.waiters[s.index()].push(pid);
-            p.registered.push(s.index());
         }
         p.status = Status::Waiting;
     }
@@ -734,7 +738,7 @@ impl<'a> Simulator<'a> {
         self.program = program;
         self.total_instrs += steps;
         self.processes[pid].instrs_executed += steps;
-        result
+        result.map_err(|e| *e)
     }
 
     /// Builds the per-process wait diagnosis, or `None` when nothing is
@@ -831,13 +835,13 @@ impl Engine for Activation<'_, '_> {
         }
     }
 
-    fn tick(&mut self, _code: CodeRef, _pc: usize) -> Result<(), SimError> {
+    fn tick(&mut self, _code: CodeRef, _pc: usize) -> Result<(), RunError> {
         self.steps += 1;
         if self.steps > self.sim.config.max_steps_per_activation {
-            return Err(SimError::ZeroDelayLoop {
+            return Err(Box::new(SimError::ZeroDelayLoop {
                 behavior: self.sim.system.behaviors[self.pid].name.clone(),
                 time: self.sim.time,
-            });
+            }));
         }
         Ok(())
     }

@@ -69,10 +69,10 @@ pub use check::{
 pub use config::SimConfig;
 pub use diagnose::{BlockedWait, DeadlockDiagnosis};
 pub use error::SimError;
-pub use exec::{ExprCode, MicroOp, Src};
+pub use exec::{Cond, ExprCode, IntArg, MicroOp, Slot, Src};
 pub use fault::{Fault, FaultKind, FaultPlan, InjectedFault};
 pub use kernel::Simulator;
-pub use program::{Code, CodeCache, CompiledCond, Instr, Program, WaitSpec};
+pub use program::{Code, CodeCache, Instr, Program, Until, WaitSpec};
 pub use report::{SimReport, TraceEvent};
 
 /// Test-support surface: evaluate one expression through each engine.
@@ -87,40 +87,59 @@ pub mod testing {
     use crate::error::SimError;
     use crate::eval::{self, EvalCtx};
     use crate::exec::{self, RegFile};
+    use crate::process::CodeRef;
     use crate::program;
 
-    /// Evaluates `expr` with the reference tree-walking interpreter in a
-    /// frameless (behavior-scope) context over the given storage.
-    pub fn eval_tree(
-        system: &System,
-        vars: &[Value],
-        signals: &[Value],
-        expr: &Expr,
-    ) -> Result<Value, SimError> {
-        let _ = system;
-        let ctx = EvalCtx {
-            vars,
-            signals,
-            locals: &[],
-        };
-        eval::eval(&ctx, expr).map(|e| e.into_owned())
+    /// The storage one evaluation sees: system variables and signals, and
+    /// the local slots of a frame of `procedure` (`None`: a behavior body,
+    /// with no locals).
+    #[derive(Debug, Clone, Copy)]
+    pub struct Scope<'a> {
+        /// Variable values, indexed like `System::variables`.
+        pub vars: &'a [Value],
+        /// Signal values, indexed like `System::signals`.
+        pub signals: &'a [Value],
+        /// The procedure whose frame the evaluation runs in.
+        pub procedure: Option<usize>,
+        /// That frame's local slots, parameters first.
+        pub locals: &'a [Value],
+    }
+
+    impl<'a> Scope<'a> {
+        fn ctx(&self) -> EvalCtx<'a> {
+            EvalCtx {
+                vars: self.vars,
+                signals: self.signals,
+                locals: self.locals,
+            }
+        }
+    }
+
+    /// Evaluates `expr` with the reference tree-walking interpreter.
+    pub fn eval_tree(scope: Scope<'_>, expr: &Expr) -> Result<Value, SimError> {
+        eval::eval(&scope.ctx(), expr)
+            .map(|e| e.into_owned())
+            .map_err(|e| *e)
     }
 
     /// Evaluates `expr` through the production pipeline: constant fold,
     /// compile to register bytecode, execute with a fresh register file.
-    pub fn eval_bytecode(
-        system: &System,
-        vars: &[Value],
-        signals: &[Value],
-        expr: &Expr,
-    ) -> Result<Value, SimError> {
-        let code = program::fold_and_compile(system, expr);
-        let ctx = EvalCtx {
-            vars,
-            signals,
-            locals: &[],
-        };
+    pub fn eval_bytecode(scope: Scope<'_>, expr: &Expr) -> Result<Value, SimError> {
+        let code = program::fold_and_compile(expr);
         let mut regs = RegFile::new();
-        exec::eval_code(&ctx, &code, &mut regs).cloned()
+        exec::eval_code(&scope.ctx(), &code, &mut regs)
+            .cloned()
+            .map_err(|e| *e)
+    }
+
+    /// Evaluates `expr` as a branch condition: constant fold, compile to
+    /// a [`crate::Cond`] in the scope's block, evaluate to `bool`.
+    pub fn eval_cond(system: &System, scope: Scope<'_>, expr: &Expr) -> Result<bool, SimError> {
+        let block = scope
+            .procedure
+            .map_or(CodeRef::Behavior(0), CodeRef::Procedure);
+        let cond = program::fold_and_compile_cond(system, block, expr);
+        let mut regs = RegFile::new();
+        cond.eval(&scope.ctx(), &mut regs).map_err(|e| *e)
     }
 }

@@ -144,8 +144,6 @@ pub(crate) struct Process {
     pub frames: Vec<Frame>,
     /// Scheduler status.
     pub status: Status,
-    /// Signals this process is currently registered on as a waiter.
-    pub registered: Vec<usize>,
     /// Monotonic wait-registration counter. Each `register_wait`
     /// increments it, so a `(pid, wait_gen)` pair identifies one specific
     /// suspension — watchdog heap entries carry the pair and are skipped
@@ -168,7 +166,6 @@ impl Process {
             behavior,
             frames: vec![Frame::new(CodeRef::Behavior(behavior), Vec::new())],
             status: Status::Ready,
-            registered: Vec::new(),
             wait_gen: 0,
             finish_time: None,
             iterations: 0,

@@ -12,16 +12,20 @@
 //!   resizes over constants) evaluate once here;
 //! * **bytecode compilation** — every folded expression compiles to an
 //!   [`ExprCode`] micro-op sequence over a reusable register file (see
-//!   [`crate::exec`]), with leaf loads flattened into operand slots and
-//!   the `sig = const` idiom fused into one compare superinstruction;
+//!   [`crate::exec`]), with leaf loads flattened into operand slots;
+//! * **condition compilation** — every branch (`if`, `while`) and wait
+//!   (`wait until`) condition compiles to a [`Cond`] that evaluates
+//!   straight to `bool`: a compare of a signal, variable or local with a
+//!   constant (pre-coerced to the storage's declared type) is one stored
+//!   value compare, integer compares read the stored integers, and only
+//!   what these cannot express stays bytecode ([`Cond::Code`]);
 //! * **place compilation** — assignment targets become [`CPlace`], with
 //!   whole-variable/local writes reduced to a bare index and deeper
 //!   paths carrying their target type resolved at compile time;
-//! * **wait compilation** — `wait until` conditions lower to a
-//!   [`WaitSpec::Until`] carrying a [`CompiledCond`] (bytecode plus the
-//!   display expression and signal sensitivity) behind an `Arc`, with
-//!   the single-signal handshake idioms specialized to a stored-value
-//!   compare ([`WaitSpec::UntilSignalIs`]);
+//! * **wait compilation** — a `wait until` lowers to a [`WaitSpec::Until`]
+//!   holding its [`Cond`] inline, plus the folded source expression and
+//!   signal sensitivity for every condition but the handshake idiom
+//!   `sig = const`, whose compare names both;
 //! * **loop fusion** — the loop back-edge is one fused
 //!   increment-test-branch instruction ([`Instr::LoopIncr`]) instead of
 //!   an increment, a jump and a separate guard dispatch.
@@ -44,30 +48,74 @@ use ifsyn_spec::{
     WaitCond,
 };
 
-use crate::error::SimError;
-use crate::eval::{coerce, eval_binary, eval_unary, place_ty, EvalCtx};
+use crate::error::RunError;
+use crate::eval::{coerce, dyn_slice_hi, eval_binary, eval_unary, place_ty, EvalCtx};
 use crate::exec::{
-    eval_code, CArg, CPath, CPathStep, CPlace, CRoot, ExprCode, MicroOp, RegFile, Src,
+    CArg, CPath, CPathStep, CPlace, CRoot, Cond, ExprCode, IntArg, MicroOp, RegFile, Slot, Src,
 };
 use crate::process::CodeRef;
 
-/// A compiled `wait until` condition: the bytecode to test it, the folded
-/// source expression for diagnostics, and the signals it is sensitive to.
+/// A compiled `wait until` condition.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CompiledCond {
-    /// The condition compiled to micro-ops.
-    pub code: ExprCode,
-    /// The folded expression, kept only for diagnosis rendering.
-    pub display: Expr,
-    /// Signals appearing in the condition, collected at compile time.
-    pub sensitivity: Vec<SignalId>,
+pub struct Until {
+    /// The condition.
+    pub cond: Cond,
+    /// The folded source expression and the signals it reads, for every
+    /// condition but a [`Cond::Is`] on a signal: that compare names its
+    /// one signal and renders as `sig = value` itself. Keeping the
+    /// handshake idiom free of allocations keeps a sweep's cached blocks
+    /// small.
+    source: Option<Box<CondSource>>,
 }
 
-/// A compiled wait condition.
-///
-/// The run-time shape of [`WaitCond`]: `until` conditions carry their
-/// compiled form behind an `Arc` so a suspending process can hold the
-/// condition without cloning anything.
+#[derive(Debug, Clone, PartialEq)]
+struct CondSource {
+    display: Expr,
+    sensitivity: Vec<SignalId>,
+}
+
+impl Until {
+    fn new(cond: Cond, folded: Expr) -> Self {
+        let source = match cond {
+            Cond::Is {
+                slot: Slot::Signal(_),
+                ..
+            } => None,
+            _ => {
+                let mut sensitivity = Vec::new();
+                folded.collect_signals(&mut sensitivity);
+                Some(Box::new(CondSource {
+                    display: folded,
+                    sensitivity,
+                }))
+            }
+        };
+        Self { cond, source }
+    }
+
+    /// The folded source expression, for diagnosis; `None` for a
+    /// [`Cond::Is`] on a signal.
+    pub(crate) fn display(&self) -> Option<&Expr> {
+        self.source.as_ref().map(|s| &s.display)
+    }
+
+    /// The signals the condition reads, each once.
+    pub(crate) fn sensitivity(&self) -> &[SignalId] {
+        match (&self.source, &self.cond) {
+            (Some(source), _) => &source.sensitivity,
+            (
+                None,
+                Cond::Is {
+                    slot: Slot::Signal(s),
+                    ..
+                },
+            ) => std::slice::from_ref(s),
+            (None, _) => &[],
+        }
+    }
+}
+
+/// A compiled wait condition: the run-time shape of [`WaitCond`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum WaitSpec {
     /// Suspend for a fixed number of cycles.
@@ -75,20 +123,7 @@ pub enum WaitSpec {
     /// Suspend until an event on any of the listed signals.
     OnSignals(Vec<SignalId>),
     /// Suspend until an event makes the condition true (level-sensitive).
-    Until(Arc<CompiledCond>),
-    /// Suspend until `signal` holds exactly `value` (level-sensitive).
-    ///
-    /// The compiled form of the generated-handshake idiom
-    /// `wait until sig = const` (and of `wait until sig` /
-    /// `wait until not sig` on bit signals): checking it is one stored
-    /// value compare, with no expression evaluation at all.
-    UntilSignalIs {
-        /// The watched signal.
-        signal: SignalId,
-        /// The value, pre-coerced to the signal's type so equal stored
-        /// representations mean equal logical values.
-        value: Value,
-    },
+    Until(Until),
     /// [`WaitSpec::Until`] with a watchdog: resume when the condition
     /// becomes true *or* after `cycles` cycles, whichever comes first.
     ///
@@ -96,17 +131,8 @@ pub enum WaitSpec {
     /// wait from an expired one — exactly the VHDL `wait until ... for N`
     /// contract the hardened protocols rely on.
     UntilTimeout {
-        /// The compiled condition, shared with suspended processes.
-        cond: Arc<CompiledCond>,
-        /// Watchdog bound in cycles.
-        cycles: u64,
-    },
-    /// [`WaitSpec::UntilSignalIs`] with a watchdog bound.
-    UntilSignalIsTimeout {
-        /// The watched signal.
-        signal: SignalId,
-        /// The value, pre-coerced to the signal's type.
-        value: Value,
+        /// The condition.
+        until: Until,
         /// Watchdog bound in cycles.
         cycles: u64,
     },
@@ -120,19 +146,13 @@ impl WaitSpec {
         &self,
         ctx: &EvalCtx<'_>,
         regs: &mut RegFile,
-    ) -> Result<Option<bool>, SimError> {
-        Ok(Some(match self {
-            WaitSpec::ForCycles(_) | WaitSpec::OnSignals(_) => return Ok(None),
-            WaitSpec::Until(cond) | WaitSpec::UntilTimeout { cond, .. } => {
-                eval_code(ctx, &cond.code, regs)?
-                    .as_bool()
-                    .map_err(|e| SimError::eval(e.to_string()))?
+    ) -> Result<Option<bool>, RunError> {
+        match self {
+            WaitSpec::ForCycles(_) | WaitSpec::OnSignals(_) => Ok(None),
+            WaitSpec::Until(until) | WaitSpec::UntilTimeout { until, .. } => {
+                until.cond.eval(ctx, regs).map(Some)
             }
-            WaitSpec::UntilSignalIs { signal, value }
-            | WaitSpec::UntilSignalIsTimeout { signal, value, .. } => {
-                ctx.signals[signal.index()] == *value
-            }
-        }))
+        }
     }
 
     /// The signals whose events can wake a process suspended on this
@@ -142,17 +162,14 @@ impl WaitSpec {
         match self {
             WaitSpec::ForCycles(_) => &[],
             WaitSpec::OnSignals(signals) => signals,
-            WaitSpec::Until(cond) | WaitSpec::UntilTimeout { cond, .. } => &cond.sensitivity,
-            WaitSpec::UntilSignalIs { signal, .. }
-            | WaitSpec::UntilSignalIsTimeout { signal, .. } => std::slice::from_ref(signal),
+            WaitSpec::Until(until) | WaitSpec::UntilTimeout { until, .. } => until.sensitivity(),
         }
     }
 
     /// The watchdog bound of a bounded wait, in cycles.
     pub(crate) fn timeout(&self) -> Option<u64> {
         match self {
-            WaitSpec::UntilTimeout { cycles, .. }
-            | WaitSpec::UntilSignalIsTimeout { cycles, .. } => Some(*cycles),
+            WaitSpec::UntilTimeout { cycles, .. } => Some(*cycles),
             _ => None,
         }
     }
@@ -186,7 +203,7 @@ pub enum Instr {
     /// Jump to `target` when `cond` evaluates false.
     JumpIfNot {
         /// Branch condition.
-        cond: ExprCode,
+        cond: Cond,
         /// Destination when false.
         target: usize,
     },
@@ -457,8 +474,9 @@ impl EnvRefs {
 
 /// Hashes everything lowering reads from the environment for one block
 /// besides its body: the declared types of the signals and variables the
-/// body references, the scope procedure's signature (local slot types),
-/// and the cost model.
+/// body references (and whether their initial values have those types),
+/// the scope procedure's signature (local slot types), and the cost
+/// model.
 ///
 /// Hashing only the *referenced* declarations is what lets refinements
 /// that differ in data width share their width-independent blocks — an
@@ -473,11 +491,19 @@ fn block_env_hash(system: &System, scope: CodeRef, body: &[Stmt], costs: &CostMo
     // `block_key`; pairing each with its declared type (or its absence)
     // pins down exactly what lowering resolves.
     for &s in &refs.signals {
-        system.signals.get(s).map(|d| &d.ty).hash(&mut h);
+        system
+            .signals
+            .get(s)
+            .map(|d| (&d.ty, init_typed(&d.ty, d.init.as_ref())))
+            .hash(&mut h);
     }
     0xaau8.hash(&mut h);
     for &v in &refs.vars {
-        system.variables.get(v).map(|d| &d.ty).hash(&mut h);
+        system
+            .variables
+            .get(v)
+            .map(|d| (&d.ty, init_typed(&d.ty, d.init.as_ref())))
+            .hash(&mut h);
     }
     if let CodeRef::Procedure(idx) = scope {
         if let Some(p) = system.procedures.get(idx) {
@@ -632,9 +658,8 @@ fn lower_block(
 /// Compiles one (already folded) expression into micro-ops.
 ///
 /// Exposed to the crate for the differential test harness.
-pub(crate) fn compile_expr(system: &System, expr: &Expr) -> ExprCode {
+pub(crate) fn compile_expr(expr: &Expr) -> ExprCode {
     let mut c = ExprCompiler {
-        system,
         ops: Vec::new(),
         pool: Vec::new(),
         next_reg: 0,
@@ -648,14 +673,13 @@ pub(crate) fn compile_expr(system: &System, expr: &Expr) -> ExprCode {
     }
 }
 
-struct ExprCompiler<'a> {
-    system: &'a System,
+struct ExprCompiler {
     ops: Vec<MicroOp>,
     pool: Vec<Value>,
     next_reg: u16,
 }
 
-impl ExprCompiler<'_> {
+impl ExprCompiler {
     fn intern(&mut self, v: &Value) -> u16 {
         if let Some(i) = self.pool.iter().position(|p| p == v) {
             return u16::try_from(i).expect("constant pool overflow");
@@ -680,27 +704,11 @@ impl ExprCompiler<'_> {
             Expr::Load(place) => self.place_read(place),
             Expr::Unary { op, arg } => {
                 let a = self.expr(arg);
-                // Peephole: `not (sig = const)` flips the fused compare
-                // instead of spending a dispatch on the negation. Safe
-                // because expression results are single-use (trees).
-                if *op == UnaryOp::Not {
-                    if let Some(MicroOp::CmpSignalIs { ne, dst, .. }) = self.ops.last_mut() {
-                        if Src::Reg(*dst) == a {
-                            *ne = !*ne;
-                            return a;
-                        }
-                    }
-                }
                 let dst = self.alloc();
                 self.ops.push(MicroOp::Unary { op: *op, a, dst });
                 Src::Reg(dst)
             }
             Expr::Binary { op, lhs, rhs } => {
-                if matches!(op, BinOp::Eq | BinOp::Ne) {
-                    if let Some(src) = self.try_cmp_signal(*op, lhs, rhs) {
-                        return src;
-                    }
-                }
                 let a = self.expr(lhs);
                 let b = self.expr(rhs);
                 let dst = self.alloc();
@@ -745,26 +753,6 @@ impl ExprCompiler<'_> {
                 Src::Reg(dst)
             }
         }
-    }
-
-    /// Fuses `sig = const` / `sig /= const` into [`MicroOp::CmpSignalIs`]
-    /// when the comparison is provably a stored-value equality (the same
-    /// shapes [`WaitSpec::UntilSignalIs`] specializes).
-    fn try_cmp_signal(&mut self, op: BinOp, lhs: &Expr, rhs: &Expr) -> Option<Src> {
-        let (s, v) = match (lhs, rhs) {
-            (Expr::Signal(s), Expr::Const(v)) | (Expr::Const(v), Expr::Signal(s)) => (s, v),
-            _ => return None,
-        };
-        let value = precoerced_eq_const(self.system, *s, v)?;
-        let pool = self.intern(&value);
-        let dst = self.alloc();
-        self.ops.push(MicroOp::CmpSignalIs {
-            signal: s.index() as u32,
-            pool,
-            ne: matches!(op, BinOp::Ne),
-            dst,
-        });
-        Some(Src::Reg(dst))
     }
 
     fn place_read(&mut self, place: &Place) -> Src {
@@ -813,19 +801,145 @@ impl ExprCompiler<'_> {
     }
 }
 
-/// Pre-coerces `v` for an equality against `signal`'s stored value, or
+/// Compiles a folded branch or wait condition of a block in `scope`: the
+/// typed [`Cond`] when every part of it has one, otherwise bytecode.
+pub(crate) fn compile_cond(system: &System, scope: CodeRef, folded: &Expr) -> Cond {
+    CondCompiler { system, scope }
+        .typed(folded)
+        .unwrap_or_else(|| Cond::Code(compile_expr(folded)))
+}
+
+/// Whether storage of type `ty` starts with a value of that type: every
+/// write coerces to the declared type, but an initial value is stored as
+/// given.
+fn init_typed(ty: &Ty, init: Option<&Value>) -> bool {
+    init.is_none_or(|v| v.ty() == *ty)
+}
+
+/// Pre-coerces `v` for an equality against storage of type `ty`, or
 /// `None` when the general comparison semantics are wider than a stored
 /// value compare (mixed widths with truncated bits, non-Bit/Bits types).
-fn precoerced_eq_const(system: &System, signal: SignalId, v: &Value) -> Option<Value> {
-    let ty = &system.signals.get(signal.index())?.ty;
+fn precoerced_eq_const(ty: &Ty, v: &Value) -> Option<Value> {
     match (ty, v) {
         (Ty::Bit, Value::Bit(_)) => Some(v.clone()),
         (Ty::Bits(w), Value::Bits(bv)) if bv.width() <= *w => {
-            // Zero-extending the constant to the signal's width is exactly
-            // the runtime resize-and-compare semantics.
+            // Zero-extending the constant to the storage's width is
+            // exactly the runtime resize-and-compare semantics.
             Some(Value::Bits(bv.resized(*w)))
         }
         _ => None,
+    }
+}
+
+/// Builds the typed forms of [`Cond`]; `None` wherever a part would need
+/// bytecode, so the caller compiles the whole condition as bytecode.
+struct CondCompiler<'a> {
+    system: &'a System,
+    scope: CodeRef,
+}
+
+impl CondCompiler<'_> {
+    fn typed(&self, e: &Expr) -> Option<Cond> {
+        match e {
+            Expr::Binary { op, lhs, rhs } => match op {
+                BinOp::And => Some(Cond::And(Box::new([self.typed(lhs)?, self.typed(rhs)?]))),
+                BinOp::Or => Some(Cond::Or(Box::new([self.typed(lhs)?, self.typed(rhs)?]))),
+                BinOp::Eq => self.eq(lhs, rhs),
+                BinOp::Ne => Some(Cond::Not(Box::new(self.eq(lhs, rhs)?))),
+                BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+                    let (l, r) = (self.int_arg(lhs)?, self.int_arg(rhs)?);
+                    let (a, b) = if matches!(op, BinOp::Lt | BinOp::Le) {
+                        (l, r)
+                    } else {
+                        (r, l)
+                    };
+                    Some(Cond::IntLess {
+                        a,
+                        b,
+                        or_equal: matches!(op, BinOp::Le | BinOp::Ge),
+                    })
+                }
+                _ => None,
+            },
+            Expr::Unary {
+                op: UnaryOp::Not,
+                arg,
+            } => match self.bit_slot(arg) {
+                Some(slot) => Some(Cond::Is {
+                    slot,
+                    value: Value::Bit(false),
+                }),
+                None => Some(Cond::Not(Box::new(self.typed(arg)?))),
+            },
+            _ => self.bit_slot(e).map(|slot| Cond::Is {
+                slot,
+                value: Value::Bit(true),
+            }),
+        }
+    }
+
+    /// `lhs = rhs`: a stored-value compare of storage with a constant, or
+    /// an integer equality.
+    fn eq(&self, lhs: &Expr, rhs: &Expr) -> Option<Cond> {
+        if let Some(is) = self.is(lhs, rhs).or_else(|| self.is(rhs, lhs)) {
+            return Some(is);
+        }
+        Some(Cond::IntEq(self.int_arg(lhs)?, self.int_arg(rhs)?))
+    }
+
+    fn is(&self, stored: &Expr, constant: &Expr) -> Option<Cond> {
+        let Expr::Const(v) = constant else {
+            return None;
+        };
+        let (slot, ty) = self.slot(stored)?;
+        let value = precoerced_eq_const(ty, v)?;
+        Some(Cond::Is { slot, value })
+    }
+
+    fn int_arg(&self, e: &Expr) -> Option<IntArg> {
+        match e {
+            Expr::Const(Value::Int { value, width }) => Some(IntArg::Const {
+                value: *value,
+                width: *width,
+            }),
+            _ => match self.slot(e)? {
+                (slot, Ty::Int(_)) => Some(IntArg::Slot(slot)),
+                _ => None,
+            },
+        }
+    }
+
+    fn bit_slot(&self, e: &Expr) -> Option<Slot> {
+        match self.slot(e)? {
+            (slot, Ty::Bit) => Some(slot),
+            _ => None,
+        }
+    }
+
+    /// The storage `e` reads whole and its declared type, when the index
+    /// is in range and the storage holds its declared type from the
+    /// start.
+    fn slot(&self, e: &Expr) -> Option<(Slot, &Ty)> {
+        match e {
+            Expr::Signal(s) => {
+                let d = self.system.signals.get(s.index())?;
+                init_typed(&d.ty, d.init.as_ref()).then_some((Slot::Signal(*s), &d.ty))
+            }
+            Expr::Load(Place::Var(v)) => {
+                let d = self.system.variables.get(v.index())?;
+                let slot = Slot::Var(u32::try_from(v.index()).ok()?);
+                init_typed(&d.ty, d.init.as_ref()).then_some((slot, &d.ty))
+            }
+            Expr::Load(Place::Local(l)) => {
+                let CodeRef::Procedure(p) = self.scope else {
+                    return None;
+                };
+                let proc = self.system.procedures.get(p)?;
+                let slot = Slot::Local(u16::try_from(*l).ok()?);
+                (*l < proc.slot_count()).then(|| (slot, proc.slot_ty(*l)))
+            }
+            _ => None,
+        }
     }
 }
 
@@ -840,7 +954,7 @@ struct Lowerer<'a> {
 impl Lowerer<'_> {
     /// Folds and compiles an expression, tracking register demand.
     fn expr(&mut self, e: &Expr) -> ExprCode {
-        let code = compile_expr(self.system, &fold_expr(e));
+        let code = compile_expr(&fold_expr(e));
         self.max_regs = self.max_regs.max(code.nregs);
         code
     }
@@ -848,9 +962,27 @@ impl Lowerer<'_> {
     /// Compiles a pre-folded expression (used for place sub-expressions
     /// that `fold_place` already folded).
     fn folded_expr(&mut self, e: &Expr) -> ExprCode {
-        let code = compile_expr(self.system, e);
+        let code = compile_expr(e);
         self.max_regs = self.max_regs.max(code.nregs);
         code
+    }
+
+    /// Compiles a pre-folded branch or wait condition.
+    fn folded_cond(&mut self, e: &Expr) -> Cond {
+        let cond = compile_cond(self.system, self.scope, e);
+        if let Cond::Code(code) = &cond {
+            self.max_regs = self.max_regs.max(code.nregs);
+        }
+        cond
+    }
+
+    fn cond(&mut self, e: &Expr) -> Cond {
+        self.folded_cond(&fold_expr(e))
+    }
+
+    fn until(&mut self, e: &Expr) -> Until {
+        let folded = fold_expr(e);
+        Until::new(self.folded_cond(&folded), folded)
     }
 
     fn place(&mut self, p: &Place) -> CPlace {
@@ -921,40 +1053,11 @@ impl Lowerer<'_> {
                 }
                 WaitSpec::OnSignals(unique)
             }
-            WaitCond::Until(expr) => {
-                let folded = fold_expr(expr);
-                if let Some(spec) = specialize_wait(self.system, &folded) {
-                    return spec;
-                }
-                WaitSpec::Until(Arc::new(self.compiled_cond(folded)))
-            }
-            WaitCond::UntilTimeout { cond, cycles } => {
-                let folded = fold_expr(cond);
-                if let Some(WaitSpec::UntilSignalIs { signal, value }) =
-                    specialize_wait(self.system, &folded)
-                {
-                    return WaitSpec::UntilSignalIsTimeout {
-                        signal,
-                        value,
-                        cycles: *cycles,
-                    };
-                }
-                WaitSpec::UntilTimeout {
-                    cond: Arc::new(self.compiled_cond(folded)),
-                    cycles: *cycles,
-                }
-            }
-        }
-    }
-
-    fn compiled_cond(&mut self, folded: Expr) -> CompiledCond {
-        let code = self.folded_expr(&folded);
-        let mut sensitivity = Vec::new();
-        folded.collect_signals(&mut sensitivity);
-        CompiledCond {
-            code,
-            display: folded,
-            sensitivity,
+            WaitCond::Until(expr) => WaitSpec::Until(self.until(expr)),
+            WaitCond::UntilTimeout { cond, cycles } => WaitSpec::UntilTimeout {
+                until: self.until(cond),
+                cycles: *cycles,
+            },
         }
     }
 
@@ -1001,13 +1104,13 @@ impl Lowerer<'_> {
                     self.block(then_body);
                     if else_body.is_empty() {
                         let end = self.out.len();
-                        let cond = self.expr(cond);
+                        let cond = self.cond(cond);
                         self.out[branch_at] = Instr::JumpIfNot { cond, target: end };
                     } else {
                         let jump_end_at = self.out.len();
                         self.out.push(Instr::Jump(0)); // placeholder
                         let else_start = self.out.len();
-                        let cond = self.expr(cond);
+                        let cond = self.cond(cond);
                         self.out[branch_at] = Instr::JumpIfNot {
                             cond,
                             target: else_start,
@@ -1055,7 +1158,7 @@ impl Lowerer<'_> {
                     self.block(body);
                     self.out.push(Instr::Jump(test_at));
                     let exit = self.out.len();
-                    let cond = self.expr(cond);
+                    let cond = self.cond(cond);
                     self.out[test_at] = Instr::JumpIfNot { cond, target: exit };
                 }
                 Stmt::Wait(cond) => {
@@ -1178,8 +1281,7 @@ fn fold_expr(expr: &Expr) -> Expr {
             if let (Expr::Const(bv), Expr::Const(ov)) = (&base, &offset) {
                 if let Some(lo) = ov.as_i64().ok().and_then(|i| u32::try_from(i).ok()) {
                     let bits = bv.to_bits();
-                    let hi = lo + width - 1;
-                    if *width > 0 && hi < bits.width() {
+                    if let Ok(hi) = dyn_slice_hi(lo, *width, bits.width()) {
                         return Expr::Const(ifsyn_spec::Value::Bits(bits.slice(hi, lo)));
                     }
                 }
@@ -1220,54 +1322,22 @@ fn fold_place(place: &Place) -> Place {
 
 /// Folds an expression then compiles it — the exact pipeline production
 /// lowering applies. Exposed to the crate for the differential tests.
-pub(crate) fn fold_and_compile(system: &System, expr: &Expr) -> ExprCode {
-    compile_expr(system, &fold_expr(expr))
+pub(crate) fn fold_and_compile(expr: &Expr) -> ExprCode {
+    compile_expr(&fold_expr(expr))
 }
 
-/// Recognizes the single-signal wait idioms of generated handshake code
-/// (`sig`, `not sig`, `sig = const`) and compiles them to
-/// [`WaitSpec::UntilSignalIs`].
-///
-/// Only shapes whose runtime comparison is exactly a stored-value
-/// equality are specialized; anything wider (mixed widths with nonzero
-/// truncated bits, non-literal operands) keeps the general path.
-fn specialize_wait(system: &System, expr: &Expr) -> Option<WaitSpec> {
-    let bit_signal_is = |s: &SignalId, b: bool| -> Option<WaitSpec> {
-        matches!(system.signal(*s).ty, Ty::Bit).then(|| WaitSpec::UntilSignalIs {
-            signal: *s,
-            value: Value::Bit(b),
-        })
-    };
-    match expr {
-        Expr::Signal(s) => bit_signal_is(s, true),
-        Expr::Unary {
-            op: UnaryOp::Not,
-            arg,
-        } => match &**arg {
-            Expr::Signal(s) => bit_signal_is(s, false),
-            _ => None,
-        },
-        Expr::Binary {
-            op: BinOp::Eq,
-            lhs,
-            rhs,
-        } => {
-            let (s, v) = match (&**lhs, &**rhs) {
-                (Expr::Signal(s), Expr::Const(v)) | (Expr::Const(v), Expr::Signal(s)) => (s, v),
-                _ => None?,
-            };
-            let value = precoerced_eq_const(system, *s, v)?;
-            Some(WaitSpec::UntilSignalIs { signal: *s, value })
-        }
-        _ => None,
-    }
+/// Folds an expression then compiles it as a branch condition of a block
+/// in `scope`, as production lowering does. Exposed to the crate for the
+/// differential tests.
+pub(crate) fn fold_and_compile_cond(system: &System, scope: CodeRef, expr: &Expr) -> Cond {
+    compile_cond(system, scope, &fold_expr(expr))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ifsyn_spec::dsl::*;
-    use ifsyn_spec::{System, Ty, VarId};
+    use ifsyn_spec::{BitVec, System, Ty, VarId};
 
     fn compile_body(body: Vec<Stmt>) -> Vec<Instr> {
         let mut sys = System::new("t");
@@ -1428,7 +1498,7 @@ mod tests {
     }
 
     #[test]
-    fn signal_eq_const_compiles_to_compare_superinstruction() {
+    fn signal_eq_const_branch_compiles_to_is() {
         let mut sys = System::new("t");
         let m = sys.add_module("chip");
         let b = sys.add_behavior("P", m);
@@ -1442,25 +1512,106 @@ mod tests {
             .instrs
             .clone();
         match &instrs[0] {
-            Instr::JumpIfNot { cond, .. } => {
-                assert_eq!(cond.ops.len(), 1);
-                match &cond.ops[0] {
-                    MicroOp::CmpSignalIs {
-                        signal, pool, ne, ..
-                    } => {
-                        assert_eq!(*signal, s.index() as u32);
-                        assert!(!*ne);
-                        // Pre-resized to the signal's width.
-                        match &cond.pool[*pool as usize] {
-                            Value::Bits(bv) => assert_eq!(bv.width(), 8),
-                            other => panic!("unexpected {other:?}"),
-                        }
-                    }
-                    other => panic!("expected CmpSignalIs, got {other:?}"),
-                }
+            Instr::JumpIfNot {
+                cond: Cond::Is { slot, value },
+                ..
+            } => {
+                assert_eq!(*slot, Slot::Signal(s));
+                // Pre-resized to the signal's width.
+                assert_eq!(*value, Value::Bits(BitVec::from_u64(0b101, 8)));
             }
-            other => panic!("unexpected {other:?}"),
+            other => panic!("expected a stored-value compare, got {other:?}"),
         }
+    }
+
+    /// Compiles `cond` as the branch condition of procedure 0 of `sys`.
+    fn proc_cond(sys: &System, cond: Expr) -> Cond {
+        compile_cond(sys, CodeRef::Procedure(0), &fold_expr(&cond))
+    }
+
+    #[test]
+    fn handshake_branch_conditions_compile_typed() {
+        let mut sys = System::new("t");
+        let m = sys.add_module("chip");
+        let b = sys.add_behavior("P", m);
+        let id = sys.add_signal("B_ID", Ty::Bits(2));
+        let last = sys.add_signal("B_arb_last", Ty::Int(4));
+        let ok = sys.add_variable("ok", Ty::Bit, b);
+        let mut send = ifsyn_spec::Procedure::new("send");
+        send.add_local("retry", Ty::Int(8));
+        sys.add_procedure(send);
+        let retry = load(local(0));
+        let ok_low = eq(load(var(ok)), bit_const(false));
+        assert_eq!(
+            proc_cond(&sys, and(ok_low, le(retry.clone(), int_const(3, 8)))),
+            Cond::And(Box::new([
+                Cond::Is {
+                    slot: Slot::Var(ok.index() as u32),
+                    value: Value::Bit(false),
+                },
+                Cond::IntLess {
+                    a: IntArg::Slot(Slot::Local(0)),
+                    b: IntArg::Const { value: 3, width: 8 },
+                    or_equal: true,
+                },
+            ]))
+        );
+        assert!(matches!(
+            proc_cond(&sys, eq(signal(last), int_const(0, 32))),
+            Cond::IntEq(IntArg::Slot(Slot::Signal(_)), IntArg::Const { .. })
+        ));
+        assert!(matches!(
+            proc_cond(&sys, ne(bits_const(0b1, 1), signal(id))),
+            Cond::Not(c) if matches!(*c, Cond::Is { .. })
+        ));
+        // `>` swaps its operands into `<`.
+        assert!(matches!(
+            proc_cond(
+                &sys,
+                Expr::Binary {
+                    op: BinOp::Gt,
+                    lhs: Box::new(retry),
+                    rhs: Box::new(int_const(3, 8)),
+                }
+            ),
+            Cond::IntLess {
+                a: IntArg::Const { value: 3, .. },
+                b: IntArg::Slot(Slot::Local(0)),
+                or_equal: false,
+            }
+        ));
+    }
+
+    #[test]
+    fn conditions_a_leaf_cannot_express_stay_bytecode() {
+        let mut sys = System::new("t");
+        let m = sys.add_module("chip");
+        let b = sys.add_behavior("P", m);
+        let s = sys.add_signal("addr", Ty::Bits(4));
+        let odd = sys.add_signal_init("odd", Ty::Bits(4), Value::int(1, 8));
+        let flag = sys.add_variable("flag", Ty::Bit, b);
+        let _ = sys.add_procedure(ifsyn_spec::Procedure::new("p"));
+        let code = |c: Expr| matches!(proc_cond(&sys, c), Cond::Code(_));
+        // A constant wider than its storage.
+        assert!(code(eq(signal(s), bits_const(0b1_0000, 5))));
+        // An initial value of another type than the declaration.
+        assert!(code(eq(signal(odd), bits_const(1, 4))));
+        // `and` of a leaf with anything that could fail.
+        assert!(code(and(
+            load(var(flag)),
+            eq(load(slice(var(flag), 3, 0)), bits_const(0, 4))
+        )));
+        // Vector `and` is bitwise.
+        assert!(code(and(signal(s), bits_const(0b11, 4))));
+        // A local outside a procedure scope.
+        assert!(matches!(
+            compile_cond(
+                &sys,
+                CodeRef::Behavior(0),
+                &eq(load(local(0)), bit_const(true))
+            ),
+            Cond::Code(_)
+        ));
     }
 
     #[test]
@@ -1513,9 +1664,16 @@ mod tests {
             .instrs
             .clone();
         match &instrs[0] {
-            Instr::Wait(WaitSpec::UntilSignalIs { signal, value }) => {
-                assert_eq!(*signal, s);
-                assert_eq!(*value, Value::Bit(true));
+            Instr::Wait(WaitSpec::Until(until)) => {
+                assert_eq!(
+                    until.cond,
+                    Cond::Is {
+                        slot: Slot::Signal(s),
+                        value: Value::Bit(true)
+                    }
+                );
+                assert_eq!(until.sensitivity(), &[s]);
+                assert!(until.display().is_none());
             }
             other => panic!("expected specialized wait, got {other:?}"),
         }
@@ -1532,8 +1690,11 @@ mod tests {
             .instrs
             .clone();
         match &instrs[0] {
-            Instr::Wait(WaitSpec::UntilSignalIs { signal, value }) => {
-                assert_eq!(*signal, s);
+            Instr::Wait(WaitSpec::Until(Until {
+                cond: Cond::Is { slot, value },
+                ..
+            })) => {
+                assert_eq!(*slot, Slot::Signal(s));
                 // Pre-resized so the runtime compare needs no coercion.
                 match value {
                     Value::Bits(bv) => {
@@ -1561,9 +1722,10 @@ mod tests {
             .instrs
             .clone();
         match &instrs[0] {
-            Instr::Wait(WaitSpec::Until(cond)) => {
-                assert_eq!(cond.sensitivity, vec![s, t]);
-                assert!(!cond.code.ops.is_empty());
+            Instr::Wait(WaitSpec::Until(until)) => {
+                assert_eq!(until.sensitivity(), &[s, t]);
+                assert!(until.display().is_some());
+                assert!(matches!(&until.cond, Cond::Code(code) if !code.ops.is_empty()));
             }
             other => panic!("expected general wait, got {other:?}"),
         }
@@ -1675,7 +1837,7 @@ mod tests {
             mul(int_const(7, 8), load(var(VarId::new(0)))),
             mul(int_const(7, 8), load(var(VarId::new(0)))),
         );
-        let code = compile_expr(&sys, &e);
+        let code = compile_expr(&e);
         assert_eq!(code.pool.len(), 1);
     }
 }

@@ -83,13 +83,15 @@ impl SimReport {
         self.heap_peak
     }
 
-    /// Number of distinct simulation instants the scheduler visited
-    /// (the initial instant plus every time advance).
+    /// Number of time advances the scheduler made: the distinct
+    /// simulation instants it visited after the initial one.
     pub fn time_steps(&self) -> u64 {
         self.time_steps
     }
 
-    /// Average delta cycles per visited instant; 0 for an empty run.
+    /// Delta cycles per time advance: every delta, the initial instant's
+    /// included, over [`SimReport::time_steps`]; 0 when time never
+    /// advanced.
     pub fn deltas_per_step(&self) -> f64 {
         if self.time_steps == 0 {
             0.0

@@ -1,33 +1,60 @@
-//! Differential test: the register-bytecode expression engine must agree
-//! with the reference tree-walking evaluator on randomized expressions.
+//! Differential test: the register-bytecode expression engine and the
+//! typed branch conditions must agree with the reference tree-walking
+//! evaluator on randomized expressions.
 //!
-//! Both entry points live in `ifsyn_sim::testing`: `eval_tree` walks the
+//! The entry points live in `ifsyn_sim::testing`: `eval_tree` walks the
 //! `Expr` tree directly, `eval_bytecode` runs the production pipeline
-//! (constant fold, lower to micro-ops, execute on a register file). For
-//! every generated expression the two must return strictly equal values
-//! (width-sensitive) or must both fail; a value from one engine and an
-//! error from the other is always a bug.
+//! (constant fold, lower to micro-ops, execute on a register file), and
+//! `eval_cond` compiles the expression as a branch condition and
+//! evaluates it to `bool`. For every generated expression the bytecode
+//! must return a value strictly equal to the tree walk's (width-sensitive)
+//! and a condition must equal the tree walk's value read as a bit, or
+//! both must fail; a value from one engine and an error from the other is
+//! always a bug.
+//!
+//! The storage holds what a typed condition could get wrong: integers
+//! stored unmasked (wider than their declared width, as a loop counter
+//! incremented in place is), constants both wider and narrower than the
+//! storage they are compared with, and a procedure frame with `Bit`,
+//! `Bits` and `Int` locals.
 
-use ifsyn_sim::testing::{eval_bytecode, eval_tree};
+use ifsyn_sim::testing::{eval_bytecode, eval_cond, eval_tree, Scope};
+use ifsyn_sim::SimError;
 use ifsyn_spec::dsl::*;
 use ifsyn_spec::rng::SplitMix64;
-use ifsyn_spec::{BinOp, BitVec, Expr, SignalId, System, Ty, UnaryOp, Value, VarId};
+use ifsyn_spec::{
+    BinOp, BitVec, Expr, ParamMode, Procedure, SignalId, System, Ty, UnaryOp, Value, VarId,
+};
 
 /// Bit widths the variable palette covers.
 const WIDTHS: [u32; 5] = [1, 4, 8, 16, 32];
 
-/// The randomized storage environment one iteration evaluates against.
+/// The randomized storage environment one iteration evaluates against:
+/// a behavior's variables and the system's signals, plus the frame of
+/// the one procedure, whose slots `locals` holds.
 struct Env {
     system: System,
     vars: Vec<Value>,
     signals: Vec<Value>,
-    int_vars: Vec<(VarId, u32)>,
-    bits_vars: Vec<(VarId, u32)>,
-    bit_var: VarId,
+    locals: Vec<Value>,
+    /// Whole `Int` storage: the load, its declared width, its value.
+    int_slots: Vec<(Expr, u32, i64)>,
+    /// Whole `Bits` storage: the load and its value.
+    bits_slots: Vec<(Expr, BitVec)>,
+    /// Whole `Bit` storage.
+    bit_slots: Vec<Expr>,
     array_var: VarId,
-    bit_sig: SignalId,
-    bits_sig: SignalId,
-    int_sig: SignalId,
+}
+
+impl Env {
+    fn scope(&self) -> Scope<'_> {
+        Scope {
+            vars: &self.vars,
+            signals: &self.signals,
+            procedure: Some(0),
+            locals: &self.locals,
+        }
+    }
 }
 
 fn signed_range(width: u32) -> (i64, i64) {
@@ -38,18 +65,25 @@ fn signed_range(width: u32) -> (i64, i64) {
     }
 }
 
-fn random_int(rng: &mut SplitMix64, width: u32) -> Value {
+/// An integer of `width`, stored in range or, one time in three, past
+/// it: the unmasked values in-place increments leave behind.
+fn random_int(rng: &mut SplitMix64, width: u32) -> i64 {
     let (lo, hi) = signed_range(width);
-    Value::int(rng.range_i64(lo, hi), width)
+    if rng.below(3) == 0 {
+        let span = (hi - lo + 1).saturating_mul(8);
+        rng.range_i64(-span, span)
+    } else {
+        rng.range_i64(lo, hi)
+    }
 }
 
-fn random_bits(rng: &mut SplitMix64, width: u32) -> Value {
+fn random_bits(rng: &mut SplitMix64, width: u32) -> BitVec {
     let raw = if width >= 64 {
         rng.next_u64()
     } else {
         rng.next_u64() & ((1u64 << width) - 1)
     };
-    Value::Bits(BitVec::from_u64(raw, width))
+    BitVec::from_u64(raw, width)
 }
 
 fn build_env(rng: &mut SplitMix64) -> Env {
@@ -58,21 +92,19 @@ fn build_env(rng: &mut SplitMix64) -> Env {
     let behavior = system.add_behavior("P", module);
 
     let mut vars = Vec::new();
-    let mut int_vars = Vec::new();
-    let mut bits_vars = Vec::new();
+    let mut int_slots = Vec::new();
+    let mut bits_slots = Vec::new();
     for &w in &WIDTHS {
-        int_vars.push((
-            system.add_variable(format!("i{w}"), Ty::Int(w), behavior),
-            w,
-        ));
-        vars.push(random_int(rng, w));
-        bits_vars.push((
-            system.add_variable(format!("b{w}"), Ty::Bits(w), behavior),
-            w,
-        ));
-        vars.push(random_bits(rng, w));
+        let i = system.add_variable(format!("i{w}"), Ty::Int(w), behavior);
+        let v = random_int(rng, w);
+        vars.push(Value::int(v, w));
+        int_slots.push((load(var(i)), w, v));
+        let b = system.add_variable(format!("b{w}"), Ty::Bits(w), behavior);
+        let bv = random_bits(rng, w);
+        vars.push(Value::Bits(bv.clone()));
+        bits_slots.push((load(var(b)), bv));
     }
-    let bit_var = system.add_variable("flag", Ty::Bit, behavior);
+    let flag = system.add_variable("flag", Ty::Bit, behavior);
     vars.push(Value::Bit(rng.bool()));
     let array_var = system.add_variable(
         "arr",
@@ -82,28 +114,46 @@ fn build_env(rng: &mut SplitMix64) -> Env {
         },
         behavior,
     );
-    vars.push(Value::Array((0..4).map(|_| random_int(rng, 8)).collect()));
+    vars.push(Value::Array(
+        (0..4).map(|_| Value::int(random_int(rng, 8), 8)).collect(),
+    ));
 
     let bit_sig = system.add_signal("s_bit", Ty::Bit);
     let bits_sig = system.add_signal("s_bits", Ty::Bits(8));
     let int_sig = system.add_signal("s_int", Ty::Int(16));
+    let (sig_bits, sig_int) = (random_bits(rng, 8), random_int(rng, 16));
     let signals = vec![
         Value::Bit(rng.bool()),
-        random_bits(rng, 8),
-        random_int(rng, 16),
+        Value::Bits(sig_bits.clone()),
+        Value::int(sig_int, 16),
     ];
+    bits_slots.push((signal(bits_sig), sig_bits));
+    int_slots.push((signal(int_sig), 16, sig_int));
+
+    // One procedure frame: an `in` parameter and locals of each kind.
+    let mut p = Procedure::new("frame");
+    let l_bit = p.add_param("l_bit", Ty::Bit, ParamMode::In);
+    let l_bits = p.add_local("l_bits", Ty::Bits(12));
+    let l_int = p.add_local("l_int", Ty::Int(8));
+    system.add_procedure(p);
+    let (loc_bits, loc_int) = (random_bits(rng, 12), random_int(rng, 8));
+    let locals = vec![
+        Value::Bit(rng.bool()),
+        Value::Bits(loc_bits.clone()),
+        Value::int(loc_int, 8),
+    ];
+    bits_slots.push((load(local(l_bits)), loc_bits));
+    int_slots.push((load(local(l_int)), 8, loc_int));
 
     Env {
         system,
         vars,
         signals,
-        int_vars,
-        bits_vars,
-        bit_var,
+        locals,
+        int_slots,
+        bits_slots,
+        bit_slots: vec![load(var(flag)), signal(bit_sig), load(local(l_bit))],
         array_var,
-        bit_sig,
-        bits_sig,
-        int_sig,
     }
 }
 
@@ -131,14 +181,13 @@ fn gen_int(rng: &mut SplitMix64, env: &Env, depth: u32, width: u32) -> Expr {
                 int_const(rng.range_i64(lo, hi), width)
             }
             1 => {
-                let (id, w) = *rng.pick(&env.int_vars);
-                if w == width {
-                    load(var(id))
+                let (slot, w, _) = rng.pick(&env.int_slots);
+                if *w == width {
+                    slot.clone()
                 } else {
                     int_const(rng.range_i64(0, 99), width)
                 }
             }
-            _ if width == 16 => signal(env.int_sig),
             _ => load(index(var(env.array_var), int_const(rng.range_i64(0, 3), 8))),
         };
     }
@@ -164,28 +213,22 @@ fn gen_int(rng: &mut SplitMix64, env: &Env, depth: u32, width: u32) -> Expr {
 /// A random bit-vector expression of the given width.
 fn gen_bits(rng: &mut SplitMix64, env: &Env, depth: u32, width: u32) -> Expr {
     if depth == 0 || rng.below(4) == 0 {
-        let raw = rng.next_u64()
-            & if width >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << width) - 1
-            };
-        return match rng.below(3) {
-            0 => bits_const(raw, width),
-            1 => {
-                let (id, w) = *rng.pick(&env.bits_vars);
+        let raw = random_bits(rng, width);
+        return match rng.below(2) {
+            0 => Expr::Const(Value::Bits(raw)),
+            _ => {
+                let (slot, bv) = rng.pick(&env.bits_slots);
+                let w = bv.width();
                 if w == width {
-                    load(var(id))
+                    slot.clone()
                 } else if w > width {
-                    // Slice the wider variable down to this width.
+                    // Slice the wider storage down to this width.
                     let lo = rng.range_u32(0, w - width);
-                    slice_of(load(var(id)), lo + width - 1, lo)
+                    slice_of(slot.clone(), lo + width - 1, lo)
                 } else {
-                    resize(load(var(id)), width)
+                    resize(slot.clone(), width)
                 }
             }
-            _ if width == 8 => signal(env.bits_sig),
-            _ => bits_const(raw, width),
         };
     }
     match rng.below(6) {
@@ -235,26 +278,88 @@ fn gen_bits(rng: &mut SplitMix64, env: &Env, depth: u32, width: u32) -> Expr {
     }
 }
 
+/// A width near `w`: narrower, equal or wider, at least 1.
+fn near_width(rng: &mut SplitMix64, w: u32) -> u32 {
+    (i64::from(w) + rng.range_i64(-3, 3)).clamp(1, 64) as u32
+}
+
+const COMPARES: [BinOp; 6] = [
+    BinOp::Eq,
+    BinOp::Ne,
+    BinOp::Lt,
+    BinOp::Le,
+    BinOp::Gt,
+    BinOp::Ge,
+];
+
+/// Storage compared with a constant, the shape of protocol conditions:
+/// the constant is narrower than, as wide as or wider than the storage,
+/// and half the time it is built from the stored value so that equality
+/// actually happens. One time in five the constant's type differs from
+/// the storage's.
+fn gen_slot_compare(rng: &mut SplitMix64, env: &Env) -> Expr {
+    let (slot, constant, ops): (Expr, Expr, &[BinOp]) = if rng.below(5) == 0 {
+        let slot = match rng.below(3) {
+            0 => rng.pick(&env.bit_slots).clone(),
+            1 => rng.pick(&env.bits_slots).0.clone(),
+            _ => rng.pick(&env.int_slots).0.clone(),
+        };
+        let w = rng.range_u32(1, 16);
+        let constant = match rng.below(3) {
+            0 => bit_const(rng.bool()),
+            1 => Expr::Const(Value::Bits(random_bits(rng, w))),
+            _ => int_const(random_int(rng, w), w),
+        };
+        (slot, constant, &COMPARES)
+    } else if rng.bool() {
+        let (slot, bv) = rng.pick(&env.bits_slots);
+        let cw = near_width(rng, bv.width());
+        let mut c = if rng.bool() {
+            bv.resized(cw)
+        } else {
+            random_bits(rng, cw)
+        };
+        // A wider constant sometimes carries bits the storage lacks.
+        if cw > bv.width() && rng.below(4) == 0 {
+            c.set_bit(cw - 1, true);
+        }
+        (
+            slot.clone(),
+            Expr::Const(Value::Bits(c)),
+            &[BinOp::Eq, BinOp::Ne],
+        )
+    } else {
+        let (slot, w, v) = rng.pick(&env.int_slots);
+        let cw = near_width(rng, *w);
+        let c = match rng.below(3) {
+            0 => *v,
+            // Equal to the stored value below its declared width only.
+            1 => v.wrapping_add(1i64.wrapping_shl(*w)),
+            _ => random_int(rng, cw),
+        };
+        (slot.clone(), int_const(c, cw), &COMPARES)
+    };
+    let op = *rng.pick(ops);
+    if rng.bool() {
+        binary(op, slot, constant)
+    } else {
+        binary(op, constant, slot)
+    }
+}
+
 /// A random boolean expression.
 fn gen_bit(rng: &mut SplitMix64, env: &Env, depth: u32) -> Expr {
     if depth == 0 || rng.below(4) == 0 {
         return match rng.below(3) {
             0 => bit_const(rng.bool()),
-            1 => load(var(env.bit_var)),
-            _ => signal(env.bit_sig),
+            1 => rng.pick(&env.bit_slots).clone(),
+            _ => gen_slot_compare(rng, env),
         };
     }
-    match rng.below(6) {
+    match rng.below(7) {
         0 => {
             let w = *rng.pick(&WIDTHS);
-            let cmp = *rng.pick(&[
-                BinOp::Eq,
-                BinOp::Ne,
-                BinOp::Lt,
-                BinOp::Le,
-                BinOp::Gt,
-                BinOp::Ge,
-            ]);
+            let cmp = *rng.pick(&COMPARES);
             binary(
                 cmp,
                 gen_int(rng, env, depth - 1, w),
@@ -277,6 +382,7 @@ fn gen_bit(rng: &mut SplitMix64, env: &Env, depth: u32) -> Expr {
             gen_bit(rng, env, depth - 1),
         ),
         4 => unary(UnaryOp::Not, gen_bit(rng, env, depth - 1)),
+        5 => gen_slot_compare(rng, env),
         _ => {
             let w = rng.range_u32(2, 16);
             binary(
@@ -291,7 +397,7 @@ fn gen_bit(rng: &mut SplitMix64, env: &Env, depth: u32) -> Expr {
 /// An intentionally ill-typed or out-of-range expression: both engines
 /// must agree that it fails (or, if it happens to evaluate, on the value).
 fn gen_wild(rng: &mut SplitMix64, env: &Env, depth: u32) -> Expr {
-    match rng.below(5) {
+    match rng.below(6) {
         0 => binary(
             BinOp::Add,
             gen_bit(rng, env, depth),
@@ -307,14 +413,22 @@ fn gen_wild(rng: &mut SplitMix64, env: &Env, depth: u32) -> Expr {
             gen_int(rng, env, depth, 8),
             gen_int(rng, env, depth, 8),
         ),
+        // A leaf beside a failing operand: the condition must fail where
+        // the expression does, not short-circuit past it.
+        4 => binary(
+            *rng.pick(&[BinOp::And, BinOp::Or]),
+            gen_bit(rng, env, depth),
+            load(index(var(env.array_var), int_const(9, 8))),
+        ),
         _ => dyn_slice_of(gen_bits(rng, env, depth, 8), gen_int(rng, env, depth, 8), 4),
     }
 }
 
-/// Compares both engines on one expression; returns whether it evaluated.
+/// Compares the bytecode with the tree walk on one expression; returns
+/// whether it evaluated.
 fn check(env: &Env, expr: &Expr, seed: u64, iter: usize) -> bool {
-    let tree = eval_tree(&env.system, &env.vars, &env.signals, expr);
-    let code = eval_bytecode(&env.system, &env.vars, &env.signals, expr);
+    let tree = eval_tree(env.scope(), expr);
+    let code = eval_bytecode(env.scope(), expr);
     match (&tree, &code) {
         (Ok(a), Ok(b)) => {
             assert_eq!(
@@ -326,6 +440,27 @@ fn check(env: &Env, expr: &Expr, seed: u64, iter: usize) -> bool {
         (Err(_), Err(_)) => false,
         _ => panic!(
             "divergence (seed {seed}, iter {iter}) on {expr:?}:\n tree: {tree:?}\n code: {code:?}"
+        ),
+    }
+}
+
+/// Compares the compiled condition with the tree walk read as a bit;
+/// returns whether it evaluated.
+fn check_cond(env: &Env, expr: &Expr, seed: u64, iter: usize) -> bool {
+    let tree = eval_tree(env.scope(), expr)
+        .and_then(|v| v.as_bool().map_err(|e| SimError::eval(e.to_string())));
+    let cond = eval_cond(&env.system, env.scope(), expr);
+    match (&tree, &cond) {
+        (Ok(a), Ok(b)) => {
+            assert_eq!(
+                a, b,
+                "condition mismatch (seed {seed}, iter {iter}) on {expr:?}"
+            );
+            true
+        }
+        (Err(_), Err(_)) => false,
+        _ => panic!(
+            "divergence (seed {seed}, iter {iter}) on {expr:?}:\n tree: {tree:?}\n cond: {cond:?}"
         ),
     }
 }
@@ -366,25 +501,61 @@ fn bytecode_matches_tree_walk_on_random_expressions() {
 }
 
 #[test]
+fn conditions_match_tree_walk_as_bool_on_random_expressions() {
+    let mut total = 0u32;
+    let mut evaluated = 0u32;
+    let mut held = 0u32;
+    for seed in 0..8u64 {
+        let mut rng = SplitMix64::new(0xc0d1_7100 + seed);
+        let env = build_env(&mut rng);
+        for iter in 0..600 {
+            let depth = 1 + (rng.below(4) as u32);
+            let expr = if rng.below(5) == 0 {
+                gen_wild(&mut rng, &env, depth)
+            } else {
+                gen_bit(&mut rng, &env, depth)
+            };
+            total += 1;
+            if check_cond(&env, &expr, seed, iter) {
+                evaluated += 1;
+                held += u32::from(eval_cond(&env.system, env.scope(), &expr) == Ok(true));
+            }
+        }
+    }
+    assert!(
+        evaluated * 2 > total,
+        "only {evaluated}/{total} conditions evaluated"
+    );
+    // Both outcomes must be common, or agreement proves little.
+    assert!(
+        held * 5 > evaluated && held * 5 < evaluated * 4,
+        "{held} of {evaluated} conditions held"
+    );
+}
+
+#[test]
 fn bytecode_matches_tree_walk_on_place_reads() {
     let mut rng = SplitMix64::new(0x91ace);
     let env = build_env(&mut rng);
-    let (wide_bits, w) = env.bits_vars[4]; // the 32-bit vector variable
+    let b32 = VarId::new(9); // the 32-bit vector variable
     let cases = vec![
-        load(var(env.bit_var)),
+        load(var(VarId::new(10))),
         load(var(env.array_var)),
         load(index(var(env.array_var), int_const(2, 8))),
-        load(slice(var(wide_bits), w - 1, w - 8)),
-        load(slice(var(wide_bits), 7, 0)),
-        load(dyn_slice(var(wide_bits), int_const(5, 8), 8)),
+        load(slice(var(b32), 31, 24)),
+        load(slice(var(b32), 7, 0)),
+        load(dyn_slice(var(b32), int_const(5, 8), 8)),
         load(dyn_slice(
-            var(wide_bits),
+            var(b32),
             load(index(var(env.array_var), int_const(0, 8))),
             4,
         )),
-        signal(env.bit_sig),
-        signal(env.bits_sig),
-        signal(env.int_sig),
+        signal(SignalId::new(0)),
+        signal(SignalId::new(1)),
+        signal(SignalId::new(2)),
+        load(local(0)),
+        load(local(1)),
+        load(local(2)),
     ];
     for (i, expr) in cases.iter().enumerate() {
         check(&env, expr, 0, i);

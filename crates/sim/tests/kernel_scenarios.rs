@@ -3,7 +3,7 @@
 use ifsyn_sim::{Checker, SimConfig, SimError, SimReport, Simulator};
 use ifsyn_spec::dsl::*;
 use ifsyn_spec::{
-    Arg, BitVec, Channel, ChannelDirection, ParamMode, Procedure, Stmt, System, Ty, Value,
+    Arg, BitVec, Channel, ChannelDirection, ParamMode, Procedure, Stmt, System, Ty, Value, VarId,
 };
 
 /// A one-module system shell.
@@ -861,4 +861,69 @@ fn wait_on_a_repeated_signal_wakes_once_and_is_diagnosed_once() {
     let blocked = diagnosis.blocked_behavior("W").expect("W is blocked");
     assert_eq!(blocked.wait, "wait on s");
     assert_eq!(blocked.observed, vec![("s".to_string(), "'1'".to_string())]);
+}
+
+#[test]
+fn dynamic_slice_past_u32_is_an_out_of_range_error() {
+    // `o + 8 - 1` leaves `u32`: the read `y := x(o, 8)`, the write
+    // `x(o, 8) := y` and the tree walk must each report the slice out of
+    // range, in the kernel and as a checker crash edge, never overflow.
+    const O: i64 = 4_294_967_290;
+    let build = |write: bool| {
+        let (mut sys, m) = shell();
+        let p = sys.add_behavior("P", m);
+        let x = sys.add_variable("x", Ty::Bits(16), p);
+        let y = sys.add_variable("y", Ty::Bits(8), p);
+        let o = sys.add_variable_init("o", Ty::Int(64), p, Value::int(O, 64));
+        let slice = dyn_slice(var(x), load(var(o)), 8);
+        sys.behavior_mut(p).body = vec![if write {
+            assign(slice, load(var(y)))
+        } else {
+            assign(var(y), load(slice))
+        }];
+        sys
+    };
+    for (write, message) in [
+        (
+            false,
+            "dynamic slice 4294967297 downto 4294967290 out of range for width 16",
+        ),
+        (
+            true,
+            "dynamic slice 4294967297 downto 4294967290 out of range",
+        ),
+    ] {
+        let sys = build(write);
+        let err = Simulator::new(&sys)
+            .unwrap()
+            .run_to_quiescence()
+            .unwrap_err();
+        assert_eq!(err, SimError::eval(message));
+        assert_checker_agrees(&sys, Err(&err));
+    }
+
+    let vars = [
+        Value::Bits(BitVec::zeros(16)),
+        Value::Bits(BitVec::zeros(8)),
+        Value::int(O, 64),
+    ];
+    let scope = ifsyn_sim::testing::Scope {
+        vars: &vars,
+        signals: &[],
+        procedure: None,
+        locals: &[],
+    };
+    let (x, o) = (VarId::new(0), load(var(VarId::new(2))));
+    for expr in [
+        load(dyn_slice(var(x), o.clone(), 8)),
+        dyn_slice_of(load(var(x)), o, 8),
+    ] {
+        assert_eq!(
+            ifsyn_sim::testing::eval_tree(scope, &expr),
+            Err(SimError::eval(
+                "dynamic slice 4294967297 downto 4294967290 out of range for width 16"
+            )),
+            "{expr:?}"
+        );
+    }
 }
