@@ -21,10 +21,20 @@
 //! to the successor. The successors of earlier pids are discarded; what
 //! they added to the component pools stays there unused, which changes
 //! no state's identity, because dedup compares canonical ids exactly.
-//! The cycle proviso: if the ample successor is already in the dedup
-//! table, the source is re-expanded in full, so every cycle in the
+//! The cycle proviso: if the ample successor is already in the visited
+//! set, the expansion continues in full instead — the successors found
+//! so far stay, the candidate's joins them as an ordinary successor, and
+//! the later pids run with reduction off — so every cycle in the
 //! reduced graph contains a fully expanded state and no transition is
 //! deferred forever.
+//!
+//! # Storage
+//!
+//! A stored state costs its 16-byte [`CompactState`], a 12-byte
+//! [`Parent`], a 4-byte edge offset and an 8-byte [`Edge`] per outgoing
+//! transition, plus a share of the visited set's [`Dedup`] table. Edge
+//! and parent costs are `u32`: a run that consumes more cycles is a
+//! [`SimError::TransitionCostOverflow`], never a truncated cost.
 
 use ifsyn_spec::{BitVec, Value};
 
@@ -46,6 +56,37 @@ pub(super) enum StepLabel {
     Watchdog(u32),
     /// `environment flips …` / `environment forces …`, by fault index.
     Fault(u32),
+}
+
+/// Largest behavior or fault index a [`PackedLabel`] holds; the checker
+/// refuses larger systems when it is built.
+pub(super) const MAX_LABEL_INDEX: usize = (1 << 30) - 1;
+
+/// A [`StepLabel`] in 32 bits: the kind in the top two, the index below.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct PackedLabel(u32);
+
+impl StepLabel {
+    pub fn pack(self) -> PackedLabel {
+        let (kind, index) = match self {
+            StepLabel::Run(i) => (0, i),
+            StepLabel::Watchdog(i) => (1, i),
+            StepLabel::Fault(i) => (2, i),
+        };
+        debug_assert!(index as usize <= MAX_LABEL_INDEX);
+        PackedLabel(kind << 30 | index)
+    }
+}
+
+impl PackedLabel {
+    pub fn unpack(self) -> StepLabel {
+        let index = self.0 & MAX_LABEL_INDEX as u32;
+        match self.0 >> 30 {
+            0 => StepLabel::Run(index),
+            1 => StepLabel::Watchdog(index),
+            _ => StepLabel::Fault(index),
+        }
+    }
 }
 
 /// The pooled components of the state being expanded: what a run's
@@ -100,8 +141,8 @@ struct Scratch {
     fx: RunFx,
     held: Held,
     /// The successors found so far in the current expansion, in
-    /// discovery order.
-    succs: Vec<(CompactState, StepLabel, u64)>,
+    /// discovery order, with their costs.
+    succs: Vec<(CompactState, StepLabel, u32)>,
     /// Id vector a successor's group or control ids are patched in.
     ids: Vec<u32>,
     /// A dirty group's valuation, gathered for lookup.
@@ -232,9 +273,7 @@ impl Scratch {
         } = self;
         let strike = pid.is_none();
         let sig = if fx.wrote_sig || strike {
-            pools
-                .sigs
-                .intern_with(&s.signals[..], || s.signals[..].into())
+            pools.sigs.intern(&s.signals)
         } else {
             src.sig
         };
@@ -252,7 +291,7 @@ impl Scratch {
                 );
                 ids[g as usize] = pools.groups.intern_with(&vals[..], || vals[..].into());
             }
-            pools.varvecs.intern_with(&ids[..], || ids[..].into())
+            pools.varvecs.intern(ids)
         };
         let ctl = if pid.is_none() && fx.released.is_empty() {
             src.ctl
@@ -265,7 +304,7 @@ impl Scratch {
             {
                 ids[p] = pools.procs.intern_with(&s.procs[p], || s.procs[p].clone());
             }
-            pools.ctls.intern_with(&ids[..], || ids[..].into())
+            pools.ctls.intern(ids)
         };
         let env = if strike {
             pools.envs.intern(EnvComp {
@@ -341,20 +380,20 @@ pub struct BoundedInfo {
 }
 
 /// A parent-link back-pointer: enough to rebuild any state's discovery
-/// path without storing per-state trace strings.
+/// path without storing per-state trace strings. 12 bytes.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Parent {
     /// Predecessor state index (`u32::MAX` for the root).
     pub pred: u32,
-    pub label: StepLabel,
-    pub cost: u64,
+    pub label: PackedLabel,
+    pub cost: u32,
 }
 
-/// One transition in the compressed-sparse-row edge list.
+/// One transition in the compressed-sparse-row edge list. 8 bytes.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Edge {
     pub to: u32,
-    pub cost: u64,
+    pub cost: u32,
 }
 
 /// The explored (possibly reduced, possibly bounded) state graph.
@@ -373,21 +412,21 @@ pub(super) struct Graph {
 
 /// Interns a fully materialized state (the root).
 fn intern_full(pools: &mut Pools, layout: &Layout, s: &CkState) -> CompactState {
-    let sig = pools.sigs.intern(s.signals.iter().cloned().collect());
-    let var_ids: Box<[u32]> = (0..layout.groups())
+    let sig = pools.sigs.intern(&s.signals);
+    let var_ids: Vec<u32> = (0..layout.groups())
         .map(|grp| {
             pools
                 .groups
                 .intern(layout.extract_group(grp as u32, &s.vars))
         })
         .collect();
-    let var = pools.varvecs.intern(var_ids);
-    let ctl_ids: Box<[u32]> = s
+    let var = pools.varvecs.intern(&var_ids);
+    let ctl_ids: Vec<u32> = s
         .procs
         .iter()
-        .map(|p| pools.procs.intern(p.clone()))
+        .map(|p| pools.procs.intern_with(p, || p.clone()))
         .collect();
-    let ctl = pools.ctls.intern(ctl_ids);
+    let ctl = pools.ctls.intern(&ctl_ids);
     let env = pools.envs.intern(EnvComp {
         fault_budget: s.fault_budget.clone().into_boxed_slice(),
         frozen: s.frozen.clone().into_boxed_slice(),
@@ -437,6 +476,16 @@ impl<'a> Checker<'a> {
         })
     }
 
+    /// A successor's cost as a stored transition records it. A run of
+    /// more than `u32::MAX` cycles ends the exploration: it is a limit of
+    /// the store, not a crash of the system.
+    fn edge_cost(&self, pid: usize, cost: u64) -> Result<u32, SimError> {
+        u32::try_from(cost).map_err(|_| SimError::TransitionCostOverflow {
+            behavior: self.system.behaviors[pid].name.clone(),
+            cost,
+        })
+    }
+
     /// Records the edge from state `si` to `succ`, numbering `succ` as
     /// the next state when the dedup table has not seen it.
     fn add_edge(
@@ -444,15 +493,14 @@ impl<'a> Checker<'a> {
         g: &mut Graph,
         dedup: &mut Dedup,
         si: usize,
-        (succ, label, cost): (CompactState, StepLabel, u64),
+        (succ, label, cost): (CompactState, StepLabel, u32),
     ) -> Result<(), SimError> {
-        let fp = succ.fingerprint();
-        let to = match dedup.probe(succ, fp) {
-            Some(i) => {
+        let to = match dedup.find(&g.states, succ) {
+            Ok(i) => {
                 g.stats.dedup_hits += 1;
                 i
             }
-            None => {
+            Err(at) => {
                 let i = g.states.len();
                 if i >= self.hard_max_states() {
                     return Err(SimError::StateCapExceeded {
@@ -460,10 +508,10 @@ impl<'a> Checker<'a> {
                     });
                 }
                 g.states.push(succ);
-                dedup.insert(succ, fp, i as u32);
+                dedup.insert(&g.states, at, i as u32);
                 g.parents.push(Parent {
                     pred: si as u32,
-                    label,
+                    label: label.pack(),
                     cost,
                 });
                 i as u32
@@ -476,16 +524,17 @@ impl<'a> Checker<'a> {
     /// Expands state `si` and records its edges: the seed's `successors`
     /// with the ample-set shortcut. With `por` set, the first qualifying
     /// pure run stands alone (later pids unscanned — sound, see the
-    /// module docs); otherwise the full successor set is recorded in the
-    /// seed's order: process runs in pid order, watchdog expiries when
-    /// nothing else moves, then budgeted fault strikes in config order.
+    /// module docs) unless its successor is already visited; otherwise
+    /// the full successor set is recorded in the seed's order: process
+    /// runs in pid order, watchdog expiries when nothing else moves, then
+    /// budgeted fault strikes in config order.
     fn expand(
         &self,
         ctx: &mut Scratch,
         g: &mut Graph,
         dedup: &mut Dedup,
         si: usize,
-        por: bool,
+        mut por: bool,
     ) -> Result<(), SimError> {
         let cs = g.states[si];
         ctx.materialize(Src::new(&g.pools, cs), &self.layout);
@@ -501,6 +550,7 @@ impl<'a> Checker<'a> {
                     self.release_waiters(&mut ctx.cur, &mut ctx.regs, &mut ctx.fx)?;
                     let src = Src::new(&g.pools, cs);
                     if self.progress(src, &ctx.cur, &ctx.fx, pid) {
+                        let cost = self.edge_cost(pid, cost)?;
                         live = true;
                         let ample = por
                             && crashes.is_empty()
@@ -511,17 +561,19 @@ impl<'a> Checker<'a> {
                         let succ = ctx.intern(&mut g.pools, &self.layout, cs, Some(pid));
                         let edge = (succ, StepLabel::Run(pid as u32), cost);
                         if ample {
-                            ctx.rollback(Src::new(&g.pools, cs), &self.layout, Some(pid));
-                            ctx.held.cs = Some(cs);
-                            if dedup.probe(succ, succ.fingerprint()).is_some() {
-                                // Cycle proviso: the deferred transitions
-                                // would never be explored along this
-                                // lasso — re-expand the source in full.
-                                return self.expand(ctx, g, dedup, si, false);
+                            if dedup.find(&g.states, succ).is_err() {
+                                ctx.rollback(Src::new(&g.pools, cs), &self.layout, Some(pid));
+                                ctx.held.cs = Some(cs);
+                                self.add_edge(g, dedup, si, edge)?;
+                                g.stats.ample_states += 1;
+                                return Ok(());
                             }
-                            self.add_edge(g, dedup, si, edge)?;
-                            g.stats.ample_states += 1;
-                            return Ok(());
+                            // Cycle proviso: the deferred transitions
+                            // would never be explored along this lasso —
+                            // expand the source in full. The earlier
+                            // pids' successors are already here, and this
+                            // one joins them.
+                            por = false;
                         }
                         ctx.succs.push(edge);
                     }
@@ -544,6 +596,7 @@ impl<'a> Checker<'a> {
                     Ok(Some(cost)) => {
                         self.release_waiters(&mut ctx.cur, &mut ctx.regs, &mut ctx.fx)?;
                         if self.progress(Src::new(&g.pools, cs), &ctx.cur, &ctx.fx, pid) {
+                            let cost = self.edge_cost(pid, cost)?;
                             live = true;
                             let succ = ctx.intern(&mut g.pools, &self.layout, cs, Some(pid));
                             ctx.succs
@@ -616,7 +669,11 @@ impl<'a> Checker<'a> {
         let por = self.por_on();
         let mut ctx = Scratch::new(self);
         let mut g = Graph {
-            pools: Pools::new(),
+            pools: Pools::new(
+                ctx.cur.signals.len(),
+                self.layout.groups(),
+                ctx.cur.procs.len(),
+            ),
             states: Vec::new(),
             parents: Vec::new(),
             edges: Vec::new(),
@@ -633,11 +690,14 @@ impl<'a> Checker<'a> {
         ctx.fx.reset(false);
         self.release_waiters(&mut ctx.cur, &mut ctx.regs, &mut ctx.fx)?;
         let init_cs = intern_full(&mut g.pools, &self.layout, &ctx.cur);
-        dedup.insert(init_cs, init_cs.fingerprint(), 0);
+        let at = dedup
+            .find(&g.states, init_cs)
+            .expect_err("the visited set starts empty");
         g.states.push(init_cs);
+        dedup.insert(&g.states, at, 0);
         g.parents.push(Parent {
             pred: u32::MAX,
-            label: StepLabel::Run(0),
+            label: StepLabel::Run(0).pack(),
             cost: 0,
         });
 

@@ -8,7 +8,7 @@
 //! 8-byte chunks; model-checker inputs are not attacker-controlled, so
 //! DoS resistance buys nothing here.
 
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
@@ -66,9 +66,6 @@ impl Hasher for FxHasher {
     }
 }
 
-/// `BuildHasher` plugging [`FxHasher`] into `HashMap`.
-pub(super) type BuildFx = BuildHasherDefault<FxHasher>;
-
 /// Hashes one value with [`FxHasher`].
 #[inline]
 pub(super) fn fx_hash<T: Hash + ?Sized>(v: &T) -> u64 {
@@ -78,7 +75,7 @@ pub(super) fn fx_hash<T: Hash + ?Sized>(v: &T) -> u64 {
 }
 
 /// SplitMix64 finalizer: diffuses component ids into a 64-bit state
-/// fingerprint for dedup sharding.
+/// fingerprint, the visited set's hash.
 #[inline]
 pub(super) fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -65,8 +65,13 @@
 //! soundness arguments and `docs/PERFORMANCE.md` for numbers):
 //!
 //! * **compact states** — reachable states are stored as four interned
-//!   component ids (16 bytes) instead of full deep clones, with dedup by
-//!   16-byte compare under a 64-bit fingerprint;
+//!   component ids (16 bytes) instead of full deep clones. Every
+//!   component pool and the visited set index their keys through one
+//!   open-addressing table of `u32` ids, so a lookup allocates nothing
+//!   and a stored state costs its id, not a boxed copy; fixed-length
+//!   components (signal valuations, group-id and control-id vectors)
+//!   sit back to back in arenas. Transitions are 8 bytes and parent
+//!   links 12, with `u32` costs;
 //! * **partial-order reduction** (on by default, [`CheckConfig::without_por`]
 //!   to disable) — a process step that touches only its own private
 //!   state stands in for the full successor set, with a cycle proviso
@@ -244,12 +249,22 @@ impl<'a> Checker<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidSystem`] if the system fails validation
-    /// or a configured fault names an unknown signal.
+    /// Returns [`SimError::InvalidSystem`] if the system fails validation,
+    /// a configured fault names an unknown signal, or the system has more
+    /// behaviors or faults than a stored transition label can name
+    /// (2^30 each).
     pub fn with_config(system: &'a System, config: CheckConfig) -> Result<Self, SimError> {
         system.check().map_err(|e| SimError::InvalidSystem {
             message: e.to_string(),
         })?;
+        if system.behaviors.len().max(config.faults.len()) > explore::MAX_LABEL_INDEX + 1 {
+            return Err(SimError::InvalidSystem {
+                message: format!(
+                    "the checker labels at most {} behaviors and {0} faults",
+                    explore::MAX_LABEL_INDEX + 1
+                ),
+            });
+        }
         let program = Program::compile(system, &config.cost_model);
         let max_regs = program.max_regs();
         let mut faults = Vec::with_capacity(config.faults.len());

@@ -36,8 +36,9 @@
 //!
 //! Soundness notes live in `docs/ROBUSTNESS.md`: conditions C0 and C1
 //! follow from purity, C2 from what a predicate's view can read, the
-//! cycle proviso C3 is enforced by fully re-expanding any state whose
-//! ample successor is already visited, and ample sets here are
+//! cycle proviso C3 is enforced by expanding in full any state whose
+//! ample successor is already visited (the expansion goes on past the
+//! candidate with reduction off), and ample sets here are
 //! singletons, which preserves branching-time properties (`leads_to`),
 //! not just safety.
 

@@ -25,9 +25,13 @@
 //!   skip replay entirely (that is where the speed lives). A bounded
 //!   run replays under the same budget and keeps its own report when
 //!   the replay stops short of the failure.
+//!
+//! Leads-to checks walk the graph backwards. Each space builds its
+//! reverse adjacency once, on the first leads-to check, as a
+//! compressed-sparse-row [`Reverse`] (one `u32` offset per state and one
+//! `u32` per edge), and every later leads-to check shares it.
 
 use std::cell::OnceCell;
-use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Deref;
 
@@ -225,17 +229,60 @@ impl fmt::Display for Counterexample {
     }
 }
 
+/// The reverse of a graph's edges in compressed-sparse-row form: the
+/// predecessors of state `i` are `preds[off[i]..off[i + 1]]`, one entry
+/// per edge into `i`, in ascending source order.
+pub(super) struct Reverse {
+    off: Vec<u32>,
+    preds: Vec<u32>,
+}
+
+impl Reverse {
+    pub fn new(g: &Graph) -> Self {
+        let n = g.states.len();
+        // Count each state's in-edges at `off[to + 1]`, then prefix-sum:
+        // `off[i]` becomes the start of state `i`'s range.
+        let mut off = vec![0u32; n + 1];
+        for e in &g.edges {
+            off[e.to as usize + 1] += 1;
+        }
+        for i in 0..n {
+            off[i + 1] += off[i];
+        }
+        // Fill with `off[to]` as the cursor, which leaves `off[i]` at the
+        // end of state `i`'s range; shifting by one restores the starts.
+        let mut preds = vec![0u32; g.edges.len()];
+        for src in 0..n {
+            let range = g.edge_off[src] as usize..g.edge_off[src + 1] as usize;
+            for e in &g.edges[range] {
+                let at = &mut off[e.to as usize];
+                preds[*at as usize] = src as u32;
+                *at += 1;
+            }
+        }
+        off.copy_within(0..n, 1);
+        off[0] = 0;
+        Self { off, preds }
+    }
+
+    pub fn preds_of(&self, i: usize) -> &[u32] {
+        &self.preds[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+}
+
 /// A POR-off re-exploration of the same system, built lazily the first
 /// time a reduced run needs a seed-faithful failure report.
 struct Replay<'a> {
     checker: Checker<'a>,
     g: Graph,
+    rev: OnceCell<Reverse>,
 }
 
 /// The explored reachable state graph with labeled, costed transitions.
 pub struct StateSpace<'a> {
     checker: &'a Checker<'a>,
     g: Graph,
+    rev: OnceCell<Reverse>,
     replay: OnceCell<Option<Box<Replay<'a>>>>,
 }
 
@@ -244,6 +291,8 @@ pub struct StateSpace<'a> {
 struct SpaceRef<'x, 'a> {
     ck: &'x Checker<'a>,
     g: &'x Graph,
+    /// The space's reverse adjacency, built by the first leads-to check.
+    rev: &'x OnceCell<Reverse>,
 }
 
 type Pred<'p> = &'p dyn Fn(&SignalView<'_>) -> bool;
@@ -303,29 +352,25 @@ impl<'x, 'a> SpaceRef<'x, 'a> {
     fn check_leads_to(&self, name: &str, premise: Pred<'_>, goal: Pred<'_>) -> PropertyReport {
         let n = self.g.states.len();
         let explored = self.explored();
-        let mut rev: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for i in 0..explored {
-            for e in self.edges_of(i) {
-                rev[e.to as usize].push(i as u32);
-            }
-        }
+        let rev = self.rev.get_or_init(|| Reverse::new(self.g));
         let mut reaches = vec![false; n];
-        let mut queue: VecDeque<usize> = VecDeque::new();
+        let mut todo: Vec<u32> = Vec::new();
         for (i, r) in reaches.iter_mut().enumerate() {
             // A frontier state's continuations are unknown: treat it as
             // goal-satisfying so a budgeted run never reports a
             // violation it has not actually proved (the Bounded verdict
-            // carries the uncertainty instead).
+            // carries the uncertainty instead). Its edge range is empty,
+            // so it is no state's predecessor in `rev`.
             if i >= explored || goal(&self.view_of(i)) {
                 *r = true;
-                queue.push_back(i);
+                todo.push(i as u32);
             }
         }
-        while let Some(i) = queue.pop_front() {
-            for &p in &rev[i] {
+        while let Some(i) = todo.pop() {
+            for &p in rev.preds_of(i as usize) {
                 if !reaches[p as usize] {
                     reaches[p as usize] = true;
-                    queue.push_back(p as usize);
+                    todo.push(p);
                 }
             }
         }
@@ -362,7 +407,7 @@ impl<'x, 'a> SpaceRef<'x, 'a> {
                 memo[v] = self
                     .edges_of(v)
                     .iter()
-                    .map(|e| e.cost + memo[e.to as usize])
+                    .map(|e| u64::from(e.cost) + memo[e.to as usize])
                     .max()
                     .unwrap_or(0);
             }
@@ -423,8 +468,8 @@ impl<'x, 'a> SpaceRef<'x, 'a> {
             if p.pred == u32::MAX {
                 break;
             }
-            trace.push(self.render_label(p.label));
-            cost += p.cost;
+            trace.push(self.render_label(p.label.unpack()));
+            cost += u64::from(p.cost);
             cur = p.pred as usize;
         }
         trace.reverse();
@@ -493,6 +538,7 @@ impl<'a> StateSpace<'a> {
         Self {
             checker,
             g,
+            rev: OnceCell::new(),
             replay: OnceCell::new(),
         }
     }
@@ -501,6 +547,7 @@ impl<'a> StateSpace<'a> {
         SpaceRef {
             ck: self.checker,
             g: &self.g,
+            rev: &self.rev,
         }
     }
 
@@ -515,11 +562,16 @@ impl<'a> StateSpace<'a> {
             cfg.por = false;
             let checker = Checker::with_config(self.checker.system, cfg).ok()?;
             let g = checker.explore_graph().ok()?;
-            Some(Box::new(Replay { checker, g }))
+            Some(Box::new(Replay {
+                checker,
+                g,
+                rev: OnceCell::new(),
+            }))
         });
         replay.as_ref().map(|r| SpaceRef {
             ck: &r.checker,
             g: &r.g,
+            rev: &r.rev,
         })
     }
 

@@ -7,7 +7,7 @@
 //! state and a SipHash over the whole structure per lookup. Here a stored
 //! state is four `u32` component ids ([`CompactState`], 16 bytes):
 //!
-//! * `sig` — the interned signal valuation (`Box<[Value]>`);
+//! * `sig` — the interned signal valuation, one [`Value`] per signal;
 //! * `var` — an interned vector of per-group variable-valuation ids,
 //!   grouped by the variables' owning behavior so one process's step
 //!   re-interns only its own group;
@@ -17,16 +17,21 @@
 //!
 //! Interning is canonical (equal components share one id), so two states
 //! are equal iff their `CompactState`s are equal — dedup compares 16
-//! bytes instead of whole states. A 64-bit fingerprint over the ids
-//! shards the dedup table.
+//! bytes instead of whole states.
+//!
+//! Every pool and the visited set index their keys through one
+//! [`IdTable`]: an open-addressing table of `u32` ids whose keys live in
+//! the pool's own storage. Components of one fixed length — signal
+//! valuations, group-id vectors and control-id vectors — are stored back
+//! to back in an [`Arena`]; process controls, group valuations and fault
+//! environments keep one item each in a [`Pool`].
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::hash::Hash;
 
 use ifsyn_spec::{System, Value};
 
-use super::fx::{fx_hash, splitmix, BuildFx};
+use super::fx::{fx_hash, splitmix};
 use crate::process::Frame;
 
 /// Control state of one behavior instance.
@@ -126,30 +131,194 @@ pub(super) struct EnvComp {
     pub frozen: Box<[bool]>,
 }
 
-enum Bucket {
-    One(u32),
-    Many(Vec<u32>),
+/// A free slot. No id is `u32::MAX`, so no occupied slot reads as this.
+const EMPTY: u32 = u32::MAX;
+
+/// Slots of a new table; a power of two.
+const MIN_SLOTS: usize = 16;
+
+/// An open-addressing hash table of `u32` ids whose keys live in the
+/// caller's storage, with linear probing at a load of at most ½.
+///
+/// A slot holds one id and nothing else. A key's home slot is the top
+/// bits of the high half of its 64-bit hash; a probe asks the caller
+/// whether the id in each occupied slot it passes names the key, and
+/// growth asks the caller for each stored id's hash. Four-byte slots
+/// halve the table against slots that also keep a 32-bit hash tag (see
+/// `docs/PERFORMANCE.md`, "State store").
+pub(super) struct IdTable {
+    slots: Vec<u32>,
+    len: usize,
 }
 
-/// A canonical component pool: equal values share one id, ids index the
-/// insertion-ordered `items` vector. The map is keyed by FxHash with
-/// explicit buckets, so a lookup is one hash of the component plus an
-/// equality check per (rare) collision.
+/// Where [`IdTable::find`] would store a key it did not find.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Vacant {
+    slot: usize,
+}
+
+impl Vacant {
+    /// The free slot the key would go in.
+    #[cfg(test)]
+    pub fn slot(self) -> usize {
+        self.slot
+    }
+}
+
+impl IdTable {
+    pub fn new() -> Self {
+        Self {
+            slots: vec![EMPTY; MIN_SLOTS],
+            len: 0,
+        }
+    }
+
+    /// Number of stored ids.
+    #[cfg(test)]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Number of slots.
+    #[cfg(test)]
+    pub fn slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    #[inline]
+    fn home(&self, h: u64) -> usize {
+        // `slots` is a power of two no larger than 2^32: the high half
+        // of the hash, shifted by its log2, picks the slot.
+        let bits = self.slots.len().trailing_zeros();
+        ((h >> 32) << bits >> 32) as usize
+    }
+
+    /// The stored id under hash `h` whose key `is_key` accepts, or where
+    /// to store one. Allocates nothing.
+    #[inline]
+    pub fn find(&self, h: u64, mut is_key: impl FnMut(u32) -> bool) -> Result<u32, Vacant> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(h);
+        loop {
+            let id = self.slots[i];
+            if id == EMPTY {
+                return Err(Vacant { slot: i });
+            }
+            if is_key(id) {
+                return Ok(id);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Stores `id` where the last [`IdTable::find`] missed. Once the
+    /// table is more than half full it doubles, re-placing every stored
+    /// id by `hash_of` it.
+    pub fn insert(&mut self, at: Vacant, id: u32, hash_of: impl Fn(u32) -> u64) {
+        debug_assert!(self.slots[at.slot] == EMPTY && id != EMPTY);
+        self.slots[at.slot] = id;
+        self.len += 1;
+        if self.len * 2 > self.slots.len() {
+            let n = self.slots.len() * 2;
+            assert!(n.trailing_zeros() <= 32, "id table overflow");
+            let old = std::mem::replace(&mut self.slots, vec![EMPTY; n]);
+            let mask = n - 1;
+            for id in old.into_iter().filter(|&id| id != EMPTY) {
+                let mut i = self.home(hash_of(id));
+                while self.slots[i] != EMPTY {
+                    i = (i + 1) & mask;
+                }
+                self.slots[i] = id;
+            }
+        }
+    }
+}
+
+/// The id the next component of a pool holding `len` gets.
+fn next_id(len: usize) -> u32 {
+    u32::try_from(len)
+        .ok()
+        .filter(|&id| id != u32::MAX)
+        .expect("component pool overflow")
+}
+
+/// A canonical pool of components that all have one length, `stride`
+/// values each, stored back to back: equal components share one id, and
+/// ids number the components in insertion order.
+pub(super) struct Arena<T> {
+    data: Vec<T>,
+    stride: usize,
+    len: usize,
+    table: IdTable,
+}
+
+impl<T: Clone + Hash + Eq> Arena<T> {
+    pub fn new(stride: usize) -> Self {
+        Self {
+            data: Vec::new(),
+            stride,
+            len: 0,
+            table: IdTable::new(),
+        }
+    }
+
+    #[inline]
+    pub fn get(&self, id: u32) -> &[T] {
+        let at = id as usize * self.stride;
+        &self.data[at..at + self.stride]
+    }
+
+    /// Interns the component equal to `key`, copying it in only when none
+    /// is pooled yet.
+    pub fn intern(&mut self, key: &[T]) -> u32 {
+        debug_assert_eq!(key.len(), self.stride);
+        let h = fx_hash(key);
+        let Self {
+            data,
+            stride,
+            len,
+            table,
+        } = self;
+        let stride = *stride;
+        match table.find(h, |id| data[id as usize * stride..][..stride] == *key) {
+            Ok(id) => id,
+            Err(at) => {
+                let id = next_id(*len);
+                data.extend_from_slice(key);
+                *len += 1;
+                table.insert(at, id, |id| {
+                    fx_hash(&data[id as usize * stride..][..stride])
+                });
+                id
+            }
+        }
+    }
+
+    /// The stored values, their capacity and the table's slots: what a
+    /// hit leaves unchanged.
+    #[cfg(test)]
+    pub fn footprint(&self) -> (usize, usize, usize) {
+        (self.data.len(), self.data.capacity(), self.table.slots())
+    }
+}
+
+/// A canonical pool of components of varying size, one item each: equal
+/// components share one id, and ids index the insertion-ordered items.
 ///
 /// Lookups also take a borrowed form of the component (`[T]` for a
 /// `Box<[T]>`, which hashes identically), so a caller holding the value
 /// in a scratch buffer resolves it to an existing id without allocating
-/// and pays for a boxed copy only on a miss.
-pub(super) struct Interner<T> {
+/// and pays for an owned copy only on a miss.
+pub(super) struct Pool<T> {
     items: Vec<T>,
-    map: HashMap<u64, Bucket, BuildFx>,
+    table: IdTable,
 }
 
-impl<T: Hash + Eq> Interner<T> {
+impl<T: Hash + Eq> Pool<T> {
     pub fn new() -> Self {
         Self {
             items: Vec::new(),
-            map: HashMap::default(),
+            table: IdTable::new(),
         }
     }
 
@@ -162,9 +331,10 @@ impl<T: Hash + Eq> Interner<T> {
     /// value is dropped when an equal component is already pooled).
     pub fn intern(&mut self, value: T) -> u32 {
         let h = fx_hash(&value);
-        match self.lookup(h, &value) {
-            Some(id) => id,
-            None => self.insert(h, value),
+        let Self { items, table } = self;
+        match table.find(h, |id| items[id as usize] == value) {
+            Ok(id) => id,
+            Err(at) => Self::push(items, table, at, value),
         }
     }
 
@@ -176,64 +346,47 @@ impl<T: Hash + Eq> Interner<T> {
         Q: Hash + Eq + ?Sized,
     {
         let h = fx_hash(key);
-        match self.lookup(h, key) {
-            Some(id) => id,
-            None => self.insert(h, make()),
+        let Self { items, table } = self;
+        match table.find(h, |id| items[id as usize].borrow() == key) {
+            Ok(id) => id,
+            Err(at) => Self::push(items, table, at, make()),
         }
     }
 
-    fn lookup<Q>(&self, h: u64, key: &Q) -> Option<u32>
-    where
-        T: Borrow<Q>,
-        Q: Eq + ?Sized,
-    {
-        let same = |&id: &u32| self.items[id as usize].borrow() == key;
-        match self.map.get(&h)? {
-            Bucket::One(id) => Some(*id).filter(same),
-            Bucket::Many(ids) => ids.iter().copied().find(same),
-        }
-    }
-
-    /// Pools a value known to be absent under hash `h`.
-    fn insert(&mut self, h: u64, value: T) -> u32 {
-        let id = u32::try_from(self.items.len()).expect("component pool overflow");
-        self.items.push(value);
-        self.map
-            .entry(h)
-            .and_modify(|b| match b {
-                Bucket::One(first) => *b = Bucket::Many(vec![*first, id]),
-                Bucket::Many(ids) => ids.push(id),
-            })
-            .or_insert(Bucket::One(id));
+    fn push(items: &mut Vec<T>, table: &mut IdTable, at: Vacant, value: T) -> u32 {
+        let id = next_id(items.len());
+        items.push(value);
+        table.insert(at, id, |id| fx_hash(&items[id as usize]));
         id
     }
 }
 
 /// All component pools of one exploration.
 pub(super) struct Pools {
-    /// Signal valuations.
-    pub sigs: Interner<Box<[Value]>>,
+    /// Signal valuations, one value per signal.
+    pub sigs: Arena<Value>,
     /// Per-group variable valuations.
-    pub groups: Interner<Box<[Value]>>,
-    /// Per-state vectors of group-valuation ids.
-    pub varvecs: Interner<Box<[u32]>>,
+    pub groups: Pool<Box<[Value]>>,
+    /// Per-state vectors of group-valuation ids, one per group.
+    pub varvecs: Arena<u32>,
     /// Per-process control states.
-    pub procs: Interner<CkProc>,
-    /// Per-state vectors of process-control ids (the PC vector).
-    pub ctls: Interner<Box<[u32]>>,
+    pub procs: Pool<CkProc>,
+    /// Per-state vectors of process-control ids (the PC vector), one per
+    /// process.
+    pub ctls: Arena<u32>,
     /// Fault environments.
-    pub envs: Interner<EnvComp>,
+    pub envs: Pool<EnvComp>,
 }
 
 impl Pools {
-    pub fn new() -> Self {
+    pub fn new(signals: usize, groups: usize, procs: usize) -> Self {
         Self {
-            sigs: Interner::new(),
-            groups: Interner::new(),
-            varvecs: Interner::new(),
-            procs: Interner::new(),
-            ctls: Interner::new(),
-            envs: Interner::new(),
+            sigs: Arena::new(signals),
+            groups: Pool::new(),
+            varvecs: Arena::new(groups),
+            procs: Pool::new(),
+            ctls: Arena::new(procs),
+            envs: Pool::new(),
         }
     }
 }
@@ -248,8 +401,8 @@ pub(super) struct CompactState {
 }
 
 impl CompactState {
-    /// 64-bit fingerprint over the component ids: shards the dedup
-    /// table.
+    /// 64-bit fingerprint over the component ids: the state's hash in
+    /// the visited set.
     #[inline]
     pub fn fingerprint(self) -> u64 {
         let a = splitmix(u64::from(self.sig) | (u64::from(self.var) << 32));
@@ -257,33 +410,29 @@ impl CompactState {
     }
 }
 
-/// Dedup-table shard count (indexed by fingerprint high bits).
-const DEDUP_SHARDS: usize = 16;
-
-#[inline]
-fn shard_of(fp: u64) -> usize {
-    (fp >> 48) as usize & (DEDUP_SHARDS - 1)
-}
-
-/// The visited-state index: the full 16-byte [`CompactState`]
-/// (collision-free, since interned ids are canonical), sharded by
-/// fingerprint.
-pub(super) struct Dedup(Vec<HashMap<CompactState, u32, BuildFx>>);
+/// The visited-state index: an [`IdTable`] of state numbers whose keys,
+/// the full 16-byte [`CompactState`]s (collision-free, since interned
+/// ids are canonical), live in the explorer's state list.
+pub(super) struct Dedup(IdTable);
 
 impl Dedup {
     pub fn new() -> Self {
-        Dedup((0..DEDUP_SHARDS).map(|_| HashMap::default()).collect())
+        Dedup(IdTable::new())
     }
 
-    /// Looks up a state without inserting.
+    /// The number of the stored state equal to `cs`, or where to record
+    /// it.
     #[inline]
-    pub fn probe(&self, cs: CompactState, fp: u64) -> Option<u32> {
-        self.0[shard_of(fp)].get(&cs).copied()
+    pub fn find(&self, states: &[CompactState], cs: CompactState) -> Result<u32, Vacant> {
+        self.0
+            .find(cs.fingerprint(), |id| states[id as usize] == cs)
     }
 
-    /// Records a newly discovered state's index.
+    /// Records state `id`, already pushed onto `states`, where `find`
+    /// missed.
     #[inline]
-    pub fn insert(&mut self, cs: CompactState, fp: u64, id: u32) {
-        self.0[shard_of(fp)].insert(cs, id);
+    pub fn insert(&mut self, states: &[CompactState], at: Vacant, id: u32) {
+        self.0
+            .insert(at, id, |id| states[id as usize].fingerprint());
     }
 }

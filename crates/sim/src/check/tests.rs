@@ -420,45 +420,180 @@ fn state_limit_supersedes_the_hard_state_cap() {
     assert_eq!(err.to_string(), "reachable state space exceeds 20 states");
 }
 
-/// `intern_with` resolves a borrowed slice to the boxed component it
-/// equals and builds an owned copy only on a miss, handing out ids in
-/// the same order `intern` does, also for keys that share a hash bucket.
-#[test]
-fn interner_resolves_borrowed_keys_and_copies_only_misses() {
-    /// Interns `v` by borrowed key: its id, and whether a copy was built.
-    fn intern(pool: &mut state::Interner<Box<[u32]>>, v: &[u32]) -> (u32, bool) {
-        let mut copied = false;
-        let id = pool.intern_with(v, || {
-            copied = true;
-            v.into()
-        });
-        (id, copied)
-    }
-    let mut pool: state::Interner<Box<[u32]>> = state::Interner::new();
-    let a = pool.intern(vec![1, 2].into_boxed_slice());
-    assert_eq!(
-        intern(&mut pool, &[1, 2]),
-        (a, false),
-        "a hit builds no copy"
-    );
-    let (b, copied) = intern(&mut pool, &[2, 1]);
-    assert!(copied, "a miss builds a copy");
-    let (c, _) = intern(&mut pool, &[3]);
-    assert_eq!((a, b, c), (0, 1, 2));
-    assert_eq!(pool.intern(vec![3].into_boxed_slice()), c);
-    assert_eq!(&**pool.get(c), &[3]);
+// ---- the state store ----
 
-    #[derive(PartialEq, Eq)]
-    struct Clash(u32);
-    impl std::hash::Hash for Clash {
-        fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
-            h.write_u32(0);
+/// Two keys with one hash land in one probe run; `find` tells them
+/// apart by the stored key, and a third key under the same hash is a
+/// miss.
+#[test]
+fn id_table_tells_equal_hashes_apart_by_key() {
+    let keys = [10u32, 20, 30];
+    let h = 0xdead_beef_0000_0001;
+    let mut table = state::IdTable::new();
+    for id in 0..2 {
+        let at = table
+            .find(h, |i| keys[i as usize] == keys[id as usize])
+            .expect_err("not stored yet");
+        table.insert(at, id, |_| h);
+    }
+    assert_eq!(table.find(h, |i| keys[i as usize] == 10).ok(), Some(0));
+    assert_eq!(table.find(h, |i| keys[i as usize] == 20).ok(), Some(1));
+    assert!(table.find(h, |i| keys[i as usize] == 30).is_err());
+    assert_eq!(table.len(), 2);
+}
+
+/// A key whose home is the last slot probes on at slot 0.
+#[test]
+fn id_table_probe_wraps_around_at_the_last_slot() {
+    let mut table = state::IdTable::new();
+    let last = table.slots() - 1;
+    let h = u64::MAX; // high half all ones: home is the last slot
+    let at = table.find(h, |_| false).expect_err("empty table");
+    assert_eq!(at.slot(), last);
+    table.insert(at, 0, |_| h);
+    let at = table
+        .find(h, |id| id == 1)
+        .expect_err("key 1 is not stored");
+    assert_eq!(at.slot(), 0, "the probe wraps to the first slot");
+    table.insert(at, 1, |_| h);
+    assert_eq!(table.find(h, |id| id == 0).ok(), Some(0));
+    assert_eq!(table.find(h, |id| id == 1).ok(), Some(1));
+}
+
+/// Growth re-places every stored id by its key's hash: every id stays
+/// findable under its key, at a load of at most one half.
+#[test]
+fn id_table_growth_keeps_every_id() {
+    let hash = |k: u32| fx::splitmix(u64::from(k));
+    let mut table = state::IdTable::new();
+    let first = table.slots();
+    for k in 0..5000u32 {
+        let at = table.find(hash(k), |id| id == k).expect_err("fresh key");
+        table.insert(at, k, hash);
+    }
+    assert!(table.slots() > first, "the table grew");
+    assert!(table.len() * 2 <= table.slots());
+    for k in 0..5000u32 {
+        assert_eq!(table.find(hash(k), |id| id == k).ok(), Some(k));
+    }
+    assert!(table.find(hash(5000), |id| id == 5000).is_err());
+}
+
+/// An arena hands out ids in first-seen order and `get` returns exactly
+/// the slice interned under each, zero-length components included.
+#[test]
+fn arena_get_returns_exactly_the_interned_slice() {
+    let mut arena = state::Arena::new(3);
+    let keys: [&[u32]; 3] = [&[1, 2, 3], &[3, 2, 1], &[0, 0, 0]];
+    let ids: Vec<u32> = keys.iter().map(|k| arena.intern(k)).collect();
+    assert_eq!(ids, [0, 1, 2]);
+    for (&id, key) in ids.iter().zip(keys) {
+        assert_eq!(arena.get(id), key);
+        assert_eq!(arena.intern(key), id);
+    }
+    let mut empty: state::Arena<u32> = state::Arena::new(0);
+    assert_eq!(empty.intern(&[]), 0);
+    assert_eq!(empty.intern(&[]), 0);
+    assert!(empty.get(0).is_empty());
+}
+
+/// A lookup that finds its component stores nothing: the arena's values,
+/// their capacity and the table keep their size, and a pool builds no
+/// owned copy.
+#[test]
+fn a_hit_allocates_nothing() {
+    let mut arena = state::Arena::new(2);
+    for k in 0..40u32 {
+        arena.intern(&[k, k + 1]);
+    }
+    let before = arena.footprint();
+    assert_eq!(arena.intern(&[7, 8]), 7);
+    assert_eq!(arena.footprint(), before);
+
+    let mut pool: state::Pool<Box<[u32]>> = state::Pool::new();
+    let a = pool.intern(vec![1, 2].into_boxed_slice());
+    let mut copied = false;
+    let hit = pool.intern_with(&[1u32, 2][..], || {
+        copied = true;
+        vec![1, 2].into_boxed_slice()
+    });
+    assert_eq!((hit, copied), (a, false), "a hit builds no copy");
+    let miss = pool.intern_with(&[2u32, 1][..], || {
+        copied = true;
+        vec![2, 1].into_boxed_slice()
+    });
+    assert_eq!((miss, copied), (1, true), "a miss builds one");
+    assert_eq!(&**pool.get(miss), &[2, 1]);
+}
+
+/// A stored transition is 8 bytes and a parent link 12; a packed label
+/// keeps its kind and index at the ends of the index range.
+#[test]
+fn stored_edges_and_parents_are_packed() {
+    use explore::{Edge, Parent, StepLabel, MAX_LABEL_INDEX};
+    assert_eq!(std::mem::size_of::<Edge>(), 8);
+    assert_eq!(std::mem::size_of::<Parent>(), 12);
+    let max = MAX_LABEL_INDEX as u32;
+    for label in [
+        StepLabel::Run(0),
+        StepLabel::Run(max),
+        StepLabel::Watchdog(max),
+        StepLabel::Fault(0),
+        StepLabel::Fault(max),
+    ] {
+        assert_eq!(label.pack().unpack(), label);
+    }
+}
+
+/// A run of more than `u32::MAX` cycles ends the exploration with
+/// `TransitionCostOverflow`; one of exactly `u32::MAX` is recorded, and
+/// costs along a path add up beyond it.
+#[test]
+fn a_transition_cost_beyond_u32_is_an_error() {
+    let max = u64::from(u32::MAX);
+    let mut sys = System::new("long_wait");
+    let m = sys.add_module("chip");
+    let p = sys.add_behavior("P", m);
+    sys.behavior_mut(p).body = vec![wait_cycles(max), wait_cycles(max)];
+    let ck = Checker::new(&sys).unwrap();
+    let ss = ck.explore().unwrap();
+    assert_eq!(ss.worst_cost_to_quiescence(), Some(2 * max));
+
+    sys.behavior_mut(p).body = vec![wait_cycles(max + 1)];
+    let ck = Checker::new(&sys).unwrap();
+    let err = ck.explore().err().expect("the cost does not fit");
+    assert_eq!(
+        err,
+        SimError::TransitionCostOverflow {
+            behavior: "P".to_string(),
+            cost: max + 1,
+        }
+    );
+}
+
+/// The reverse adjacency lists, for every state, one predecessor per
+/// edge into it, in ascending source order — the plain reversal of the
+/// edge lists — also on a bounded graph, whose frontier has no edges.
+#[test]
+fn reverse_adjacency_reverses_every_edge() {
+    let sys = mixed_private();
+    for config in [
+        CheckConfig::new().without_por(),
+        CheckConfig::new().without_por().with_state_limit(10),
+    ] {
+        let ck = Checker::with_config(&sys, config).unwrap();
+        let g = ck.explore_graph().unwrap();
+        let mut plain = vec![Vec::new(); g.states.len()];
+        for src in 0..g.states.len() {
+            for e in &g.edges[g.edge_off[src] as usize..g.edge_off[src + 1] as usize] {
+                plain[e.to as usize].push(src as u32);
+            }
+        }
+        let rev = space::Reverse::new(&g);
+        for (i, preds) in plain.iter().enumerate() {
+            assert_eq!(rev.preds_of(i), &preds[..], "predecessors of state {i}");
         }
     }
-    let mut pool = state::Interner::new();
-    let ids: Vec<u32> = (0..3).map(|k| pool.intern(Clash(k))).collect();
-    assert_eq!(ids, [0, 1, 2]);
-    assert_eq!(pool.intern(Clash(1)), 1);
 }
 
 // ---- in-place execution: rollback ----

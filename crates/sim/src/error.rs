@@ -67,6 +67,15 @@ pub enum SimError {
         /// The cap that was exceeded.
         max_states: usize,
     },
+    /// One model-checker transition consumed more cycles than a stored
+    /// transition records (`u32::MAX`); a watchdog bound
+    /// (`wait ... for N`) that large expires in one transition.
+    TransitionCostOverflow {
+        /// The behavior whose run it was.
+        behavior: String,
+        /// The run's cost in cycles.
+        cost: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -106,6 +115,12 @@ impl fmt::Display for SimError {
             SimError::StateCapExceeded { max_states } => {
                 write!(f, "reachable state space exceeds {max_states} states")
             }
+            SimError::TransitionCostOverflow { behavior, cost } => write!(
+                f,
+                "a transition of `{behavior}` costs {cost} cycles; the checker \
+                 records at most {} cycles per transition",
+                u32::MAX
+            ),
         }
     }
 }

@@ -255,3 +255,36 @@ fn fig3_and_fig1_checks_are_pinned() {
 fn bounded_flc_checks_are_pinned() {
     pin(FLC_BOUNDED_CHECKS);
 }
+
+/// A forced watchdog expiry of 2^32 cycles is one checker transition
+/// that no stored transition cost can hold: the run stops with the
+/// checker's cost-overflow error on stderr and a nonzero exit, and
+/// prints no completion bound or trace cost, wrapped or not.
+#[test]
+fn checker_cost_overflow_is_an_error() {
+    let rec = record((
+        "check_fig3_cost_overflow",
+        &[
+            "specs/fig3.ifs",
+            "--width",
+            "8",
+            "--check",
+            "--check-fault",
+            "stuck0:B_DONE",
+            "--protocol-timeout",
+            "4294967296:3",
+        ],
+    ));
+    let (head, stderr) = rec.split_once("--- stderr\n").expect("stderr section");
+    assert!(head.contains("\nexit: 1\n"), "{rec}");
+    assert!(
+        stderr.starts_with("ifsyn: a transition of `")
+            && stderr.contains("costs 4294967297 cycles; the checker records at most 4294967295"),
+        "{rec}"
+    );
+    assert!(!rec.contains("panicked"), "{rec}");
+    assert!(
+        !head.contains("worst-case") && !head.contains("cycles):"),
+        "{rec}"
+    );
+}
