@@ -3,7 +3,6 @@
 //! must read back losslessly.
 
 use ifsyn_analyze::vcd::parse_vcd;
-use ifsyn_sim::trace::{emit_trace, MemorySink};
 use ifsyn_sim::{vcd, SimConfig, Simulator};
 use ifsyn_spec::dsl::*;
 use ifsyn_spec::{System, Ty, Value};
@@ -29,8 +28,6 @@ fn round_trip_preserves_names_initials_and_events() {
         drive_cost(req, bit_const(false), 1),
     ];
     let report = traced(&sys);
-    let mut mem = MemorySink::new();
-    emit_trace(&sys, &report, &mut mem);
 
     let parsed = parse_vcd(&vcd::to_vcd_string(&sys, &report)).unwrap();
     assert_eq!(
@@ -46,13 +43,13 @@ fn round_trip_preserves_names_initials_and_events() {
     assert_eq!(parsed.initials[0], Value::Bit(false));
     assert_eq!(parsed.initials[1].to_bits().to_u64(), 0);
     // Events: same times, same signals (by index), same bit patterns.
-    assert_eq!(parsed.events.len(), mem.events.len());
-    for (p, m) in parsed.events.iter().zip(&mem.events) {
+    assert_eq!(parsed.events.len(), report.trace().len());
+    for (p, m) in parsed.events.iter().zip(report.trace()) {
         assert_eq!(p.time, m.time);
         assert_eq!(p.signal, m.signal);
         assert_eq!(p.value.to_bits(), m.value.to_bits());
     }
-    assert_eq!(parsed.end_time, mem.end_time);
+    assert_eq!(parsed.end_time, report.time());
 }
 
 #[test]

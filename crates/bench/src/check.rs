@@ -8,11 +8,14 @@
 //! (every variant) and a reduced two-access FLC at width 16 (plain vs
 //! protected). The reduced build generates the identical protocol shape
 //! at a campaign-sized cost: the full 128-access FLC is checked
-//! exhaustively too, but it takes 11,649,550 states and 45–77 s at
-//! 2.2 GB on a 2-vCPU host (`ifsyn specs/flc.ifs --width 16 --check
-//! --check-limit 12000000`), so it runs as its own CI step instead.
+//! exhaustively too, but it takes 11,649,550 states, 53–56 s and 982 MiB
+//! peak RSS on a 2-vCPU host (`ifsyn specs/flc.ifs --width 16 --check
+//! --check-limit 12000000`; see `docs/PERFORMANCE.md`), so it runs as its
+//! own CI step instead.
 //!
-//! Properties per exploration:
+//! Every exploration checks the bus property catalog of `ifsyn-core`
+//! ([`RefinedSystem::check_bus_properties`]) with the system's delivery
+//! predicate:
 //!
 //! * `gnt_mutex` — **safety invariant**: at most one arbiter grant line
 //!   is high in every reachable state (bus mutual exclusion);
@@ -26,7 +29,8 @@
 //!   with a request pending and not granted, some continuation grants
 //!   it (`AG(REQ ∧ ¬GNT → EF GNT)`). The formulation is
 //!   fairness-constrained: a violation means the goal is unreachable on
-//!   every continuation, not merely missed by one unfair schedule.
+//!   every continuation, not merely missed by one unfair schedule. The
+//!   catalog checks each arbiter client; the campaign reports one row.
 //!
 //! Each exploration also records the reachable-state count and the
 //! worst-case cycle cost to quiescence — PR 2's analytic completion
@@ -37,22 +41,19 @@
 //! Output is hand-rolled JSON (offline build, no serde) written to
 //! `BENCH_check.json`.
 //!
-//! Since the checker-scaling rework every exploration also reports its
-//! throughput (states/second), dedup hits, partial-order-reduction split
-//! (ample vs fully expanded states) and peak frontier, and the campaign
-//! ends with a **big-system** exploration: a synthetic producer/consumer
-//! field ([`ifsyn_systems::synth`]) whose compute loops carry cycle
-//! costs, pushing the reachable space past a million distinct states —
-//! the scale demonstration for the interned-state explorer. `experiments
-//! check --min-rate` turns the measured big-system throughput into a
-//! regression gate.
+//! Every exploration also reports its throughput (states/second), dedup
+//! hits, partial-order-reduction split (ample vs fully expanded states)
+//! and peak frontier, and the campaign ends with a **big-system**
+//! exploration down the same path: the paper's FLC with both loops cut
+//! to [`BIG_FLC_LOOPS`] iterations ([`flc_cut`]), plain and fault-free,
+//! past a million distinct states. `experiments check --min-rate` turns
+//! its measured throughput into a regression gate.
 
 use std::time::Instant;
 
-use ifsyn_core::{BusDesign, ProtocolKind, RefinedSystem};
-use ifsyn_sim::{CheckConfig, Checker, EnvFault, StateView};
+use ifsyn_core::{BusCheck, BusDesign, ProtocolKind, RefinedSystem};
+use ifsyn_sim::{CheckConfig, Checker, EnvFault, SimError, StateView, Verdict};
 use ifsyn_spec::Value;
-use ifsyn_systems::synth::{synth_system, SynthConfig};
 use ifsyn_systems::{fig3, flc};
 
 use crate::emit::{json_opt, json_str};
@@ -118,33 +119,16 @@ pub struct SpaceRow {
     pub peak_frontier: usize,
 }
 
-/// The big-system scale demonstration: one exploration of the synthetic
-/// producer/consumer field, sized past a million distinct states.
+/// The big-system scale run: one more catalog exploration, of the FLC
+/// cut, sized past a million distinct states.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BigRow {
-    /// Distinct reachable states (the ≥ 1M scale witness).
-    pub states: usize,
-    /// Explored transitions.
-    pub transitions: usize,
-    /// Wall-clock milliseconds.
-    pub elapsed_ms: f64,
-    /// Throughput in distinct states per second.
-    pub states_per_sec: f64,
-    /// Dedup hits, ample/full split, peak frontier — the same counters
-    /// as [`SpaceRow`].
-    pub dedup_hits: u64,
-    /// States expanded through a singleton ample set.
-    pub ample_states: u64,
-    /// States expanded fully.
-    pub full_states: u64,
-    /// Largest BFS level.
-    pub peak_frontier: usize,
-    /// Whether the terminal delivery property held (every quiescent
-    /// state has all processes done with consumer sums matching the
-    /// simulator's reference run).
+    /// The exploration's size, bound and counters, as for a catalog
+    /// cell.
+    pub space: SpaceRow,
+    /// Whether every catalog property passed on the whole space (a
+    /// bounded verdict does not).
     pub holds: bool,
-    /// Exploration error, when the run failed outright.
-    pub error: Option<String>,
 }
 
 /// Options of one campaign run.
@@ -161,8 +145,9 @@ pub struct CheckData {
     pub rows: Vec<CheckRow>,
     /// One row per exploration.
     pub spaces: Vec<SpaceRow>,
-    /// The big-system scale run, when requested.
-    pub big: Option<BigRow>,
+    /// The big-system scale run, when requested, or the error that
+    /// ended its exploration.
+    pub big: Option<Result<BigRow, String>>,
 }
 
 impl CheckData {
@@ -186,9 +171,10 @@ impl CheckData {
     /// Whether the big-system run failed (property violated, exploration
     /// error, or below the million-state scale floor).
     pub fn big_failed(&self) -> bool {
-        self.big
-            .as_ref()
-            .is_some_and(|b| !b.holds || b.error.is_some() || b.states < BIG_MIN_STATES)
+        self.big.as_ref().is_some_and(|b| {
+            b.as_ref()
+                .map_or(true, |b| !b.holds || b.space.states < BIG_MIN_STATES)
+        })
     }
 
     /// Aggregate catalog throughput: total distinct states over total
@@ -209,7 +195,10 @@ impl CheckData {
     /// `min_rate` states/second. Returns a one-line summary either way.
     pub fn check_rate(&self, min_rate: f64) -> Result<String, String> {
         let (what, rate) = match &self.big {
-            Some(b) => ("big-system", b.states_per_sec),
+            Some(b) => (
+                "big-system",
+                b.as_ref().map_or(0.0, |b| b.space.states_per_sec),
+            ),
             None => ("campaign", self.campaign_rate()),
         };
         let line = format!("{what} exploration rate: {rate:.0} states/s (floor {min_rate:.0})");
@@ -224,6 +213,89 @@ impl CheckData {
 /// Scale floor of the big-system run: the exploration must cover at
 /// least this many distinct states or the campaign fails.
 pub const BIG_MIN_STATES: usize = 1_000_000;
+
+/// Loop iterations of the big system's FLC cut: the smallest cut past
+/// [`BIG_MIN_STATES`] (1,023,430 states; 37 iterations give 970,154).
+pub const BIG_FLC_LOOPS: u32 = 38;
+
+/// State budget of the big-system run, about twice its reachable count:
+/// a reduction regression that outgrows it ends bounded and fails the
+/// run instead of exhausting memory.
+const BIG_STATE_LIMIT: usize = 1 << 21;
+
+/// A terminal state's delivery predicate: whether the data a system
+/// moves arrived intact.
+pub type Delivered = Box<dyn Fn(&StateView<'_>) -> bool>;
+
+/// Fig. 3 at width 8, refined by `variant`'s generator, and its delivery
+/// predicate: `X` = 32, `MEM[17]` = 39 and `MEM[60]` = 1234.
+pub fn fig3_cell(variant: Variant) -> (RefinedSystem, Delivered) {
+    let f = fig3::fig3();
+    let design = BusDesign::with_width(f.channels(), 8, ProtocolKind::FullHandshake);
+    let refined = generator(variant)
+        .refine(&f.system, &design)
+        .expect("fig3 check refinement");
+    let x = refined.system.variable(f.x).name.clone();
+    let mem = refined.system.variable(f.mem).name.clone();
+    let delivered = move |v: &StateView<'_>| {
+        v.variable(&x).and_then(|val| val.as_i64().ok()) == Some(32)
+            && v.variable(&mem).is_some_and(|val| {
+                array_elem_i64(val, 17) == Some(39) && array_elem_i64(val, 60) == Some(1234)
+            })
+    };
+    (refined, Box::new(delivered))
+}
+
+/// The reduced two-access FLC at width 16, refined by `variant`'s
+/// generator, and its delivery predicate: `conv_acc` holds the checksum
+/// of the `trru2` entries read and `trru0` sums to what the writer sent.
+pub fn flcr2_cell(variant: Variant) -> (RefinedSystem, Delivered) {
+    let f = flc::flc_reduced(2);
+    let design = BusDesign::with_width(f.channels(), 16, ProtocolKind::FullHandshake);
+    let refined = generator(variant)
+        .refine(&f.system, &design)
+        .expect("flc_reduced check refinement");
+    let acc = refined.system.variable(f.conv_acc).name.clone();
+    let trru0 = refined.system.variable(f.trru0).name.clone();
+    let delivered = sums_delivered(acc, f.expected_checksum(), trru0, f.expected_trru0_sum());
+    (refined, delivered)
+}
+
+/// The paper's FLC (`specs/flc.ifs`, Fig. 6) with both loops cut to `n`
+/// iterations, refined at width 16 by `variant`'s generator, and its
+/// delivery predicate: `conv_acc` sums the `n` entries read,
+/// `Σ (2j + 5)`, and `trru0` the `n` values written, `Σ (3i + 1)`.
+pub fn flc_cut(n: u32, variant: Variant) -> (RefinedSystem, Delivered) {
+    let full = include_str!("../../../specs/flc.ifs");
+    assert_eq!(full.matches("0 to 127").count(), 2, "both FLC loops");
+    let source = full.replace("0 to 127", &format!("0 to {}", n - 1));
+    let system = ifsyn_lang::parse_system(&source).expect("flc.ifs parses");
+    let design = BusDesign::with_width(
+        system.channel_ids().collect(),
+        16,
+        ProtocolKind::FullHandshake,
+    );
+    let refined = generator(variant)
+        .refine(&system, &design)
+        .expect("flc refinement");
+    let n = i64::from(n);
+    let delivered = sums_delivered(
+        "conv_acc".to_string(),
+        (0..n).map(|j| 2 * j + 5).sum(),
+        "trru0".to_string(),
+        (0..n).map(|i| 3 * i + 1).sum(),
+    );
+    (refined, delivered)
+}
+
+/// Delivery as the FLC reads it: the scalar `acc` equals `checksum` and
+/// the entries of the array `array` sum to `sum`.
+fn sums_delivered(acc: String, checksum: i64, array: String, sum: i64) -> Delivered {
+    Box::new(move |v| {
+        v.variable(&acc).and_then(|x| x.as_i64().ok()) == Some(checksum)
+            && v.variable(&array).is_some_and(|x| array_sum_i64(x) == sum)
+    })
+}
 
 /// The nondeterministic fault environments, over the shared bus `B`'s
 /// wires (the checker may strike at *any* instant, unlike the fault
@@ -282,62 +354,29 @@ fn array_sum_i64(v: &Value) -> i64 {
     }
 }
 
-/// Explores one refined system under one fault environment and checks
-/// the property set, appending verdicts and exploration stats.
-#[allow(clippy::too_many_arguments)] // one call site per campaign cell; a context struct would just rename the arguments
-fn check_one(
-    system: &str,
-    scenario: &str,
-    faults: &[EnvFault],
-    variant: Variant,
+/// Explores `refined` under `config` and checks the bus property
+/// catalog on every schedule, with `delivered` as its delivery
+/// predicate; the exploration alone is timed.
+fn explore(
+    (system, scenario, variant): (&str, &str, Variant),
     refined: &RefinedSystem,
-    data_ok: &dyn Fn(&StateView<'_>) -> bool,
-    rows: &mut Vec<CheckRow>,
-    spaces: &mut Vec<SpaceRow>,
-) {
-    let mut config = CheckConfig::new();
-    for f in faults {
-        config = config.with_fault(f.clone());
-    }
-    // Exploration failures (state cap, runtime error) are recorded as an
-    // unexpected row so the gate trips.
-    let exploration_failed = |e: ifsyn_sim::SimError, rows: &mut Vec<CheckRow>| {
-        rows.push(CheckRow {
-            system: system.to_string(),
-            scenario: scenario.to_string(),
-            variant,
-            property: "exploration".to_string(),
-            holds: false,
-            expected: true,
-            states: 0,
-            detail: Some(e.to_string()),
-        });
-    };
-    let ck = match Checker::with_config(&refined.system, config) {
-        Ok(ck) => ck,
-        Err(e) => return exploration_failed(e, rows),
-    };
+    config: CheckConfig,
+    delivered: &dyn Fn(&StateView<'_>) -> bool,
+) -> Result<(SpaceRow, Vec<BusCheck>), SimError> {
+    let ck = Checker::with_config(&refined.system, config)?;
     let t0 = Instant::now();
-    let ss = match ck.explore() {
-        Ok(ss) => ss,
-        Err(e) => return exploration_failed(e, rows),
-    };
+    let ss = ck.explore()?;
     let elapsed_ms = t0.elapsed().as_secs_f64() * 1000.0;
-    let (states, transitions, terminals, worst) = (
-        ss.state_count(),
-        ss.transition_count(),
-        ss.terminal_count(),
-        ss.worst_cost_to_quiescence(),
-    );
+    let states = ss.state_count();
     let st = ss.stats();
-    spaces.push(SpaceRow {
+    let space = SpaceRow {
         system: system.to_string(),
         scenario: scenario.to_string(),
         variant,
         states,
-        transitions,
-        terminals,
-        worst_cost: worst,
+        transitions: ss.transition_count(),
+        terminals: ss.terminal_count(),
+        worst_cost: ss.worst_cost_to_quiescence(),
         elapsed_ms,
         states_per_sec: if elapsed_ms > 0.0 {
             states as f64 * 1000.0 / elapsed_ms
@@ -348,8 +387,59 @@ fn check_one(
         ample_states: st.ample_states,
         full_states: st.full_states,
         peak_frontier: st.peak_frontier,
-    });
-    let mut push = |property: &str, holds: bool, detail: Option<String>| {
+    };
+    Ok((space, refined.check_bus_properties(&ss, Some(delivered))))
+}
+
+/// The campaign's verdicts of one catalog run, one per property: the
+/// per-client `eventual_grant` checks fold into one verdict that fails
+/// with the first failing client's counterexample.
+fn verdicts(checks: Vec<BusCheck>) -> Vec<(&'static str, bool, Option<String>)> {
+    let mut out: Vec<(&'static str, bool, Option<String>)> = Vec::new();
+    for c in checks {
+        let detail = c.report.counterexample.map(|cex| match &c.request {
+            Some(rq) => format!("request `{rq}`:\n{cex}"),
+            None => cex.to_string(),
+        });
+        match out.last_mut() {
+            Some(last) if last.0 == c.property => {
+                if last.1 && !c.report.holds {
+                    *last = (c.property, false, detail);
+                }
+            }
+            _ => out.push((c.property, c.report.holds, detail)),
+        }
+    }
+    out
+}
+
+/// Explores one campaign cell under its fault environment and appends
+/// its verdicts and exploration stats. An exploration failure (state
+/// cap, runtime error) is recorded as an unexpected row so the gate
+/// trips.
+fn check_one(
+    (system, scenario, variant): (&str, &str, Variant),
+    faults: &[EnvFault],
+    (refined, delivered): (RefinedSystem, Delivered),
+    rows: &mut Vec<CheckRow>,
+    spaces: &mut Vec<SpaceRow>,
+) {
+    let config = faults
+        .iter()
+        .cloned()
+        .fold(CheckConfig::new(), CheckConfig::with_fault);
+    let found = match explore((system, scenario, variant), &refined, config, &delivered) {
+        Ok((space, checks)) => {
+            let states = space.states;
+            spaces.push(space);
+            verdicts(checks)
+                .into_iter()
+                .map(|(property, holds, detail)| (property, holds, states, detail))
+                .collect()
+        }
+        Err(e) => vec![("exploration", false, 0, Some(e.to_string()))],
+    };
+    for (property, holds, states, detail) in found {
         rows.push(CheckRow {
             system: system.to_string(),
             scenario: scenario.to_string(),
@@ -371,66 +461,6 @@ fn check_one(
                 }
             }),
         });
-    };
-
-    // gnt_mutex: at most one arbiter grant high, in every state.
-    if let Some(arb) = &refined.bus.arbiter {
-        let gnt_names: Vec<String> = arb
-            .gnt
-            .iter()
-            .map(|&g| refined.system.signal(g).name.clone())
-            .collect();
-        let rep = ss.check_invariant("gnt_mutex", |v| {
-            gnt_names.iter().filter(|n| v.signal_high(n)).count() <= 1
-        });
-        push(
-            "gnt_mutex",
-            rep.holds,
-            rep.counterexample.map(|c| c.to_string()),
-        );
-    }
-
-    // delivers_or_flags: every quiescent state delivered intact data or
-    // raised a sticky abort flag.
-    let flag_names: Vec<String> = refined
-        .bus
-        .status_flags
-        .iter()
-        .map(|&(_, sig)| refined.system.signal(sig).name.clone())
-        .collect();
-    let rep = ss.check_terminal("delivers_or_flags", |v| {
-        (v.all_done() && data_ok(v)) || flag_names.iter().any(|n| v.signal_high(n))
-    });
-    push(
-        "delivers_or_flags",
-        rep.holds,
-        rep.counterexample.map(|c| c.to_string()),
-    );
-
-    // eventual_grant (fault-free only): every pending request is
-    // eventually granted, per arbiter client.
-    if scenario == "none" {
-        if let Some(arb) = &refined.bus.arbiter {
-            let mut holds = true;
-            let mut detail = None;
-            for (&rq, &gn) in arb.req.iter().zip(&arb.gnt) {
-                let rq_name = refined.system.signal(rq).name.clone();
-                let gn_name = refined.system.signal(gn).name.clone();
-                let rep = ss.check_leads_to(
-                    "eventual_grant",
-                    |v| v.signal_high(&rq_name) && !v.signal_high(&gn_name),
-                    |v| v.signal_high(&gn_name),
-                );
-                if !rep.holds {
-                    holds = false;
-                    detail = rep
-                        .counterexample
-                        .map(|c| format!("request `{rq_name}`:\n{c}"));
-                    break;
-                }
-            }
-            push("eventual_grant", holds, detail);
-        }
     }
 }
 
@@ -441,170 +471,40 @@ pub fn run() -> CheckData {
 
 /// Runs the campaign: scenarios × variants over fig3@8 and the reduced
 /// FLC at width 16, plus (with [`CheckOptions::big`]) the big-system
-/// scale demonstration.
+/// scale run.
 pub fn run_with(opts: &CheckOptions) -> CheckData {
     let mut rows = Vec::new();
     let mut spaces = Vec::new();
     for (scenario, faults) in scenarios() {
         for variant in Variant::ALL {
-            let f = fig3::fig3();
-            let design = BusDesign::with_width(f.channels(), 8, ProtocolKind::FullHandshake);
-            let refined = generator(variant)
-                .refine(&f.system, &design)
-                .expect("fig3 check refinement");
-            let x = f.x;
-            let mem = f.mem;
-            let data_ok = |v: &StateView<'_>| {
-                let x_ok = v
-                    .variable(&name_of_var(&refined, x))
-                    .and_then(|val| val.as_i64().ok())
-                    == Some(32);
-                let mem_ok = v
-                    .variable(&name_of_var(&refined, mem))
-                    .map(|val| {
-                        array_elem_i64(val, 17) == Some(39) && array_elem_i64(val, 60) == Some(1234)
-                    })
-                    .unwrap_or(false);
-                x_ok && mem_ok
-            };
-            check_one(
-                "fig3@8",
-                scenario,
-                &faults,
-                variant,
-                &refined,
-                &data_ok,
-                &mut rows,
-                &mut spaces,
-            );
+            let cell = ("fig3@8", scenario, variant);
+            check_one(cell, &faults, fig3_cell(variant), &mut rows, &mut spaces);
         }
         // Reduced FLC: plain (the unhardened baseline) vs protected (the
         // full defense); hardened adds little beyond the fig3 matrix and
         // exhaustive exploration is expensive.
         for variant in [Variant::Plain, Variant::Protected] {
-            let f = flc::flc_reduced(2);
-            let design = BusDesign::with_width(f.channels(), 16, ProtocolKind::FullHandshake);
-            let refined = generator(variant)
-                .refine(&f.system, &design)
-                .expect("flc_reduced check refinement");
-            let trru0 = f.trru0;
-            let conv_acc = f.conv_acc;
-            let trru0_sum = f.expected_trru0_sum();
-            let checksum = f.expected_checksum();
-            let data_ok = |v: &StateView<'_>| {
-                let acc_ok = v
-                    .variable(&name_of_var(&refined, conv_acc))
-                    .and_then(|val| val.as_i64().ok())
-                    == Some(checksum);
-                let mem_ok = v
-                    .variable(&name_of_var(&refined, trru0))
-                    .map(|val| array_sum_i64(val) == trru0_sum)
-                    .unwrap_or(false);
-                acc_ok && mem_ok
-            };
-            check_one(
-                "flcr2@16",
-                scenario,
-                &faults,
-                variant,
-                &refined,
-                &data_ok,
-                &mut rows,
-                &mut spaces,
-            );
+            let cell = ("flcr2@16", scenario, variant);
+            check_one(cell, &faults, flcr2_cell(variant), &mut rows, &mut spaces);
         }
     }
     let big = opts.big.then(big_system);
     CheckData { rows, spaces, big }
 }
 
-/// Configuration of the big-system run: a two-couple producer/consumer
-/// field whose compute loops carry a 1-cycle cost, making every
-/// iteration a distinct time-abstracted checker state. Under
-/// partial-order reduction this explores ~1.26M distinct states (the
-/// full interleaving graph is far larger): the compute loops touch only
-/// variables private to their behavior, and the one property reads
-/// variables only in terminal states, so the reducer takes every
-/// compute step alone.
-fn big_config() -> SynthConfig {
-    SynthConfig::new()
-        .with_couples(2)
-        .with_rounds(16)
-        .with_compute(64)
-        .with_compute_cost(1)
-        .without_conflicts()
-}
-
-/// Explores the big synthetic system and checks terminal delivery
-/// against sums computed by the reference simulator.
-fn big_system() -> BigRow {
-    let failed = |e: String| BigRow {
-        states: 0,
-        transitions: 0,
-        elapsed_ms: 0.0,
-        states_per_sec: 0.0,
-        dedup_hits: 0,
-        ample_states: 0,
-        full_states: 0,
-        peak_frontier: 0,
-        holds: false,
-        error: Some(e),
-    };
-    let s = synth_system(&big_config());
-    // Reference run: the per-couple dataflow is schedule-independent, so
-    // one simulated schedule yields the sums every terminal must show.
-    let reference = match ifsyn_sim::Simulator::new(&s.system).and_then(|s| s.run_to_quiescence()) {
-        Ok(r) => r,
-        Err(e) => return failed(format!("reference simulation failed: {e}")),
-    };
-    let sums: Vec<(String, i64)> = (0..s.consumers.len())
-        .map(|i| {
-            let name = format!("c{i}_sum");
-            let v = reference
-                .final_variable_by_name(&name)
-                .and_then(|v| v.as_i64().ok())
-                .unwrap_or(0);
-            (name, v)
-        })
-        .collect();
-    let config = CheckConfig::new().with_max_states(1 << 21);
-    let ck = match Checker::with_config(&s.system, config) {
-        Ok(ck) => ck,
-        Err(e) => return failed(e.to_string()),
-    };
-    let t0 = Instant::now();
-    let ss = match ck.explore() {
-        Ok(ss) => ss,
-        Err(e) => return failed(e.to_string()),
-    };
-    let elapsed_ms = t0.elapsed().as_secs_f64() * 1000.0;
-    let rep = ss.check_terminal("delivers_all_sums", |v| {
-        v.all_done()
-            && sums
-                .iter()
-                .all(|(name, want)| v.variable(name).and_then(|x| x.as_i64().ok()) == Some(*want))
-    });
-    let st = ss.stats();
-    BigRow {
-        states: ss.state_count(),
-        transitions: ss.transition_count(),
-        elapsed_ms,
-        states_per_sec: if elapsed_ms > 0.0 {
-            ss.state_count() as f64 * 1000.0 / elapsed_ms
-        } else {
-            0.0
-        },
-        dedup_hits: st.dedup_hits,
-        ample_states: st.ample_states,
-        full_states: st.full_states,
-        peak_frontier: st.peak_frontier,
-        holds: rep.holds,
-        error: None,
-    }
-}
-
-fn name_of_var(refined: &RefinedSystem, id: ifsyn_spec::VarId) -> String {
-    refined.system.variable(id).name.clone()
+/// The big-system run: the FLC cut to [`BIG_FLC_LOOPS`] iterations,
+/// plain and fault-free, down the catalog cells' path. Under
+/// partial-order reduction most of its states are compute steps of one
+/// process taken alone.
+fn big_system() -> Result<BigRow, String> {
+    let n = BIG_FLC_LOOPS;
+    let (refined, delivered) = flc_cut(n, Variant::Plain);
+    let config = CheckConfig::new().with_state_limit(BIG_STATE_LIMIT);
+    let cell = (format!("flc{n}@16"), "none", Variant::Plain);
+    let (space, checks) = explore((&cell.0, cell.1, cell.2), &refined, config, &delivered)
+        .map_err(|e| e.to_string())?;
+    let holds = checks.iter().all(|c| c.report.verdict == Verdict::Pass);
+    Ok(BigRow { space, holds })
 }
 
 /// Percentage of expanded states that took the reduced (ample) path.
@@ -667,23 +567,25 @@ pub fn render(data: &CheckData) -> String {
         "\ncatalog throughput: {:.0} states/s aggregate\n",
         data.campaign_rate()
     ));
-    if let Some(b) = &data.big {
-        match &b.error {
-            Some(e) => out.push_str(&format!("\nbig-system exploration FAILED: {e}\n")),
-            None => out.push_str(&format!(
-                "\nbig-system exploration: {} states, {} transitions \
-                 in {:.1}s — {:.0} states/s, {:.1}% ample, {} dedup hit(s), \
-                 peak frontier {}; delivery property {}\n",
-                b.states,
-                b.transitions,
-                b.elapsed_ms / 1000.0,
-                b.states_per_sec,
-                ample_pct(b.ample_states, b.full_states),
-                b.dedup_hits,
-                b.peak_frontier,
-                if b.holds { "PASS" } else { "FAIL" },
-            )),
-        }
+    match &data.big {
+        None => {}
+        Some(Err(e)) => out.push_str(&format!("\nbig-system exploration FAILED: {e}\n")),
+        Some(Ok(BigRow { space: b, holds })) => out.push_str(&format!(
+            "\nbig-system exploration ({}): {} states, {} transitions \
+             in {:.1}s — {:.0} states/s, {:.1}% ample, {} dedup hit(s), \
+             peak frontier {}, worst case {} cycles; bus properties {}\n",
+            b.system,
+            b.states,
+            b.transitions,
+            b.elapsed_ms / 1000.0,
+            b.states_per_sec,
+            ample_pct(b.ample_states, b.full_states),
+            b.dedup_hits,
+            b.peak_frontier,
+            b.worst_cost
+                .map_or("unbounded".to_string(), |c| c.to_string()),
+            if *holds { "PASS" } else { "FAIL" },
+        )),
     }
     let known = data.known_counterexamples();
     out.push_str(&format!(
@@ -729,10 +631,37 @@ pub fn render(data: &CheckData) -> String {
     out
 }
 
+/// One exploration's JSON fields, without the enclosing braces.
+fn space_fields(r: &SpaceRow) -> String {
+    format!(
+        "\"system\": {}, \"scenario\": {}, \"protocol\": {}, \
+         \"states\": {}, \"transitions\": {}, \"terminals\": {}, \
+         \"worst_cost\": {}, \"elapsed_ms\": {:.3}, \
+         \"states_per_sec\": {:.1}, \"dedup_hits\": {}, \
+         \"ample_states\": {}, \"full_states\": {}, \
+         \"ample_ratio\": {:.4}, \"peak_frontier\": {}, \"threads\": 1",
+        json_str(&r.system),
+        json_str(&r.scenario),
+        json_str(r.variant.as_str()),
+        r.states,
+        r.transitions,
+        r.terminals,
+        json_opt(r.worst_cost),
+        r.elapsed_ms,
+        r.states_per_sec,
+        r.dedup_hits,
+        r.ample_states,
+        r.full_states,
+        ample_pct(r.ample_states, r.full_states) / 100.0,
+        r.peak_frontier,
+    )
+}
+
 /// Serializes the campaign as the `BENCH_check.json` document. Schema
 /// v2 is a superset of v1: every v1 field keeps its name and meaning;
 /// v2 adds per-exploration throughput/reduction counters, a campaign
-/// `throughput` block and the optional `big_system` block.
+/// `throughput` block and the optional `big_system` block: the big
+/// exploration's fields plus `holds` and `error`.
 pub fn to_json(data: &CheckData) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"ifsyn-bench-check-v2\",\n");
@@ -762,28 +691,7 @@ pub fn to_json(data: &CheckData) -> String {
     // v2 schema, and the pinned `BENCH_check.json`, carry the key.
     out.push_str("  \"explorations\": [\n");
     crate::emit::array_rows(&mut out, &data.spaces, |r| {
-        format!(
-            "    {{\"system\": {}, \"scenario\": {}, \"protocol\": {}, \
-             \"states\": {}, \"transitions\": {}, \"terminals\": {}, \
-             \"worst_cost\": {}, \"elapsed_ms\": {:.3}, \
-             \"states_per_sec\": {:.1}, \"dedup_hits\": {}, \
-             \"ample_states\": {}, \"full_states\": {}, \
-             \"ample_ratio\": {:.4}, \"peak_frontier\": {}, \"threads\": 1}}",
-            json_str(&r.system),
-            json_str(&r.scenario),
-            json_str(r.variant.as_str()),
-            r.states,
-            r.transitions,
-            r.terminals,
-            json_opt(r.worst_cost),
-            r.elapsed_ms,
-            r.states_per_sec,
-            r.dedup_hits,
-            r.ample_states,
-            r.full_states,
-            ample_pct(r.ample_states, r.full_states) / 100.0,
-            r.peak_frontier,
-        )
+        format!("    {{{}}}", space_fields(r))
     });
     out.push_str("  ],\n");
     out.push_str(&format!(
@@ -792,23 +700,14 @@ pub fn to_json(data: &CheckData) -> String {
     ));
     match &data.big {
         None => out.push_str("  \"big_system\": null\n"),
-        Some(b) => out.push_str(&format!(
-            "  \"big_system\": {{\"states\": {}, \"transitions\": {}, \
-             \"elapsed_ms\": {:.3}, \"states_per_sec\": {:.1}, \
-             \"dedup_hits\": {}, \"ample_states\": {}, \"full_states\": {}, \
-             \"ample_ratio\": {:.4}, \"peak_frontier\": {}, \"threads\": 1, \
-             \"holds\": {}, \"error\": {}}}\n",
-            b.states,
-            b.transitions,
-            b.elapsed_ms,
-            b.states_per_sec,
-            b.dedup_hits,
-            b.ample_states,
-            b.full_states,
-            ample_pct(b.ample_states, b.full_states) / 100.0,
-            b.peak_frontier,
-            b.holds,
-            crate::emit::json_opt_str(b.error.as_deref()),
+        Some(Err(e)) => out.push_str(&format!(
+            "  \"big_system\": {{\"holds\": false, \"error\": {}}}\n",
+            json_str(e)
+        )),
+        Some(Ok(b)) => out.push_str(&format!(
+            "  \"big_system\": {{{}, \"holds\": {}, \"error\": null}}\n",
+            space_fields(&b.space),
+            b.holds
         )),
     }
     out.push_str("}\n");
@@ -869,16 +768,22 @@ mod tests {
 
     fn big_row() -> BigRow {
         BigRow {
-            states: 1_256_402,
-            transitions: 2_391_381,
-            elapsed_ms: 8_000.0,
-            states_per_sec: 157_050.2,
-            dedup_hits: 1_134_980,
-            ample_states: 119_920,
-            full_states: 1_136_482,
-            peak_frontier: 822,
+            space: SpaceRow {
+                system: "flc38@16".into(),
+                scenario: "none".into(),
+                variant: Variant::Plain,
+                states: 1_023_430,
+                transitions: 2_716_536,
+                terminals: 1,
+                worst_cost: Some(760),
+                elapsed_ms: 6_500.0,
+                states_per_sec: 157_450.8,
+                dedup_hits: 1_693_107,
+                ample_states: 64_430,
+                full_states: 959_000,
+                peak_frontier: 822,
+            },
             holds: true,
-            error: None,
         }
     }
 
@@ -887,17 +792,23 @@ mod tests {
         let ok = CheckData {
             rows: vec![],
             spaces: vec![],
-            big: Some(big_row()),
+            big: Some(Ok(big_row())),
         };
         assert!(!ok.big_failed());
-        let mut small = ok.clone();
-        small.big.as_mut().unwrap().states = BIG_MIN_STATES - 1;
-        assert!(small.big_failed());
-        let mut violated = ok.clone();
-        violated.big.as_mut().unwrap().holds = false;
-        assert!(violated.big_failed());
-        let mut errored = ok.clone();
-        errored.big.as_mut().unwrap().error = Some("boom".into());
+        let with_big = |big: BigRow| CheckData {
+            big: Some(Ok(big)),
+            ..ok.clone()
+        };
+        let mut small = big_row();
+        small.space.states = BIG_MIN_STATES - 1;
+        assert!(with_big(small).big_failed());
+        let mut violated = big_row();
+        violated.holds = false;
+        assert!(with_big(violated).big_failed());
+        let errored = CheckData {
+            big: Some(Err("boom".into())),
+            ..ok.clone()
+        };
         assert!(errored.big_failed());
         // No big run: nothing to gate on.
         assert!(!CheckData {
@@ -913,7 +824,7 @@ mod tests {
         let data = CheckData {
             rows: vec![],
             spaces: vec![],
-            big: Some(big_row()),
+            big: Some(Ok(big_row())),
         };
         assert!(data.check_rate(55_000.0).is_ok());
         assert!(data.check_rate(1_000_000.0).is_err());
@@ -969,7 +880,7 @@ mod tests {
                 full_states: 834,
                 peak_frontier: 17,
             }],
-            big: Some(big_row()),
+            big: Some(Ok(big_row())),
         };
         let json = to_json(&data);
         assert!(json.contains("\"schema\": \"ifsyn-bench-check-v2\""));
@@ -1024,11 +935,7 @@ mod exploration_tests {
     /// low phase between two back-to-back bus words).
     #[test]
     fn fig3_plain_fault_free_completes_on_every_schedule() {
-        let f = fig3::fig3();
-        let design = BusDesign::with_width(f.channels(), 8, ProtocolKind::FullHandshake);
-        let refined = generator(Variant::Plain)
-            .refine(&f.system, &design)
-            .expect("fig3 refinement");
+        let (refined, _) = fig3_cell(Variant::Plain);
         let ck = Checker::with_config(&refined.system, CheckConfig::new()).expect("checker");
         let ss = ck.explore().expect("explore");
         assert_eq!(ss.error_count(), 0);
@@ -1045,35 +952,16 @@ mod exploration_tests {
     /// word stream here and committed a corrupt address.
     #[test]
     fn flcr2_protected_stuck_done_never_corrupts() {
-        let f = flc::flc_reduced(2);
-        let design = BusDesign::with_width(f.channels(), 16, ProtocolKind::FullHandshake);
-        let refined = generator(Variant::Protected)
-            .refine(&f.system, &design)
-            .expect("flc_reduced refinement");
+        let (refined, delivered) = flcr2_cell(Variant::Protected);
         let config = CheckConfig::new().with_fault(EnvFault::StuckLow {
             signal: "B_DONE".to_string(),
         });
         let ck = Checker::with_config(&refined.system, config).expect("checker");
         let ss = ck.explore().expect("explore");
         assert_eq!(ss.error_count(), 0, "no schedule may crash the servers");
-        let trru0 = name_of_var(&refined, f.trru0);
-        let conv_acc = name_of_var(&refined, f.conv_acc);
-        let trru0_sum = f.expected_trru0_sum();
-        let checksum = f.expected_checksum();
-        let flag_names: Vec<String> = refined
-            .bus
-            .status_flags
-            .iter()
-            .map(|&(_, sig)| refined.system.signal(sig).name.clone())
-            .collect();
-        let rep = ss.check_terminal("delivers_or_flags", |v| {
-            let acc_ok = v.variable(&conv_acc).and_then(|x| x.as_i64().ok()) == Some(checksum);
-            let mem_ok = v
-                .variable(&trru0)
-                .map(|x| array_sum_i64(x) == trru0_sum)
-                .unwrap_or(false);
-            (v.all_done() && acc_ok && mem_ok) || flag_names.iter().any(|n| v.signal_high(n))
-        });
-        assert!(rep.holds, "{:?}", rep.counterexample.map(|c| c.to_string()));
+        for c in refined.check_bus_properties(&ss, Some(&delivered)) {
+            let rep = c.report;
+            assert!(rep.holds, "{rep}");
+        }
     }
 }

@@ -12,22 +12,24 @@
 //! The cells are the five pinned known-counterexample scenarios of the
 //! `experiments check` campaign (plain/hardened baselines under a stuck
 //! DONE or a flipped data bit) plus fault-free passing cells, a set of
-//! randomized synthetic producer/consumer fields, and the FLC cuts.
+//! randomized synthetic producer/consumer fields, and the FLC cuts. The
+//! catalog cells and the cuts check the bus property catalog
+//! (`RefinedSystem::check_bus_properties`) with the campaign's delivery
+//! predicates.
 
-use ifsyn_bench::faults::{generator, Variant};
-use ifsyn_core::{BusDesign, ProtocolKind, RefinedSystem};
-use ifsyn_sim::{CheckConfig, Checker, EnvFault, StateSpace, StateView, Verdict};
-use ifsyn_spec::Value;
+use ifsyn_bench::check::{fig3_cell, flc_cut, flcr2_cell, Delivered};
+use ifsyn_bench::faults::Variant;
+use ifsyn_core::RefinedSystem;
+use ifsyn_sim::{CheckConfig, Checker, EnvFault, StateSpace, Verdict};
 use ifsyn_systems::synth::{synth_system, SynthConfig};
-use ifsyn_systems::{fig3, flc};
 
 /// One catalog cell: a refined system, its fault environment, and the
-/// delivery predicate (`data_ok`) its terminal property checks.
+/// delivery predicate its terminal property checks.
 struct Cell {
     name: String,
     refined: RefinedSystem,
     faults: Vec<EnvFault>,
-    data_ok: Box<dyn Fn(&StateView<'_>) -> bool>,
+    delivered: Delivered,
     /// Whether the campaign expects the delivery property to fail here
     /// (the pinned known counterexamples).
     expect_delivery_failure: bool,
@@ -47,67 +49,25 @@ fn data_flip() -> Vec<EnvFault> {
     }]
 }
 
-fn fig3_cell(scenario: &str, faults: Vec<EnvFault>, variant: Variant, expect_fail: bool) -> Cell {
-    let f = fig3::fig3();
-    let design = BusDesign::with_width(f.channels(), 8, ProtocolKind::FullHandshake);
-    let refined = generator(variant)
-        .refine(&f.system, &design)
-        .expect("fig3 refinement");
-    let x_name = refined.system.variable(f.x).name.clone();
-    let mem_name = refined.system.variable(f.mem).name.clone();
+fn fig3(scenario: &str, faults: Vec<EnvFault>, variant: Variant, expect_fail: bool) -> Cell {
+    let (refined, delivered) = fig3_cell(variant);
     Cell {
         name: format!("fig3@8/{scenario}/{}", variant.as_str()),
         refined,
         faults,
-        data_ok: Box::new(move |v| {
-            let x_ok = v.variable(&x_name).and_then(|val| val.as_i64().ok()) == Some(32);
-            let mem_ok = v
-                .variable(&mem_name)
-                .map(|val| array_elem(val, 17) == Some(39) && array_elem(val, 60) == Some(1234))
-                .unwrap_or(false);
-            x_ok && mem_ok
-        }),
+        delivered,
         expect_delivery_failure: expect_fail,
     }
 }
 
-fn flcr2_cell(scenario: &str, faults: Vec<EnvFault>, variant: Variant, expect_fail: bool) -> Cell {
-    let f = flc::flc_reduced(2);
-    let design = BusDesign::with_width(f.channels(), 16, ProtocolKind::FullHandshake);
-    let refined = generator(variant)
-        .refine(&f.system, &design)
-        .expect("flc_reduced refinement");
-    let trru0 = refined.system.variable(f.trru0).name.clone();
-    let conv_acc = refined.system.variable(f.conv_acc).name.clone();
-    let trru0_sum = f.expected_trru0_sum();
-    let checksum = f.expected_checksum();
+fn flcr2(scenario: &str, faults: Vec<EnvFault>, variant: Variant, expect_fail: bool) -> Cell {
+    let (refined, delivered) = flcr2_cell(variant);
     Cell {
         name: format!("flcr2@16/{scenario}/{}", variant.as_str()),
         refined,
         faults,
-        data_ok: Box::new(move |v| {
-            let acc_ok = v.variable(&conv_acc).and_then(|val| val.as_i64().ok()) == Some(checksum);
-            let mem_ok = v
-                .variable(&trru0)
-                .map(|val| array_sum(val) == trru0_sum)
-                .unwrap_or(false);
-            acc_ok && mem_ok
-        }),
+        delivered,
         expect_delivery_failure: expect_fail,
-    }
-}
-
-fn array_elem(v: &Value, i: usize) -> Option<i64> {
-    match v {
-        Value::Array(items) => items.get(i)?.as_i64().ok(),
-        _ => None,
-    }
-}
-
-fn array_sum(v: &Value) -> i64 {
-    match v {
-        Value::Array(items) => items.iter().filter_map(|x| x.as_i64().ok()).sum(),
-        other => other.as_i64().unwrap_or(0),
     }
 }
 
@@ -115,13 +75,13 @@ fn array_sum(v: &Value) -> i64 {
 /// passing cells.
 fn catalog() -> Vec<Cell> {
     vec![
-        fig3_cell("done_stuck_low", done_stuck_low(), Variant::Plain, true),
-        fig3_cell("data_flip", data_flip(), Variant::Plain, true),
-        fig3_cell("data_flip", data_flip(), Variant::Hardened, true),
-        flcr2_cell("done_stuck_low", done_stuck_low(), Variant::Plain, true),
-        flcr2_cell("data_flip", data_flip(), Variant::Plain, true),
-        fig3_cell("none", vec![], Variant::Plain, false),
-        flcr2_cell("none", vec![], Variant::Protected, false),
+        fig3("done_stuck_low", done_stuck_low(), Variant::Plain, true),
+        fig3("data_flip", data_flip(), Variant::Plain, true),
+        fig3("data_flip", data_flip(), Variant::Hardened, true),
+        flcr2("done_stuck_low", done_stuck_low(), Variant::Plain, true),
+        flcr2("data_flip", data_flip(), Variant::Plain, true),
+        fig3("none", vec![], Variant::Plain, false),
+        flcr2("none", vec![], Variant::Protected, false),
     ]
 }
 
@@ -145,50 +105,10 @@ struct CellReport {
 }
 
 fn report(cell: &Cell, ss: &StateSpace<'_>) -> CellReport {
-    let mut reports = Vec::new();
-    let mut holds = Vec::new();
-    if let Some(arb) = &cell.refined.bus.arbiter {
-        let gnt: Vec<String> = arb
-            .gnt
-            .iter()
-            .map(|&g| cell.refined.system.signal(g).name.clone())
-            .collect();
-        let rep = ss.check_invariant("gnt_mutex", |v| {
-            gnt.iter().filter(|n| v.signal_high(n)).count() <= 1
-        });
-        holds.push(rep.holds);
-        reports.push(rep.to_string());
-    }
-    let flags: Vec<String> = cell
-        .refined
-        .bus
-        .status_flags
-        .iter()
-        .map(|&(_, sig)| cell.refined.system.signal(sig).name.clone())
-        .collect();
-    let rep = ss.check_terminal("delivers_or_flags", |v| {
-        (v.all_done() && (cell.data_ok)(v)) || flags.iter().any(|n| v.signal_high(n))
-    });
-    holds.push(rep.holds);
-    reports.push(rep.to_string());
-    if cell.faults.is_empty() {
-        if let Some(arb) = &cell.refined.bus.arbiter {
-            for (&rq, &gn) in arb.req.iter().zip(&arb.gnt) {
-                let rq_name = cell.refined.system.signal(rq).name.clone();
-                let gn_name = cell.refined.system.signal(gn).name.clone();
-                let rep = ss.check_leads_to(
-                    "eventual_grant",
-                    |v| v.signal_high(&rq_name) && !v.signal_high(&gn_name),
-                    |v| v.signal_high(&gn_name),
-                );
-                holds.push(rep.holds);
-                reports.push(rep.to_string());
-            }
-        }
-    }
+    let checks = cell.refined.check_bus_properties(ss, Some(&cell.delivered));
     CellReport {
-        reports,
-        holds,
+        reports: checks.iter().map(|c| c.report.to_string()).collect(),
+        holds: checks.iter().map(|c| c.report.holds).collect(),
         error_labels: ss.error_labels(),
         worst_cost: ss.worst_cost_to_quiescence(),
         states: ss.state_count(),
@@ -286,7 +206,7 @@ fn randomized_synth_fields_agree_across_engines() {
             });
             (rep.holds, rep.to_string(), ss.worst_cost_to_quiescence())
         };
-        let base = CheckConfig::new().with_max_states(1 << 20);
+        let base = CheckConfig::new();
         let full_ck = Checker::with_config(&s.system, base.clone().without_por()).expect("checker");
         let full_ss = full_ck.explore().expect("explore");
         let full = check(&full_ss);
@@ -310,31 +230,15 @@ fn randomized_synth_fields_agree_across_engines() {
     }
 }
 
-/// The paper's FLC (`specs/flc.ifs`, Fig. 6) with both loops cut to `n`
-/// iterations, refined at width 16 by `variant`'s generator.
-fn flc_cut(n: u32, variant: Variant) -> RefinedSystem {
-    let full = include_str!("../../../specs/flc.ifs");
-    assert_eq!(full.matches("0 to 127").count(), 2, "both FLC loops");
-    let source = full.replace("0 to 127", &format!("0 to {}", n - 1));
-    let system = ifsyn_lang::parse_system(&source).expect("flc.ifs parses");
-    let design = BusDesign::with_width(
-        system.channel_ids().collect(),
-        16,
-        ProtocolKind::FullHandshake,
-    );
-    generator(variant)
-        .refine(&system, &design)
-        .expect("flc refinement")
-}
-
 /// Terminal predicates read variables, which reduced steps change
 /// freely; they are sound only because ample sets meeting C0, C1 and C3
 /// keep every terminal state. On FLC cuts, fault-free, under a stuck
 /// DONE (hardened) and under a data flip (protected), reduction must
 /// engage and shrink the space while keeping the terminal count, the
-/// completion bound, the crash labels, the verdicts of terminal
-/// properties over `conv_acc` and `trru0`, and every failing report
-/// byte for byte.
+/// completion bound, the crash labels, the verdicts of plain delivery
+/// (over `conv_acc` and `trru0`) and of the bus property catalog with
+/// the cut's delivery predicate, and every failing report byte for
+/// byte.
 #[test]
 fn por_keeps_every_terminal_state_of_the_flc() {
     let cases = [
@@ -345,40 +249,30 @@ fn por_keeps_every_terminal_state_of_the_flc() {
     for n in [2u32, 4] {
         for (scenario, faults, variant) in &cases {
             let name = format!("flc n={n} {scenario}/{}", variant.as_str());
-            let refined = flc_cut(n, *variant);
-            let sys = &refined.system;
-            let flags: Vec<String> = refined
-                .bus
-                .status_flags
-                .iter()
-                .map(|&(_, s)| sys.signal(s).name.clone())
-                .collect();
-            let n = i64::from(n);
-            let delivered = move |v: &StateView<'_>| {
-                let acc = v.variable("conv_acc").and_then(|x| x.as_i64().ok());
-                let sum = v.variable("trru0").map(array_sum);
-                v.all_done()
-                    && acc == Some((0..n).map(|j| 2 * j + 5).sum())
-                    && sum == Some((0..n).map(|i| 3 * i + 1).sum())
-            };
+            let (refined, delivered) = flc_cut(n, *variant);
             let run = |config: CheckConfig| {
                 let config = faults.iter().cloned().fold(config, CheckConfig::with_fault);
-                let ck = Checker::with_config(sys, config).expect("checker");
+                let ck = Checker::with_config(&refined.system, config).expect("checker");
                 let ss = ck.explore().expect("explore");
-                let reports = [
-                    ss.check_terminal("delivers", delivered),
-                    ss.check_terminal("delivers_or_flags", |v| {
-                        delivered(v) || flags.iter().any(|f| v.signal_high(f))
-                    }),
-                ];
+                let mut reports =
+                    vec![ss.check_terminal("delivers", |v| v.all_done() && delivered(v))];
+                reports.extend(
+                    refined
+                        .check_bus_properties(&ss, Some(&delivered))
+                        .into_iter()
+                        .map(|c| c.report),
+                );
                 let st = ss.stats();
                 (
                     (
                         ss.terminal_count(),
                         ss.worst_cost_to_quiescence(),
                         ss.error_labels(),
-                        reports.each_ref().map(|r| r.verdict),
-                        reports.map(|r| (r.verdict == Verdict::Fail).then(|| r.to_string())),
+                        reports.iter().map(|r| r.verdict).collect::<Vec<_>>(),
+                        reports
+                            .into_iter()
+                            .map(|r| (r.verdict == Verdict::Fail).then(|| r.to_string()))
+                            .collect::<Vec<_>>(),
                     ),
                     ss.state_count(),
                     st.ample_states,
@@ -400,7 +294,7 @@ fn por_keeps_every_terminal_state_of_the_flc() {
 /// carrying the budget and the unexplored frontier size.
 #[test]
 fn state_limit_yields_a_bounded_verdict_with_frontier_details() {
-    let cell = fig3_cell("none", vec![], Variant::Plain, false);
+    let cell = fig3("none", vec![], Variant::Plain, false);
     let ck = checker(&cell, CheckConfig::new().with_state_limit(200));
     let ss = ck.explore().expect("explore");
     let b = ss.bounded().expect("exploration must stop at the budget");

@@ -12,7 +12,6 @@
 
 use ifsyn_bench::faults::{generator, Variant};
 use ifsyn_core::{BusDesign, BusGenerator, ProtocolKind};
-use ifsyn_estimate::CostModel;
 use ifsyn_partition::Partitioner;
 use ifsyn_sim::{Cond, ExprCode, Instr, MicroOp, Program, Src, WaitSpec};
 use ifsyn_spec::{BinOp, ChannelId, System, UnaryOp};
@@ -88,7 +87,7 @@ fn generated_handshake_conditions_compile_typed() {
                 let refined = generator(variant)
                     .refine(&system, &design)
                     .expect("bundled spec refines");
-                let program = Program::compile(&refined.system, &CostModel::new());
+                let program = Program::compile(&refined.system);
                 for block in program.behaviors.iter().chain(&program.procedures) {
                     for (pc, instr) in block.instrs.iter().enumerate() {
                         let cond = match instr {

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use ifsyn_estimate::{ChannelRates, ChannelTimings, RateModel};
+use ifsyn_estimate::{ChannelTimings, RateModel};
 use ifsyn_spec::{ChannelId, System};
 
 use crate::constraint::{total_cost, Constraint, WidthMetrics};
@@ -195,14 +195,6 @@ impl BusGenerator {
     /// Overrides the explored width range (default `1..=max message`).
     pub fn with_width_range(mut self, min: u32, max: u32) -> Self {
         self.width_range = Some((min.max(1), max.max(1)));
-        self
-    }
-
-    /// Replaces the rate estimator (e.g. to share a custom cost model).
-    /// The estimator is used as-is, statically — see
-    /// [`BusGenerator::with_rate_model`] for calibrated rates.
-    pub fn with_rates(mut self, rates: ChannelRates) -> Self {
-        self.rates = RateModel::from_static(rates);
         self
     }
 
@@ -634,7 +626,7 @@ mod tests {
         let (sys, ch1, ch2) = flc_like();
         let static_design = BusGenerator::new().generate(&sys, &[ch1, ch2]).unwrap();
         let scale = HashMap::from([(ch1, 2.0), (ch2, 2.0)]);
-        let model = ifsyn_estimate::RateModel::calibrated(ChannelRates::new(), scale);
+        let model = RateModel::calibrated(ifsyn_estimate::ChannelRates::new(), scale);
         let calibrated = BusGenerator::new()
             .with_rate_model(model)
             .generate(&sys, &[ch1, ch2])

@@ -15,6 +15,11 @@
 //!    messages into bus words, rewritten behaviors, and variable server
 //!    processes (the paper's Fig. 4–5).
 //!
+//! The refined bus's promises — grant mutual exclusion, completion or a
+//! raised status flag, eventual grant — are stated once over the wires
+//! protocol generation creates ([`RefinedSystem::check_bus_properties`])
+//! and checked on every schedule by `ifsyn-sim`'s model checker.
+//!
 //! Extensions the paper lists as future work are implemented too:
 //! alternative protocols ([`ProtocolKind`]), bus splitting when no
 //! feasible width exists ([`BusGenerator::generate_with_split`]), and bus
@@ -60,6 +65,7 @@ mod arbitration;
 mod busgen;
 mod constraint;
 mod error;
+mod properties;
 mod protocol;
 mod protogen;
 mod split;
@@ -69,6 +75,7 @@ pub use arbitration::{Arbitration, ArbitrationPolicy};
 pub use busgen::{BusDesign, BusGenerator, Exploration, WidthRow};
 pub use constraint::{Constraint, ConstraintKind, WidthMetrics};
 pub use error::CoreError;
+pub use properties::BusCheck;
 pub use protocol::ProtocolKind;
 pub use protogen::{BusStructure, Hardening, MultiBusRefinement, ProtocolGenerator, RefinedSystem};
 pub use split::SplitOutcome;

@@ -86,12 +86,6 @@ impl AreaEstimator {
         Self::default()
     }
 
-    /// Builder-style setter for the coefficients.
-    pub fn with_model(mut self, model: AreaModel) -> Self {
-        self.model = model;
-        self
-    }
-
     /// Estimates the area of one behavior: its controller states plus
     /// the registers of the variables it owns.
     ///
@@ -225,10 +219,7 @@ mod tests {
             gates_per_register_bit: 1.0,
             gates_per_wire: 0.0,
         };
-        let est = AreaEstimator::new()
-            .with_model(model)
-            .estimate_behavior(&sys, b)
-            .unwrap();
+        let est = AreaEstimator { model }.estimate_behavior(&sys, b).unwrap();
         assert_eq!(est.gates, 2.0 * 100.0 + 24.0);
     }
 

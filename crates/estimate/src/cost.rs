@@ -17,10 +17,6 @@ pub struct CostModel {
     /// Cycles per *abstract* channel access (the ideal, pre-refinement
     /// channel: a rendezvous that always succeeds immediately).
     pub abstract_channel_cycles: u32,
-    /// Fixed cycles added per procedure call (call/return overhead).
-    pub call_overhead_cycles: u32,
-    /// Cycles charged per loop iteration for the loop bookkeeping itself.
-    pub loop_overhead_cycles: u32,
 }
 
 impl CostModel {
@@ -29,13 +25,11 @@ impl CostModel {
     /// This mirrors a simple datapath where every register transfer takes
     /// one controller state and branching is folded into state selection —
     /// the granularity the paper's Fig. 7 clock counts imply.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Self {
             assign_cycles: 1,
             signal_assign_cycles: 1,
             abstract_channel_cycles: 1,
-            call_overhead_cycles: 0,
-            loop_overhead_cycles: 0,
         }
     }
 }
@@ -60,6 +54,5 @@ mod tests {
         let m = CostModel::new();
         assert_eq!(m.assign_cycles, 1);
         assert_eq!(m.signal_assign_cycles, 1);
-        assert_eq!(m.loop_overhead_cycles, 0);
     }
 }

@@ -48,31 +48,19 @@ impl BehaviorEstimate {
 ///     .unwrap();
 /// assert_eq!(est.cycles, 100);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct PerformanceEstimator {
-    cost_model: CostModel,
-    /// Cycles assumed for a synchronisation wait of unknown duration.
-    sync_wait_cycles: u64,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PerformanceEstimator;
+
+/// The statement costs the estimator charges: the simulator's model.
+const COSTS: CostModel = CostModel::new();
+
+/// Cycles assumed for a synchronisation wait of unknown duration.
+const SYNC_WAIT_CYCLES: u64 = 1;
 
 impl PerformanceEstimator {
     /// Creates an estimator with the default cost model.
     pub fn new() -> Self {
-        Self {
-            cost_model: CostModel::new(),
-            sync_wait_cycles: 1,
-        }
-    }
-
-    /// Builder-style setter for the cost model.
-    pub fn with_cost_model(mut self, cost_model: CostModel) -> Self {
-        self.cost_model = cost_model;
-        self
-    }
-
-    /// Returns the cost model in use.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
+        Self
     }
 
     /// Estimates one pass over `behavior`'s body.
@@ -116,7 +104,7 @@ impl PerformanceEstimator {
     ) -> u64 {
         match timings.get(channel) {
             Some(t) => t.cycles_per_access(system.channel(channel).message_bits()),
-            None => u64::from(self.cost_model.abstract_channel_cycles),
+            None => u64::from(COSTS.abstract_channel_cycles),
         }
     }
 
@@ -134,11 +122,9 @@ impl PerformanceEstimator {
         let mut cycles = 0u64;
         for stmt in body {
             cycles += match stmt {
-                Stmt::Assign { cost, .. } => {
-                    u64::from(cost.unwrap_or(self.cost_model.assign_cycles))
-                }
+                Stmt::Assign { cost, .. } => u64::from(cost.unwrap_or(COSTS.assign_cycles)),
                 Stmt::SignalAssign { cost, .. } => {
-                    u64::from(cost.unwrap_or(self.cost_model.signal_assign_cycles))
+                    u64::from(cost.unwrap_or(COSTS.signal_assign_cycles))
                 }
                 Stmt::Compute { cycles, .. } => *cycles,
                 Stmt::Wait(WaitCond::ForCycles(n)) => *n,
@@ -146,12 +132,10 @@ impl PerformanceEstimator {
                     if est.assumptions.is_empty()
                         || !est.assumptions.iter().any(|a| a.contains("sync wait"))
                     {
-                        est.assumptions.push(format!(
-                            "sync wait assumed {} cycle(s)",
-                            self.sync_wait_cycles
-                        ));
+                        est.assumptions
+                            .push(format!("sync wait assumed {SYNC_WAIT_CYCLES} cycle(s)"));
                     }
-                    self.sync_wait_cycles
+                    SYNC_WAIT_CYCLES
                 }
                 Stmt::If {
                     cond: _,
@@ -174,8 +158,7 @@ impl PerformanceEstimator {
                             1
                         }
                     };
-                    let one = self.scaled_walk(system, body, timings, est, depth, iters)?;
-                    iters * (one + u64::from(self.cost_model.loop_overhead_cycles))
+                    iters * self.scaled_walk(system, body, timings, est, depth, iters)?
                 }
                 Stmt::While { body, .. } => {
                     est.assumptions
@@ -184,8 +167,7 @@ impl PerformanceEstimator {
                 }
                 Stmt::Call { procedure, args: _ } => {
                     let p = system.procedure(*procedure);
-                    u64::from(self.cost_model.call_overhead_cycles)
-                        + self.walk(system, &p.body, timings, est, depth + 1)?
+                    self.walk(system, &p.body, timings, est, depth + 1)?
                 }
                 Stmt::ChannelSend { channel, .. } | Stmt::ChannelReceive { channel, .. } => {
                     *est.channel_accesses.entry(*channel).or_insert(0) += 1;

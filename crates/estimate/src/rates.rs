@@ -31,16 +31,6 @@ impl ChannelRates {
         }
     }
 
-    /// Creates a rate estimator sharing an existing performance estimator.
-    pub fn with_estimator(estimator: PerformanceEstimator) -> Self {
-        Self { estimator }
-    }
-
-    /// Returns the inner performance estimator.
-    pub fn estimator(&self) -> &PerformanceEstimator {
-        &self.estimator
-    }
-
     /// Average rate of `channel` (bits/clock) when the channels in
     /// `timings` are implemented with the given bus timing.
     ///
@@ -274,6 +264,45 @@ mod tests {
             body,
         ));
         (sys, ch)
+    }
+
+    /// Every construction path prices a `wait until` of unknown length
+    /// alike: `RateModel::default()`, which `BusGenerator::new()`
+    /// installs, reads the same rate as `ChannelRates::new()`.
+    #[test]
+    fn every_construction_prices_a_sync_wait_alike() {
+        let mut sys = System::new("t");
+        let m = sys.add_module("chip");
+        let b = sys.add_behavior("P", m);
+        let owner = sys.add_behavior("MEMPROC", m);
+        let mem = sys.add_variable("MEM", Ty::Int(16), owner);
+        let go = sys.add_signal("GO", Ty::Bit);
+        let ch = sys.add_channel(Channel {
+            name: "ch".into(),
+            accessor: b,
+            variable: mem,
+            direction: ChannelDirection::Write,
+            data_bits: 16,
+            addr_bits: 0,
+            accesses: 1,
+        });
+        sys.behavior_mut(b).body = vec![
+            wait_until(eq(signal(go), bit_const(true))),
+            ifsyn_spec::Stmt::compute(1, "work"),
+            send(ch, int_const(7, 16)),
+        ];
+        let t = ChannelTimings::uniform(&[ch], BusTiming::new(16, 2));
+        // 16 bits over 1 wait + 1 compute + 2 transfer cycles.
+        let new = ChannelRates::new().average_rate(&sys, ch, &t).unwrap();
+        assert_eq!(new, 4.0);
+        assert_eq!(
+            ChannelRates::default().average_rate(&sys, ch, &t).unwrap(),
+            new
+        );
+        assert_eq!(
+            RateModel::default().average_rate(&sys, ch, &t).unwrap(),
+            new
+        );
     }
 
     #[test]

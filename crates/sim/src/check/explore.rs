@@ -443,13 +443,13 @@ impl<'a> Checker<'a> {
     /// ([`super::CheckConfig::with_state_limit`]) supersedes it: a
     /// budgeted run's contract is a structured `Bounded` verdict, never
     /// an exhaustion error, regardless of where the budget sits relative
-    /// to `max_states` (the budget is enforced at level boundaries, so a
-    /// lower `max_states` could otherwise abort mid-level first).
+    /// to the cap (the budget is enforced at level boundaries, so a lower
+    /// cap could otherwise abort mid-level first).
     pub(super) fn hard_max_states(&self) -> usize {
         if self.config.state_limit.is_some() {
             usize::MAX
         } else {
-            self.config.max_states
+            self.max_states
         }
     }
 
@@ -504,7 +504,7 @@ impl<'a> Checker<'a> {
                 let i = g.states.len();
                 if i >= self.hard_max_states() {
                     return Err(SimError::StateCapExceeded {
-                        max_states: self.config.max_states,
+                        max_states: self.max_states,
                     });
                 }
                 g.states.push(succ);

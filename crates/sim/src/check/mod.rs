@@ -101,7 +101,6 @@ mod step;
 #[cfg(test)]
 mod tests;
 
-use ifsyn_estimate::CostModel;
 use ifsyn_spec::System;
 
 use crate::error::SimError;
@@ -150,25 +149,24 @@ impl EnvFault {
     }
 }
 
-/// Exploration limits, scaling knobs and the fault environment.
+/// Reachable states an exploration without a state budget may store
+/// before it ends with [`SimError::StateCapExceeded`].
+pub(crate) const MAX_STATES: usize = 1 << 18;
+
+/// Instructions one atomic run may execute before the checker reports a
+/// zero-cost loop, like the kernel's zero-delay guard.
+pub(crate) const STEP_BUDGET: u64 = 1 << 20;
+
+/// The fault environment and the two exploration knobs. Statement costs
+/// are the simulator's, so checked bounds compare with simulated finish
+/// times.
 #[derive(Debug, Clone)]
 pub struct CheckConfig {
-    /// Abort exploration when the reachable set exceeds this many
-    /// states. Not enforced when [`CheckConfig::state_limit`] is set —
-    /// a budgeted run stops gracefully at the budget instead of
-    /// erroring, wherever the budget sits relative to this cap.
-    pub max_states: usize,
-    /// Abort a single atomic run after this many instructions (guards
-    /// zero-cost infinite loops, like the kernel's zero-delay guard).
-    pub step_budget: u64,
     /// Environment faults the checker may inject nondeterministically.
     pub faults: Vec<EnvFault>,
-    /// Statement costs, identical to the simulator's default model so
-    /// checked bounds are comparable to simulated finish times.
-    pub cost_model: CostModel,
     /// Stop exploration gracefully after this many discovered states,
-    /// reporting [`Verdict::Bounded`] — unlike
-    /// [`CheckConfig::max_states`], which treats exhaustion as an error.
+    /// reporting [`Verdict::Bounded`] — without it, a reachable set past
+    /// the 2^18-state cap is an error.
     pub state_limit: Option<usize>,
     /// Partial-order reduction (on by default; verdict-preserving).
     pub por: bool,
@@ -177,10 +175,7 @@ pub struct CheckConfig {
 impl Default for CheckConfig {
     fn default() -> Self {
         Self {
-            max_states: 1 << 18,
-            step_budget: 1 << 20,
             faults: Vec::new(),
-            cost_model: CostModel::new(),
             state_limit: None,
             por: true,
         }
@@ -193,12 +188,6 @@ impl CheckConfig {
         Self::default()
     }
 
-    /// Replaces the state cap.
-    pub fn with_max_states(mut self, max_states: usize) -> Self {
-        self.max_states = max_states;
-        self
-    }
-
     /// Adds one environment fault.
     pub fn with_fault(mut self, fault: EnvFault) -> Self {
         self.faults.push(fault);
@@ -207,8 +196,8 @@ impl CheckConfig {
 
     /// Stops exploration after `limit` discovered states with a
     /// structured [`Verdict::Bounded`] instead of an error. The budget
-    /// supersedes [`CheckConfig::max_states`]: a limit above the hard
-    /// cap still ends in a `Bounded` verdict, not an exhaustion error.
+    /// supersedes the 2^18-state cap: a limit above the cap still ends
+    /// in a `Bounded` verdict, not an exhaustion error.
     pub fn with_state_limit(mut self, limit: usize) -> Self {
         self.state_limit = Some(limit);
         self
@@ -228,6 +217,9 @@ pub struct Checker<'a> {
     /// Configured faults with their signal names resolved to indices.
     faults: Vec<(usize, EnvFault)>,
     config: CheckConfig,
+    /// The cap on stored states without a budget: [`MAX_STATES`], which
+    /// the module's tests lower.
+    max_states: usize,
     max_regs: u16,
     /// Variable grouping for component interning.
     layout: Layout,
@@ -265,7 +257,7 @@ impl<'a> Checker<'a> {
                 ),
             });
         }
-        let program = Program::compile(system, &config.cost_model);
+        let program = Program::compile(system);
         let max_regs = program.max_regs();
         let mut faults = Vec::with_capacity(config.faults.len());
         for f in &config.faults {
@@ -297,6 +289,7 @@ impl<'a> Checker<'a> {
             program,
             faults,
             config,
+            max_states: MAX_STATES,
             max_regs,
             layout,
             por,
@@ -308,8 +301,8 @@ impl<'a> Checker<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::StateCapExceeded`] when the reachable set
-    /// exceeds [`CheckConfig::max_states`] (unless a state limit is set,
-    /// which bounds exploration gracefully instead). Returns another
+    /// exceeds 2^18 states (unless a state limit is set, which bounds
+    /// exploration gracefully instead). Returns another
     /// error when an atomic run exceeds the step budget or execution
     /// hits a runtime evaluation error or failed assertion.
     pub fn explore(&self) -> Result<StateSpace<'_>, SimError> {

@@ -652,6 +652,11 @@ impl<'a> StateSpace<'a> {
         self.g.bounded
     }
 
+    /// Whether the exploration ran without an environment fault.
+    pub fn fault_free(&self) -> bool {
+        self.checker.faults.is_empty()
+    }
+
     /// Checks that `pred` holds in every reachable state.
     pub fn check_invariant(
         &self,

@@ -37,7 +37,7 @@ use crate::process::{CodeRef, Frame};
 use crate::program::{Instr, WaitSpec};
 
 use super::state::{CkProc, CkState, Layout};
-use super::Checker;
+use super::{Checker, STEP_BUDGET};
 
 /// Effects of one atomic run (plus its waiter-release sweep), recorded
 /// by the write paths so the explorer can re-intern and roll back only
@@ -108,10 +108,10 @@ impl Engine for Run<'_, '_> {
 
     fn tick(&mut self, code: CodeRef, pc: usize) -> Result<(), RunError> {
         self.steps += 1;
-        if self.steps > self.ck.config.step_budget {
+        if self.steps > STEP_BUDGET {
             return Err(Box::new(SimError::eval(format!(
-                "step budget of {} exceeded in `{}` (zero-cost loop without waits?)",
-                self.ck.config.step_budget, self.ck.system.behaviors[self.pid].name
+                "step budget of {STEP_BUDGET} exceeded in `{}` (zero-cost loop without waits?)",
+                self.ck.system.behaviors[self.pid].name
             ))));
         }
         if self.fx.track && self.fx.pure_run {

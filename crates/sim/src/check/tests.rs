@@ -388,7 +388,7 @@ fn por_never_hides_procedure_copyback_writes() {
     assert_eq!(rr.to_string(), fr.to_string());
 }
 
-/// A graceful state budget supersedes the hard `max_states` abort: a
+/// A graceful state budget supersedes the hard state-cap abort: a
 /// `--check-limit` above the cap must end in a `Bounded` verdict, never
 /// the exhaustion error (that error fires mid-level, before the budget
 /// is even consulted). Reduction is off so the space stays larger than
@@ -396,9 +396,13 @@ fn por_never_hides_procedure_copyback_writes() {
 #[test]
 fn state_limit_supersedes_the_hard_state_cap() {
     let sys = mixed_private();
-    let capped = CheckConfig::new().without_por().with_max_states(20);
+    let capped = |config: CheckConfig| {
+        let mut ck = Checker::with_config(&sys, config.without_por()).unwrap();
+        ck.max_states = 20;
+        ck
+    };
     // Budget above the cap, space bigger than both: stops at the budget.
-    let ck = Checker::with_config(&sys, capped.clone().with_state_limit(50)).unwrap();
+    let ck = capped(CheckConfig::new().with_state_limit(50));
     let ss = ck
         .explore()
         .expect("budgeted run must not hit the hard cap");
@@ -406,7 +410,7 @@ fn state_limit_supersedes_the_hard_state_cap() {
     assert_eq!(b.limit, 50);
     assert!(ss.state_count() >= 50);
     // Budget above the cap, space smaller than the budget: completes.
-    let ck = Checker::with_config(&sys, capped.clone().with_state_limit(1_000_000)).unwrap();
+    let ck = capped(CheckConfig::new().with_state_limit(1_000_000));
     let ss = ck
         .explore()
         .expect("budgeted run must not hit the hard cap");
@@ -414,7 +418,7 @@ fn state_limit_supersedes_the_hard_state_cap() {
     assert!(ss.state_count() > 20);
     // Without a budget the hard cap still aborts, with a capacity error
     // that names no API.
-    let ck = Checker::with_config(&sys, capped).unwrap();
+    let ck = capped(CheckConfig::new());
     let err = ck.explore().err().expect("hard cap must abort");
     assert_eq!(err, SimError::StateCapExceeded { max_states: 20 });
     assert_eq!(err.to_string(), "reachable state space exceeds 20 states");

@@ -1,7 +1,5 @@
 //! Simulation configuration.
 
-use ifsyn_estimate::CostModel;
-
 use crate::fault::FaultPlan;
 
 /// Configuration knobs of the simulator.
@@ -15,10 +13,6 @@ pub struct SimConfig {
     /// Maximum zero-time instructions one process may execute in a single
     /// activation before reporting a zero-delay loop.
     pub max_steps_per_activation: u64,
-    /// Statement cost model used when lowering statements whose `cost`
-    /// field is `None`. Must match the estimator's model for analytic and
-    /// measured timings to agree.
-    pub cost_model: CostModel,
     /// Record signal-change trace events (bounded by
     /// [`SimConfig::max_trace_events`]).
     pub trace: bool,
@@ -44,7 +38,6 @@ impl SimConfig {
             max_time: 100_000_000,
             max_deltas_per_instant: 10_000,
             max_steps_per_activation: 10_000_000,
-            cost_model: CostModel::new(),
             trace: false,
             max_trace_events: 100_000,
             fault_plan: FaultPlan::new(),
@@ -68,12 +61,6 @@ impl SimConfig {
     /// analytics runs over long sweeps need more than the default bound.
     pub fn with_max_trace_events(mut self, max: usize) -> Self {
         self.max_trace_events = max;
-        self
-    }
-
-    /// Builder-style setter for the cost model.
-    pub fn with_cost_model(mut self, cost_model: CostModel) -> Self {
-        self.cost_model = cost_model;
         self
     }
 

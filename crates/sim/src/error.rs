@@ -60,7 +60,7 @@ pub enum SimError {
         time: u64,
     },
     /// The model checker found more reachable states than its hard cap
-    /// ([`crate::CheckConfig::max_states`]) allows. A capacity limit,
+    /// of 2^18 allows. A capacity limit,
     /// not a fault in the system: a state budget
     /// ([`crate::CheckConfig::with_state_limit`]) lifts the cap.
     StateCapExceeded {

@@ -252,7 +252,7 @@ impl<'a> Simulator<'a> {
         system.check().map_err(|e| SimError::InvalidSystem {
             message: e.to_string(),
         })?;
-        let program = Program::compile_cached(system, &config.cost_model, cache);
+        let program = Program::compile_cached(system, cache);
         let max_regs = program.max_regs();
         let signals = system
             .signals

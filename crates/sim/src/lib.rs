@@ -59,7 +59,6 @@ mod program;
 mod report;
 
 pub mod analysis;
-pub mod trace;
 pub mod vcd;
 
 pub use check::{

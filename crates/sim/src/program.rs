@@ -475,15 +475,14 @@ impl EnvRefs {
 /// Hashes everything lowering reads from the environment for one block
 /// besides its body: the declared types of the signals and variables the
 /// body references (and whether their initial values have those types),
-/// the scope procedure's signature (local slot types), and the cost
-/// model.
+/// and the scope procedure's signature (local slot types).
 ///
 /// Hashing only the *referenced* declarations is what lets refinements
 /// that differ in data width share their width-independent blocks — an
 /// application behavior that only calls procedures and touches its own
 /// fixed-width variables compiles once for the whole sweep, no matter
 /// what width the bus signals it never names were refined to.
-fn block_env_hash(system: &System, scope: CodeRef, body: &[Stmt], costs: &CostModel) -> u64 {
+fn block_env_hash(system: &System, scope: CodeRef, body: &[Stmt]) -> u64 {
     let mut refs = EnvRefs::default();
     refs.block(body);
     let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -522,14 +521,6 @@ fn block_env_hash(system: &System, scope: CodeRef, body: &[Stmt], costs: &CostMo
             }
         }
     }
-    (
-        costs.assign_cycles,
-        costs.signal_assign_cycles,
-        costs.abstract_channel_cycles,
-        costs.call_overhead_cycles,
-        costs.loop_overhead_cycles,
-    )
-        .hash(&mut h);
     h.finish()
 }
 
@@ -545,10 +536,10 @@ fn block_key(env: u64, kind: u8, name: &str, body: &[Stmt]) -> u64 {
 impl Program {
     /// Lowers every behavior and procedure of `system`.
     ///
-    /// Statement costs default to the given [`CostModel`] when the
-    /// statement's explicit `cost` is absent.
-    pub fn compile(system: &System, costs: &CostModel) -> Self {
-        Self::compile_cached(system, costs, None)
+    /// Statement costs default to [`CostModel::new`], the estimator's
+    /// model, when the statement's explicit `cost` is absent.
+    pub fn compile(system: &System) -> Self {
+        Self::compile_cached(system, None)
     }
 
     /// Lowers `system`, sharing identical blocks through `cache`.
@@ -556,17 +547,17 @@ impl Program {
     /// The cache key is per block and covers only what lowering reads for
     /// that block (see `block_env_hash`), so systems that differ only
     /// in declarations a block never references still share it.
-    pub fn compile_cached(system: &System, costs: &CostModel, cache: Option<&CodeCache>) -> Self {
+    pub fn compile_cached(system: &System, cache: Option<&CodeCache>) -> Self {
         let build = |kind: u8, idx: usize, name: &str, body: &[Stmt]| -> Arc<Code> {
             let scope = if kind == 0 {
                 CodeRef::Behavior(idx)
             } else {
                 CodeRef::Procedure(idx)
             };
-            let make = || lower_block(system, scope, name, body, costs);
+            let make = || lower_block(system, scope, name, body);
             match cache {
                 Some(c) => {
-                    let env = block_env_hash(system, scope, body, costs);
+                    let env = block_env_hash(system, scope, body);
                     c.get_or_build(block_key(env, kind, name, body), make)
                 }
                 None => Arc::new(make()),
@@ -632,17 +623,10 @@ impl Program {
     }
 }
 
-fn lower_block(
-    system: &System,
-    scope: CodeRef,
-    name: &str,
-    body: &[Stmt],
-    costs: &CostModel,
-) -> Code {
+fn lower_block(system: &System, scope: CodeRef, name: &str, body: &[Stmt]) -> Code {
     let mut lowerer = Lowerer {
         system,
         scope,
-        costs,
         out: Vec::new(),
         max_regs: 0,
     };
@@ -943,10 +927,13 @@ impl CondCompiler<'_> {
     }
 }
 
+/// The statement costs lowering charges: the estimator's model, so
+/// simulated and analytic clock counts agree.
+const COSTS: CostModel = CostModel::new();
+
 struct Lowerer<'a> {
     system: &'a System,
     scope: CodeRef,
-    costs: &'a CostModel,
     out: Vec<Instr>,
     max_regs: u16,
 }
@@ -1068,7 +1055,7 @@ impl Lowerer<'_> {
                     let instr = Instr::Assign {
                         place: self.place(place),
                         value: self.expr(value),
-                        cost: cost.unwrap_or(self.costs.assign_cycles),
+                        cost: cost.unwrap_or(COSTS.assign_cycles),
                     };
                     self.out.push(instr);
                 }
@@ -1091,7 +1078,7 @@ impl Lowerer<'_> {
                     self.out.push(Instr::SignalWrite {
                         signal: *signal,
                         value,
-                        cost: cost.unwrap_or(self.costs.signal_assign_cycles),
+                        cost: cost.unwrap_or(COSTS.signal_assign_cycles),
                     });
                 }
                 Stmt::If {
@@ -1181,7 +1168,7 @@ impl Lowerer<'_> {
                         channel: *channel,
                         addr: addr.as_ref().map(|a| self.expr(a)),
                         data: self.expr(data),
-                        cost: self.costs.abstract_channel_cycles,
+                        cost: COSTS.abstract_channel_cycles,
                     };
                     self.out.push(instr);
                 }
@@ -1194,7 +1181,7 @@ impl Lowerer<'_> {
                         channel: *channel,
                         addr: addr.as_ref().map(|a| self.expr(a)),
                         target: self.place(target),
-                        cost: self.costs.abstract_channel_cycles,
+                        cost: COSTS.abstract_channel_cycles,
                     };
                     self.out.push(instr);
                 }
@@ -1345,9 +1332,7 @@ mod tests {
         let b = sys.add_behavior("P", m);
         let _x = sys.add_variable("x", Ty::Int(16), b);
         sys.behavior_mut(b).body = body;
-        Program::compile(&sys, &CostModel::new()).behaviors[0]
-            .instrs
-            .clone()
+        Program::compile(&sys).behaviors[0].instrs.clone()
     }
 
     #[test]
@@ -1508,9 +1493,7 @@ mod tests {
             eq(signal(s), bits_const(0b101, 3)),
             vec![assign(var(x), int_const(1, 16))],
         )];
-        let instrs = Program::compile(&sys, &CostModel::new()).behaviors[0]
-            .instrs
-            .clone();
+        let instrs = Program::compile(&sys).behaviors[0].instrs.clone();
         match &instrs[0] {
             Instr::JumpIfNot {
                 cond: Cond::Is { slot, value },
@@ -1630,9 +1613,7 @@ mod tests {
                 width: 8,
             },
         )];
-        let instrs = Program::compile(&sys, &CostModel::new()).behaviors[0]
-            .instrs
-            .clone();
+        let instrs = Program::compile(&sys).behaviors[0].instrs.clone();
         match &instrs[0] {
             Instr::SignalWrite { value, .. } => {
                 // Both the word and the offset are flattened operands.
@@ -1660,9 +1641,7 @@ mod tests {
         // `not(false)` folds to the constant `true`, exposing the
         // signal-vs-const shape to the wait specializer.
         sys.behavior_mut(b).body = vec![wait_until(eq(signal(s), not(bit_const(false))))];
-        let instrs = Program::compile(&sys, &CostModel::new()).behaviors[0]
-            .instrs
-            .clone();
+        let instrs = Program::compile(&sys).behaviors[0].instrs.clone();
         match &instrs[0] {
             Instr::Wait(WaitSpec::Until(until)) => {
                 assert_eq!(
@@ -1686,9 +1665,7 @@ mod tests {
         let b = sys.add_behavior("P", m);
         let s = sys.add_signal("addr", Ty::Bits(8));
         sys.behavior_mut(b).body = vec![wait_until(eq(signal(s), bits_const(0b101, 3)))];
-        let instrs = Program::compile(&sys, &CostModel::new()).behaviors[0]
-            .instrs
-            .clone();
+        let instrs = Program::compile(&sys).behaviors[0].instrs.clone();
         match &instrs[0] {
             Instr::Wait(WaitSpec::Until(Until {
                 cond: Cond::Is { slot, value },
@@ -1718,9 +1695,7 @@ mod tests {
         // Signal-vs-signal comparison cannot specialize; it must keep the
         // compiled form with both signals in the sensitivity list.
         sys.behavior_mut(b).body = vec![wait_until(eq(signal(s), signal(t)))];
-        let instrs = Program::compile(&sys, &CostModel::new()).behaviors[0]
-            .instrs
-            .clone();
+        let instrs = Program::compile(&sys).behaviors[0].instrs.clone();
         match &instrs[0] {
             Instr::Wait(WaitSpec::Until(until)) => {
                 assert_eq!(until.sensitivity(), &[s, t]);
@@ -1768,8 +1743,8 @@ mod tests {
         let x = sys.add_variable("x", Ty::Int(16), b);
         sys.behavior_mut(b).body = vec![assign(var(x), int_const(1, 16))];
         let cache = CodeCache::new();
-        let p1 = Program::compile_cached(&sys, &CostModel::new(), Some(&cache));
-        let p2 = Program::compile_cached(&sys, &CostModel::new(), Some(&cache));
+        let p1 = Program::compile_cached(&sys, Some(&cache));
+        let p2 = Program::compile_cached(&sys, Some(&cache));
         assert_eq!(cache.len(), 1);
         assert!(Arc::ptr_eq(&p1.behaviors[0], &p2.behaviors[0]));
     }
@@ -1789,8 +1764,8 @@ mod tests {
             sys
         };
         let cache = CodeCache::new();
-        let p8 = Program::compile_cached(&build(8), &CostModel::new(), Some(&cache));
-        let p16 = Program::compile_cached(&build(16), &CostModel::new(), Some(&cache));
+        let p8 = Program::compile_cached(&build(8), Some(&cache));
+        let p16 = Program::compile_cached(&build(16), Some(&cache));
         assert_eq!(cache.len(), 1, "unreferenced width must not split the key");
         assert!(Arc::ptr_eq(&p8.behaviors[0], &p16.behaviors[0]));
     }
@@ -1808,25 +1783,10 @@ mod tests {
             sys
         };
         let cache = CodeCache::new();
-        let p8 = Program::compile_cached(&build(8), &CostModel::new(), Some(&cache));
-        let p16 = Program::compile_cached(&build(16), &CostModel::new(), Some(&cache));
+        let p8 = Program::compile_cached(&build(8), Some(&cache));
+        let p16 = Program::compile_cached(&build(16), Some(&cache));
         assert_eq!(cache.len(), 2);
         assert!(!Arc::ptr_eq(&p8.behaviors[0], &p16.behaviors[0]));
-    }
-
-    #[test]
-    fn code_cache_misses_on_different_cost_model() {
-        let mut sys = System::new("t");
-        let m = sys.add_module("chip");
-        let b = sys.add_behavior("P", m);
-        let x = sys.add_variable("x", Ty::Int(16), b);
-        sys.behavior_mut(b).body = vec![assign(var(x), int_const(1, 16))];
-        let cache = CodeCache::new();
-        let _ = Program::compile_cached(&sys, &CostModel::new(), Some(&cache));
-        let mut other = CostModel::new();
-        other.assign_cycles = 7;
-        let _ = Program::compile_cached(&sys, &other, Some(&cache));
-        assert_eq!(cache.len(), 2);
     }
 
     #[test]

@@ -9,15 +9,16 @@
 
 use std::fmt::Write as _;
 
-use ifsyn_spec::{SignalId, System, Value};
+use ifsyn_spec::{System, Value};
 
 use crate::report::SimReport;
-use crate::trace::{emit_trace, TraceSink};
 
 /// Renders the signal trace of `report` as VCD text.
 ///
 /// Signals are declared in system order under one `top` scope; the
-/// timescale is 1 ns per simulated clock.
+/// timescale is 1 ns per simulated clock. Changes follow in the order
+/// the kernel recorded them (non-decreasing time), and the dump closes
+/// at the report's final time.
 ///
 /// # Example
 ///
@@ -44,84 +45,48 @@ use crate::trace::{emit_trace, TraceSink};
 /// # }
 /// ```
 pub fn to_vcd_string(system: &System, report: &SimReport) -> String {
-    let mut sink = VcdSink::new();
-    emit_trace(system, report, &mut sink);
-    sink.into_string()
-}
-
-/// A [`TraceSink`] that renders the replayed trace as IEEE 1364 VCD
-/// text — the renderer behind [`to_vcd_string`], usable directly when a
-/// trace arrives from somewhere other than a [`SimReport`].
-#[derive(Debug, Clone, Default)]
-pub struct VcdSink {
-    out: String,
-    ids: Vec<String>,
-    current_time: Option<u64>,
-}
-
-impl VcdSink {
-    /// Creates an empty renderer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The accumulated VCD document.
-    pub fn into_string(self) -> String {
-        self.out
-    }
-}
-
-impl TraceSink for VcdSink {
-    fn begin(&mut self, system: &System) {
-        let out = &mut self.out;
-        let _ = writeln!(
-            out,
-            "$comment interface-synthesis simulation of {} $end",
-            system.name
-        );
-        let _ = writeln!(out, "$timescale 1ns $end");
-        let _ = writeln!(out, "$scope module top $end");
-        self.ids = (0..system.signals.len()).map(code_for).collect();
-        for (decl, id) in system.signals.iter().zip(&self.ids) {
-            let width = decl.ty.bit_width();
-            if width == 1 {
-                let _ = writeln!(out, "$var wire 1 {id} {} $end", decl.name);
-            } else {
-                let _ = writeln!(
-                    out,
-                    "$var wire {width} {id} {} [{}:0] $end",
-                    decl.name,
-                    width - 1
-                );
-            }
-        }
-        let _ = writeln!(out, "$upscope $end");
-        let _ = writeln!(out, "$enddefinitions $end");
-        let _ = writeln!(out, "$dumpvars");
-    }
-
-    fn initial(&mut self, signal: SignalId, value: &Value) {
-        emit_value(&mut self.out, value, &self.ids[signal.index()]);
-    }
-
-    fn start_changes(&mut self) {
-        let _ = writeln!(self.out, "$end");
-    }
-
-    fn change(&mut self, time: u64, signal: SignalId, value: &Value) {
-        if self.current_time != Some(time) {
-            let _ = writeln!(self.out, "#{time}");
-            self.current_time = Some(time);
-        }
-        emit_value(&mut self.out, value, &self.ids[signal.index()]);
-    }
-
-    fn finish(&mut self, end_time: u64) {
-        // Close the waveform at the final time.
-        if self.current_time != Some(end_time) {
-            let _ = writeln!(self.out, "#{end_time}");
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "$comment interface-synthesis simulation of {} $end",
+        system.name
+    );
+    let _ = writeln!(out, "$timescale 1ns $end");
+    let _ = writeln!(out, "$scope module top $end");
+    let ids: Vec<String> = (0..system.signals.len()).map(code_for).collect();
+    for (decl, id) in system.signals.iter().zip(&ids) {
+        let width = decl.ty.bit_width();
+        if width == 1 {
+            let _ = writeln!(out, "$var wire 1 {id} {} $end", decl.name);
+        } else {
+            let _ = writeln!(
+                out,
+                "$var wire {width} {id} {} [{}:0] $end",
+                decl.name,
+                width - 1
+            );
         }
     }
+    let _ = writeln!(out, "$upscope $end");
+    let _ = writeln!(out, "$enddefinitions $end");
+    let _ = writeln!(out, "$dumpvars");
+    for (decl, id) in system.signals.iter().zip(&ids) {
+        emit_value(&mut out, &decl.initial_value(), id);
+    }
+    let _ = writeln!(out, "$end");
+    let mut current_time = None;
+    for event in report.trace() {
+        if current_time != Some(event.time) {
+            let _ = writeln!(out, "#{}", event.time);
+            current_time = Some(event.time);
+        }
+        emit_value(&mut out, &event.value, &ids[event.signal.index()]);
+    }
+    // Close the waveform at the final time.
+    if current_time != Some(report.time()) {
+        let _ = writeln!(out, "#{}", report.time());
+    }
+    out
 }
 
 /// VCD identifier codes: printable ASCII 33..=126, base-94 per index.

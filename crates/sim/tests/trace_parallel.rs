@@ -1,16 +1,15 @@
-//! Trace replay and truncation on a field of many parallel processes.
+//! Trace recording and truncation on a field of many parallel processes.
 //!
-//! [`TraceSink`] documents that `change` hooks arrive "in non-decreasing
-//! time order, exactly as the kernel recorded them", and every sink rides
-//! the same [`emit_trace`] replay. A synthetic field whose processes
+//! A [`SimReport`] records its signal changes "in non-decreasing time
+//! order, exactly as the kernel recorded them", and the VCD renderer
+//! writes them in that order. A synthetic field whose processes
 //! interleave over a few thousand events checks both promises, and that
-//! the [`SimConfig::with_max_trace_events`] bound cuts the recorded stream
-//! without reordering it.
+//! the [`SimConfig::with_max_trace_events`] bound cuts the recorded
+//! stream without reordering it.
 
-use ifsyn_sim::trace::{emit_trace, MemorySink, TraceSink};
-use ifsyn_sim::vcd::{to_vcd_string, VcdSink};
+use ifsyn_sim::vcd::to_vcd_string;
 use ifsyn_sim::{SimConfig, SimReport, Simulator};
-use ifsyn_spec::{SignalId, System};
+use ifsyn_spec::System;
 use ifsyn_systems::{synth_system, SynthConfig};
 
 /// A synthetic field busy enough to interleave many processes over a
@@ -33,37 +32,33 @@ fn run(sys: &System, config: SimConfig) -> SimReport {
 }
 
 #[test]
-fn memory_sink_sees_the_same_replay_as_the_vcd_renderer() {
-    // Both sinks ride the same `emit_trace` replay: the MemorySink stream
-    // mirrors the report, and feeding it back into a VcdSink renders the
-    // VCD text drawn straight from the report.
+fn the_vcd_renders_the_report_trace_in_time_order() {
     let f = field();
     let report = run(&f.system, SimConfig::new().with_trace());
-    let mut sink = MemorySink::new();
-    emit_trace(&f.system, &report, &mut sink);
-    assert_eq!(sink.events, report.trace(), "sink mirrors its report");
+    let trace = report.trace();
     // The documented ordering guarantee: non-decreasing time.
     assert!(
-        sink.events.windows(2).all(|w| w[0].time <= w[1].time),
+        trace.windows(2).all(|w| w[0].time <= w[1].time),
         "events out of time order"
     );
-
-    let mut vcd = VcdSink::new();
-    vcd.begin(&f.system);
-    for (i, value) in sink.initials.iter().enumerate() {
-        vcd.initial(SignalId::new(i as u32), value);
-    }
-    vcd.start_changes();
-    for event in &sink.events {
-        vcd.change(event.time, event.signal, &event.value);
-    }
-    vcd.finish(sink.end_time);
-    let vcd = vcd.into_string();
-    assert!(vcd.contains("$enddefinitions"), "VCD header rendered");
+    // The VCD body after `$dumpvars` holds one value line per signal,
+    // then one per event, under strictly increasing timestamps that end
+    // at the report's final time.
+    let vcd = to_vcd_string(&f.system, &report);
+    let (_, body) = vcd.split_once("$dumpvars\n").expect("VCD header rendered");
+    let (initials, changes) = body.split_once("$end\n").expect("initial dump closed");
+    assert_eq!(initials.lines().count(), f.system.signals.len());
+    let stamps: Vec<u64> = changes
+        .lines()
+        .filter_map(|l| l.strip_prefix('#'))
+        .map(|t| t.parse().expect("timestamp"))
+        .collect();
+    assert!(stamps.windows(2).all(|w| w[0] < w[1]), "timestamps repeat");
+    assert_eq!(stamps.last(), Some(&report.time()));
     assert_eq!(
-        vcd,
-        to_vcd_string(&f.system, &report),
-        "VCD renderer saw a different replay"
+        changes.lines().filter(|l| !l.starts_with('#')).count(),
+        trace.len(),
+        "one value line per recorded event"
     );
 }
 

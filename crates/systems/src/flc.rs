@@ -373,7 +373,8 @@ impl FlcReduced {
 /// within exhaustive reach, but not cheaply: refined at width 16 it has
 /// 11,649,550 reachable states under partial-order reduction, which
 /// `ifsyn specs/flc.ifs --width 16 --check --check-limit 12000000`
-/// explores in 45–77 s at 2.2 GB peak RSS on a 2-vCPU host. At 2
+/// explores in 53–56 s at 982 MiB peak RSS on a 2-vCPU host (see
+/// `docs/PERFORMANCE.md`). At 2
 /// accesses the refined system's state space enumerates in a fraction
 /// of a second while still exercising arbitration between two
 /// concurrent clients, multi-word transfers, and both channel

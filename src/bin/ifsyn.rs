@@ -447,11 +447,12 @@ fn build_protocol_generator(options: &Options) -> ProtocolGenerator {
 
 /// `--check`: exhaustively explores every process interleaving of the
 /// refined system — and every in-budget strike pattern of the
-/// `--check-fault` environment — then verifies the robustness property
-/// catalog: grant mutual exclusion in every state, completion-or-flag in
-/// every quiescent state, and (fault-free only) eventual grant of every
-/// pending bus request. Returns an error, and thus a nonzero exit, on
-/// any violation, printing the counterexample trace.
+/// `--check-fault` environment — then verifies the bus property catalog
+/// (`RefinedSystem::check_bus_properties`): grant mutual exclusion in
+/// every state, completion-or-flag in every quiescent state, and
+/// (fault-free only) eventual grant of every pending bus request.
+/// Returns an error, and thus a nonzero exit, on any violation, printing
+/// the counterexample trace.
 fn check_refined(
     refined: &interface_synthesis::core::RefinedSystem,
     options: &Options,
@@ -468,8 +469,7 @@ fn check_refined(
     if options.check_no_por {
         config = config.without_por();
     }
-    let fault_free = options.check_faults.is_empty();
-    if !fault_free {
+    if !options.check_faults.is_empty() {
         println!(
             "checking under an adversarial environment of {} fault(s)",
             options.check_faults.len()
@@ -504,40 +504,11 @@ fn check_refined(
         None => println!("worst-case completion: unbounded (a reachable cycle exists)"),
     }
 
-    let mut reports = Vec::new();
-    if let Some(arb) = &refined.bus.arbiter {
-        let gnt_names: Vec<String> = arb
-            .gnt
-            .iter()
-            .map(|&g| refined.system.signal(g).name.clone())
-            .collect();
-        reports.push(space.check_invariant("gnt_mutex", |v| {
-            gnt_names.iter().filter(|n| v.signal_high(n)).count() <= 1
-        }));
-    }
-    let flag_names: Vec<String> = refined
-        .bus
-        .status_flags
-        .iter()
-        .map(|&(_, sig)| refined.system.signal(sig).name.clone())
+    let reports: Vec<_> = refined
+        .check_bus_properties(&space, None)
+        .into_iter()
+        .map(|c| c.report)
         .collect();
-    reports.push(space.check_terminal("completes_or_flags", |v| {
-        v.all_done() || flag_names.iter().any(|n| v.signal_high(n))
-    }));
-    if fault_free {
-        if let Some(arb) = &refined.bus.arbiter {
-            for (&rq, &gn) in arb.req.iter().zip(&arb.gnt) {
-                let rq_name = refined.system.signal(rq).name.clone();
-                let gn_name = refined.system.signal(gn).name.clone();
-                reports.push(space.check_leads_to(
-                    &format!("eventual_grant[{rq_name}]"),
-                    |v| v.signal_high(&rq_name) && !v.signal_high(&gn_name),
-                    |v| v.signal_high(&gn_name),
-                ));
-            }
-        }
-    }
-
     for rep in &reports {
         println!("{rep}");
     }

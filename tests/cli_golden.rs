@@ -156,6 +156,31 @@ const FIG3_AND_FIG1_CHECKS: &[Flow] = &[
             "--check",
         ],
     ),
+    // Refined buses without an arbiter: four clients contending for
+    // an unarbitrated bus, and one client alone on its bus.
+    (
+        "check_fig3_no_arbitration_bounded",
+        &[
+            "specs/fig3.ifs",
+            "--width",
+            "8",
+            "--no-arbitration",
+            "--check",
+            "--check-limit",
+            "3000",
+        ],
+    ),
+    (
+        "check_fig3_one_client",
+        &[
+            "specs/fig3.ifs",
+            "--channels",
+            "CH0,CH1",
+            "--width",
+            "8",
+            "--check",
+        ],
+    ),
 ];
 
 const FLC_BOUNDED_CHECKS: &[Flow] = &[
