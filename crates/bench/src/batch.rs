@@ -5,8 +5,8 @@
 //! procedures at every width, the same server loops). [`BatchRunner`]
 //! fans the runs out over worker threads and routes every compilation
 //! through one shared [`CodeCache`], so each distinct behavior or
-//! procedure body is lowered to register bytecode exactly once per
-//! batch instead of once per run.
+//! procedure body is lowered exactly once per batch instead of once per
+//! run.
 //!
 //! ```
 //! use ifsyn_bench::batch::BatchRunner;

@@ -1,5 +1,5 @@
 //! The protocol generator's handshake conditions compile to typed
-//! [`Cond`]s, not bytecode.
+//! [`Cond`]s, not to a tree-walked [`Cond::Code`].
 //!
 //! Every branch and wait of a refined design that compares a signal,
 //! variable or local with a constant (`wait until B_START = '1'`,
@@ -13,8 +13,8 @@
 use ifsyn_bench::faults::{generator, Variant};
 use ifsyn_core::{BusDesign, BusGenerator, ProtocolKind};
 use ifsyn_partition::Partitioner;
-use ifsyn_sim::{Cond, ExprCode, Instr, MicroOp, Program, Src, WaitSpec};
-use ifsyn_spec::{BinOp, ChannelId, System, UnaryOp};
+use ifsyn_sim::{Cond, Instr, Program, WaitSpec};
+use ifsyn_spec::{BinOp, ChannelId, Expr, Place, System, UnaryOp};
 
 const SPECS: [(&str, &str); 2] = [
     ("fig3", include_str!("../../../specs/fig3.ifs")),
@@ -33,34 +33,34 @@ fn spec_system(text: &str) -> (System, Vec<ChannelId>) {
     (derived.system, derived.channels)
 }
 
-/// Bytecode that only compares storage with constants and combines the
-/// results with `and`, `or` and `not`: the shapes a typed condition
-/// covers.
-fn is_storage_compare(code: &ExprCode) -> bool {
-    let storage = |s: Src| matches!(s, Src::Signal(_) | Src::Var(_) | Src::Local(_));
-    let constant = |s: Src| matches!(s, Src::Const(_));
-    let reg = |s: Src| matches!(s, Src::Reg(_));
-    !code.ops.is_empty()
-        && code.ops.iter().all(|op| match *op {
-            MicroOp::Binary {
-                op: BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge,
-                a,
-                b,
-                ..
-            } => (storage(a) && constant(b)) || (constant(a) && storage(b)),
-            MicroOp::Binary {
-                op: BinOp::And | BinOp::Or,
-                a,
-                b,
-                ..
-            } => reg(a) && reg(b),
-            MicroOp::Unary {
-                op: UnaryOp::Not,
-                a,
-                ..
-            } => reg(a),
-            _ => false,
-        })
+/// A folded condition that only compares storage with constants and
+/// combines the results with `and`, `or` and `not`: the shapes a typed
+/// condition covers.
+fn is_storage_compare(e: &Expr) -> bool {
+    let storage = |e: &Expr| {
+        matches!(
+            e,
+            Expr::Signal(_) | Expr::Load(Place::Var(_) | Place::Local(_))
+        )
+    };
+    let constant = |e: &Expr| matches!(e, Expr::Const(_));
+    match e {
+        Expr::Binary {
+            op: BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge,
+            lhs,
+            rhs,
+        } => (storage(lhs) && constant(rhs)) || (constant(lhs) && storage(rhs)),
+        Expr::Binary {
+            op: BinOp::And | BinOp::Or,
+            lhs,
+            rhs,
+        } => is_storage_compare(lhs) && is_storage_compare(rhs),
+        Expr::Unary {
+            op: UnaryOp::Not,
+            arg,
+        } => is_storage_compare(arg),
+        _ => false,
+    }
 }
 
 #[test]
@@ -97,9 +97,9 @@ fn generated_handshake_conditions_compile_typed() {
                             _ => continue,
                         };
                         match cond {
-                            Cond::Code(code) => assert!(
-                                !is_storage_compare(code),
-                                "{spec} {} width {width}: `{}` pc {pc} fell back to bytecode: {code:?}",
+                            Cond::Code(e) => assert!(
+                                !is_storage_compare(e),
+                                "{spec} {} width {width}: `{}` pc {pc} fell back to Cond::Code: {e:?}",
                                 variant.as_str(),
                                 block.name
                             ),

@@ -40,7 +40,6 @@ use ifsyn_spec::{BitVec, Value};
 
 use crate::error::SimError;
 use crate::eval::coerce;
-use crate::exec::RegFile;
 
 use super::state::{CkProc, CkState, CompactState, Dedup, EnvComp, Layout, Pools};
 use super::step::RunFx;
@@ -131,13 +130,12 @@ impl<'p> Src<'p> {
     }
 }
 
-/// The explorer's scratch: one materialized state, a register file, an
-/// effect tracker and the current expansion's successors, allocated once
+/// The explorer's scratch: one materialized state, an effect tracker
+/// and the current expansion's successors, allocated once
 /// and reused for every state expanded. Transitions run in place on
 /// `cur`; [`Scratch::rollback`] then restores what each one touched.
 struct Scratch {
     cur: CkState,
-    regs: RegFile,
     fx: RunFx,
     held: Held,
     /// The successors found so far in the current expansion, in
@@ -175,7 +173,6 @@ impl Scratch {
         };
         Self {
             cur,
-            regs: RegFile::with_capacity(checker.max_regs as usize),
             fx: RunFx::default(),
             held,
             succs: Vec::new(),
@@ -543,11 +540,11 @@ impl<'a> Checker<'a> {
         let mut live = false;
         for pid in 0..ctx.cur.procs.len() {
             ctx.fx.reset(por);
-            match self.run_one(&mut ctx.cur, &mut ctx.regs, pid, false, &mut ctx.fx) {
+            match self.run_one(&mut ctx.cur, pid, false, &mut ctx.fx) {
                 // Nothing was written: no release sweep, diff or rollback.
                 Ok(None) => continue,
                 Ok(Some(cost)) => {
-                    self.release_waiters(&mut ctx.cur, &mut ctx.regs, &mut ctx.fx)?;
+                    self.release_waiters(&mut ctx.cur, &mut ctx.fx)?;
                     let src = Src::new(&g.pools, cs);
                     if self.progress(src, &ctx.cur, &ctx.fx, pid) {
                         let cost = self.edge_cost(pid, cost)?;
@@ -591,10 +588,10 @@ impl<'a> Checker<'a> {
         if !live {
             for pid in 0..ctx.cur.procs.len() {
                 ctx.fx.reset(por);
-                match self.run_one(&mut ctx.cur, &mut ctx.regs, pid, true, &mut ctx.fx) {
+                match self.run_one(&mut ctx.cur, pid, true, &mut ctx.fx) {
                     Ok(None) => continue,
                     Ok(Some(cost)) => {
-                        self.release_waiters(&mut ctx.cur, &mut ctx.regs, &mut ctx.fx)?;
+                        self.release_waiters(&mut ctx.cur, &mut ctx.fx)?;
                         if self.progress(Src::new(&g.pools, cs), &ctx.cur, &ctx.fx, pid) {
                             let cost = self.edge_cost(pid, cost)?;
                             live = true;
@@ -644,7 +641,7 @@ impl<'a> Checker<'a> {
                 ctx.cur.frozen[*idx] = true;
             }
             ctx.cur.fault_budget[fi] -= 1;
-            self.release_waiters(&mut ctx.cur, &mut ctx.regs, &mut ctx.fx)?;
+            self.release_waiters(&mut ctx.cur, &mut ctx.fx)?;
             let succ = ctx.intern(&mut g.pools, &self.layout, cs, None);
             ctx.succs.push((succ, StepLabel::Fault(fi as u32), 0));
             ctx.rollback(Src::new(&g.pools, cs), &self.layout, None);
@@ -688,7 +685,7 @@ impl<'a> Checker<'a> {
         // The scratch state starts as the root; `held` stays unknown, so
         // the first expansion copies every component back in.
         ctx.fx.reset(false);
-        self.release_waiters(&mut ctx.cur, &mut ctx.regs, &mut ctx.fx)?;
+        self.release_waiters(&mut ctx.cur, &mut ctx.fx)?;
         let init_cs = intern_full(&mut g.pools, &self.layout, &ctx.cur);
         let at = dedup
             .find(&g.states, init_cs)

@@ -220,7 +220,6 @@ pub struct Checker<'a> {
     /// The cap on stored states without a budget: [`MAX_STATES`], which
     /// the module's tests lower.
     max_states: usize,
-    max_regs: u16,
     /// Variable grouping for component interning.
     layout: Layout,
     /// Static purity tables when partial-order reduction is enabled.
@@ -258,7 +257,6 @@ impl<'a> Checker<'a> {
             });
         }
         let program = Program::compile(system);
-        let max_regs = program.max_regs();
         let mut faults = Vec::with_capacity(config.faults.len());
         for f in &config.faults {
             let idx = system
@@ -290,7 +288,6 @@ impl<'a> Checker<'a> {
             faults,
             config,
             max_states: MAX_STATES,
-            max_regs,
             layout,
             por,
         })

@@ -45,9 +45,9 @@
 use std::sync::Arc;
 
 use ifsyn_partition::ProcessFootprint;
-use ifsyn_spec::System;
+use ifsyn_spec::{Expr, Place, System};
 
-use crate::exec::{CArg, CPlace, CRoot, Cond, ExprCode, IntArg, MicroOp, Slot, Src};
+use crate::exec::{CArg, CPath, CPathStep, CPlace, CRoot, Cond, IntArg, Slot};
 use crate::process::CodeRef;
 use crate::program::{Code, Instr, WaitSpec};
 
@@ -120,29 +120,33 @@ impl Purity<'_> {
         !self.fault_target[sig] && self.sig_writer[sig].only(pid)
     }
 
-    fn src_pure(&self, pid: usize, src: Src) -> bool {
-        match src {
-            Src::Reg(_) | Src::Const(_) | Src::Local(_) => true,
-            Src::Signal(s) => self.sig_read_pure(pid, s as usize),
-            Src::Var(v) => self.var_private(pid, v as usize),
+    /// An expression is pure when every signal and variable it reads is.
+    fn expr_pure(&self, pid: usize, e: &Expr) -> bool {
+        match e {
+            Expr::Const(_) => true,
+            Expr::Signal(s) => self.sig_read_pure(pid, s.index()),
+            Expr::Load(place) => self.read_pure(pid, place),
+            Expr::Unary { arg, .. } => self.expr_pure(pid, arg),
+            Expr::Binary { lhs, rhs, .. } => self.expr_pure(pid, lhs) && self.expr_pure(pid, rhs),
+            Expr::SliceOf { base, .. } | Expr::Resize { base, .. } => self.expr_pure(pid, base),
+            Expr::DynSliceOf { base, offset, .. } => {
+                self.expr_pure(pid, base) && self.expr_pure(pid, offset)
+            }
         }
     }
 
-    fn expr_pure(&self, pid: usize, code: &ExprCode) -> bool {
-        if !self.src_pure(pid, code.result) {
-            return false;
+    /// A place read is pure when its root is private and its index and
+    /// offset expressions are pure.
+    fn read_pure(&self, pid: usize, place: &Place) -> bool {
+        match place {
+            Place::Var(v) => self.var_private(pid, v.index()),
+            Place::Local(_) => true,
+            Place::Index { base, index: e }
+            | Place::DynSlice {
+                base, offset: e, ..
+            } => self.read_pure(pid, base) && self.expr_pure(pid, e),
+            Place::Slice { base, .. } => self.read_pure(pid, base),
         }
-        code.ops.iter().all(|op| match op {
-            MicroOp::Unary { a, .. } | MicroOp::Resize { a, .. } => self.src_pure(pid, *a),
-            MicroOp::Binary { a, b, .. } => self.src_pure(pid, *a) && self.src_pure(pid, *b),
-            MicroOp::Slice { a, .. } => self.src_pure(pid, *a),
-            MicroOp::DynSlice { a, offset, .. } => {
-                self.src_pure(pid, *a) && self.src_pure(pid, *offset)
-            }
-            MicroOp::Elem { base, index, .. } => {
-                self.src_pure(pid, *base) && self.src_pure(pid, *index)
-            }
-        })
     }
 
     fn slot_pure(&self, pid: usize, slot: Slot) -> bool {
@@ -184,10 +188,9 @@ impl Purity<'_> {
         }
     }
 
-    fn path_steps_pure(&self, pid: usize, path: &crate::exec::CPath) -> bool {
-        use crate::exec::CPathStep;
+    fn path_steps_pure(&self, pid: usize, path: &CPath) -> bool {
         path.steps.iter().all(|st| match st {
-            CPathStep::Elem(code) | CPathStep::DynSlice(code, _) => self.expr_pure(pid, code),
+            CPathStep::Elem(e) | CPathStep::DynSlice(e, _) => self.expr_pure(pid, e),
             CPathStep::Slice(..) => true,
         })
     }

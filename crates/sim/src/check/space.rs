@@ -38,7 +38,6 @@ use std::ops::Deref;
 use ifsyn_spec::Value;
 
 use crate::diagnose::DeadlockDiagnosis;
-use crate::exec::RegFile;
 
 use super::explore::{BoundedInfo, CheckStats, Edge, Graph, StepLabel};
 use super::state::{CkProc, CkState, CompactState};
@@ -354,23 +353,27 @@ impl<'x, 'a> SpaceRef<'x, 'a> {
         let explored = self.explored();
         let rev = self.rev.get_or_init(|| Reverse::new(self.g));
         let mut reaches = vec![false; n];
+        // One backward search from each goal state not yet marked: `todo`
+        // holds one search's frontier, and the union of the searches is
+        // the backward closure of every goal state.
         let mut todo: Vec<u32> = Vec::new();
-        for (i, r) in reaches.iter_mut().enumerate() {
+        for i in 0..n {
             // A frontier state's continuations are unknown: treat it as
             // goal-satisfying so a budgeted run never reports a
             // violation it has not actually proved (the Bounded verdict
             // carries the uncertainty instead). Its edge range is empty,
             // so it is no state's predecessor in `rev`.
-            if i >= explored || goal(&self.view_of(i)) {
-                *r = true;
-                todo.push(i as u32);
+            if reaches[i] || !(i >= explored || goal(&self.view_of(i))) {
+                continue;
             }
-        }
-        while let Some(i) = todo.pop() {
-            for &p in rev.preds_of(i as usize) {
-                if !reaches[p as usize] {
-                    reaches[p as usize] = true;
-                    todo.push(p);
+            reaches[i] = true;
+            todo.push(i as u32);
+            while let Some(j) = todo.pop() {
+                for &p in rev.preds_of(j as usize) {
+                    if !reaches[p as usize] {
+                        reaches[p as usize] = true;
+                        todo.push(p);
+                    }
                 }
             }
         }
@@ -513,7 +516,6 @@ impl<'x, 'a> SpaceRef<'x, 'a> {
     fn diagnose(&self, state: usize, time: u64) -> Option<DeadlockDiagnosis> {
         let ck = self.ck;
         let st = self.materialize(state);
-        let mut regs = RegFile::with_capacity(ck.max_regs as usize);
         let mut waits = Vec::new();
         for (pid, p) in st.procs.iter().enumerate() {
             if p.done {
@@ -524,7 +526,7 @@ impl<'x, 'a> SpaceRef<'x, 'a> {
             };
             // `wait for` and `wait on` have no condition and never block
             // a checker process.
-            match ck.wait_holds(&st, &mut regs, pid, wait) {
+            match ck.wait_holds(&st, pid, wait) {
                 Ok(None | Some(true)) => {}
                 Ok(Some(false)) | Err(_) => waits.push((pid, wait)),
             }

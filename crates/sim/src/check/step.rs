@@ -10,8 +10,7 @@
 //! * **in-place execution** — a run writes directly into the explorer's
 //!   one materialized scratch state, and the explorer afterwards
 //!   restores, from the source state's pooled components, exactly the
-//!   components the run's [`RunFx`] says it touched. The register file
-//!   is reused across all runs;
+//!   components the run's [`RunFx`] says it touched;
 //! * **effect tracking** — every write is recorded in a [`RunFx`] before
 //!   it lands (so a run that crashes midway is still fully covered):
 //!   which variable groups went dirty, whether any signal was stored,
@@ -31,7 +30,6 @@ use ifsyn_spec::Value;
 
 use crate::error::{RunError, SimError};
 use crate::eval::EvalCtx;
-use crate::exec::RegFile;
 use crate::interp::{self, Engine, Store};
 use crate::process::{CodeRef, Frame};
 use crate::program::{Instr, WaitSpec};
@@ -82,7 +80,6 @@ impl RunFx {
 struct Run<'r, 'a> {
     ck: &'r Checker<'a>,
     s: &'r mut CkState,
-    regs: &'r mut RegFile,
     fx: &'r mut RunFx,
     pid: usize,
     /// Instructions executed, against the step budget.
@@ -102,7 +99,6 @@ impl Engine for Run<'_, '_> {
             vars: &mut s.vars,
             signals: &s.signals,
             frames: &mut s.procs[self.pid].frames,
-            regs: &mut *self.regs,
         }
     }
 
@@ -226,7 +222,6 @@ impl<'a> Checker<'a> {
     pub(super) fn wait_holds(
         &self,
         s: &CkState,
-        regs: &mut RegFile,
         pid: usize,
         wait: &WaitSpec,
     ) -> Result<Option<bool>, SimError> {
@@ -236,7 +231,7 @@ impl<'a> Checker<'a> {
             signals: &s.signals,
             locals: &frame.locals,
         };
-        wait.holds(&ctx, regs).map_err(|e| *e)
+        wait.holds(&ctx).map_err(|e| *e)
     }
 
     /// Runs process `pid` in place, from its current control point in `s`
@@ -266,7 +261,6 @@ impl<'a> Checker<'a> {
     pub(super) fn run_one(
         &self,
         s: &mut CkState,
-        regs: &mut RegFile,
         pid: usize,
         force_timeout: bool,
         fx: &mut RunFx,
@@ -285,7 +279,7 @@ impl<'a> Checker<'a> {
             else {
                 return Ok(None);
             };
-            if self.wait_holds(s, regs, pid, wait)? == Some(true) {
+            if self.wait_holds(s, pid, wait)? == Some(true) {
                 return Ok(None);
             }
             cost = cycles;
@@ -294,7 +288,6 @@ impl<'a> Checker<'a> {
         let mut run = Run {
             ck: self,
             s,
-            regs,
             fx,
             pid,
             steps: 0,
@@ -321,19 +314,14 @@ impl<'a> Checker<'a> {
     /// Every advanced process is recorded in `fx.released` at its first
     /// advance, so the record stays complete even if a later condition in
     /// its chain fails to evaluate.
-    pub(super) fn release_waiters(
-        &self,
-        s: &mut CkState,
-        regs: &mut RegFile,
-        fx: &mut RunFx,
-    ) -> Result<(), SimError> {
+    pub(super) fn release_waiters(&self, s: &mut CkState, fx: &mut RunFx) -> Result<(), SimError> {
         for pid in 0..s.procs.len() {
             let mut advanced = false;
             while !s.procs[pid].done {
                 let Some(wait) = self.parked_wait(s, pid) else {
                     break;
                 };
-                if self.wait_holds(s, regs, pid, wait)? != Some(true) {
+                if self.wait_holds(s, pid, wait)? != Some(true) {
                     break;
                 }
                 s.procs[pid].frames.last_mut().expect("frame").pc += 1;

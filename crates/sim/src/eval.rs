@@ -1,11 +1,15 @@
 //! Expression evaluation and value coercion.
 //!
-//! The evaluator is allocation-conscious: [`eval`] and [`read_place`]
-//! return [`Evaluated`], a copy-on-write handle that borrows directly
-//! from the constant pool, variable store, signal store or frame locals
-//! whenever the expression is a plain load, and only materializes an
-//! owned [`Value`] for computed results. Bit-vector operators run limb
-//! at a time on the packed [`BitVec`] representation.
+//! [`eval`] is the one expression evaluator: the kernel and the model
+//! checker tree-walk every folded instruction operand through it, and
+//! folding itself (see [`crate::program`]) evaluates constant subtrees
+//! with the same operators. It is allocation-conscious: [`eval`] and
+//! [`read_place`] return [`Evaluated`], a copy-on-write handle that
+//! borrows directly from the expression's constant, the variable store,
+//! the signal store or the frame locals whenever the expression is a
+//! plain load, and only materializes an owned [`Value`] for computed
+//! results. Bit-vector operators run limb at a time on the packed
+//! [`BitVec`] representation.
 
 use std::borrow::Cow;
 use std::ops::Deref;
@@ -31,7 +35,7 @@ pub(crate) struct EvalCtx<'a> {
 /// to inspect, [`Evaluated::into_owned`] to keep.
 #[derive(Debug)]
 pub(crate) enum Evaluated<'a> {
-    /// Borrowed straight from the evaluation context or constant pool.
+    /// Borrowed straight from the evaluation context or the expression.
     Ref(&'a Value),
     /// A computed (owned) result.
     Owned(Value),

@@ -9,8 +9,8 @@
 //! writes, and the fused loop instructions. What differs between the
 //! engines is scheduling, and that is all an [`Engine`] supplies:
 //!
-//! * **storage view** — the variables, signals, the running process's
-//!   frames and the register file ([`Engine::store`]);
+//! * **storage view** — the variables, signals and the running
+//!   process's frames ([`Engine::store`]);
 //! * **tick** — per-instruction bookkeeping and budgets;
 //! * **before-store** — a variable store is about to land;
 //! * **elapse** — a costed instruction or `wait for` takes cycles, which
@@ -21,18 +21,20 @@
 //! * **root exit** — the behavior body returned;
 //! * **assert** — an assertion was evaluated.
 //!
-//! Operands evaluate in source order (a channel send's address before
-//! its data), so the first error a statement meets is the same in both
-//! engines. The program counter and the running code block are locals
-//! of [`run`]: the top frame's `pc` is written back only where the
-//! process leaves the loop or calls a procedure, so dispatch costs an
+//! Operands are folded [`ifsyn_spec::Expr`]s, tree-walked by
+//! [`crate::eval`]: loads borrow the stored value and computed results
+//! are moved into place. They evaluate in source order (a channel send's
+//! address before its data), so the first error a statement meets is the
+//! same in both engines. The program counter and the running code block
+//! are locals of [`run`]: the top frame's `pc` is written back only where
+//! the process leaves the loop or calls a procedure, so dispatch costs an
 //! index increment.
 
-use ifsyn_spec::{ChannelId, ParamMode, System, Ty, Value};
+use ifsyn_spec::{ChannelId, Expr, ParamMode, System, Ty, Value};
 
 use crate::error::{eval_error, RunError, SimError};
-use crate::eval::{coerce, EvalCtx};
-use crate::exec::{eval_code, CArg, CPath, CPathStep, CPlace, CRoot, Cond, ExprCode, RegFile};
+use crate::eval::{self, coerce, EvalCtx, Evaluated};
+use crate::exec::{CArg, CPath, CPathStep, CPlace, CRoot, Cond};
 use crate::process::{CodeRef, Frame, ResolvedPlace, Root, Step};
 use crate::program::{Instr, Program, WaitSpec};
 
@@ -42,7 +44,6 @@ pub(crate) struct Store<'s> {
     pub signals: &'s [Value],
     /// The running process's call stack (top frame last).
     pub frames: &'s mut Vec<Frame>,
-    pub regs: &'s mut RegFile,
 }
 
 /// The scheduling side of an execution engine: everything [`run`] needs
@@ -119,10 +120,10 @@ pub(crate) fn run<E: Engine>(
                 cost,
             } => {
                 // Constants were pre-coerced to the signal's type at
-                // compile time, so the pool value drives verbatim.
-                let v = match value.const_value() {
-                    Some(c) => c.clone(),
-                    None => coerce(e.store().eval(value)?.clone(), &sys.signal(*signal).ty),
+                // compile time, so they drive verbatim.
+                let v = match value {
+                    Expr::Const(c) => c.clone(),
+                    _ => coerce(e.store().eval_owned(value)?, &sys.signal(*signal).ty),
                 };
                 pc += 1;
                 e.drive(signal.index(), v, *cost);
@@ -146,7 +147,7 @@ pub(crate) fn run<E: Engine>(
                 pc += 1;
             }
             Instr::LoopTest { var, exit } => {
-                let mut st = e.store();
+                let st = e.store();
                 let v = st.read_counter(var)?;
                 pc = loop_next(st.frames, v, pc + 1, *exit)?;
             }
@@ -161,11 +162,7 @@ pub(crate) fn run<E: Engine>(
                 }
             }
             Instr::Wait(wait) => {
-                let held = {
-                    let mut st = e.store();
-                    let (ctx, regs) = st.scope()?;
-                    wait.holds(&ctx, regs)?
-                };
+                let held = wait.holds(&e.store().scope()?)?;
                 if held != Some(true) {
                     if e.suspend(wait) {
                         pc += 1;
@@ -279,73 +276,65 @@ fn elapse<E: Engine>(e: &mut E, cycles: u64, active: bool, pc: usize) -> Result<
 }
 
 impl Store<'_> {
-    /// The evaluation context of the process's current (top) frame, and
-    /// the register file.
-    fn scope(&mut self) -> Result<(EvalCtx<'_>, &mut RegFile), RunError> {
+    /// The evaluation context of the process's current (top) frame.
+    fn scope(&self) -> Result<EvalCtx<'_>, RunError> {
         let frame = self.frames.last().ok_or_else(no_frame)?;
-        let ctx = EvalCtx {
-            vars: &*self.vars,
+        Ok(EvalCtx {
+            vars: self.vars,
             signals: self.signals,
             locals: &frame.locals,
-        };
-        Ok((ctx, &mut *self.regs))
+        })
     }
 
-    /// Evaluates compiled code in the process's current scope, borrowing
-    /// the result from wherever it lives (register, pool, storage).
-    fn eval<'t>(&'t mut self, code: &'t ExprCode) -> Result<&'t Value, RunError> {
-        let (ctx, regs) = self.scope()?;
-        eval_code(&ctx, code, regs)
+    /// Evaluates an operand in the process's current scope: a load
+    /// borrows the stored value, a computed result is owned.
+    fn eval<'t>(&'t self, expr: &'t Expr) -> Result<Evaluated<'t>, RunError> {
+        eval::eval(&self.scope()?, expr)
     }
 
-    /// Evaluates to an owned value; constant sources skip the evaluation
-    /// context.
-    fn eval_owned(&mut self, code: &ExprCode) -> Result<Value, RunError> {
-        match code.const_value() {
-            Some(c) => Ok(c.clone()),
-            None => Ok(self.eval(code)?.clone()),
-        }
+    /// Evaluates to an owned value, cloning only a borrowed load.
+    fn eval_owned(&self, expr: &Expr) -> Result<Value, RunError> {
+        Ok(self.eval(expr)?.into_owned())
     }
 
-    fn eval_bool(&mut self, code: &ExprCode) -> Result<bool, RunError> {
-        self.eval(code)?
+    fn eval_bool(&self, expr: &Expr) -> Result<bool, RunError> {
+        self.eval(expr)?
             .as_bool()
             .map_err(|e| eval_error(e.to_string()))
     }
 
     /// Evaluates a branch condition in the process's current scope.
-    fn test(&mut self, cond: &Cond) -> Result<bool, RunError> {
-        let (ctx, regs) = self.scope()?;
-        cond.eval(&ctx, regs)
+    fn test(&self, cond: &Cond) -> Result<bool, RunError> {
+        cond.eval(&self.scope()?)
     }
 
     /// Evaluates to an integer (loop bounds, addresses, slice offsets).
-    fn eval_i64(&mut self, code: &ExprCode) -> Result<i64, RunError> {
-        self.eval(code)?
+    fn eval_i64(&self, expr: &Expr) -> Result<i64, RunError> {
+        self.eval(expr)?
             .as_i64()
             .map_err(|e| eval_error(e.to_string()))
     }
 
     /// Resolves a compiled path to concrete storage steps; index and
-    /// offset code evaluates in the top frame, the root local (if any)
-    /// lives in frame `frame_abs`.
-    fn resolve(&mut self, path: &CPath, frame_abs: usize) -> Result<ResolvedPlace, RunError> {
+    /// offset expressions evaluate in the top frame, the root local (if
+    /// any) lives in frame `frame_abs`.
+    fn resolve(&self, path: &CPath, frame_abs: usize) -> Result<ResolvedPlace, RunError> {
         let root = root_in(path.root, frame_abs);
         let mut steps = Vec::with_capacity(path.steps.len());
         for st in path.steps.iter() {
             match st {
-                CPathStep::Elem(code) => {
-                    let i = self.eval_i64(code)?;
+                CPathStep::Elem(index) => {
+                    let i = self.eval_i64(index)?;
                     let i = usize::try_from(i)
                         .map_err(|_| eval_error(format!("negative array index {i}")))?;
                     steps.push(Step::Elem(i));
                 }
                 CPathStep::Slice(hi, lo) => steps.push(Step::Slice(*hi, *lo)),
-                CPathStep::DynSlice(code, width) => {
+                CPathStep::DynSlice(offset, width) => {
                     // The offset evaluates once at resolution time, turning
                     // the dynamic slice into a concrete one; the target's
                     // width is checked when the slice is written or read.
-                    let lo = self.eval_i64(code)?;
+                    let lo = self.eval_i64(offset)?;
                     let lo = u32::try_from(lo)
                         .map_err(|_| eval_error(format!("negative slice offset {lo}")))?;
                     let hi = i64::from(lo) + i64::from(*width) - 1;
@@ -365,7 +354,7 @@ impl Store<'_> {
     /// Resolves a place for copy-back, returning the concrete destination
     /// and its type (captured at call time, VHDL-style).
     fn resolve_place(
-        &mut self,
+        &self,
         sys: &System,
         place: &CPlace,
         frame_abs: usize,
@@ -399,7 +388,7 @@ impl Store<'_> {
     }
 
     /// Reads a compiled place's current value.
-    fn read_place(&mut self, place: &CPlace) -> Result<Value, RunError> {
+    fn read_place(&self, place: &CPlace) -> Result<Value, RunError> {
         match place {
             CPlace::Var(i) => self
                 .vars
@@ -463,7 +452,7 @@ impl Store<'_> {
 
     /// Reads a loop counter. Counters are whole int variables or locals
     /// in practice; those are read without an evaluation context.
-    fn read_counter(&mut self, var: &CPlace) -> Result<i64, RunError> {
+    fn read_counter(&self, var: &CPlace) -> Result<i64, RunError> {
         let whole = match var {
             CPlace::Var(v) => self.vars.get(*v as usize),
             CPlace::Local(slot) => self
@@ -603,7 +592,7 @@ fn write_place<E: Engine>(
                 .ty
                 .as_ref()
                 .ok_or_else(|| untyped_place_error(&path.root))?;
-            let mut st = e.store();
+            let st = e.store();
             let top = st.frames.len() - 1;
             // A static slice of a whole variable or local (a protocol's
             // `msg(7 downto 0) := ...`) has nothing to resolve: it is

@@ -18,7 +18,6 @@ use crate::config::SimConfig;
 use crate::diagnose::DeadlockDiagnosis;
 use crate::error::{RunError, SimError};
 use crate::eval::{coerce, EvalCtx};
-use crate::exec::RegFile;
 use crate::fault::{FaultKind, InjectedFault};
 use crate::interp::{self, Engine, Store};
 use crate::process::{CodeRef, Frame, Process, Status};
@@ -161,9 +160,6 @@ pub struct Simulator<'a> {
     /// empty only while a process runs (or after a terminal error, when
     /// the simulator is dropped without further use).
     program: Program,
-    /// The reusable micro-op register file, pre-sized at compile time to
-    /// the widest expression in the program.
-    regs: RegFile,
     time: u64,
     signals: Vec<Value>,
     vars: Vec<Value>,
@@ -239,7 +235,7 @@ impl<'a> Simulator<'a> {
     ///
     /// Batch drivers that simulate many identical (or near-identical)
     /// refined systems pass one shared [`CodeCache`] so each distinct
-    /// behavior or procedure body is lowered to bytecode only once.
+    /// behavior or procedure body is lowered only once.
     ///
     /// # Errors
     ///
@@ -253,7 +249,6 @@ impl<'a> Simulator<'a> {
             message: e.to_string(),
         })?;
         let program = Program::compile_cached(system, cache);
-        let max_regs = program.max_regs();
         let signals = system
             .signals
             .iter()
@@ -301,7 +296,6 @@ impl<'a> Simulator<'a> {
             system,
             config,
             program,
-            regs: RegFile::with_capacity(max_regs as usize),
             time: 0,
             signals,
             vars,
@@ -651,7 +645,7 @@ impl<'a> Simulator<'a> {
                     signals: &self.signals,
                     locals: &frame.locals,
                 };
-                if wait.holds(&ctx, &mut self.regs)? == Some(false) {
+                if wait.holds(&ctx)? == Some(false) {
                     i += 1;
                 } else {
                     unwait(&mut self.waiters, pid, wait);
@@ -831,7 +825,6 @@ impl Engine for Activation<'_, '_> {
             vars: &mut sim.vars,
             signals: &sim.signals,
             frames: &mut sim.processes[self.pid].frames,
-            regs: &mut sim.regs,
         }
     }
 

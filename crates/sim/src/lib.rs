@@ -68,16 +68,17 @@ pub use check::{
 pub use config::SimConfig;
 pub use diagnose::{BlockedWait, DeadlockDiagnosis};
 pub use error::SimError;
-pub use exec::{Cond, ExprCode, IntArg, MicroOp, Slot, Src};
+pub use exec::{Cond, IntArg, Slot};
 pub use fault::{Fault, FaultKind, FaultPlan, InjectedFault};
 pub use kernel::Simulator;
 pub use program::{Code, CodeCache, Instr, Program, Until, WaitSpec};
 pub use report::{SimReport, TraceEvent};
 
-/// Test-support surface: evaluate one expression through each engine.
+/// Test-support surface: evaluate one expression each way it can run.
 ///
 /// Exists so the differential property test in `tests/` can compare the
-/// production bytecode pipeline against the reference tree-walker without
+/// production pipeline (constant folding, then the tree walk or a typed
+/// condition) against the tree walk of the unfolded expression without
 /// the crate exposing its evaluation internals as real API.
 #[doc(hidden)]
 pub mod testing {
@@ -85,7 +86,6 @@ pub mod testing {
 
     use crate::error::SimError;
     use crate::eval::{self, EvalCtx};
-    use crate::exec::{self, RegFile};
     use crate::process::CodeRef;
     use crate::program;
 
@@ -114,7 +114,7 @@ pub mod testing {
         }
     }
 
-    /// Evaluates `expr` with the reference tree-walking interpreter.
+    /// Evaluates `expr` as written, with the tree walker and no folding.
     pub fn eval_tree(scope: Scope<'_>, expr: &Expr) -> Result<Value, SimError> {
         eval::eval(&scope.ctx(), expr)
             .map(|e| e.into_owned())
@@ -122,13 +122,9 @@ pub mod testing {
     }
 
     /// Evaluates `expr` through the production pipeline: constant fold,
-    /// compile to register bytecode, execute with a fresh register file.
-    pub fn eval_bytecode(scope: Scope<'_>, expr: &Expr) -> Result<Value, SimError> {
-        let code = program::fold_and_compile(expr);
-        let mut regs = RegFile::new();
-        exec::eval_code(&scope.ctx(), &code, &mut regs)
-            .cloned()
-            .map_err(|e| *e)
+    /// then the tree walk of the folded expression.
+    pub fn eval_folded(scope: Scope<'_>, expr: &Expr) -> Result<Value, SimError> {
+        eval_tree(scope, &program::fold_expr(expr))
     }
 
     /// Evaluates `expr` as a branch condition: constant fold, compile to
@@ -137,8 +133,7 @@ pub mod testing {
         let block = scope
             .procedure
             .map_or(CodeRef::Behavior(0), CodeRef::Procedure);
-        let cond = program::fold_and_compile_cond(system, block, expr);
-        let mut regs = RegFile::new();
-        cond.eval(&scope.ctx(), &mut regs).map_err(|e| *e)
+        let cond = program::compile_cond(system, block, &program::fold_expr(expr));
+        cond.eval(&scope.ctx()).map_err(|e| *e)
     }
 }

@@ -6,19 +6,20 @@
 //! [`Code`] block ending in [`Instr::Ret`].
 //!
 //! Lowering performs all the compile-time work that keeps the
-//! interpreter's hot path flat and allocation-free:
+//! interpreter's hot path short:
 //!
 //! * **constant folding** — literal subtrees (`Unary`/`Binary`/slices/
-//!   resizes over constants) evaluate once here;
-//! * **bytecode compilation** — every folded expression compiles to an
-//!   [`ExprCode`] micro-op sequence over a reusable register file (see
-//!   [`crate::exec`]), with leaf loads flattened into operand slots;
+//!   resizes over constants) evaluate once here; every instruction
+//!   operand is the folded [`Expr`] itself, tree-walked at run time by
+//!   [`crate::eval`], so folding is the one transformation between a
+//!   spec expression and its evaluation;
 //! * **condition compilation** — every branch (`if`, `while`) and wait
 //!   (`wait until`) condition compiles to a [`Cond`] that evaluates
 //!   straight to `bool`: a compare of a signal, variable or local with a
 //!   constant (pre-coerced to the storage's declared type) is one stored
 //!   value compare, integer compares read the stored integers, and only
-//!   what these cannot express stays bytecode ([`Cond::Code`]);
+//!   what these cannot express stays the folded expression
+//!   ([`Cond::Code`]);
 //! * **place compilation** — assignment targets become [`CPlace`], with
 //!   whole-variable/local writes reduced to a bare index and deeper
 //!   paths carrying their target type resolved at compile time;
@@ -50,9 +51,7 @@ use ifsyn_spec::{
 
 use crate::error::RunError;
 use crate::eval::{coerce, dyn_slice_hi, eval_binary, eval_unary, place_ty, EvalCtx};
-use crate::exec::{
-    CArg, CPath, CPathStep, CPlace, CRoot, Cond, ExprCode, IntArg, MicroOp, RegFile, Slot, Src,
-};
+use crate::exec::{CArg, CPath, CPathStep, CPlace, CRoot, Cond, IntArg, Slot};
 use crate::process::CodeRef;
 
 /// A compiled `wait until` condition.
@@ -142,15 +141,11 @@ impl WaitSpec {
     /// Whether a level-sensitive wait's condition holds, evaluated in the
     /// waiting process's scope; `None` for `wait for` and `wait on`,
     /// which have no condition.
-    pub(crate) fn holds(
-        &self,
-        ctx: &EvalCtx<'_>,
-        regs: &mut RegFile,
-    ) -> Result<Option<bool>, RunError> {
+    pub(crate) fn holds(&self, ctx: &EvalCtx<'_>) -> Result<Option<bool>, RunError> {
         match self {
             WaitSpec::ForCycles(_) | WaitSpec::OnSignals(_) => Ok(None),
             WaitSpec::Until(until) | WaitSpec::UntilTimeout { until, .. } => {
-                until.cond.eval(ctx, regs).map(Some)
+                until.cond.eval(ctx).map(Some)
             }
         }
     }
@@ -183,7 +178,7 @@ pub enum Instr {
         /// Assignment target.
         place: CPlace,
         /// Assigned value.
-        value: ExprCode,
+        value: Expr,
         /// Cycles consumed.
         cost: u32,
     },
@@ -194,7 +189,7 @@ pub enum Instr {
         /// Driven signal.
         signal: SignalId,
         /// Driven value.
-        value: ExprCode,
+        value: Expr,
         /// Cycles consumed (and write visibility delay).
         cost: u32,
     },
@@ -213,9 +208,9 @@ pub enum Instr {
         /// Loop variable.
         var: CPlace,
         /// Initial value expression.
-        from: ExprCode,
+        from: Expr,
         /// Final (inclusive) value expression, evaluated once.
-        to: ExprCode,
+        to: Expr,
     },
     /// `for` guard (loop entry only): exit (popping the bound) when
     /// `var` exceeds the bound.
@@ -251,9 +246,9 @@ pub enum Instr {
         /// The channel.
         channel: ChannelId,
         /// Element address for arrays.
-        addr: Option<ExprCode>,
+        addr: Option<Expr>,
         /// Transferred value.
-        data: ExprCode,
+        data: Expr,
         /// Cycles consumed.
         cost: u32,
     },
@@ -262,7 +257,7 @@ pub enum Instr {
         /// The channel.
         channel: ChannelId,
         /// Element address for arrays.
-        addr: Option<ExprCode>,
+        addr: Option<Expr>,
         /// Destination.
         target: CPlace,
         /// Cycles consumed.
@@ -276,7 +271,7 @@ pub enum Instr {
     /// Runtime check; fails the simulation when false.
     Assert {
         /// The checked condition.
-        cond: ExprCode,
+        cond: Expr,
         /// Failure diagnostic.
         note: String,
     },
@@ -292,10 +287,6 @@ pub struct Code {
     pub name: String,
     /// Flat instruction sequence; always ends with [`Instr::Ret`].
     pub instrs: Vec<Instr>,
-    /// Registers needed by the widest [`ExprCode`] in this block; the
-    /// simulator sizes its shared register file to the maximum over all
-    /// blocks.
-    pub max_regs: u16,
 }
 
 /// A fully lowered system: one code block per behavior and per procedure.
@@ -589,17 +580,6 @@ impl Program {
         }
     }
 
-    /// Registers needed by the widest block: the size of an engine's
-    /// shared register file.
-    pub(crate) fn max_regs(&self) -> u16 {
-        self.behaviors
-            .iter()
-            .chain(&self.procedures)
-            .map(|c| c.max_regs)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Signals a behavior's code can drive, including through called
     /// procedures (transitively), indexed by signal index over
     /// `n_signals` signals.
@@ -628,169 +608,22 @@ fn lower_block(system: &System, scope: CodeRef, name: &str, body: &[Stmt]) -> Co
         system,
         scope,
         out: Vec::new(),
-        max_regs: 0,
     };
     lowerer.block(body);
     lowerer.out.push(Instr::Ret);
     Code {
         name: name.to_string(),
         instrs: lowerer.out,
-        max_regs: lowerer.max_regs,
-    }
-}
-
-/// Compiles one (already folded) expression into micro-ops.
-///
-/// Exposed to the crate for the differential test harness.
-pub(crate) fn compile_expr(expr: &Expr) -> ExprCode {
-    let mut c = ExprCompiler {
-        ops: Vec::new(),
-        pool: Vec::new(),
-        next_reg: 0,
-    };
-    let result = c.expr(expr);
-    ExprCode {
-        ops: c.ops.into_boxed_slice(),
-        result,
-        pool: c.pool.into_boxed_slice(),
-        nregs: c.next_reg,
-    }
-}
-
-struct ExprCompiler {
-    ops: Vec<MicroOp>,
-    pool: Vec<Value>,
-    next_reg: u16,
-}
-
-impl ExprCompiler {
-    fn intern(&mut self, v: &Value) -> u16 {
-        if let Some(i) = self.pool.iter().position(|p| p == v) {
-            return u16::try_from(i).expect("constant pool overflow");
-        }
-        self.pool.push(v.clone());
-        u16::try_from(self.pool.len() - 1).expect("constant pool overflow")
-    }
-
-    fn alloc(&mut self) -> u16 {
-        let r = self.next_reg;
-        self.next_reg = self
-            .next_reg
-            .checked_add(1)
-            .expect("register file overflow");
-        r
-    }
-
-    fn expr(&mut self, e: &Expr) -> Src {
-        match e {
-            Expr::Const(v) => Src::Const(self.intern(v)),
-            Expr::Signal(s) => Src::Signal(s.index() as u32),
-            Expr::Load(place) => self.place_read(place),
-            Expr::Unary { op, arg } => {
-                let a = self.expr(arg);
-                let dst = self.alloc();
-                self.ops.push(MicroOp::Unary { op: *op, a, dst });
-                Src::Reg(dst)
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                let a = self.expr(lhs);
-                let b = self.expr(rhs);
-                let dst = self.alloc();
-                self.ops.push(MicroOp::Binary { op: *op, a, b, dst });
-                Src::Reg(dst)
-            }
-            Expr::SliceOf { base, hi, lo } => {
-                let a = self.expr(base);
-                let dst = self.alloc();
-                self.ops.push(MicroOp::Slice {
-                    a,
-                    hi: *hi,
-                    lo: *lo,
-                    dst,
-                });
-                Src::Reg(dst)
-            }
-            Expr::Resize { base, width } => {
-                let a = self.expr(base);
-                let dst = self.alloc();
-                self.ops.push(MicroOp::Resize {
-                    a,
-                    width: *width,
-                    dst,
-                });
-                Src::Reg(dst)
-            }
-            Expr::DynSliceOf {
-                base,
-                offset,
-                width,
-            } => {
-                let a = self.expr(base);
-                let offset = self.expr(offset);
-                let dst = self.alloc();
-                self.ops.push(MicroOp::DynSlice {
-                    a,
-                    offset,
-                    width: *width,
-                    dst,
-                });
-                Src::Reg(dst)
-            }
-        }
-    }
-
-    fn place_read(&mut self, place: &Place) -> Src {
-        match place {
-            Place::Var(v) => Src::Var(v.index() as u32),
-            Place::Local(slot) => Src::Local(u16::try_from(*slot).expect("local slot overflow")),
-            Place::Index { base, index } => {
-                let b = self.place_read(base);
-                let i = self.expr(index);
-                let dst = self.alloc();
-                self.ops.push(MicroOp::Elem {
-                    base: b,
-                    index: i,
-                    dst,
-                });
-                Src::Reg(dst)
-            }
-            Place::Slice { base, hi, lo } => {
-                let a = self.place_read(base);
-                let dst = self.alloc();
-                self.ops.push(MicroOp::Slice {
-                    a,
-                    hi: *hi,
-                    lo: *lo,
-                    dst,
-                });
-                Src::Reg(dst)
-            }
-            Place::DynSlice {
-                base,
-                offset,
-                width,
-            } => {
-                let a = self.place_read(base);
-                let offset = self.expr(offset);
-                let dst = self.alloc();
-                self.ops.push(MicroOp::DynSlice {
-                    a,
-                    offset,
-                    width: *width,
-                    dst,
-                });
-                Src::Reg(dst)
-            }
-        }
     }
 }
 
 /// Compiles a folded branch or wait condition of a block in `scope`: the
-/// typed [`Cond`] when every part of it has one, otherwise bytecode.
+/// typed [`Cond`] when every part of it has one, otherwise the folded
+/// expression itself.
 pub(crate) fn compile_cond(system: &System, scope: CodeRef, folded: &Expr) -> Cond {
     CondCompiler { system, scope }
         .typed(folded)
-        .unwrap_or_else(|| Cond::Code(compile_expr(folded)))
+        .unwrap_or_else(|| Cond::Code(folded.clone()))
 }
 
 /// Whether storage of type `ty` starts with a value of that type: every
@@ -815,8 +648,8 @@ fn precoerced_eq_const(ty: &Ty, v: &Value) -> Option<Value> {
     }
 }
 
-/// Builds the typed forms of [`Cond`]; `None` wherever a part would need
-/// bytecode, so the caller compiles the whole condition as bytecode.
+/// Builds the typed forms of [`Cond`]; `None` wherever a part has none,
+/// so the caller keeps the whole condition as [`Cond::Code`].
 struct CondCompiler<'a> {
     system: &'a System,
     scope: CodeRef,
@@ -935,52 +768,26 @@ struct Lowerer<'a> {
     system: &'a System,
     scope: CodeRef,
     out: Vec<Instr>,
-    max_regs: u16,
 }
 
 impl Lowerer<'_> {
-    /// Folds and compiles an expression, tracking register demand.
-    fn expr(&mut self, e: &Expr) -> ExprCode {
-        let code = compile_expr(&fold_expr(e));
-        self.max_regs = self.max_regs.max(code.nregs);
-        code
+    fn cond(&self, e: &Expr) -> Cond {
+        compile_cond(self.system, self.scope, &fold_expr(e))
     }
 
-    /// Compiles a pre-folded expression (used for place sub-expressions
-    /// that `fold_place` already folded).
-    fn folded_expr(&mut self, e: &Expr) -> ExprCode {
-        let code = compile_expr(e);
-        self.max_regs = self.max_regs.max(code.nregs);
-        code
-    }
-
-    /// Compiles a pre-folded branch or wait condition.
-    fn folded_cond(&mut self, e: &Expr) -> Cond {
-        let cond = compile_cond(self.system, self.scope, e);
-        if let Cond::Code(code) = &cond {
-            self.max_regs = self.max_regs.max(code.nregs);
-        }
-        cond
-    }
-
-    fn cond(&mut self, e: &Expr) -> Cond {
-        self.folded_cond(&fold_expr(e))
-    }
-
-    fn until(&mut self, e: &Expr) -> Until {
+    fn until(&self, e: &Expr) -> Until {
         let folded = fold_expr(e);
-        Until::new(self.folded_cond(&folded), folded)
+        Until::new(compile_cond(self.system, self.scope, &folded), folded)
     }
 
-    fn place(&mut self, p: &Place) -> CPlace {
-        let folded = fold_place(p);
-        match &folded {
+    fn place(&self, p: &Place) -> CPlace {
+        match fold_place(p) {
             Place::Var(v) => CPlace::Var(v.index() as u32),
-            Place::Local(slot) => CPlace::Local(u16::try_from(*slot).expect("local slot overflow")),
-            _ => {
+            Place::Local(slot) => CPlace::Local(u16::try_from(slot).expect("local slot overflow")),
+            folded => {
                 let ty = place_ty(self.system, self.scope, &folded).ok();
                 let mut steps = Vec::new();
-                let root = self.flatten_place(&folded, &mut steps);
+                let root = flatten_place(folded, &mut steps);
                 CPlace::Path(Box::new(CPath {
                     root,
                     steps: steps.into_boxed_slice(),
@@ -990,43 +797,15 @@ impl Lowerer<'_> {
         }
     }
 
-    fn flatten_place(&mut self, p: &Place, steps: &mut Vec<CPathStep>) -> CRoot {
-        match p {
-            Place::Var(v) => CRoot::Var(v.index() as u32),
-            Place::Local(slot) => CRoot::Local(u16::try_from(*slot).expect("local slot overflow")),
-            Place::Index { base, index } => {
-                let root = self.flatten_place(base, steps);
-                let idx = self.folded_expr(index);
-                steps.push(CPathStep::Elem(idx));
-                root
-            }
-            Place::Slice { base, hi, lo } => {
-                let root = self.flatten_place(base, steps);
-                steps.push(CPathStep::Slice(*hi, *lo));
-                root
-            }
-            Place::DynSlice {
-                base,
-                offset,
-                width,
-            } => {
-                let root = self.flatten_place(base, steps);
-                let off = self.folded_expr(offset);
-                steps.push(CPathStep::DynSlice(off, *width));
-                root
-            }
-        }
-    }
-
-    fn arg(&mut self, a: &Arg) -> CArg {
+    fn arg(&self, a: &Arg) -> CArg {
         match a {
-            Arg::In(e) => CArg::In(self.expr(e)),
+            Arg::In(e) => CArg::In(fold_expr(e)),
             Arg::Out(p) => CArg::Out(self.place(p)),
             Arg::InOut(p) => CArg::InOut(self.place(p)),
         }
     }
 
-    fn compile_wait(&mut self, cond: &WaitCond) -> WaitSpec {
+    fn compile_wait(&self, cond: &WaitCond) -> WaitSpec {
         match cond {
             WaitCond::ForCycles(n) => WaitSpec::ForCycles(*n),
             WaitCond::OnSignals(signals) => {
@@ -1054,7 +833,7 @@ impl Lowerer<'_> {
                 Stmt::Assign { place, value, cost } => {
                     let instr = Instr::Assign {
                         place: self.place(place),
-                        value: self.expr(value),
+                        value: fold_expr(value),
                         cost: cost.unwrap_or(COSTS.assign_cycles),
                     };
                     self.out.push(instr);
@@ -1064,17 +843,12 @@ impl Lowerer<'_> {
                     value,
                     cost,
                 } => {
-                    let mut value = self.expr(value);
                     // Constant drives are pre-coerced to the signal's type
-                    // so the runtime coercion hits its identity fast path.
-                    if value.ops.is_empty() {
-                        if let (Src::Const(i), Some(decl)) =
-                            (value.result, self.system.signals.get(signal.index()))
-                        {
-                            let v = coerce(value.pool[i as usize].clone(), &decl.ty);
-                            value.pool[i as usize] = v;
-                        }
-                    }
+                    // so they drive verbatim, with no runtime coercion.
+                    let value = match (fold_expr(value), self.system.signals.get(signal.index())) {
+                        (Expr::Const(v), Some(decl)) => Expr::Const(coerce(v, &decl.ty)),
+                        (value, _) => value,
+                    };
                     self.out.push(Instr::SignalWrite {
                         signal: *signal,
                         value,
@@ -1115,8 +889,8 @@ impl Lowerer<'_> {
                 } => {
                     let init = Instr::LoopInit {
                         var: self.place(var),
-                        from: self.expr(from),
-                        to: self.expr(to),
+                        from: fold_expr(from),
+                        to: fold_expr(to),
                     };
                     self.out.push(init);
                     let test_at = self.out.len();
@@ -1166,8 +940,8 @@ impl Lowerer<'_> {
                 } => {
                     let instr = Instr::ChannelSend {
                         channel: *channel,
-                        addr: addr.as_ref().map(|a| self.expr(a)),
-                        data: self.expr(data),
+                        addr: addr.as_ref().map(fold_expr),
+                        data: fold_expr(data),
                         cost: COSTS.abstract_channel_cycles,
                     };
                     self.out.push(instr);
@@ -1179,20 +953,17 @@ impl Lowerer<'_> {
                 } => {
                     let instr = Instr::ChannelReceive {
                         channel: *channel,
-                        addr: addr.as_ref().map(|a| self.expr(a)),
+                        addr: addr.as_ref().map(fold_expr),
                         target: self.place(target),
                         cost: COSTS.abstract_channel_cycles,
                     };
                     self.out.push(instr);
                 }
                 Stmt::Compute { cycles, .. } => self.out.push(Instr::Consume { cycles: *cycles }),
-                Stmt::Assert { cond, note } => {
-                    let cond = self.expr(cond);
-                    self.out.push(Instr::Assert {
-                        cond,
-                        note: note.clone(),
-                    });
-                }
+                Stmt::Assert { cond, note } => self.out.push(Instr::Assert {
+                    cond: fold_expr(cond),
+                    note: note.clone(),
+                }),
                 Stmt::Return => self.out.push(Instr::Ret),
             }
         }
@@ -1203,8 +974,9 @@ impl Lowerer<'_> {
 ///
 /// Folding only happens where the run-time evaluation would succeed with
 /// the same result (e.g. an out-of-range constant slice is left in place
-/// so it still fails at run time, not at compile time).
-fn fold_expr(expr: &Expr) -> Expr {
+/// so it still fails at run time, not at compile time). Exposed to the
+/// crate for the folded-vs-unfolded differential tests.
+pub(crate) fn fold_expr(expr: &Expr) -> Expr {
     match expr {
         Expr::Const(_) | Expr::Signal(_) => expr.clone(),
         Expr::Load(place) => Expr::Load(fold_place(place)),
@@ -1307,17 +1079,32 @@ fn fold_place(place: &Place) -> Place {
     }
 }
 
-/// Folds an expression then compiles it — the exact pipeline production
-/// lowering applies. Exposed to the crate for the differential tests.
-pub(crate) fn fold_and_compile(expr: &Expr) -> ExprCode {
-    compile_expr(&fold_expr(expr))
-}
-
-/// Folds an expression then compiles it as a branch condition of a block
-/// in `scope`, as production lowering does. Exposed to the crate for the
-/// differential tests.
-pub(crate) fn fold_and_compile_cond(system: &System, scope: CodeRef, expr: &Expr) -> Cond {
-    compile_cond(system, scope, &fold_expr(expr))
+/// Flattens a folded non-trivial place into its root and navigation
+/// steps, outermost first.
+fn flatten_place(p: Place, steps: &mut Vec<CPathStep>) -> CRoot {
+    match p {
+        Place::Var(v) => CRoot::Var(v.index() as u32),
+        Place::Local(slot) => CRoot::Local(u16::try_from(slot).expect("local slot overflow")),
+        Place::Index { base, index } => {
+            let root = flatten_place(*base, steps);
+            steps.push(CPathStep::Elem(*index));
+            root
+        }
+        Place::Slice { base, hi, lo } => {
+            let root = flatten_place(*base, steps);
+            steps.push(CPathStep::Slice(hi, lo));
+            root
+        }
+        Place::DynSlice {
+            base,
+            offset,
+            width,
+        } => {
+            let root = flatten_place(*base, steps);
+            steps.push(CPathStep::DynSlice(*offset, width));
+            root
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1434,11 +1221,10 @@ mod tests {
             add(int_const(2, 16), int_const(3, 16)),
         )]);
         match &instrs[0] {
-            Instr::Assign { value, .. } => {
-                let v = value.const_value().expect("folded to a pooled const");
-                assert_eq!(v.as_i64().unwrap(), 5);
-                assert_eq!(value.nregs, 0);
-            }
+            Instr::Assign {
+                value: Expr::Const(v),
+                ..
+            } => assert_eq!(*v, Value::int(5, 16)),
             other => panic!("expected folded const, got {other:?}"),
         }
     }
@@ -1446,20 +1232,12 @@ mod tests {
     #[test]
     fn non_constant_subtrees_compile_to_micro_ops() {
         let x = VarId::new(0);
-        let instrs = compile_body(vec![assign(var(x), add(load(var(x)), int_const(3, 16)))]);
+        let sum = add(load(var(x)), add(int_const(1, 16), int_const(2, 16)));
+        let instrs = compile_body(vec![assign(var(x), sum)]);
         match &instrs[0] {
+            // The load stays; only the constant subtree folds.
             Instr::Assign { value, .. } => {
-                // One binary op with both leaf operands flattened in.
-                assert_eq!(value.ops.len(), 1);
-                assert!(matches!(
-                    value.ops[0],
-                    MicroOp::Binary {
-                        op: BinOp::Add,
-                        a: Src::Var(0),
-                        b: Src::Const(0),
-                        ..
-                    }
-                ));
+                assert_eq!(*value, add(load(var(x)), int_const(3, 16)));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1476,7 +1254,7 @@ mod tests {
         let instrs = compile_body(vec![assign(var(x), bad)]);
         match &instrs[0] {
             Instr::Assign { value, .. } => {
-                assert!(matches!(value.ops[0], MicroOp::Slice { hi: 5, lo: 0, .. }));
+                assert!(matches!(value, Expr::SliceOf { hi: 5, lo: 0, .. }));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1598,41 +1376,6 @@ mod tests {
     }
 
     #[test]
-    fn word_slice_and_drive_is_one_micro_op() {
-        let mut sys = System::new("t");
-        let m = sys.add_module("chip");
-        let b = sys.add_behavior("P", m);
-        let bus = sys.add_signal("DATA", Ty::Bits(8));
-        let word = sys.add_variable("word", Ty::Bits(32), b);
-        let off = sys.add_variable("off", Ty::Int(8), b);
-        sys.behavior_mut(b).body = vec![drive(
-            bus,
-            Expr::DynSliceOf {
-                base: Box::new(load(var(word))),
-                offset: Box::new(load(var(off))),
-                width: 8,
-            },
-        )];
-        let instrs = Program::compile(&sys).behaviors[0].instrs.clone();
-        match &instrs[0] {
-            Instr::SignalWrite { value, .. } => {
-                // Both the word and the offset are flattened operands.
-                assert_eq!(value.ops.len(), 1);
-                assert!(matches!(
-                    value.ops[0],
-                    MicroOp::DynSlice {
-                        a: Src::Var(_),
-                        offset: Src::Var(_),
-                        width: 8,
-                        ..
-                    }
-                ));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
     fn wait_until_signal_eq_const_specializes_after_folding() {
         let mut sys = System::new("t");
         let m = sys.add_module("chip");
@@ -1700,7 +1443,7 @@ mod tests {
             Instr::Wait(WaitSpec::Until(until)) => {
                 assert_eq!(until.sensitivity(), &[s, t]);
                 assert!(until.display().is_some());
-                assert!(matches!(&until.cond, Cond::Code(code) if !code.ops.is_empty()));
+                assert_eq!(until.cond, Cond::Code(eq(signal(s), signal(t))));
             }
             other => panic!("expected general wait, got {other:?}"),
         }
@@ -1787,17 +1530,14 @@ mod tests {
         let p16 = Program::compile_cached(&build(16), Some(&cache));
         assert_eq!(cache.len(), 2);
         assert!(!Arc::ptr_eq(&p8.behaviors[0], &p16.behaviors[0]));
-    }
-
-    #[test]
-    fn constant_pool_is_deduplicated() {
-        let mut sys = System::new("t");
-        let _ = sys.add_module("chip");
-        let e = add(
-            mul(int_const(7, 8), load(var(VarId::new(0)))),
-            mul(int_const(7, 8), load(var(VarId::new(0)))),
-        );
-        let code = compile_expr(&e);
-        assert_eq!(code.pool.len(), 1);
+        for (p, width) in [(&p8, 8), (&p16, 16)] {
+            match &p.behaviors[0].instrs[0] {
+                Instr::SignalWrite {
+                    value: Expr::Const(v),
+                    ..
+                } => assert_eq!(*v, Value::Bits(BitVec::from_u64(1, width))),
+                other => panic!("expected a constant drive, got {other:?}"),
+            }
+        }
     }
 }

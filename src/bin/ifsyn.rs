@@ -72,6 +72,7 @@
 //! ```
 
 use std::error::Error;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use interface_synthesis::core::{
@@ -129,7 +130,10 @@ enum ConstraintArg {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    // Every line goes through `writeln!(…)?`, so a closed stdout (a
+    // reader like `head` exiting early) takes the error path below.
+    let mut out = io::stdout().lock();
+    match run(&mut out).and_then(|()| Ok(out.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("ifsyn: {e}");
@@ -138,10 +142,10 @@ fn main() -> ExitCode {
     }
 }
 
-fn run() -> Result<(), Box<dyn Error>> {
+fn run(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
     let options = parse_args(std::env::args().skip(1))?;
     if options.analyze && options.from_vcd.is_some() {
-        return analyze_offline(&options);
+        return analyze_offline(out, &options);
     }
     let Some(path) = &options.spec_path else {
         return Err("usage: ifsyn SPEC.ifs [options]  (see --help in the README)".into());
@@ -154,16 +158,16 @@ fn run() -> Result<(), Box<dyn Error>> {
         let result = interface_synthesis::partition::Partitioner::new().partition(&system)?;
         let n = result.channels.len();
         system = result.system;
-        println!("derived {n} channel(s) from cross-module accesses");
+        writeln!(out, "derived {n} channel(s) from cross-module accesses")?;
     }
 
     if options.lint {
         let findings = interface_synthesis::spec::lint::lint_system(&system);
         if findings.is_empty() {
-            println!("no lints: `{}` looks clean", system.name);
+            writeln!(out, "no lints: `{}` looks clean", system.name)?;
         } else {
             for finding in &findings {
-                println!("warning: {finding}");
+                writeln!(out, "warning: {finding}")?;
             }
         }
         return Ok(());
@@ -172,12 +176,13 @@ fn run() -> Result<(), Box<dyn Error>> {
     let channels = select_channels(&system, &options)?;
     // In JSON analyze mode the report is the whole stdout document.
     if !(options.analyze && options.json) {
-        println!(
+        writeln!(
+            out,
             "system `{}`: {} behaviors, {} channels selected",
             system.name,
             system.behaviors.len(),
             channels.len()
-        );
+        )?;
     }
 
     let protocol = match options.protocol {
@@ -192,42 +197,44 @@ fn run() -> Result<(), Box<dyn Error>> {
     }
 
     if options.analyze {
-        return analyze_spec(&system, channels, protocol, &generator, &options);
+        return analyze_spec(out, &system, channels, protocol, &generator, &options);
     }
 
     if let Some(csv_path) = &options.explore_csv {
         let exploration = generator.explore(&system, &channels)?;
         std::fs::write(csv_path, exploration.to_csv())
             .map_err(|e| format!("cannot write `{csv_path}`: {e}"))?;
-        println!("wrote exploration CSV to {csv_path}");
+        writeln!(out, "wrote exploration CSV to {csv_path}")?;
         return Ok(());
     }
 
     if options.explore {
         let exploration = generator.explore(&system, &channels)?;
-        println!("\nwidth  bus rate  sum ave rates  feasible  cost");
+        writeln!(out, "\nwidth  bus rate  sum ave rates  feasible  cost")?;
         for row in &exploration.rows {
-            println!(
+            writeln!(
+                out,
                 "{:>5}  {:>8.2}  {:>13.2}  {:>8}  {}",
                 row.width,
                 row.bus_rate,
                 row.sum_ave_rates,
                 if row.feasible { "yes" } else { "no" },
                 row.cost.map(|c| format!("{c:.2}")).unwrap_or_default()
-            );
+            )?;
         }
         return Ok(());
     }
 
     if let Some((lo, hi)) = options.sweep_sim {
-        return sweep_sim(&system, &channels, protocol, &options, lo, hi);
+        return sweep_sim(out, &system, &channels, protocol, &options, lo, hi);
     }
 
     let design = match options.width {
         Some(w) => BusDesign::with_width(channels, w, protocol),
         None => generator.generate(&system, &channels)?,
     };
-    println!(
+    writeln!(
+        out,
         "bus: {} data + {} control + {} ID lines = {} wires ({}, reduction {:.1}%)",
         design.width,
         design.control_lines(),
@@ -235,39 +242,40 @@ fn run() -> Result<(), Box<dyn Error>> {
         design.total_wires(),
         design.protocol,
         100.0 * design.interconnect_reduction(&system)
-    );
+    )?;
 
     let refined = build_protocol_generator(&options).refine(&system, &design)?;
     let area = interface_synthesis::estimate::AreaEstimator::new();
     let before = area.estimate_system(&system, 0)?;
     let after = area.estimate_system(&refined.system, design.total_wires())?;
-    println!(
+    writeln!(
+        out,
         "refinement overhead: +{} controller states, +{} register bits \
          ({:.0} -> {:.0} gate equivalents)",
         after.states.saturating_sub(before.states),
         after.register_bits.saturating_sub(before.register_bits),
         before.gates,
         after.gates
-    );
+    )?;
 
     if options.print_vhdl {
-        println!("\n{}", VhdlPrinter::new().print_refined(&refined));
+        writeln!(out, "\n{}", VhdlPrinter::new().print_refined(&refined))?;
     }
 
     if let Some(dot_path) = &options.dot {
         let dot = interface_synthesis::vhdl::refined_to_dot(&refined);
         std::fs::write(dot_path, dot).map_err(|e| format!("cannot write `{dot_path}`: {e}"))?;
-        println!("wrote structure graph to {dot_path}");
+        writeln!(out, "wrote structure graph to {dot_path}")?;
     }
 
     if let Some(meta_path) = &options.bus_meta {
         let meta = interface_synthesis::vhdl::bus_metadata_json(&refined);
         std::fs::write(meta_path, meta).map_err(|e| format!("cannot write `{meta_path}`: {e}"))?;
-        println!("wrote bus metadata to {meta_path}");
+        writeln!(out, "wrote bus metadata to {meta_path}")?;
     }
 
     if options.check {
-        return check_refined(&refined, &options);
+        return check_refined(out, &refined, &options);
     }
 
     let mut config = if options.vcd.is_some() {
@@ -282,40 +290,46 @@ fn run() -> Result<(), Box<dyn Error>> {
         }
         // A silent hang under injection is useless; diagnose it instead.
         config = config.with_faults(plan).with_deadlock_detection();
-        println!(
+        writeln!(
+            out,
             "injecting {} fault(s); deadlock diagnosis on",
             options.faults.len()
-        );
+        )?;
     }
     // The content-hash cache dedups repeated protocol bodies (the same
     // handshake procedure instantiated per channel) within the run.
     let cache = interface_synthesis::sim::CodeCache::new();
     let report = Simulator::with_config_cached(&refined.system, config, Some(&cache))?
         .run_to_quiescence()?;
-    println!("\nsimulation quiescent at t = {} cycles", report.time());
+    writeln!(
+        out,
+        "\nsimulation quiescent at t = {} cycles",
+        report.time()
+    )?;
     for (_, outcome) in report.finished_behaviors() {
-        println!(
+        writeln!(
+            out,
             "  {:<24} finished at {:>8} cycles",
             outcome.name,
             outcome.finish_time.expect("finished")
-        );
+        )?;
     }
     let blocked: Vec<&str> = report
         .blocked_behaviors()
         .map(|(_, o)| o.name.as_str())
         .collect();
     if !blocked.is_empty() {
-        println!("  idle servers: {}", blocked.join(", "));
+        writeln!(out, "  idle servers: {}", blocked.join(", "))?;
     }
 
     if !options.faults.is_empty() {
         let injected = report.injected_faults();
-        println!("  {} fault injection(s) applied", injected.len());
+        writeln!(out, "  {} fault injection(s) applied", injected.len())?;
         for f in injected.iter().take(10) {
-            println!("    t = {:>6}  {}: {}", f.time, f.signal, f.effect);
+            writeln!(out, "    t = {:>6}  {}: {}", f.time, f.signal, f.effect)?;
         }
         if injected.len() > 10 {
-            println!("    ... and {} more", injected.len() - 10);
+            writeln!(out, "    ... and {} more", injected.len() - 10)?;
         }
         let raised: Vec<String> = refined
             .bus
@@ -327,14 +341,14 @@ fn run() -> Result<(), Box<dyn Error>> {
             })
             .collect();
         if !raised.is_empty() {
-            println!("  status flags raised: {}", raised.join(", "));
+            writeln!(out, "  status flags raised: {}", raised.join(", "))?;
         }
     }
 
     if let Some(vcd_path) = &options.vcd {
         let vcd = interface_synthesis::sim::vcd::to_vcd_string(&refined.system, &report);
         std::fs::write(vcd_path, vcd).map_err(|e| format!("cannot write `{vcd_path}`: {e}"))?;
-        println!("wrote waveform to {vcd_path}");
+        writeln!(out, "wrote waveform to {vcd_path}")?;
     }
     Ok(())
 }
@@ -347,6 +361,7 @@ const ANALYZE_TRACE_CAP: usize = 2_000_000;
 /// `ifsyn analyze SPEC`: synthesize, simulate with tracing, and run the
 /// bus analyzer over the in-memory trace.
 fn analyze_spec(
+    out: &mut impl Write,
     system: &System,
     channels: Vec<ChannelId>,
     protocol: ProtocolKind,
@@ -361,14 +376,15 @@ fn analyze_spec(
     };
     let refined = build_protocol_generator(options).refine(system, &design)?;
     if !options.json {
-        println!(
+        writeln!(
+            out,
             "bus: {} data + {} control + {} ID lines = {} wires ({})",
             design.width,
             design.control_lines(),
             design.id_bits(),
             design.total_wires(),
             design.protocol,
-        );
+        )?;
     }
     let config = SimConfig::new()
         .with_trace()
@@ -381,20 +397,20 @@ fn analyze_spec(
         std::fs::write(meta_path, sidecar)
             .map_err(|e| format!("cannot write `{meta_path}`: {e}"))?;
         if !options.json {
-            println!("wrote bus metadata to {meta_path}");
+            writeln!(out, "wrote bus metadata to {meta_path}")?;
         }
     }
     if let Some(vcd_path) = &options.vcd {
         let vcd = interface_synthesis::sim::vcd::to_vcd_string(&refined.system, &report);
         std::fs::write(vcd_path, vcd).map_err(|e| format!("cannot write `{vcd_path}`: {e}"))?;
         if !options.json {
-            println!("wrote waveform to {vcd_path}");
+            writeln!(out, "wrote waveform to {vcd_path}")?;
         }
     }
     if options.json {
-        print!("{}", analysis.to_json());
+        write!(out, "{}", analysis.to_json())?;
     } else {
-        print!("\n{}", analysis.render());
+        write!(out, "\n{}", analysis.render())?;
     }
     Ok(())
 }
@@ -402,7 +418,7 @@ fn analyze_spec(
 /// `ifsyn analyze --from-vcd FILE --meta FILE`: run the analyzer over a
 /// waveform written by `--vcd` and its `--bus-meta` sidecar, with no
 /// re-synthesis or simulation.
-fn analyze_offline(options: &Options) -> Result<(), Box<dyn Error>> {
+fn analyze_offline(out: &mut impl Write, options: &Options) -> Result<(), Box<dyn Error>> {
     use interface_synthesis::analyze::{analyze_vcd, BusMeta};
 
     let vcd_path = options.from_vcd.as_deref().expect("checked by caller");
@@ -417,9 +433,9 @@ fn analyze_offline(options: &Options) -> Result<(), Box<dyn Error>> {
     let meta = BusMeta::from_json(&meta_text)?;
     let analysis = analyze_vcd(&vcd_text, &meta)?;
     if options.json {
-        print!("{}", analysis.to_json());
+        write!(out, "{}", analysis.to_json())?;
     } else {
-        print!("{}", analysis.render());
+        write!(out, "{}", analysis.render())?;
     }
     Ok(())
 }
@@ -454,6 +470,7 @@ fn build_protocol_generator(options: &Options) -> ProtocolGenerator {
 /// Returns an error, and thus a nonzero exit, on any violation, printing
 /// the counterexample trace.
 fn check_refined(
+    out: &mut impl Write,
     refined: &interface_synthesis::core::RefinedSystem,
     options: &Options,
 ) -> Result<(), Box<dyn Error>> {
@@ -470,38 +487,56 @@ fn check_refined(
         config = config.without_por();
     }
     if !options.check_faults.is_empty() {
-        println!(
+        writeln!(
+            out,
             "checking under an adversarial environment of {} fault(s)",
             options.check_faults.len()
-        );
+        )?;
+    }
+    // Fixed-delay transfers rely on timing that the interleaving
+    // semantics drops: the checker may run a receiver before the sender's
+    // delay has elapsed, which the clocked kernel never does.
+    if let ProtocolKind::FixedDelay { .. } = refined.bus.design.protocol {
+        writeln!(
+            out,
+            "note: the checker is untimed, so a fixed-delay counterexample may be \
+             a schedule the clocked simulation kernel cannot run"
+        )?;
     }
     let checker = Checker::with_config(&refined.system, config)?;
     let space = checker.explore().map_err(explain_check_error)?;
-    println!(
+    writeln!(
+        out,
         "\nexplored {} states, {} transitions, {} terminal(s), {} runtime error path(s)",
         space.state_count(),
         space.transition_count(),
         space.terminal_count(),
         space.error_count()
-    );
+    )?;
     let stats = space.stats();
-    println!(
+    writeln!(
+        out,
         "  peak frontier {}, {} dedup hit(s), {} ample / {} fully expanded state(s)",
         stats.peak_frontier, stats.dedup_hits, stats.ample_states, stats.full_states
-    );
+    )?;
     if let Some(b) = space.bounded() {
-        println!(
+        writeln!(
+            out,
             "  state limit {} reached: {} frontier state(s) left unexplored; \
              verdicts below are bounded",
             b.limit, b.frontier
-        );
+        )?;
     }
     match space.worst_cost_to_quiescence() {
-        Some(w) => println!("worst-case completion over every schedule: {w} cycles"),
-        None if space.bounded().is_some() => {
-            println!("worst-case completion: unknown (exploration was bounded)")
-        }
-        None => println!("worst-case completion: unbounded (a reachable cycle exists)"),
+        Some(w) => writeln!(out, "worst-case completion over every schedule: {w} cycles")?,
+        None if space.bounded().is_some() => writeln!(
+            out,
+            "worst-case completion: unknown (exploration was bounded)"
+        )?,
+        None => writeln!(
+            out,
+            "worst-case completion: unbounded (a reachable cycle exists)"
+        )?,
     }
 
     let reports: Vec<_> = refined
@@ -510,7 +545,7 @@ fn check_refined(
         .map(|c| c.report)
         .collect();
     for rep in &reports {
-        println!("{rep}");
+        writeln!(out, "{rep}")?;
     }
     let failures = reports
         .iter()
@@ -525,17 +560,19 @@ fn check_refined(
         .into());
     }
     if space.bounded().is_some() {
-        println!(
+        writeln!(
+            out,
             "all {} propert{} hold on every explored schedule (bounded run)",
             reports.len(),
             if reports.len() == 1 { "y" } else { "ies" }
-        );
+        )?;
     } else {
-        println!(
+        writeln!(
+            out,
             "all {} propert{} hold on every schedule",
             reports.len(),
             if reports.len() == 1 { "y" } else { "ies" }
-        );
+        )?;
     }
     Ok(())
 }
@@ -589,6 +626,7 @@ fn parse_check_fault(spec: &str) -> Result<interface_synthesis::sim::EnvFault, B
 /// range and simulate the whole batch in parallel with shared compiled
 /// code, printing one finish-time row per width.
 fn sweep_sim(
+    out: &mut impl Write,
     system: &System,
     channels: &[ChannelId],
     protocol: ProtocolKind,
@@ -605,23 +643,31 @@ fn sweep_sim(
         systems.push(pg.refine(system, &design)?.system);
     }
     let runner = BatchRunner::new().with_jobs(options.jobs);
-    println!(
+    writeln!(
+        out,
         "\nbatch-simulating widths {lo}..={hi} over {} worker(s)",
         runner.jobs().min(systems.len().max(1)),
-    );
+    )?;
     let reports = runner.run(&systems);
-    println!("\nwidth  quiescent at  instrs executed");
+    writeln!(out, "\nwidth  quiescent at  instrs executed")?;
     for (width, report) in (lo..=hi).zip(&reports) {
         match report {
-            Ok(r) => println!("{:>5}  {:>12}  {:>15}", width, r.time(), r.total_instrs()),
-            Err(e) => println!("{width:>5}  failed: {e}"),
+            Ok(r) => writeln!(
+                out,
+                "{:>5}  {:>12}  {:>15}",
+                width,
+                r.time(),
+                r.total_instrs()
+            )?,
+            Err(e) => writeln!(out, "{width:>5}  failed: {e}")?,
         }
     }
-    println!(
+    writeln!(
+        out,
         "\n{} distinct code block(s) compiled for {} run(s)",
         runner.cached_blocks(),
         systems.len()
-    );
+    )?;
     Ok(())
 }
 
