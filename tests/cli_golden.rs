@@ -34,6 +34,10 @@ const SIMULATION: &[Flow] = &[
         &["specs/fig3.ifs", "--width", "8", "--vcd", "$TMP/f.vcd"],
     ),
     (
+        "fig3_w8_bus_meta",
+        &["specs/fig3.ifs", "--width", "8", "--bus-meta", "$TMP/b.json"],
+    ),
+    (
         "flc_min_peak",
         &["specs/flc.ifs", "--min-peak", "ch2=10:10"],
     ),
