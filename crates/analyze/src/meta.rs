@@ -6,7 +6,7 @@
 //! message occupies. [`BusMeta`] carries exactly that, either built
 //! in-process from a refined system ([`BusMeta::from_refined`]) or read
 //! back from the JSON sidecar the CLI writes next to the VCD
-//! ([`BusMeta::from_json`], the parse of `ifsyn_vhdl::bus_metadata_json`).
+//! ([`BusMeta::to_json`] writes it, [`BusMeta::from_json`] parses it).
 
 use std::fmt::Write as _;
 
@@ -310,5 +310,52 @@ mod tests {
         meta.channels.truncate(1);
         meta.channels[0].id_code = None;
         assert_eq!(meta.channel_for(None).unwrap().name, "ch1");
+    }
+
+    /// One process writing an 8-entry array over a single-channel bus.
+    fn refined() -> RefinedSystem {
+        use ifsyn_core::{BusGenerator, ProtocolGenerator};
+        use ifsyn_spec::dsl::*;
+        use ifsyn_spec::{Channel, ChannelDirection, System, Ty};
+
+        let mut sys = System::new("t");
+        let m = sys.add_module("chip");
+        let p = sys.add_behavior("P", m);
+        let owner = sys.add_behavior("MEMPROC", m);
+        let mem = sys.add_variable("MEM", Ty::array(Ty::Int(16), 8), owner);
+        let i = sys.add_variable("i", Ty::Int(16), p);
+        let ch = sys.add_channel(Channel {
+            name: "ch".into(),
+            accessor: p,
+            variable: mem,
+            direction: ChannelDirection::Write,
+            data_bits: 16,
+            addr_bits: 3,
+            accesses: 8,
+        });
+        sys.behavior_mut(p).body = vec![for_loop(
+            var(i),
+            int_const(0, 16),
+            int_const(7, 16),
+            vec![send_at(ch, load(var(i)), load(var(i)))],
+        )];
+        let design = BusGenerator::new().generate(&sys, &[ch]).unwrap();
+        ProtocolGenerator::new().refine(&sys, &design).unwrap()
+    }
+
+    #[test]
+    fn sidecar_names_the_wires_and_channels() {
+        let text = BusMeta::from_refined(&refined()).to_json();
+        assert!(text.contains("\"schema\": \"ifsyn-bus-meta-v1\""), "{text}");
+        assert!(text.contains("\"start\": \"B_START\""), "{text}");
+        assert!(text.contains("\"done\": \"B_DONE\""), "{text}");
+        assert!(text.contains("\"id\": null"), "single channel: {text}");
+        assert!(text.contains("\"name\": \"ch\""), "{text}");
+        assert!(text.contains("\"accessor\": \"P\""), "{text}");
+    }
+
+    #[test]
+    fn strings_are_escaped() {
+        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }

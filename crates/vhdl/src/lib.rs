@@ -31,9 +31,7 @@
 #![warn(missing_docs)]
 
 mod dot;
-mod metadata;
 mod printer;
 
 pub use dot::{refined_to_dot, to_dot};
-pub use metadata::bus_metadata_json;
 pub use printer::VhdlPrinter;

@@ -269,7 +269,7 @@ fn run(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
     }
 
     if let Some(meta_path) = &options.bus_meta {
-        let meta = interface_synthesis::vhdl::bus_metadata_json(&refined);
+        let meta = interface_synthesis::analyze::BusMeta::from_refined(&refined).to_json();
         std::fs::write(meta_path, meta).map_err(|e| format!("cannot write `{meta_path}`: {e}"))?;
         writeln!(out, "wrote bus metadata to {meta_path}")?;
     }
@@ -393,8 +393,7 @@ fn analyze_spec(
     let meta = BusMeta::from_refined(&refined);
     let analysis = analyze_report(&refined.system, &report, &meta)?;
     if let Some(meta_path) = &options.bus_meta {
-        let sidecar = interface_synthesis::vhdl::bus_metadata_json(&refined);
-        std::fs::write(meta_path, sidecar)
+        std::fs::write(meta_path, meta.to_json())
             .map_err(|e| format!("cannot write `{meta_path}`: {e}"))?;
         if !options.json {
             writeln!(out, "wrote bus metadata to {meta_path}")?;
