@@ -623,9 +623,7 @@ impl<'a> Checker<'a> {
                     }
                     let old = &src.sigs()[*idx];
                     let mut bits = old.to_bits();
-                    if *bit >= bits.width() {
-                        continue;
-                    }
+                    debug_assert!(*bit < bits.width(), "refused by Checker::with_config");
                     let inverted = BitVec::from_u64(u64::from(!bits.bit(*bit)), 1);
                     bits.write_slice(*bit, *bit, &inverted);
                     (Value::from_bits(&old.ty(), &bits), false)

@@ -241,7 +241,9 @@ impl<'a> Checker<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidSystem`] if the system fails validation,
-    /// a configured fault names an unknown signal, or the system has more
+    /// a configured fault names an unknown signal, a [`EnvFault::FlipBit`]
+    /// can never strike (its bit is not below the signal's declared
+    /// width, or its budget is 0), or the system has more
     /// behaviors or faults than a stored transition label can name
     /// (2^30 each).
     pub fn with_config(system: &'a System, config: CheckConfig) -> Result<Self, SimError> {
@@ -266,6 +268,22 @@ impl<'a> Checker<'a> {
                 .ok_or_else(|| SimError::InvalidSystem {
                     message: format!("check fault names unknown signal `{}`", f.signal_name()),
                 })?;
+            if let EnvFault::FlipBit {
+                signal,
+                bit,
+                budget,
+            } = f
+            {
+                let width = system.signals[idx].ty.bit_width();
+                if *bit >= width || *budget == 0 {
+                    return Err(SimError::InvalidSystem {
+                        message: format!(
+                            "check fault flipping bit {bit} of `{signal}` ({width} bit(s)) \
+                             with budget {budget} can never strike"
+                        ),
+                    });
+                }
+            }
             faults.push((idx, f.clone()));
         }
         let layout = Layout::new(system);

@@ -184,6 +184,36 @@ fn flip_bit_fault_wakes_a_blocked_waiter() {
     );
 }
 
+/// A flip that can never strike is refused up front: bit 8 of an 8-bit
+/// signal, or any bit with a budget of 0. Bit 7 is accepted and strikes.
+#[test]
+fn a_flip_that_can_never_strike_is_rejected() {
+    let mut sys = System::new("flip_width");
+    let m = sys.add_module("chip");
+    let p = sys.add_behavior("P", m);
+    sys.add_signal("D", Ty::Bits(8));
+    sys.behavior_mut(p).body = vec![wait_cycles(1)];
+    let flip = |bit, budget| {
+        CheckConfig::new().with_fault(EnvFault::FlipBit {
+            signal: "D".to_string(),
+            bit,
+            budget,
+        })
+    };
+    let ck = Checker::with_config(&sys, flip(7, 1)).unwrap();
+    let ss = ck.explore().unwrap();
+    let untouched = |v: &SignalView<'_>| v.signal("D").unwrap().as_i64().unwrap() == 0;
+    assert!(!ss.check_invariant("D stays 0", untouched).holds);
+    for (bit, budget) in [(8, 1), (7, 0)] {
+        let err = match Checker::with_config(&sys, flip(bit, budget)) {
+            Err(e) => e,
+            Ok(_) => panic!("flip of bit {bit} with budget {budget} must be rejected"),
+        };
+        assert!(matches!(err, SimError::InvalidSystem { .. }), "{err}");
+        assert!(err.to_string().contains("can never strike"), "{err}");
+    }
+}
+
 #[test]
 fn stuck_low_ack_blocks_the_handshake() {
     let sys = handshake();

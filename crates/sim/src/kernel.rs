@@ -226,7 +226,9 @@ impl<'a> Simulator<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidSystem`] if the system fails validation.
+    /// Returns [`SimError::InvalidSystem`] if the system fails validation,
+    /// or its fault plan names an unknown signal or flips a bit that is
+    /// not below the signal's declared width.
     pub fn with_config(system: &'a System, config: SimConfig) -> Result<Self, SimError> {
         Self::with_config_cached(system, config, None)
     }
@@ -239,7 +241,8 @@ impl<'a> Simulator<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidSystem`] if the system fails validation.
+    /// Returns [`SimError::InvalidSystem`] as [`Simulator::with_config`]
+    /// does.
     pub fn with_config_cached(
         system: &'a System,
         config: SimConfig,
@@ -280,7 +283,17 @@ impl<'a> Simulator<'a> {
                 FaultKind::StuckAt { from, .. } => {
                     injections.push(Reverse((from, fi as u64, fi)));
                 }
-                FaultKind::FlipBit { at, .. } => {
+                FaultKind::FlipBit { bit, at } => {
+                    let width = system.signals[idx].ty.bit_width();
+                    if bit >= width {
+                        return Err(SimError::InvalidSystem {
+                            message: format!(
+                                "fault plan flips bit {bit} of `{}` ({width} bit(s)), \
+                                 so it can never strike",
+                                f.signal
+                            ),
+                        });
+                    }
                     injections.push(Reverse((at, fi as u64, fi)));
                 }
                 FaultKind::DelayWrites { .. } | FaultKind::DropWrites { .. } => {}
@@ -481,13 +494,12 @@ impl<'a> Simulator<'a> {
                 let cur = &self.signals[sig];
                 let ty = cur.ty();
                 let mut bits = cur.to_bits();
-                if bit < bits.width() {
-                    let inverted = BitVec::from_u64(u64::from(!bits.bit(bit)), 1);
-                    bits.write_slice(bit, bit, &inverted);
-                    let v = Value::from_bits(&ty, &bits);
-                    self.pending.push((sig, v, true));
-                    self.record_injection(sig, format!("bit {bit} flipped"));
-                }
+                debug_assert!(bit < bits.width(), "refused by Simulator::with_config");
+                let inverted = BitVec::from_u64(u64::from(!bits.bit(bit)), 1);
+                bits.write_slice(bit, bit, &inverted);
+                let v = Value::from_bits(&ty, &bits);
+                self.pending.push((sig, v, true));
+                self.record_injection(sig, format!("bit {bit} flipped"));
             }
             FaultKind::DelayWrites { .. } | FaultKind::DropWrites { .. } => {}
         }

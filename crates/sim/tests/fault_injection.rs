@@ -368,3 +368,23 @@ fn injection_recording_is_capped_but_simulation_continues() {
     assert_eq!(report.injected_faults().len(), 10_000);
     assert_eq!(report.finish_time(p), Some(12_000)); // one cycle per drive
 }
+
+/// A flip of bit 8 of an 8-bit signal could never strike: the plan is
+/// refused up front instead of simulating with no injection applied.
+#[test]
+fn a_flip_past_the_signal_width_is_rejected() {
+    let (mut sys, m) = shell();
+    let b = sys.add_behavior("P", m);
+    sys.add_signal("S", Ty::Bits(8));
+    sys.behavior_mut(b).body = vec![wait_cycles(10)];
+    let plan = FaultPlan::new().flip_bit("S", 7, 5);
+    let report = run(&sys, SimConfig::new().with_faults(plan)).unwrap();
+    assert_eq!(report.injected_faults().len(), 1);
+    let plan = FaultPlan::new().flip_bit("S", 8, 5);
+    let err = match Simulator::with_config(&sys, SimConfig::new().with_faults(plan)) {
+        Err(e) => e,
+        Ok(_) => panic!("bit 8 of an 8-bit signal must be rejected"),
+    };
+    assert!(matches!(err, SimError::InvalidSystem { .. }), "{err}");
+    assert!(err.to_string().contains("bit 8 of `S` (8 bit(s))"), "{err}");
+}
