@@ -35,7 +35,25 @@ const SIMULATION: &[Flow] = &[
     ),
     (
         "fig3_w8_bus_meta",
-        &["specs/fig3.ifs", "--width", "8", "--bus-meta", "$TMP/b.json"],
+        &[
+            "specs/fig3.ifs",
+            "--width",
+            "8",
+            "--bus-meta",
+            "$TMP/b.json",
+        ],
+    ),
+    // An 8-bit `B_DATA` has no bit 99: the plan is refused, not run with
+    // no injection applied.
+    (
+        "fig3_w8_flip_out_of_range",
+        &[
+            "specs/fig3.ifs",
+            "--width",
+            "8",
+            "--fault",
+            "flip:B_DATA:99@5",
+        ],
     ),
     (
         "flc_min_peak",
@@ -121,6 +139,41 @@ const FIG3_AND_FIG1_CHECKS: &[Flow] = &[
             "--check",
             "--check-fault",
             "flip:B_DATA:0",
+        ],
+    ),
+    // Check faults that can never strike are refused: a bit past the
+    // signal's width, bit 1 of a 1-bit signal, and a budget of 0.
+    (
+        "check_fig3_flip_out_of_range",
+        &[
+            "specs/fig3.ifs",
+            "--width",
+            "8",
+            "--check",
+            "--check-fault",
+            "flip:B_DATA:99",
+        ],
+    ),
+    (
+        "check_fig3_flip_one_bit_signal",
+        &[
+            "specs/fig3.ifs",
+            "--width",
+            "8",
+            "--check",
+            "--check-fault",
+            "flip:B_START:1",
+        ],
+    ),
+    (
+        "check_fig3_flip_budget_zero",
+        &[
+            "specs/fig3.ifs",
+            "--width",
+            "8",
+            "--check",
+            "--check-fault",
+            "flip:B_DATA:2:0",
         ],
     ),
     (
