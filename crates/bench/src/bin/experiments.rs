@@ -20,13 +20,10 @@
 //!     #   --tolerance R     worst allowed shared-rate shortfall
 //!     #                     (default 0.5)
 //! cargo run -p ifsyn-bench --bin experiments -- check
-//!     # model-checking campaign over the refined-protocol catalog plus
-//!     # the big-system scale run; writes BENCH_check.json and exits
-//!     # nonzero on any verdict deviation or scale loss. Options:
+//!     # model-checking campaign over the refined-protocol catalog;
+//!     # writes BENCH_check.json and exits nonzero on any verdict
+//!     # deviation. Options:
 //!     #   --out PATH        output file (default BENCH_check.json)
-//!     #   --min-rate R      fail when the measured exploration rate
-//!     #                     drops below R states/second
-//!     #   --no-big          skip the big-system scale run
 //! ```
 //!
 //! Kernel and checker throughput are measured by the `perfbench`
@@ -41,7 +38,7 @@ use std::process::ExitCode;
 const USAGE: &str = "usage: experiments [fig2 | fig7 | fig8 | extra | overhead | ablation | all]
        experiments faults [--out PATH]
        experiments calibrate [--out PATH] [--tolerance R]
-       experiments check [--out PATH] [--min-rate R] [--no-big]";
+       experiments check [--out PATH]";
 
 /// The print-only tables, in `all` order.
 const TABLES: [&str; 6] = ["fig2", "fig7", "fig8", "extra", "overhead", "ablation"];
@@ -59,7 +56,7 @@ fn main() -> ExitCode {
     let result = match what {
         "faults" => run_faults(flags.out("BENCH_faults.json")),
         "calibrate" => run_calibrate(&flags),
-        "check" => run_check(&flags),
+        "check" => run_check(flags.out("BENCH_check.json")),
         "all" => {
             TABLES.into_iter().for_each(print_table);
             Ok(())
@@ -78,19 +75,18 @@ fn main() -> ExitCode {
     }
 }
 
-/// The options each subcommand takes: `(flag, takes a value)`.
-fn accepted_flags(what: &str) -> Result<&'static [(&'static str, bool)], String> {
+/// The options each subcommand takes; every one takes a value.
+fn accepted_flags(what: &str) -> Result<&'static [&'static str], String> {
     Ok(match what {
         table if table == "all" || TABLES.contains(&table) => &[],
-        "faults" => &[("--out", true)],
-        "calibrate" => &[("--out", true), ("--tolerance", true)],
-        "check" => &[("--out", true), ("--min-rate", true), ("--no-big", false)],
+        "faults" | "check" => &["--out"],
+        "calibrate" => &["--out", "--tolerance"],
         other => return Err(format!("unknown experiment `{other}`")),
     })
 }
 
 /// The parsed options of one subcommand, in command-line order.
-struct Flags(Vec<(&'static str, Option<String>)>);
+struct Flags(Vec<(&'static str, String)>);
 
 impl Flags {
     fn parse(what: &str, args: &[String]) -> Result<Self, String> {
@@ -98,22 +94,14 @@ impl Flags {
         let mut found = Vec::new();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
-            let &(flag, takes_value) = accepted
+            let &flag = accepted
                 .iter()
-                .find(|(flag, _)| flag == arg)
+                .find(|flag| *flag == arg)
                 .ok_or_else(|| format!("`{what}` does not take `{arg}`"))?;
-            let value = if takes_value {
-                Some(it.next().ok_or(format!("{flag} requires a value"))?.clone())
-            } else {
-                None
-            };
-            found.push((flag, value));
+            let value = it.next().ok_or(format!("{flag} requires a value"))?;
+            found.push((flag, value.clone()));
         }
         Ok(Self(found))
-    }
-
-    fn has(&self, flag: &str) -> bool {
-        self.0.iter().any(|(f, _)| *f == flag)
     }
 
     /// The last value given for `flag`.
@@ -122,22 +110,21 @@ impl Flags {
             .iter()
             .rev()
             .find(|(f, _)| *f == flag)
-            .and_then(|(_, v)| v.as_deref())
+            .map(|(_, v)| v.as_str())
     }
 
     fn out<'a>(&'a self, default: &'a str) -> &'a str {
         self.value("--out").unwrap_or(default)
     }
 
-    fn number(&self, flag: &str) -> Result<Option<f64>, String> {
-        self.value(flag)
-            .map(|v| v.parse::<f64>().map_err(|e| format!("bad {flag}: {e}")))
-            .transpose()
-    }
-
     /// `--tolerance`, which must lie in [0, 1).
     fn tolerance(&self, default: f64) -> Result<f64, String> {
-        let tolerance = self.number("--tolerance")?.unwrap_or(default);
+        let tolerance = match self.value("--tolerance") {
+            Some(v) => v
+                .parse::<f64>()
+                .map_err(|e| format!("bad --tolerance: {e}"))?,
+            None => default,
+        };
         if !(0.0..1.0).contains(&tolerance) {
             return Err("--tolerance must be in [0, 1)".to_string());
         }
@@ -191,19 +178,11 @@ fn run_calibrate(flags: &Flags) -> Result<(), String> {
 
 /// Runs the model-checking campaign and writes `BENCH_check.json`
 /// (default) or the path given with `--out`. Exits with an error when a
-/// property that must hold is violated (or a known-broken baseline
-/// unexpectedly passes), when the big-system run falls below the
-/// million-state scale floor, or when `--min-rate` is given and the
-/// measured exploration throughput drops below it.
-fn run_check(flags: &Flags) -> Result<(), String> {
-    let min_rate = flags.number("--min-rate")?;
-    if min_rate.is_some_and(|r| r <= 0.0) {
-        return Err("--min-rate must be positive".to_string());
-    }
-    let out_path = flags.out("BENCH_check.json");
-    let big = !flags.has("--no-big");
+/// property that must hold is violated, or a known-broken baseline
+/// unexpectedly passes.
+fn run_check(out_path: &str) -> Result<(), String> {
     rule();
-    let data = ifsyn_bench::check::run_with(&ifsyn_bench::check::CheckOptions { big });
+    let data = ifsyn_bench::check::run();
     print!("{}", ifsyn_bench::check::render(&data));
     std::fs::write(out_path, ifsyn_bench::check::to_json(&data)).map_err(|e| e.to_string())?;
     println!("\nwrote {out_path}");
@@ -213,18 +192,6 @@ fn run_check(flags: &Flags) -> Result<(), String> {
             "{} property result(s) deviate from expectation",
             bad.len()
         ));
-    }
-    if data.big_failed() {
-        return Err("big-system exploration failed or fell below the 1M-state floor".to_string());
-    }
-    if let Some(floor) = min_rate {
-        match data.check_rate(floor) {
-            Ok(line) => println!("{line}"),
-            Err(line) => {
-                println!("{line}");
-                return Err("checker throughput regression detected".to_string());
-            }
-        }
     }
     Ok(())
 }
