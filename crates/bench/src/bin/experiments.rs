@@ -30,9 +30,12 @@
 //! benchmark (`perfbench/README.md`), not here.
 //!
 //! An argument a subcommand does not take, or an unknown subcommand,
-//! prints the usage line and exits nonzero.
+//! prints the usage line and exits nonzero. Every failure, a closed
+//! stdout included, is one `experiments:` line on stderr and exit 1.
 
 use std::env;
+use std::error::Error;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: experiments [fig2 | fig7 | fig8 | extra | overhead | ablation | all]
@@ -53,27 +56,30 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Every line goes through `writeln!(…)?`, so a closed stdout (a
+    // reader like `head` exiting early) takes the error path below.
+    let mut out = io::stdout().lock();
     let result = match what {
-        "faults" => run_faults(flags.out("BENCH_faults.json")),
-        "calibrate" => run_calibrate(&flags),
-        "check" => run_check(flags.out("BENCH_check.json")),
-        "all" => {
-            TABLES.into_iter().for_each(print_table);
-            Ok(())
-        }
-        table => {
-            print_table(table);
-            Ok(())
-        }
+        "faults" => run_faults(&mut out, flags.out("BENCH_faults.json")),
+        "calibrate" => run_calibrate(&mut out, &flags),
+        "check" => run_check(&mut out, flags.out("BENCH_check.json")),
+        "all" => TABLES
+            .into_iter()
+            .try_for_each(|table| print_table(&mut out, table)),
+        table => print_table(&mut out, table),
     };
-    match result {
+    match result.and_then(|()| Ok(out.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("{what} failed: {e}");
+            eprintln!("experiments: {what} failed: {e}");
             ExitCode::FAILURE
         }
     }
 }
+
+/// What a subcommand returns: a campaign regression, an unwritable
+/// output file or a failed write to stdout.
+type Outcome = Result<(), Box<dyn Error>>;
 
 /// The options each subcommand takes; every one takes a value.
 fn accepted_flags(what: &str) -> Result<&'static [&'static str], String> {
@@ -135,18 +141,19 @@ impl Flags {
 /// Runs the fault campaign and writes it to `out_path`. Exits with an
 /// error when any protected run corrupted data without raising a flag
 /// (an integrity regression).
-fn run_faults(out_path: &str) -> Result<(), String> {
-    rule();
+fn run_faults(out: &mut impl Write, out_path: &str) -> Outcome {
+    rule(out)?;
     let data = ifsyn_bench::faults::run();
-    print!("{}", ifsyn_bench::faults::render(&data));
-    std::fs::write(out_path, ifsyn_bench::faults::to_json(&data)).map_err(|e| e.to_string())?;
-    println!("\nwrote {out_path}");
+    write!(out, "{}", ifsyn_bench::faults::render(&data))?;
+    std::fs::write(out_path, ifsyn_bench::faults::to_json(&data))?;
+    writeln!(out, "\nwrote {out_path}")?;
     let silent = data.silent_corruptions();
     if !silent.is_empty() {
         return Err(format!(
             "{} protected run(s) completed corrupt with no status flag raised",
             silent.len()
-        ));
+        )
+        .into());
     }
     Ok(())
 }
@@ -156,22 +163,22 @@ fn run_faults(out_path: &str) -> Result<(), String> {
 /// alone-on-the-bus rates deviating from the static estimates, a shared
 /// rate beating its analytic ceiling, the worst shared shortfall
 /// exceeding the tolerance, or the calibration loop failing to converge.
-fn run_calibrate(flags: &Flags) -> Result<(), String> {
+fn run_calibrate(out: &mut impl Write, flags: &Flags) -> Outcome {
     let tolerance = flags.tolerance(ifsyn_bench::calibrate::DEFAULT_TOLERANCE)?;
     let out_path = flags.out("BENCH_analyze.json");
-    rule();
+    rule(out)?;
     let data = ifsyn_bench::calibrate::run();
-    print!("{}", ifsyn_bench::calibrate::render(&data));
-    std::fs::write(out_path, ifsyn_bench::calibrate::to_json(&data)).map_err(|e| e.to_string())?;
-    println!("\nwrote {out_path}");
+    write!(out, "{}", ifsyn_bench::calibrate::render(&data))?;
+    std::fs::write(out_path, ifsyn_bench::calibrate::to_json(&data))?;
+    writeln!(out, "\nwrote {out_path}")?;
     match ifsyn_bench::calibrate::check(&data, tolerance) {
         Ok(summary) => {
-            print!("\n{summary}");
+            write!(out, "\n{summary}")?;
             Ok(())
         }
         Err(report) => {
-            print!("\npinned checks FAILED:\n{report}");
-            Err("trace-analytics regression detected".to_string())
+            write!(out, "\npinned checks FAILED:\n{report}")?;
+            Err("trace-analytics regression detected".into())
         }
     }
 }
@@ -180,30 +187,27 @@ fn run_calibrate(flags: &Flags) -> Result<(), String> {
 /// (default) or the path given with `--out`. Exits with an error when a
 /// property that must hold is violated, or a known-broken baseline
 /// unexpectedly passes.
-fn run_check(out_path: &str) -> Result<(), String> {
-    rule();
+fn run_check(out: &mut impl Write, out_path: &str) -> Outcome {
+    rule(out)?;
     let data = ifsyn_bench::check::run();
-    print!("{}", ifsyn_bench::check::render(&data));
-    std::fs::write(out_path, ifsyn_bench::check::to_json(&data)).map_err(|e| e.to_string())?;
-    println!("\nwrote {out_path}");
+    write!(out, "{}", ifsyn_bench::check::render(&data))?;
+    std::fs::write(out_path, ifsyn_bench::check::to_json(&data))?;
+    writeln!(out, "\nwrote {out_path}")?;
     let bad = data.unexpected();
     if !bad.is_empty() {
-        return Err(format!(
-            "{} property result(s) deviate from expectation",
-            bad.len()
-        ));
+        return Err(format!("{} property result(s) deviate from expectation", bad.len()).into());
     }
     Ok(())
 }
 
-fn rule() {
-    println!("\n{}\n", "=".repeat(72));
+fn rule(out: &mut impl Write) -> io::Result<()> {
+    writeln!(out, "\n{}\n", "=".repeat(72))
 }
 
 /// Prints one of the [`TABLES`].
-fn print_table(what: &str) {
+fn print_table(out: &mut impl Write, what: &str) -> Outcome {
     use ifsyn_bench::{ablation, extra, fig2, fig7, fig8, overhead};
-    rule();
+    rule(out)?;
     let text = match what {
         "fig2" => fig2::render(&fig2::run()),
         "fig7" => fig7::render(&fig7::run()),
@@ -212,5 +216,6 @@ fn print_table(what: &str) {
         "overhead" => overhead::render(&overhead::run()),
         _ => ablation::render(&ablation::run()),
     };
-    print!("{text}");
+    write!(out, "{text}")?;
+    Ok(())
 }

@@ -15,7 +15,8 @@
 //!   `BENCH_analyze.json` and `BENCH_check.json` (every verdict,
 //!   exploration count and counterexample of the pinned catalog).
 //! * The `experiments` argument surface: `--out` is honoured and
-//!   anything a subcommand does not take is refused.
+//!   anything a subcommand does not take is refused; a closed stdout is
+//!   one error line, not a panic.
 //!
 //! `IFSYN_BLESS=1 cargo test -p ifsyn-bench --test golden` rewrites every
 //! expected file from the current code; review the diff before
@@ -256,5 +257,29 @@ fn experiments_refuses_arguments_it_does_not_take() {
     }
     let left: Vec<_> = fs::read_dir(&dir).unwrap().flatten().collect();
     assert!(left.is_empty(), "a refused call wrote {left:?}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A closed stdout is an ordinary error: with its reader gone before the
+/// first line is written, `experiments` reports the failed write on
+/// stderr and exits 1 instead of panicking.
+#[test]
+fn closed_stdout_is_an_error_not_a_panic() {
+    let dir = scratch_dir("closed-stdout");
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .arg("fig2")
+        .current_dir(&dir)
+        .stdout(writer)
+        .output()
+        .expect("experiments binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        stderr.starts_with("experiments: ") && stderr.lines().count() == 1,
+        "{stderr}"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
