@@ -490,11 +490,9 @@ pub fn render(data: &CheckData) -> String {
     out
 }
 
-/// Serializes the campaign as the `BENCH_check.json` document. Schema
-/// v3 is v2 without what read a clock: each exploration's timing and
-/// thread count, and the `throughput` and `big_system` blocks. Every
-/// field left is deterministic, so the document is the same on every
-/// host and run.
+/// Serializes the campaign as the `BENCH_check.json` document (schema
+/// v3). Every field is deterministic, so the document is the same on
+/// every host and run.
 pub fn to_json(data: &CheckData) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"ifsyn-bench-check-v3\",\n");

@@ -35,9 +35,10 @@
 //! share them between simulator instances: batch sweeps compile each
 //! block once, keyed by a content hash of the block body and everything
 //! lowering reads from its environment — the declared types of the
-//! signals and variables *that block references* plus the cost model, so
-//! even systems refined to different bus widths share their
-//! width-independent blocks.
+//! signals and variables *that block references* and the scope
+//! procedure's signature — so even systems refined to different bus
+//! widths share their width-independent blocks. Statement costs come
+//! from one fixed model and need no place in the key.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -305,12 +306,13 @@ pub struct Program {
 /// simulator instances.
 ///
 /// The key covers everything lowering reads for the block: its body, the
-/// declared types of the signals and variables the body references, the
-/// scope procedure's signature, and the cost model — so a hit is
-/// guaranteed to be the block this system would have compiled, while
-/// declarations the block never names stay out of the key. A width sweep
-/// therefore compiles each width-independent block (application
-/// behaviors, control-only server loops) once for the whole sweep.
+/// declared types of the signals and variables the body references, and
+/// the scope procedure's signature. Statement costs come from one fixed
+/// model ([`CostModel::new`]), so they need no place in the key. A hit is
+/// therefore guaranteed to be the block this system would have compiled,
+/// while declarations the block never names stay out of the key. A width
+/// sweep compiles each width-independent block (application behaviors,
+/// control-only server loops) once for the whole sweep.
 #[derive(Debug, Default)]
 pub struct CodeCache {
     blocks: Mutex<HashMap<u64, Arc<Code>>>,
