@@ -293,3 +293,79 @@ fn addr_bits_covers_every_index() {
         assert!(u64::from(len - 1) >= (1u64 << (a - 1)) || a == 1);
     }
 }
+
+/// The representation classes `Value`'s hand-written impls branch on.
+fn kind(v: &Value) -> usize {
+    match v {
+        Value::Bit(_) => 0,
+        Value::Int { .. } => 1,
+        Value::Bits(b) if b.width() <= 64 => 2,
+        Value::Bits(_) => 3,
+        Value::Array(_) => 4,
+    }
+}
+
+/// A random value from small domains, so equal pairs are common:
+/// `Bit`, `Int`, inline and heap `Bits`, and `Array`s nesting up to
+/// `depth` more levels.
+fn random_value(rng: &mut SplitMix64, depth: u32) -> Value {
+    match rng.below(if depth == 0 { 4 } else { 5 }) {
+        0 => Value::Bit(rng.bool()),
+        1 => Value::int(rng.range_i64(-1, 1), rng.range_u32(7, 8)),
+        2 => Value::Bits(BitVec::from_u64(rng.below(2), *rng.pick(&[0, 1, 64]))),
+        3 => {
+            let mut v = BitVec::zeros(*rng.pick(&[65, 128]));
+            v.set_bit(*rng.pick(&[0, 64]), rng.bool());
+            Value::Bits(v)
+        }
+        _ => Value::Array(
+            (0..rng.below(3))
+                .map(|_| random_value(rng, depth - 1))
+                .collect(),
+        ),
+    }
+}
+
+/// `Value`'s `PartialEq`, `Hash` and `clone_from` are written by hand;
+/// over every pair of a seeded sample they must mean what the derives
+/// did: equality is equality of the `{:?}` texts, equal values hash
+/// equally, and `clone_from` leaves an equal copy from whatever value
+/// the target held.
+#[test]
+fn value_eq_hash_and_clone_from_keep_their_derived_meaning() {
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+    let hash = |v: &Value| {
+        let mut h = DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    };
+    let mut rng = SplitMix64::new(0xcc);
+    let values: Vec<Value> = (0..120).map(|_| random_value(&mut rng, 2)).collect();
+    let mut kinds = [[0u32; 5]; 5];
+    let mut equal_pairs = 0;
+    for a in &values {
+        for b in &values {
+            let (ta, tb) = (format!("{a:?}"), format!("{b:?}"));
+            assert_eq!(a == b, ta == tb, "{ta} vs {tb}");
+            if a == b {
+                equal_pairs += 1;
+                assert_eq!(hash(a), hash(b), "{ta}");
+            }
+            let mut x = a.clone();
+            assert_eq!(format!("{x:?}"), ta);
+            x.clone_from(b);
+            assert!(x == *b, "{ta} cloned from {tb}");
+            assert_eq!(format!("{x:?}"), tb);
+            kinds[kind(a)][kind(b)] += 1;
+        }
+    }
+    // Every pair of representations met, heap to inline `Bits` and
+    // `Array` to scalar among them, and not only equal values.
+    assert!(kinds.iter().flatten().all(|&n| n > 0), "{kinds:?}");
+    assert!(equal_pairs > values.len(), "{equal_pairs}");
+    assert!(values.iter().any(|v| match v {
+        Value::Array(items) => items.iter().any(|i| matches!(i, Value::Array(_))),
+        _ => false,
+    }));
+}
