@@ -483,8 +483,8 @@ impl<'x, 'a> SpaceRef<'x, 'a> {
         }
     }
 
-    /// Fully materializes one stored state (traces and diagnoses only —
-    /// never on the exploration hot path).
+    /// Materializes one stored state's storage (traces and diagnoses
+    /// only — never on the exploration hot path).
     fn materialize(&self, i: usize) -> CkState {
         let cs = self.g.states[i];
         let pools = &self.g.pools;
@@ -500,12 +500,6 @@ impl<'x, 'a> SpaceRef<'x, 'a> {
         CkState {
             signals: pools.sigs.get(cs.sig).to_vec(),
             vars,
-            procs: pools
-                .ctls
-                .get(cs.ctl)
-                .iter()
-                .map(|&p| pools.procs.get(p).clone())
-                .collect(),
             fault_budget: env.fault_budget.to_vec(),
             frozen: env.frozen.to_vec(),
         }
@@ -516,19 +510,18 @@ impl<'x, 'a> SpaceRef<'x, 'a> {
     fn diagnose(&self, state: usize, time: u64) -> Option<DeadlockDiagnosis> {
         let ck = self.ck;
         let st = self.materialize(state);
+        let pools = &self.g.pools;
         let mut waits = Vec::new();
-        for (pid, p) in st.procs.iter().enumerate() {
-            if p.done {
-                continue;
-            }
-            let Some(wait) = ck.parked_wait(&st, pid) else {
+        for (pid, &id) in pools.ctls.get(self.g.states[state].ctl).iter().enumerate() {
+            let ctl = pools.procs.get(id);
+            // Only a level-sensitive wait can block: `wait for` and
+            // `wait on` never hold a checker process.
+            let Some(wait) = ck.parked_wait(ctl) else {
                 continue;
             };
-            // `wait for` and `wait on` have no condition and never block
-            // a checker process.
-            match ck.wait_holds(&st, pid, wait) {
-                Ok(None | Some(true)) => {}
-                Ok(Some(false)) | Err(_) => waits.push((pid, wait)),
+            match ck.wait_holds(&st, ctl, wait) {
+                Ok(true) => {}
+                Ok(false) | Err(_) => waits.push((pid, wait)),
             }
         }
         DeadlockDiagnosis::assemble(ck.system, &ck.program, &st.signals, time, waits)

@@ -1,9 +1,9 @@
-//! State representations: the mutable scratch state the transition
+//! State representations: the mutable scratch storage the transition
 //! executor runs on in place, and the compact interned form the
 //! explorer stores.
 //!
-//! The seed explorer kept every reachable state as a full [`CkState`]
-//! clone inside a `HashMap<CkState, usize>` — two deep copies per stored
+//! The seed explorer kept every reachable state as a full clone inside
+//! a `HashMap` keyed by the whole state — two deep copies per stored
 //! state and a SipHash over the whole structure per lookup. Here a stored
 //! state is four `u32` component ids ([`CompactState`], 16 bytes):
 //!
@@ -19,6 +19,13 @@
 //! are equal iff their `CompactState`s are equal — dedup compares 16
 //! bytes instead of whole states.
 //!
+//! Process controls stay interned even while a state is expanded: the
+//! scratch [`CkState`] holds storage and the fault environment only,
+//! the explorer keeps the expanded state's control ids beside it, and
+//! only the running process's control is ever materialized. A release
+//! moves a pooled control one pc further through
+//! [`Pools::advance`], a memo from id to id.
+//!
 //! Every pool and the visited set index their keys through one
 //! [`IdTable`]: an open-addressing table of `u32` ids whose keys live in
 //! the pool's own storage. Components of one fixed length — signal
@@ -32,13 +39,23 @@ use std::hash::Hash;
 use ifsyn_spec::{System, Value};
 
 use super::fx::{fx_hash, splitmix};
-use crate::process::Frame;
+use crate::process::{CodeRef, Frame};
 
 /// Control state of one behavior instance.
-#[derive(Debug, PartialEq, Eq, Hash)]
+#[derive(Debug, Default, PartialEq, Eq, Hash)]
 pub(super) struct CkProc {
     pub frames: Vec<Frame>,
     pub done: bool,
+}
+
+impl CkProc {
+    /// Behavior `b` before its first instruction.
+    pub fn start(b: usize) -> Self {
+        Self {
+            frames: vec![Frame::new(CodeRef::Behavior(b), Vec::new())],
+            done: false,
+        }
+    }
 }
 
 impl Clone for CkProc {
@@ -55,16 +72,15 @@ impl Clone for CkProc {
     }
 }
 
-/// One materialized system state: storage, every process's control
-/// point, and the remaining environment-fault budgets. This is the
-/// executable *scratch* form the transition executor mutates in place;
-/// the explorer stores only [`CompactState`]s and restores a scratch
-/// state from their pooled components, so it is never cloned whole.
+/// One materialized system state without its process controls: storage
+/// and the remaining environment-fault budgets. This is the executable
+/// *scratch* form the transition executor mutates in place; the
+/// explorer stores only [`CompactState`]s and restores a scratch state
+/// from their pooled components, so it is never cloned whole.
 #[derive(Debug)]
 pub(super) struct CkState {
     pub signals: Vec<Value>,
     pub vars: Vec<Value>,
-    pub procs: Vec<CkProc>,
     /// Remaining strikes per configured fault, in config order.
     pub fault_budget: Vec<u32>,
     /// Signals forced by a stuck fault: later writes are swallowed.
@@ -327,6 +343,11 @@ impl<T: Hash + Eq> Pool<T> {
         &self.items[id as usize]
     }
 
+    /// Number of pooled components.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
     /// Interns an owned component, returning its canonical id (the
     /// value is dropped when an equal component is already pooled).
     pub fn intern(&mut self, value: T) -> u32 {
@@ -371,6 +392,9 @@ pub(super) struct Pools {
     pub varvecs: Arena<u32>,
     /// Per-process control states.
     pub procs: Pool<CkProc>,
+    /// Per-control memo of [`Pools::advance`]: the id of the control one
+    /// pc further, or [`EMPTY`] until it is first asked for.
+    advanced: Vec<u32>,
     /// Per-state vectors of process-control ids (the PC vector), one per
     /// process.
     pub ctls: Arena<u32>,
@@ -385,9 +409,28 @@ impl Pools {
             groups: Pool::new(),
             varvecs: Arena::new(groups),
             procs: Pool::new(),
+            advanced: Vec::new(),
             ctls: Arena::new(procs),
             envs: Pool::new(),
         }
+    }
+
+    /// The id of control `id` with its top frame's pc one further: a
+    /// release past the wait it is parked at. The first release of a
+    /// control interns the advanced copy; every later one is a lookup.
+    pub fn advance(&mut self, id: u32) -> u32 {
+        if let Some(&next) = self.advanced.get(id as usize).filter(|&&n| n != EMPTY) {
+            return next;
+        }
+        let mut ctl = self.procs.get(id).clone();
+        ctl.frames
+            .last_mut()
+            .expect("a parked control has a frame")
+            .pc += 1;
+        let next = self.procs.intern(ctl);
+        self.advanced.resize(self.procs.len(), EMPTY);
+        self.advanced[id as usize] = next;
+        next
     }
 }
 
