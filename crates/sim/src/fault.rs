@@ -44,7 +44,8 @@ pub enum FaultKind {
     },
     /// Writes taking effect inside the window land `cycles` later.
     DelayWrites {
-        /// Added delay in clock cycles (must be > 0 to have any effect).
+        /// Added delay in clock cycles; a plan that delays by 0 is
+        /// refused.
         cycles: u64,
         /// Window start (inclusive).
         from: u64,
@@ -61,16 +62,22 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// The interference window `[from, until)` of a windowed fault
+    /// (`until` = `None`: forever); `None` for a flip.
+    pub(crate) fn window(&self) -> Option<(u64, Option<u64>)> {
+        match self {
+            FaultKind::StuckAt { from, until, .. }
+            | FaultKind::DelayWrites { from, until, .. }
+            | FaultKind::DropWrites { from, until } => Some((*from, *until)),
+            FaultKind::FlipBit { .. } => None,
+        }
+    }
+
     /// `true` when a write applied at `time` falls in this fault's
     /// interference window.
     pub(crate) fn window_contains(&self, time: u64) -> bool {
-        let (from, until) = match self {
-            FaultKind::StuckAt { from, until, .. }
-            | FaultKind::DelayWrites { from, until, .. }
-            | FaultKind::DropWrites { from, until } => (*from, *until),
-            FaultKind::FlipBit { .. } => return false,
-        };
-        time >= from && until.is_none_or(|u| time < u)
+        self.window()
+            .is_some_and(|(from, until)| time >= from && until.is_none_or(|u| time < u))
     }
 }
 

@@ -227,8 +227,10 @@ impl<'a> Simulator<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidSystem`] if the system fails validation,
-    /// or its fault plan names an unknown signal or flips a bit that is
-    /// not below the signal's declared width.
+    /// or its fault plan names an unknown signal or holds a fault that
+    /// can never strike: a flip of a bit that is not below the signal's
+    /// declared width, a window that ends where or before it starts, or a
+    /// delay of 0 cycles.
     pub fn with_config(system: &'a System, config: SimConfig) -> Result<Self, SimError> {
         Self::with_config_cached(system, config, None)
     }
@@ -278,6 +280,25 @@ impl<'a> Simulator<'a> {
                 .ok_or_else(|| SimError::InvalidSystem {
                     message: format!("fault plan names unknown signal `{}`", f.signal),
                 })?;
+            if let Some((from, Some(until))) = f.kind.window() {
+                if until <= from {
+                    return Err(SimError::InvalidSystem {
+                        message: format!(
+                            "fault plan's window {from}-{until} on `{}` is empty, \
+                             so it can never strike",
+                            f.signal
+                        ),
+                    });
+                }
+            }
+            if let FaultKind::DelayWrites { cycles: 0, .. } = f.kind {
+                return Err(SimError::InvalidSystem {
+                    message: format!(
+                        "fault plan delays writes to `{}` by 0 cycles, so it can never strike",
+                        f.signal
+                    ),
+                });
+            }
             let fi = faults.len();
             match f.kind {
                 FaultKind::StuckAt { from, .. } => {
@@ -528,10 +549,8 @@ impl<'a> Simulator<'a> {
                     return Disposition::Drop("write dropped (stuck line)")
                 }
                 FaultKind::DropWrites { .. } => return Disposition::Drop("write dropped"),
-                FaultKind::DelayWrites { cycles, .. } if *cycles > 0 => {
-                    return Disposition::Delay(*cycles)
-                }
-                _ => {}
+                FaultKind::DelayWrites { cycles, .. } => return Disposition::Delay(*cycles),
+                FaultKind::FlipBit { .. } => {}
             }
         }
         Disposition::Keep

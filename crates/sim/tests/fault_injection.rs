@@ -388,3 +388,49 @@ fn a_flip_past_the_signal_width_is_rejected() {
     assert!(matches!(err, SimError::InvalidSystem { .. }), "{err}");
     assert!(err.to_string().contains("bit 8 of `S` (8 bit(s))"), "{err}");
 }
+
+/// A window that ends where or before it starts, and a delay of 0
+/// cycles, could never strike: each plan is refused up front, while the
+/// one-cycle window beside them still runs.
+#[test]
+fn faults_that_can_never_strike_are_rejected() {
+    let (mut sys, m) = shell();
+    let b = sys.add_behavior("P", m);
+    sys.add_signal("S", Ty::Bit);
+    sys.behavior_mut(b).body = vec![wait_cycles(10)];
+    assert!(run(
+        &sys,
+        SimConfig::new().with_faults(FaultPlan::new().drop_writes("S", 5, Some(6)))
+    )
+    .is_ok());
+    let refused = [
+        (
+            FaultPlan::new().drop_writes("S", 10, Some(5)),
+            "window 10-5",
+        ),
+        (FaultPlan::new().drop_writes("S", 5, Some(5)), "window 5-5"),
+        (FaultPlan::new().stuck_at_0("S", 10, Some(5)), "window 10-5"),
+        (FaultPlan::new().stuck_at_1("S", 5, Some(5)), "window 5-5"),
+        (
+            FaultPlan::new().delay_writes("S", 2, 7, Some(3)),
+            "window 7-3",
+        ),
+        (
+            FaultPlan::new().delay_writes("S", 0, 0, Some(60)),
+            "by 0 cycles",
+        ),
+        (
+            FaultPlan::new().delay_writes("S", 0, 0, None),
+            "by 0 cycles",
+        ),
+    ];
+    for (plan, why) in refused {
+        let err = match Simulator::with_config(&sys, SimConfig::new().with_faults(plan.clone())) {
+            Err(e) => e,
+            Ok(_) => panic!("{plan:?} must be rejected"),
+        };
+        assert!(matches!(err, SimError::InvalidSystem { .. }), "{err}");
+        assert!(err.to_string().contains(why), "{err}");
+        assert!(err.to_string().ends_with("so it can never strike"), "{err}");
+    }
+}
