@@ -55,6 +55,58 @@ const SIMULATION: &[Flow] = &[
             "flip:B_DATA:99@5",
         ],
     ),
+    // Windows that end where or before they start, and a delay of 0
+    // cycles, can never strike either: each plan is refused.
+    (
+        "fig3_w8_drop_inverted_window",
+        &[
+            "specs/fig3.ifs",
+            "--width",
+            "8",
+            "--fault",
+            "drop:B_DONE@10-5",
+        ],
+    ),
+    (
+        "fig3_w8_drop_empty_window",
+        &[
+            "specs/fig3.ifs",
+            "--width",
+            "8",
+            "--fault",
+            "drop:B_DONE@5-5",
+        ],
+    ),
+    (
+        "fig3_w8_stuck_inverted_window",
+        &[
+            "specs/fig3.ifs",
+            "--width",
+            "8",
+            "--fault",
+            "stuck0:B_DONE@10-5",
+        ],
+    ),
+    (
+        "fig3_w8_stuck_empty_window",
+        &[
+            "specs/fig3.ifs",
+            "--width",
+            "8",
+            "--fault",
+            "stuck0:B_DONE@5-5",
+        ],
+    ),
+    (
+        "fig3_w8_delay_zero_cycles",
+        &[
+            "specs/fig3.ifs",
+            "--width",
+            "8",
+            "--fault",
+            "delay:B_START:0@0-60",
+        ],
+    ),
     (
         "flc_min_peak",
         &["specs/flc.ifs", "--min-peak", "ch2=10:10"],
