@@ -145,8 +145,7 @@ fn run_faults(out: &mut impl Write, out_path: &str) -> Outcome {
     rule(out)?;
     let data = ifsyn_bench::faults::run();
     write!(out, "{}", ifsyn_bench::faults::render(&data))?;
-    std::fs::write(out_path, ifsyn_bench::faults::to_json(&data))?;
-    writeln!(out, "\nwrote {out_path}")?;
+    write_out(out, out_path, ifsyn_bench::faults::to_json(&data))?;
     let silent = data.silent_corruptions();
     if !silent.is_empty() {
         return Err(format!(
@@ -169,8 +168,7 @@ fn run_calibrate(out: &mut impl Write, flags: &Flags) -> Outcome {
     rule(out)?;
     let data = ifsyn_bench::calibrate::run();
     write!(out, "{}", ifsyn_bench::calibrate::render(&data))?;
-    std::fs::write(out_path, ifsyn_bench::calibrate::to_json(&data))?;
-    writeln!(out, "\nwrote {out_path}")?;
+    write_out(out, out_path, ifsyn_bench::calibrate::to_json(&data))?;
     match ifsyn_bench::calibrate::check(&data, tolerance) {
         Ok(summary) => {
             write!(out, "\n{summary}")?;
@@ -191,12 +189,19 @@ fn run_check(out: &mut impl Write, out_path: &str) -> Outcome {
     rule(out)?;
     let data = ifsyn_bench::check::run();
     write!(out, "{}", ifsyn_bench::check::render(&data))?;
-    std::fs::write(out_path, ifsyn_bench::check::to_json(&data))?;
-    writeln!(out, "\nwrote {out_path}")?;
+    write_out(out, out_path, ifsyn_bench::check::to_json(&data))?;
     let bad = data.unexpected();
     if !bad.is_empty() {
         return Err(format!("{} property result(s) deviate from expectation", bad.len()).into());
     }
+    Ok(())
+}
+
+/// Writes a campaign's JSON to `path` and says so; a failed write names
+/// the path.
+fn write_out(out: &mut impl Write, path: &str, json: String) -> Outcome {
+    std::fs::write(path, json).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+    writeln!(out, "\nwrote {path}")?;
     Ok(())
 }
 
