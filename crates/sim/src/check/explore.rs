@@ -35,8 +35,26 @@
 //! level-sensitive wait cannot move and is skipped (a forced watchdog
 //! expiry still runs it). Process controls stay interned: the
 //! [`Scratch`] holds the expanded state's control ids and materializes
-//! only the running process's control, whose interned id is what the
-//! progress check compares.
+//! only the running process's control. A run's outcome is a
+//! [`RunOut`] of pool ids — its control after its own releases, the
+//! signal and variable vectors it left, its cost and four flags — so the
+//! progress check compares ids.
+//!
+//! # Memoized runs
+//!
+//! An ordinary run reads only its control, the storage and the frozen
+//! mask, so within one exploration it is a function of the running
+//! process, its control id and the state's signal-vector,
+//! variable-vector and environment ids. A [`RunMemo`] of 4,096 slots,
+//! allocated once per exploration, keeps the latest outcome per slot; a
+//! hit skips the interpreter, the control clone, the interning and the
+//! signal rollback. A hit and a miss continue through one successor
+//! path: the release sweep over the other processes, the control-vector
+//! interning, reduction, the cycle proviso and dedup run as for a fresh
+//! run, so every state number, edge and verdict is the same with or
+//! without the memo. A crash, a watchdog expiry, a fault strike and a
+//! run of more than `u32::MAX` cycles are never memoized. Debug builds
+//! run every hit again and assert the same outcome.
 //!
 //! # Storage
 //!
@@ -51,7 +69,9 @@ use ifsyn_spec::{BitVec, Value};
 use crate::error::SimError;
 use crate::eval::coerce;
 
-use super::state::{CkProc, CkState, CompactState, Dedup, EnvComp, Layout, Pools};
+use super::state::{
+    CkProc, CkState, CompactState, Dedup, EnvComp, Layout, Pools, RunKey, RunMemo, RunOut,
+};
 use super::step::RunFx;
 use super::{Checker, EnvFault};
 
@@ -141,25 +161,28 @@ impl<'p> Src<'p> {
 }
 
 /// The explorer's scratch: the materialized storage of one state, its
-/// control ids, the running process's control, an effect tracker and
-/// the current expansion's successors, allocated once and reused for
-/// every state expanded. Transitions run in place on `cur` and `ctl`;
+/// control ids, the running process's control, an effect tracker, the
+/// memo of runs already made and the current expansion's successors,
+/// allocated once per exploration and reused for every state expanded.
+/// Transitions run in place on `cur` and `ctl`, or a recalled run
+/// patches the variable groups it changed into `cur`;
 /// [`Scratch::rollback`] then restores what each one touched.
 struct Scratch {
     cur: CkState,
     /// The control ids of the state `cur` holds. A release sweep patches
-    /// the released processes' entries and interning the running
-    /// process's control patches its own, until the rollback.
+    /// the released processes' entries and settling a run patches the
+    /// running process's own, until the rollback.
     ctls: Vec<u32>,
     /// The running process's control, cloned from its pool entry before
-    /// each run: the one control ever materialized.
+    /// each interpreter run: the one control ever materialized.
     ctl: CkProc,
     fx: RunFx,
+    memo: RunMemo,
     held: Held,
     /// The successors found so far in the current expansion, in
     /// discovery order, with their costs.
     succs: Vec<(CompactState, StepLabel, u32)>,
-    /// Id vector a successor's group ids are patched in.
+    /// Id vector a run's group ids are patched in.
     ids: Vec<u32>,
     /// A dirty group's valuation, gathered for lookup.
     vals: Vec<Value>,
@@ -190,6 +213,7 @@ impl Scratch {
             ctls: vec![0; checker.system.behaviors.len()],
             ctl: CkProc::default(),
             fx: RunFx::default(),
+            memo: RunMemo::new(),
             held,
             succs: Vec::new(),
             ids: Vec::new(),
@@ -235,10 +259,10 @@ impl Scratch {
     /// Undoes the last run of process `pid` on the scratch (`None`: the
     /// last fault strike), restoring from the source exactly what it
     /// touched: the control ids of that process and of every one `fx`
-    /// says was released, the signals when one was stored or a fault
-    /// struck, each dirty variable group and, after a strike, the fault
-    /// environment. The running control needs no restore: the next run
-    /// clones its own.
+    /// says was released, the signals when the interpreter stored one or
+    /// a fault struck, each dirty or patched variable group and, after a
+    /// strike, the fault environment. The running control needs no
+    /// restore: the next run clones its own.
     fn rollback(&mut self, src: Src<'_>, layout: &Layout, pid: Option<usize>) {
         let Self {
             cur: s, ctls, fx, ..
@@ -263,78 +287,129 @@ impl Scratch {
         }
     }
 
-    /// Settles the run of process `pid`: its release sweep, then its
-    /// control's interned id in the scratch's control ids.
-    fn settle(&mut self, ck: &Checker<'_>, pools: &mut Pools, pid: usize) -> Result<(), SimError> {
-        let Self {
-            cur, ctls, ctl, fx, ..
-        } = self;
-        ck.release_waiters(cur, pools, ctls, Some((pid, &mut *ctl)), fx)?;
-        ctls[pid] = pools.procs.intern_with(&*ctl, || ctl.clone());
-        Ok(())
-    }
-
-    /// Interns the last run's result as a successor of `src` (run by
-    /// process `pid`, whose control [`Scratch::settle`] already
-    /// interned; `None`: a fault strike). Only the components `fx` says
-    /// were touched are looked up — plus, after a strike, the signals and
-    /// fault environment — and the rest keep the source's ids.
-    /// Components are met in a fixed order (signals, dirty groups in
-    /// first-write order, the group-id vector, the control-id vector,
-    /// the environment), so ids are handed out in that order, and a
-    /// component some state already holds costs no allocation.
-    fn intern(
+    /// Runs process `pid` of the source state `cs` through the
+    /// interpreter from its pooled control (`expire`: by expiring its
+    /// watchdog) and interns what the run left: its control after its
+    /// own releases, its signal vector and its variable vector, the dirty
+    /// groups in first-write order. The run's writes stay in the scratch,
+    /// recorded in `fx`, until [`Scratch::rollback`]. `Ok(Err(e))`: the
+    /// run crashed.
+    fn run(
         &mut self,
+        ck: &Checker<'_>,
         pools: &mut Pools,
-        layout: &Layout,
-        src: CompactState,
-        pid: Option<usize>,
-    ) -> CompactState {
+        cs: CompactState,
+        pid: usize,
+        expire: Option<u64>,
+    ) -> Result<Result<RunOut, SimError>, SimError> {
         let Self {
-            cur: s,
-            ctls,
+            cur,
+            ctl,
             fx,
             ids,
             vals,
             ..
         } = self;
-        let strike = pid.is_none();
-        let sig = if fx.wrote_sig || strike {
-            pools.sigs.intern(&s.signals)
+        ctl.clone_from(pools.procs.get(pools.ctls.get(cs.ctl)[pid]));
+        fx.reset(ck.por_on());
+        let cost = match ck.run_one(cur, ctl, pid, expire, fx) {
+            Ok(cost) => cost,
+            Err(e) => return Ok(Err(e)),
+        };
+        let released = ck.release_own(cur, ctl)?;
+        let ctl_id = pools.procs.intern_with(&*ctl, || ctl.clone());
+        let sig = if fx.wrote_sig {
+            pools.sigs.intern(&cur.signals)
         } else {
-            src.sig
+            cs.sig
         };
         let var = if fx.dirty_groups.is_empty() {
-            src.var
+            cs.var
         } else {
             ids.clear();
-            ids.extend_from_slice(pools.varvecs.get(src.var));
+            ids.extend_from_slice(pools.varvecs.get(cs.var));
             for &g in &fx.dirty_groups {
                 vals.clear();
                 vals.extend(
-                    layout.group_members[g as usize]
+                    ck.layout.group_members[g as usize]
                         .iter()
-                        .map(|&v| s.vars[v as usize].clone()),
+                        .map(|&v| cur.vars[v as usize].clone()),
                 );
                 ids[g as usize] = pools.groups.intern_with(&vals[..], || vals[..].into());
             }
             pools.varvecs.intern(ids)
         };
-        let moved = pid.is_some_and(|p| ctls[p] != pools.ctls.get(src.ctl)[p]);
-        let ctl = if moved || !fx.released.is_empty() {
+        Ok(Ok(RunOut {
+            cost,
+            ctl: ctl_id,
+            sig,
+            var,
+            wrote_sig: fx.wrote_sig,
+            released,
+            pure: fx.pure_run,
+            done: ctl.done,
+        }))
+    }
+
+    /// Puts a recalled run `out` of the source state's variables `var`
+    /// into the scratch as the interpreter would have left it, as far as
+    /// the release sweep reads it: each variable group whose id changed
+    /// is patched in and marked dirty for the rollback. Its signals stay
+    /// pooled; the sweep reads them by id.
+    fn recall(&mut self, pools: &Pools, layout: &Layout, var: u32, out: &RunOut) {
+        self.fx.reset(false);
+        if out.var == var {
+            return;
+        }
+        let old = pools.varvecs.get(var);
+        for (g, (&new, &old)) in pools.varvecs.get(out.var).iter().zip(old).enumerate() {
+            if new != old {
+                let vals = pools.groups.get(new);
+                for (&v, val) in layout.group_members[g].iter().zip(vals.iter()) {
+                    self.cur.vars[v as usize].clone_from(val);
+                }
+                self.fx.dirty_groups.push(g as u32);
+            }
+        }
+    }
+
+    /// Settles run `out` of process `pid` on the source state `cs`,
+    /// whether the interpreter just made it or the memo recalled it: the
+    /// running process takes its control id, the release sweep looks at
+    /// every other process over the run's pooled signals and the
+    /// scratch's variables, and, when the run moved anything, the
+    /// successor is interned. The components the run left are already
+    /// pooled, so only the control-id vector is looked up, when a
+    /// control moved. `None`: the run left the state as it found it.
+    fn successor(
+        &mut self,
+        ck: &Checker<'_>,
+        pools: &mut Pools,
+        cs: CompactState,
+        pid: usize,
+        out: &RunOut,
+    ) -> Result<Option<CompactState>, SimError> {
+        let Self { cur, ctls, fx, .. } = self;
+        ctls[pid] = out.ctl;
+        if out.released {
+            fx.released.push(pid as u32);
+        }
+        ck.release_waiters(out.sig, &cur.vars, pools, ctls, Some(pid), fx)?;
+        let moved = out.ctl != pools.ctls.get(cs.ctl)[pid] || !fx.released.is_empty();
+        if !moved && out.sig == cs.sig && out.var == cs.var {
+            return Ok(None);
+        }
+        let ctl = if moved {
             pools.ctls.intern(ctls)
         } else {
-            src.ctl
+            cs.ctl
         };
-        let env = if strike {
-            pools.envs.intern(EnvComp {
-                fault_budget: s.fault_budget[..].into(),
-                frozen: s.frozen[..].into(),
-            })
-        } else {
-            src.env
-        };
-        CompactState { sig, var, ctl, env }
+        Ok(Some(CompactState {
+            sig: out.sig,
+            var: out.var,
+            ctl,
+            env: cs.env,
+        }))
     }
 }
 
@@ -429,10 +504,15 @@ pub(super) struct Graph {
     pub bounded: Option<BoundedInfo>,
 }
 
-/// Interns the root: its storage and environment from `s`, its
-/// controls already pooled under `ctls`.
-fn intern_full(pools: &mut Pools, layout: &Layout, s: &CkState, ctls: &[u32]) -> CompactState {
-    let sig = pools.sigs.intern(&s.signals);
+/// Interns the root: its variables and environment from `s`, its
+/// signals and controls already pooled under `sig` and `ctls`.
+fn intern_full(
+    pools: &mut Pools,
+    layout: &Layout,
+    s: &CkState,
+    sig: u32,
+    ctls: &[u32],
+) -> CompactState {
     let var_ids: Vec<u32> = (0..layout.groups())
         .map(|grp| {
             pools
@@ -450,7 +530,7 @@ fn intern_full(pools: &mut Pools, layout: &Layout, s: &CkState, ctls: &[u32]) ->
 }
 
 impl<'a> Checker<'a> {
-    fn por_on(&self) -> bool {
+    pub(super) fn por_on(&self) -> bool {
         self.por.as_ref().is_some_and(|t| t.enabled)
     }
 
@@ -466,30 +546,6 @@ impl<'a> Checker<'a> {
         } else {
             self.max_states
         }
-    }
-
-    /// Exact progress test replacing the seed's whole-state `state !=
-    /// *src` comparison: the tracked effects bound what can differ, so
-    /// only the touched components of the scratch are compared with the
-    /// source (and usually none are — the running process's interned
-    /// control id or a released waiter decides immediately).
-    fn progress(&self, src: Src<'_>, ctx: &Scratch, pid: usize) -> bool {
-        let (s, fx) = (&ctx.cur, &ctx.fx);
-        if ctx.ctls[pid] != src.proc_ids()[pid] {
-            return true;
-        }
-        if !fx.released.is_empty() {
-            return true;
-        }
-        if fx.wrote_sig && s.signals[..] != *src.sigs() {
-            return true;
-        }
-        fx.dirty_groups.iter().any(|&g| {
-            self.layout.group_members[g as usize]
-                .iter()
-                .zip(src.group(g).iter())
-                .any(|(&v, old)| s.vars[v as usize] != *old)
-        })
     }
 
     /// A successor's cost as a stored transition records it. A run of
@@ -549,6 +605,11 @@ impl<'a> Checker<'a> {
     /// no step: every stored state is closed under eager release, so the
     /// wait does not hold, and the run would end where it began. Only a
     /// watchdog expiry runs such a process.
+    ///
+    /// An ordinary run is first looked up in the run memo; a miss runs
+    /// the interpreter and fills the memo, and both continue through
+    /// [`Scratch::successor`]. A crash, a watchdog expiry and a fault
+    /// strike are never memoized.
     fn expand(
         &self,
         ctx: &mut Scratch,
@@ -563,52 +624,67 @@ impl<'a> Checker<'a> {
         let mut crashes = Vec::new();
         let mut live = false;
         for pid in 0..ctx.ctls.len() {
-            let ctl = Src::new(&g.pools, cs).proc(pid);
-            if ctl.done || self.parked_wait(ctl).is_some() {
+            let ctl = Src::new(&g.pools, cs).proc_ids()[pid];
+            let proc = g.pools.procs.get(ctl);
+            if proc.done || self.parked_wait(proc).is_some() {
                 continue;
             }
-            ctx.ctl.clone_from(ctl);
-            ctx.fx.reset(por);
-            match self.run_one(&mut ctx.cur, &mut ctx.ctl, pid, None, &mut ctx.fx) {
-                Ok(cost) => {
-                    ctx.settle(self, &mut g.pools, pid)?;
-                    let src = Src::new(&g.pools, cs);
-                    if self.progress(src, ctx, pid) {
-                        let cost = self.edge_cost(pid, cost)?;
-                        live = true;
-                        let ample = por
-                            && crashes.is_empty()
-                            && ctx.fx.pure_run
-                            && !ctx.fx.wrote_sig
-                            && ctx.fx.released.is_empty()
-                            && ctx.ctl.done == src.proc(pid).done;
-                        let succ = ctx.intern(&mut g.pools, &self.layout, cs, Some(pid));
-                        let edge = (succ, StepLabel::Run(pid as u32), cost);
-                        if ample {
-                            if dedup.find(&g.states, succ).is_err() {
-                                ctx.rollback(Src::new(&g.pools, cs), &self.layout, Some(pid));
-                                ctx.held.cs = Some(cs);
-                                self.add_edge(g, dedup, si, edge)?;
-                                g.stats.ample_states += 1;
-                                return Ok(());
-                            }
-                            // Cycle proviso: the deferred transitions
-                            // would never be explored along this lasso —
-                            // expand the source in full. The earlier
-                            // pids' successors are already here, and this
-                            // one joins them.
-                            por = false;
-                        }
-                        ctx.succs.push(edge);
+            let key = RunKey {
+                pid: pid as u32,
+                ctl,
+                sig: cs.sig,
+                var: cs.var,
+                env: cs.env,
+            };
+            let out = match ctx.memo.get(key) {
+                Some(out) => {
+                    #[cfg(debug_assertions)]
+                    self.assert_reruns(ctx, &mut g.pools, cs, pid, out)?;
+                    ctx.recall(&g.pools, &self.layout, cs.var, &out);
+                    out
+                }
+                None => match ctx.run(self, &mut g.pools, cs, pid, None)? {
+                    Ok(out) => {
+                        ctx.memo.put(key, out);
+                        out
                     }
+                    Err(e) => {
+                        live = true;
+                        crashes.push(format!(
+                            "`{}` crashes: {e}",
+                            self.system.behaviors[pid].name
+                        ));
+                        ctx.rollback(Src::new(&g.pools, cs), &self.layout, Some(pid));
+                        continue;
+                    }
+                },
+            };
+            if let Some(succ) = ctx.successor(self, &mut g.pools, cs, pid, &out)? {
+                let cost = self.edge_cost(pid, out.cost)?;
+                live = true;
+                let ample = por
+                    && crashes.is_empty()
+                    && out.pure
+                    && !out.wrote_sig
+                    && ctx.fx.released.is_empty()
+                    && !out.done;
+                let edge = (succ, StepLabel::Run(pid as u32), cost);
+                if ample {
+                    if dedup.find(&g.states, succ).is_err() {
+                        ctx.rollback(Src::new(&g.pools, cs), &self.layout, Some(pid));
+                        ctx.held.cs = Some(cs);
+                        self.add_edge(g, dedup, si, edge)?;
+                        g.stats.ample_states += 1;
+                        return Ok(());
+                    }
+                    // Cycle proviso: the deferred transitions
+                    // would never be explored along this lasso —
+                    // expand the source in full. The earlier
+                    // pids' successors are already here, and this
+                    // one joins them.
+                    por = false;
                 }
-                Err(e) => {
-                    live = true;
-                    crashes.push(format!(
-                        "`{}` crashes: {e}",
-                        self.system.behaviors[pid].name
-                    ));
-                }
+                ctx.succs.push(edge);
             }
             ctx.rollback(Src::new(&g.pools, cs), &self.layout, Some(pid));
         }
@@ -618,15 +694,11 @@ impl<'a> Checker<'a> {
                 let Some(cycles) = self.parked_wait(ctl).and_then(|w| w.timeout()) else {
                     continue;
                 };
-                ctx.ctl.clone_from(ctl);
-                ctx.fx.reset(por);
-                match self.run_one(&mut ctx.cur, &mut ctx.ctl, pid, Some(cycles), &mut ctx.fx) {
-                    Ok(cost) => {
-                        ctx.settle(self, &mut g.pools, pid)?;
-                        if self.progress(Src::new(&g.pools, cs), ctx, pid) {
-                            let cost = self.edge_cost(pid, cost)?;
+                match ctx.run(self, &mut g.pools, cs, pid, Some(cycles))? {
+                    Ok(out) => {
+                        if let Some(succ) = ctx.successor(self, &mut g.pools, cs, pid, &out)? {
+                            let cost = self.edge_cost(pid, out.cost)?;
                             live = true;
-                            let succ = ctx.intern(&mut g.pools, &self.layout, cs, Some(pid));
                             ctx.succs
                                 .push((succ, StepLabel::Watchdog(pid as u32), cost));
                         }
@@ -670,8 +742,30 @@ impl<'a> Checker<'a> {
                 ctx.cur.frozen[*idx] = true;
             }
             ctx.cur.fault_budget[fi] -= 1;
-            self.release_waiters(&ctx.cur, &mut g.pools, &mut ctx.ctls, None, &mut ctx.fx)?;
-            let succ = ctx.intern(&mut g.pools, &self.layout, cs, None);
+            let sig = g.pools.sigs.intern(&ctx.cur.signals);
+            self.release_waiters(
+                sig,
+                &ctx.cur.vars,
+                &mut g.pools,
+                &mut ctx.ctls,
+                None,
+                &mut ctx.fx,
+            )?;
+            let ctl = if ctx.fx.released.is_empty() {
+                cs.ctl
+            } else {
+                g.pools.ctls.intern(&ctx.ctls)
+            };
+            let env = g.pools.envs.intern(EnvComp {
+                fault_budget: ctx.cur.fault_budget[..].into(),
+                frozen: ctx.cur.frozen[..].into(),
+            });
+            let succ = CompactState {
+                sig,
+                var: cs.var,
+                ctl,
+                env,
+            };
             ctx.succs.push((succ, StepLabel::Fault(fi as u32), 0));
             ctx.rollback(Src::new(&g.pools, cs), &self.layout, None);
         }
@@ -686,6 +780,30 @@ impl<'a> Checker<'a> {
             self.add_edge(g, dedup, si, edge)?;
         }
         g.stats.full_states += 1;
+        Ok(())
+    }
+
+    /// The memo's cross-check: a recalled run of process `pid` on state
+    /// `cs`, run again through the interpreter, leaves exactly what the
+    /// memo recalled. The rerun's writes are rolled back, and whatever it
+    /// interns is already pooled.
+    #[cfg(debug_assertions)]
+    fn assert_reruns(
+        &self,
+        ctx: &mut Scratch,
+        pools: &mut Pools,
+        cs: CompactState,
+        pid: usize,
+        out: RunOut,
+    ) -> Result<(), SimError> {
+        let rerun = ctx.run(self, pools, cs, pid, None)?;
+        assert_eq!(
+            rerun,
+            Ok(out),
+            "memoized run of `{}`",
+            self.system.behaviors[pid].name
+        );
+        ctx.rollback(Src::new(pools, cs), &self.layout, Some(pid));
         Ok(())
     }
 
@@ -713,8 +831,16 @@ impl<'a> Checker<'a> {
             *id = g.pools.procs.intern(CkProc::start(b));
         }
         ctx.fx.reset(false);
-        self.release_waiters(&ctx.cur, &mut g.pools, &mut ctx.ctls, None, &mut ctx.fx)?;
-        let init_cs = intern_full(&mut g.pools, &self.layout, &ctx.cur, &ctx.ctls);
+        let sig = g.pools.sigs.intern(&ctx.cur.signals);
+        self.release_waiters(
+            sig,
+            &ctx.cur.vars,
+            &mut g.pools,
+            &mut ctx.ctls,
+            None,
+            &mut ctx.fx,
+        )?;
+        let init_cs = intern_full(&mut g.pools, &self.layout, &ctx.cur, sig, &ctx.ctls);
         let at = dedup
             .find(&g.states, init_cs)
             .expect_err("the visited set starts empty");

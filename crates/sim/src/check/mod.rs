@@ -89,6 +89,11 @@
 //!   Process controls stay interned while a state is expanded: only the
 //!   running process's control is materialized, and a released control
 //!   advances by id;
+//! * **memoized runs** — a process run reads only its control, the
+//!   storage and the frozen mask, all named by canonical pool ids, so a
+//!   fixed-size table per exploration recalls a run the exploration
+//!   already made instead of interpreting it again; the release sweep,
+//!   reduction and dedup still run for every successor;
 //! * **bounded exploration** — [`CheckConfig::with_state_limit`] stops at
 //!   a state budget with a structured [`Verdict::Bounded`] instead of an
 //!   error (or OOM).

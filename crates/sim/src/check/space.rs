@@ -519,7 +519,7 @@ impl<'x, 'a> SpaceRef<'x, 'a> {
             let Some(wait) = ck.parked_wait(ctl) else {
                 continue;
             };
-            match ck.wait_holds(&st, ctl, wait) {
+            match ck.wait_holds(&st.signals, &st.vars, ctl, wait) {
                 Ok(true) => {}
                 Ok(false) | Err(_) => waits.push((pid, wait)),
             }

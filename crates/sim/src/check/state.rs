@@ -32,6 +32,12 @@
 //! valuations, group-id vectors and control-id vectors — are stored back
 //! to back in an [`Arena`]; process controls, group valuations and fault
 //! environments keep one item each in a [`Pool`].
+//!
+//! Canonical ids also name a run's inputs exactly: a [`RunMemo`] keeps
+//! what recent process runs left, keyed by the running process, its
+//! control id and the state's signal-vector, variable-vector and
+//! environment ids, so a run the exploration already made costs one
+//! lookup.
 
 use std::borrow::Borrow;
 use std::hash::Hash;
@@ -431,6 +437,155 @@ impl Pools {
         self.advanced.resize(self.procs.len(), EMPTY);
         self.advanced[id as usize] = next;
         next
+    }
+}
+
+/// Slots of an exploration's [`RunMemo`], 40 bytes each: 160 KB. On the
+/// pinned catalog 4,096 slots recall 80% of the runs, against 73% at
+/// 1,024 and 82% at 16,384; on the FLC, whose distinct runs outnumber
+/// any table, bigger tables ran slower (see `docs/PERFORMANCE.md`,
+/// "Memoized runs").
+const MEMO_SLOTS: usize = 1 << 12;
+
+/// The inputs of one ordinary process run, by canonical pool id: the
+/// running process, its control, and the source state's signal vector,
+/// variable vector and fault environment (whose frozen mask swallows
+/// writes). A run reads nothing else but the fixed program, the
+/// reduction tables and the step budget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct RunKey {
+    pub pid: u32,
+    pub ctl: u32,
+    pub sig: u32,
+    pub var: u32,
+    pub env: u32,
+}
+
+impl RunKey {
+    /// No run's key: no pid reaches `u32::MAX`, since the checker
+    /// refuses more than 2^30 behaviors.
+    const VACANT: Self = Self {
+        pid: u32::MAX,
+        ctl: 0,
+        sig: 0,
+        var: 0,
+        env: 0,
+    };
+
+    #[inline]
+    fn hash(self) -> u64 {
+        let a = splitmix(u64::from(self.sig) | (u64::from(self.var) << 32));
+        let b = splitmix(a ^ (u64::from(self.ctl) | (u64::from(self.env) << 32)));
+        splitmix(b ^ u64::from(self.pid))
+    }
+}
+
+/// What one process run left, by canonical pool id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct RunOut {
+    /// Cycles consumed: the transition's cost.
+    pub cost: u64,
+    /// The running control after its own releases.
+    pub ctl: u32,
+    /// The signal vector the run left.
+    pub sig: u32,
+    /// The variable vector the run left.
+    pub var: u32,
+    /// A signal value was stored (a swallowed write does not count).
+    pub wrote_sig: bool,
+    /// The running process released itself past a wait it parked at.
+    pub released: bool,
+    /// Every executed instruction and variable store was pure, tracked
+    /// under the exploration's global reduction setting.
+    pub pure: bool,
+    /// The process finished.
+    pub done: bool,
+}
+
+/// One [`RunMemo`] slot: a key and its run's outcome, the cost in 32
+/// bits. 40 bytes.
+#[derive(Clone, Copy)]
+pub(super) struct MemoSlot {
+    key: RunKey,
+    cost: u32,
+    ctl: u32,
+    sig: u32,
+    var: u32,
+    wrote_sig: bool,
+    released: bool,
+    pure: bool,
+    done: bool,
+}
+
+/// A fixed-size, direct-mapped memo of ordinary process runs, allocated
+/// once per exploration: a key's slot is the top bits of its hash, and
+/// a store evicts whatever held the slot. Pool ids are canonical and
+/// never reassigned within one exploration, so a key names its run's
+/// inputs exactly, and a hit is the run's outcome.
+pub(super) struct RunMemo {
+    slots: Box<[MemoSlot]>,
+}
+
+impl RunMemo {
+    pub fn new() -> Self {
+        let vacant = MemoSlot {
+            key: RunKey::VACANT,
+            cost: 0,
+            ctl: 0,
+            sig: 0,
+            var: 0,
+            wrote_sig: false,
+            released: false,
+            pure: false,
+            done: false,
+        };
+        Self {
+            slots: vec![vacant; MEMO_SLOTS].into_boxed_slice(),
+        }
+    }
+
+    /// The slot `key` lives in.
+    #[inline]
+    pub fn slot_of(&self, key: RunKey) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (key.hash() >> (64 - bits)) as usize
+    }
+
+    /// The outcome stored under `key`, if its slot still holds it.
+    #[inline]
+    pub fn get(&self, key: RunKey) -> Option<RunOut> {
+        let s = &self.slots[self.slot_of(key)];
+        (s.key == key).then_some(RunOut {
+            cost: u64::from(s.cost),
+            ctl: s.ctl,
+            sig: s.sig,
+            var: s.var,
+            wrote_sig: s.wrote_sig,
+            released: s.released,
+            pure: s.pure,
+            done: s.done,
+        })
+    }
+
+    /// Stores `out` under `key`, evicting the slot's previous key. A run
+    /// of more than `u32::MAX` cycles is not stored.
+    #[inline]
+    pub fn put(&mut self, key: RunKey, out: RunOut) {
+        let Ok(cost) = u32::try_from(out.cost) else {
+            return;
+        };
+        let i = self.slot_of(key);
+        self.slots[i] = MemoSlot {
+            key,
+            cost,
+            ctl: out.ctl,
+            sig: out.sig,
+            var: out.var,
+            wrote_sig: out.wrote_sig,
+            released: out.released,
+            pure: out.pure,
+            done: out.done,
+        };
     }
 }
 

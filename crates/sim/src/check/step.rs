@@ -3,9 +3,9 @@
 //! `run_one` runs one process from its control point to its next
 //! scheduling point through the interpreter the simulation kernel runs
 //! too ([`crate::interp`]); this module supplies only the checker's
-//! scheduling hooks. `release_waiters` eagerly advances every process
-//! parked at a now-satisfied level-sensitive wait. Three properties
-//! serve the explorer:
+//! scheduling hooks. `release_own` and `release_waiters` eagerly advance
+//! every process parked at a now-satisfied level-sensitive wait. Four
+//! properties serve the explorer:
 //!
 //! * **in-place execution** — a run writes directly into the explorer's
 //!   one scratch storage and into the running process's materialized
@@ -19,15 +19,23 @@
 //!   executed instruction was statically pure and every variable store
 //!   hit a variable private to the process. The running
 //!   process's own control state is always treated as touched. The
-//!   explorer uses the effects to diff, re-intern and roll back only
-//!   dirty components and to validate ample candidates;
+//!   explorer uses the effects to intern and roll back only dirty
+//!   components and to validate ample candidates;
+//! * **runs are functions of their inputs** — a run reads only its
+//!   control, the storage and the frozen mask (plus the fixed program,
+//!   reduction tables and step budget), and its own releases read only
+//!   the storage it left. Purity is tracked under the exploration's
+//!   global reduction setting, so the explorer can memoize a run by the
+//!   pool ids of those inputs and recall it instead of running it
+//!   again (see [`super::state::RunMemo`]);
 //! * **blocked processes never run** — every stored state is closed
 //!   under eager release, so a process parked at a level-sensitive wait
 //!   is blocked there: the explorer never runs it except to expire its
 //!   watchdog, and a non-forced run never suspends on its first
 //!   instruction. The release sweep after each run looks at every
-//!   process; released controls other than the running one stay
-//!   interned and advance by id ([`super::state::Pools::advance`]).
+//!   other process over the run's pooled signals; released controls
+//!   other than the running one stay interned and advance by id
+//!   ([`super::state::Pools::advance`]).
 
 use ifsyn_spec::Value;
 
@@ -225,17 +233,18 @@ impl<'a> Checker<'a> {
     }
 
     /// Whether the level-sensitive `wait` holds in control `ctl`'s scope
-    /// over the storage of `s`.
+    /// over the storage `signals` and `vars`.
     pub(super) fn wait_holds(
         &self,
-        s: &CkState,
+        signals: &[Value],
+        vars: &[Value],
         ctl: &CkProc,
         wait: &WaitSpec,
     ) -> Result<bool, SimError> {
         let frame = ctl.frames.last().expect("frame");
         let ctx = EvalCtx {
-            vars: &s.vars,
-            signals: &s.signals,
+            vars,
+            signals,
             locals: &frame.locals,
         };
         Ok(wait.holds(&ctx).map_err(|e| *e)? == Some(true))
@@ -291,12 +300,28 @@ impl<'a> Checker<'a> {
         Ok(run.cost)
     }
 
-    /// Advances every process parked at a now-satisfied level-sensitive
-    /// wait, chaining through consecutive satisfied waits. `ctls` holds
-    /// the scratch state's control ids; `run` names the process that
-    /// just ran and its materialized control, which advances in place
-    /// (`None`: a fault strike, or the root). Every other control
-    /// advances by id through [`Pools::advance`].
+    /// Advances the running process's materialized control `ctl` past
+    /// every now-satisfied level-sensitive wait it is parked at, over the
+    /// storage its run left in `s`, chaining through consecutive
+    /// satisfied waits. Returns whether it moved.
+    pub(super) fn release_own(&self, s: &CkState, ctl: &mut CkProc) -> Result<bool, SimError> {
+        let mut advanced = false;
+        while let Some(wait) = self.parked_wait(ctl) {
+            if !self.wait_holds(&s.signals, &s.vars, ctl, wait)? {
+                break;
+            }
+            ctl.frames.last_mut().expect("frame").pc += 1;
+            advanced = true;
+        }
+        Ok(advanced)
+    }
+
+    /// Advances every process but `running` parked at a now-satisfied
+    /// level-sensitive wait, chaining through consecutive satisfied
+    /// waits, over the pooled signal vector `sig` and the variables
+    /// `vars`. `ctls` holds the scratch state's control ids; each
+    /// control advances by id through [`Pools::advance`]. The running
+    /// process's own releases are [`Checker::release_own`]'s.
     ///
     /// The kernel's event loop wakes every waiter on a signal the moment
     /// it changes, so a waiter can never sleep through a pulse. The
@@ -312,33 +337,20 @@ impl<'a> Checker<'a> {
     /// its chain fails to evaluate.
     pub(super) fn release_waiters(
         &self,
-        s: &CkState,
+        sig: u32,
+        vars: &[Value],
         pools: &mut Pools,
         ctls: &mut [u32],
-        mut run: Option<(usize, &mut CkProc)>,
+        running: Option<usize>,
         fx: &mut RunFx,
     ) -> Result<(), SimError> {
-        if let Some((pid, ctl)) = run.as_mut() {
-            let mut advanced = false;
-            while let Some(wait) = self.parked_wait(ctl) {
-                if !self.wait_holds(s, ctl, wait)? {
-                    break;
-                }
-                ctl.frames.last_mut().expect("frame").pc += 1;
-                if !advanced {
-                    advanced = true;
-                    fx.released.push(*pid as u32);
-                }
-            }
-        }
-        let running = run.map(|(pid, _)| pid);
         for (pid, id) in ctls.iter_mut().enumerate() {
             if running == Some(pid) {
                 continue;
             }
             let mut advanced = false;
             while let Some(wait) = self.parked_wait(pools.procs.get(*id)) {
-                if !self.wait_holds(s, pools.procs.get(*id), wait)? {
+                if !self.wait_holds(pools.sigs.get(sig), vars, pools.procs.get(*id), wait)? {
                     break;
                 }
                 *id = pools.advance(*id);

@@ -630,6 +630,97 @@ fn reverse_adjacency_reverses_every_edge() {
     }
 }
 
+// ---- the run memo ----
+
+fn run_out(n: u32) -> state::RunOut {
+    state::RunOut {
+        cost: u64::from(n) + 7,
+        ctl: n + 1,
+        sig: n + 2,
+        var: n + 3,
+        wrote_sig: n & 1 != 0,
+        released: n & 2 != 0,
+        pure: n & 4 != 0,
+        done: n & 8 != 0,
+    }
+}
+
+/// Two keys that share a slot evict each other: after each store, the
+/// key stored last hits and the evicted one misses.
+#[test]
+fn run_memo_keys_sharing_a_slot_evict_each_other() {
+    let mut memo = state::RunMemo::new();
+    let a = state::RunKey {
+        pid: 1,
+        ctl: 2,
+        sig: 3,
+        var: 4,
+        env: 5,
+    };
+    let b = (0..)
+        .map(|ctl| state::RunKey { ctl, ..a })
+        .find(|&k| k != a && memo.slot_of(k) == memo.slot_of(a))
+        .expect("a key sharing a's slot");
+    assert_eq!(memo.get(a), None, "a new memo holds nothing");
+    memo.put(a, run_out(10));
+    assert_eq!(memo.get(a), Some(run_out(10)));
+    assert_eq!(memo.get(b), None);
+    memo.put(b, run_out(20));
+    assert_eq!(memo.get(b), Some(run_out(20)));
+    assert_eq!(memo.get(a), None, "b evicted a");
+    memo.put(a, run_out(30));
+    assert_eq!(memo.get(a), Some(run_out(30)));
+    assert_eq!(memo.get(b), None, "a evicted b");
+}
+
+/// A hit returns exactly what was stored, every combination of flags
+/// included, and a key that differs in any one id misses. A run of more than
+/// `u32::MAX` cycles is not stored; one of exactly `u32::MAX` is. A slot
+/// is 40 bytes.
+#[test]
+fn run_memo_hit_returns_exactly_what_was_stored() {
+    assert_eq!(std::mem::size_of::<state::MemoSlot>(), 40);
+    let key = state::RunKey {
+        pid: 0,
+        ctl: 9,
+        sig: 8,
+        var: 7,
+        env: 6,
+    };
+    for n in 0..16 {
+        let mut memo = state::RunMemo::new();
+        memo.put(key, run_out(n));
+        assert_eq!(memo.get(key), Some(run_out(n)), "outcome {n}");
+        for other in [
+            state::RunKey { pid: 1, ..key },
+            state::RunKey { ctl: 0, ..key },
+            state::RunKey { sig: 0, ..key },
+            state::RunKey { var: 0, ..key },
+            state::RunKey { env: 0, ..key },
+        ] {
+            assert_eq!(memo.get(other), None, "{other:?}");
+        }
+    }
+    let mut memo = state::RunMemo::new();
+    let max = u64::from(u32::MAX);
+    memo.put(
+        key,
+        state::RunOut {
+            cost: max + 1,
+            ..run_out(0)
+        },
+    );
+    assert_eq!(memo.get(key), None, "a cost past u32 is not stored");
+    memo.put(
+        key,
+        state::RunOut {
+            cost: max,
+            ..run_out(0)
+        },
+    );
+    assert_eq!(memo.get(key).map(|o| o.cost), Some(max));
+}
+
 // ---- in-place execution: rollback ----
 
 /// A run that writes a shared variable and drives a signal, then crashes
