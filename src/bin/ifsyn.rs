@@ -28,7 +28,9 @@
 //!                            flip:SIG:BIT@T
 //!                            drop:SIG@FROM[-UNTIL]
 //!                            delay:SIG:CYCLES@FROM[-UNTIL]
-//!                          faults turn on deadlock diagnosis
+//!                          faults turn on deadlock diagnosis; an empty
+//!                          window (UNTIL <= FROM) or a 0-cycle delay is
+//!                          refused before any work
 //!   --print-vhdl           print the refined specification
 //!   --vcd FILE             write a VCD waveform of the simulation
 //!   --bus-meta FILE        write the bus-metadata JSON sidecar
@@ -94,7 +96,8 @@ struct Options {
     rolled: bool,
     protocol_timeout: Option<(u64, Option<u32>)>,
     integrity: bool,
-    faults: Vec<String>,
+    /// Every `--fault`, parsed as it is read.
+    faults: FaultPlan,
     check: bool,
     check_faults: Vec<String>,
     check_limit: Option<usize>,
@@ -283,17 +286,15 @@ fn run(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
     } else {
         SimConfig::new()
     };
-    if !options.faults.is_empty() {
-        let mut plan = FaultPlan::new();
-        for spec in &options.faults {
-            plan = add_fault(plan, spec)?;
-        }
+    if !options.faults.faults.is_empty() {
         // A silent hang under injection is useless; diagnose it instead.
-        config = config.with_faults(plan).with_deadlock_detection();
+        config = config
+            .with_faults(options.faults.clone())
+            .with_deadlock_detection();
         writeln!(
             out,
             "injecting {} fault(s); deadlock diagnosis on",
-            options.faults.len()
+            options.faults.faults.len()
         )?;
     }
     // The content-hash cache dedups repeated protocol bodies (the same
@@ -322,7 +323,7 @@ fn run(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
         writeln!(out, "  idle servers: {}", blocked.join(", "))?;
     }
 
-    if !options.faults.is_empty() {
+    if !options.faults.faults.is_empty() {
         let injected = report.injected_faults();
         writeln!(out, "  {} fault injection(s) applied", injected.len())?;
         for f in injected.iter().take(10) {
@@ -736,7 +737,10 @@ fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Options, Box<dy
                 });
             }
             "--integrity" => o.integrity = true,
-            "--fault" => o.faults.push(value_of("--fault")?),
+            "--fault" => {
+                let spec = value_of("--fault")?;
+                o.faults = add_fault(std::mem::take(&mut o.faults), &spec)?;
+            }
             "--check" => o.check = true,
             "--check-fault" => o.check_faults.push(value_of("--check-fault")?),
             "--check-limit" => o.check_limit = Some(value_of("--check-limit")?.parse()?),
@@ -779,7 +783,10 @@ fn split_weight(s: &str) -> Result<(String, f64), Box<dyn Error>> {
     }
 }
 
-/// Parses a `--fault` SPEC (see the module docs) into the plan.
+/// Parses a `--fault` SPEC (see the module docs) into the plan. A fault
+/// that could never strike for want of time — an empty window or a
+/// 0-cycle delay — is refused here; a flip past the signal's width needs
+/// the refined system, and the simulator refuses it when it is built.
 fn add_fault(plan: FaultPlan, spec: &str) -> Result<FaultPlan, Box<dyn Error>> {
     let (kind, rest) = spec
         .split_once(':')
@@ -787,7 +794,7 @@ fn add_fault(plan: FaultPlan, spec: &str) -> Result<FaultPlan, Box<dyn Error>> {
     match kind {
         "stuck0" | "stuck1" => {
             let (sig, window) = split_window(rest);
-            let (from, until) = parse_window(window)?;
+            let (from, until) = parse_window(sig, window)?;
             Ok(if kind == "stuck0" {
                 plan.stuck_at_0(sig, from, until)
             } else {
@@ -805,7 +812,7 @@ fn add_fault(plan: FaultPlan, spec: &str) -> Result<FaultPlan, Box<dyn Error>> {
         }
         "drop" => {
             let (sig, window) = split_window(rest);
-            let (from, until) = parse_window(window)?;
+            let (from, until) = parse_window(sig, window)?;
             Ok(plan.drop_writes(sig, from, until))
         }
         "delay" => {
@@ -813,8 +820,15 @@ fn add_fault(plan: FaultPlan, spec: &str) -> Result<FaultPlan, Box<dyn Error>> {
                 .split_once(':')
                 .ok_or("delay fault expects delay:SIG:CYCLES@FROM[-UNTIL]")?;
             let (cycles, window) = split_window(cycles_window);
-            let (from, until) = parse_window(window)?;
-            Ok(plan.delay_writes(sig, cycles.parse()?, from, until))
+            let cycles = cycles.parse()?;
+            if cycles == 0 {
+                return Err(format!(
+                    "fault delays writes to `{sig}` by 0 cycles, so it can never strike"
+                )
+                .into());
+            }
+            let (from, until) = parse_window(sig, window)?;
+            Ok(plan.delay_writes(sig, cycles, from, until))
         }
         other => Err(format!(
             "unknown fault kind `{other}`; expected stuck0 | stuck1 | flip | drop | delay"
@@ -831,12 +845,23 @@ fn split_window(s: &str) -> (&str, Option<&str>) {
     }
 }
 
-/// Parses `FROM[-UNTIL]`; a missing window means `[0, ∞)`.
-fn parse_window(w: Option<&str>) -> Result<(u64, Option<u64>), Box<dyn Error>> {
+/// Parses the `FROM[-UNTIL]` window of a fault on `sig`; a missing
+/// window means `[0, ∞)`. A window that ends where or before it starts
+/// is refused: the fault could never strike.
+fn parse_window(sig: &str, w: Option<&str>) -> Result<(u64, Option<u64>), Box<dyn Error>> {
     match w {
         None => Ok((0, None)),
         Some(s) => match s.split_once('-') {
-            Some((f, u)) => Ok((f.parse()?, Some(u.parse()?))),
+            Some((f, u)) => {
+                let (from, until): (u64, u64) = (f.parse()?, u.parse()?);
+                if until <= from {
+                    return Err(format!(
+                        "fault window {from}-{until} on `{sig}` is empty, so it can never strike"
+                    )
+                    .into());
+                }
+                Ok((from, Some(until)))
+            }
             None => Ok((s.parse()?, None)),
         },
     }
@@ -1078,7 +1103,7 @@ mod tests {
             "--fault",
             "flip:B_DATA:3@17",
         ]);
-        assert_eq!(o.faults.len(), 2);
+        assert_eq!(o.faults.faults.len(), 2);
     }
 
     #[test]
@@ -1103,5 +1128,38 @@ mod tests {
         for spec in ["B_DONE", "wedge:B_DONE", "flip:B_DATA", "stuck0:S@x"] {
             assert!(add_fault(FaultPlan::new(), spec).is_err(), "{spec}");
         }
+    }
+
+    /// A fault that could never strike for want of time is refused while
+    /// the arguments are parsed, naming its window or delay; a flip past
+    /// the signal's width parses, since only the refined system knows the
+    /// width.
+    #[test]
+    fn empty_windows_and_zero_delays_are_refused_while_parsing() {
+        for (spec, message) in [
+            (
+                "drop:B_DONE@10-5",
+                "fault window 10-5 on `B_DONE` is empty, so it can never strike",
+            ),
+            (
+                "stuck0:B_DONE@5-5",
+                "fault window 5-5 on `B_DONE` is empty, so it can never strike",
+            ),
+            (
+                "delay:B_START:0@0-60",
+                "fault delays writes to `B_START` by 0 cycles, so it can never strike",
+            ),
+        ] {
+            let args = ["s.ifs", "--fault", spec].map(String::from);
+            let err = parse_args(args.into_iter()).expect_err(spec);
+            assert_eq!(err.to_string(), message, "{spec}");
+        }
+        assert_eq!(
+            parse(&["s.ifs", "--fault", "flip:B_DATA:99@5"])
+                .faults
+                .faults
+                .len(),
+            1
+        );
     }
 }

@@ -44,7 +44,8 @@ const SIMULATION: &[Flow] = &[
         ],
     ),
     // An 8-bit `B_DATA` has no bit 99: the plan is refused, not run with
-    // no injection applied.
+    // no injection applied. Only the refined system knows the width, so
+    // the simulator refuses it when it is built.
     (
         "fig3_w8_flip_out_of_range",
         &[
@@ -56,7 +57,8 @@ const SIMULATION: &[Flow] = &[
         ],
     ),
     // Windows that end where or before they start, and a delay of 0
-    // cycles, can never strike either: each plan is refused.
+    // cycles, can never strike either: each is refused while the
+    // arguments are parsed, before anything is printed.
     (
         "fig3_w8_drop_inverted_window",
         &[
