@@ -31,10 +31,14 @@
 //!
 //! An argument a subcommand does not take, or an unknown subcommand,
 //! prints the usage line and exits nonzero. Every failure, a closed
-//! stdout included, is one `experiments:` line on stderr and exit 1.
+//! stdout included, is one `experiments:` line on stderr and exit 1. A
+//! campaign opens its `--out` file before it runs, so an unwritable path
+//! fails before any work, and replaces the file's contents only once the
+//! campaign is done.
 
 use std::env;
 use std::error::Error;
+use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::process::ExitCode;
 
@@ -142,10 +146,11 @@ impl Flags {
 /// error when any protected run corrupted data without raising a flag
 /// (an integrity regression).
 fn run_faults(out: &mut impl Write, out_path: &str) -> Outcome {
+    let file = OutFile::open(out_path)?;
     rule(out)?;
     let data = ifsyn_bench::faults::run();
     write!(out, "{}", ifsyn_bench::faults::render(&data))?;
-    write_out(out, out_path, ifsyn_bench::faults::to_json(&data))?;
+    file.write(out, ifsyn_bench::faults::to_json(&data))?;
     let silent = data.silent_corruptions();
     if !silent.is_empty() {
         return Err(format!(
@@ -164,11 +169,11 @@ fn run_faults(out: &mut impl Write, out_path: &str) -> Outcome {
 /// exceeding the tolerance, or the calibration loop failing to converge.
 fn run_calibrate(out: &mut impl Write, flags: &Flags) -> Outcome {
     let tolerance = flags.tolerance(ifsyn_bench::calibrate::DEFAULT_TOLERANCE)?;
-    let out_path = flags.out("BENCH_analyze.json");
+    let file = OutFile::open(flags.out("BENCH_analyze.json"))?;
     rule(out)?;
     let data = ifsyn_bench::calibrate::run();
     write!(out, "{}", ifsyn_bench::calibrate::render(&data))?;
-    write_out(out, out_path, ifsyn_bench::calibrate::to_json(&data))?;
+    file.write(out, ifsyn_bench::calibrate::to_json(&data))?;
     match ifsyn_bench::calibrate::check(&data, tolerance) {
         Ok(summary) => {
             write!(out, "\n{summary}")?;
@@ -186,10 +191,11 @@ fn run_calibrate(out: &mut impl Write, flags: &Flags) -> Outcome {
 /// property that must hold is violated, or a known-broken baseline
 /// unexpectedly passes.
 fn run_check(out: &mut impl Write, out_path: &str) -> Outcome {
+    let file = OutFile::open(out_path)?;
     rule(out)?;
     let data = ifsyn_bench::check::run();
     write!(out, "{}", ifsyn_bench::check::render(&data))?;
-    write_out(out, out_path, ifsyn_bench::check::to_json(&data))?;
+    file.write(out, ifsyn_bench::check::to_json(&data))?;
     let bad = data.unexpected();
     if !bad.is_empty() {
         return Err(format!("{} property result(s) deviate from expectation", bad.len()).into());
@@ -197,12 +203,36 @@ fn run_check(out: &mut impl Write, out_path: &str) -> Outcome {
     Ok(())
 }
 
-/// Writes a campaign's JSON to `path` and says so; a failed write names
-/// the path.
-fn write_out(out: &mut impl Write, path: &str, json: String) -> Outcome {
-    std::fs::write(path, json).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-    writeln!(out, "\nwrote {path}")?;
-    Ok(())
+/// A campaign's output file, opened before the campaign runs. A failure
+/// to open or write it names the path.
+struct OutFile<'p> {
+    path: &'p str,
+    file: File,
+}
+
+impl<'p> OutFile<'p> {
+    /// Opens `path` for writing, creating it but keeping what it holds,
+    /// so a campaign that dies midway leaves the previous file intact.
+    fn open(path: &'p str) -> Result<Self, String> {
+        OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)
+            .map(|file| Self { path, file })
+            .map_err(|e| format!("cannot write `{path}`: {e}"))
+    }
+
+    /// Replaces the file's contents with a campaign's JSON and says so.
+    fn write(mut self, out: &mut impl Write, json: String) -> Outcome {
+        let path = self.path;
+        self.file
+            .set_len(0)
+            .and_then(|()| self.file.write_all(json.as_bytes()))
+            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        writeln!(out, "\nwrote {path}")?;
+        Ok(())
+    }
 }
 
 fn rule(out: &mut impl Write) -> io::Result<()> {

@@ -233,9 +233,10 @@ fn check_campaign_matches_bench_check_json() {
 }
 
 /// A `--out` file that cannot be written is an error that names its
-/// path, in one `experiments:` line and exit 1. `faults`, `calibrate`
-/// and `check` write through one helper; `faults` is the quickest of
-/// the three to run.
+/// path, in one `experiments:` line and exit 1, before the campaign
+/// runs or prints anything. `faults`, `calibrate` and `check` open their
+/// file through one helper; `faults` is the quickest of the three to
+/// run.
 #[test]
 fn an_unwritable_out_path_is_named() {
     let dir = scratch_dir("unwritable");
@@ -246,6 +247,11 @@ fn an_unwritable_out_path_is_named() {
         stderr.starts_with("experiments: faults failed: cannot write `missing/out.json`: ")
             && stderr.lines().count() == 1,
         "{stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "the path is refused before the campaign runs: {}",
+        String::from_utf8_lossy(&out.stdout)
     );
     let _ = fs::remove_dir_all(&dir);
 }
