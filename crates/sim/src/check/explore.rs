@@ -5,11 +5,13 @@
 //! # Determinism
 //!
 //! One thread expands the states in the order they were discovered.
-//! Each successor is interned straight from the scratch state right
-//! after its run, before the rollback; once the expansion is decided
-//! (ample or full), its successors are deduplicated and numbered in the
-//! order they were found. State numbering, error order and the
-//! max-states abort point therefore follow from discovery order alone.
+//! What a run leaves is interned when the interpreter makes the run,
+//! and each successor's control vector right after its release sweep,
+//! before the rollback; once the expansion is decided (ample or full),
+//! its successors are deduplicated and numbered in the order they were
+//! found. The run memo fills and evicts in that same order. State
+//! numbering, error order and the max-states abort point therefore
+//! follow from discovery order alone.
 //!
 //! # Partial-order reduction
 //!
@@ -530,7 +532,7 @@ fn intern_full(
 }
 
 impl<'a> Checker<'a> {
-    pub(super) fn por_on(&self) -> bool {
+    fn por_on(&self) -> bool {
         self.por.as_ref().is_some_and(|t| t.enabled)
     }
 
